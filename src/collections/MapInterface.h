@@ -226,10 +226,16 @@ private:
     Sink = nullptr;
   }
 
-  void finishTrace() { Rec.finish(Impl ? Impl->size() : 0); }
+  // Sizes are read only while a recorder is bound: Impl->size() is a
+  // virtual call that untraced operations would otherwise pay.
+  void finishTrace() {
+    if (Rec)
+      Rec.finish(Impl ? Impl->size() : 0);
+  }
 
   void recordOp(TraceOpKind Kind, OpClass Class) const {
-    Rec.push(Kind, Class, Impl->size());
+    if (Rec)
+      Rec.push(Kind, Class, Impl->size());
   }
 
   void note(OperationKind Kind) const {
