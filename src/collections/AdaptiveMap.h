@@ -44,8 +44,8 @@ public:
       }
     }
     if (SmallKeys.capacity() == 0) {
-      SmallKeys.reserve(8);
-      SmallVals.reserve(8);
+      SmallKeys.reserve(InitialCapacity);
+      SmallVals.reserve(InitialCapacity);
     }
     SmallKeys.push_back(Key);
     SmallVals.push_back(Value);
@@ -107,12 +107,19 @@ public:
       Fn(SmallKeys[I], SmallVals[I]);
   }
 
+  /// See AdaptiveSetImpl::reserve().
   void reserve(size_t N) override {
+    if (N == 0)
+      return;
     if (Migrated) {
       Table.reserve(N);
     } else if (N <= Threshold) {
-      SmallKeys.reserve(N);
-      SmallVals.reserve(N);
+      SmallKeys.reserve(std::max(N, InitialCapacity));
+      SmallVals.reserve(std::max(N, InitialCapacity));
+    } else {
+      SmallKeys.reserve(Threshold + 1);
+      SmallVals.reserve(Threshold + 1);
+      PendingTable = std::max(PendingTable, N);
     }
   }
 
@@ -135,7 +142,7 @@ public:
 
 private:
   void migrate() {
-    Table.reserve(SmallKeys.size() * 2);
+    Table.reserve(std::max(PendingTable, SmallKeys.size() * 2));
     for (size_t I = 0, E = SmallKeys.size(); I != E; ++I)
       Table.insertOrAssign(SmallKeys[I], SmallVals[I]);
     SmallKeys.clear();
@@ -146,10 +153,14 @@ private:
     AdaptiveConfig::global().recordMigration();
   }
 
+  static constexpr size_t InitialCapacity = 8;
+
   std::vector<K, CountingAllocator<K>> SmallKeys;
   std::vector<V, CountingAllocator<V>> SmallVals;
   detail::OpenHashMapTable<K, V, 1, 2> Table;
   size_t Threshold;
+  /// Largest reservation made before migration; sizes the table then.
+  size_t PendingTable = 0;
   bool Migrated = false;
 };
 

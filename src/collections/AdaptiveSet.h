@@ -40,7 +40,7 @@ public:
     if (std::find(Small.begin(), Small.end(), Value) != Small.end())
       return false;
     if (Small.capacity() == 0)
-      Small.reserve(8);
+      Small.reserve(InitialCapacity);
     Small.push_back(Value);
     if (Small.size() > Threshold)
       migrate();
@@ -83,11 +83,20 @@ public:
       Fn(V);
   }
 
+  /// A reservation above the threshold would migrate early if applied
+  /// to the table now: the array takes up to the migration point and
+  /// the table the rest when migration builds it.
   void reserve(size_t N) override {
-    if (Migrated)
+    if (N == 0)
+      return;
+    if (Migrated) {
       Table.reserve(N);
-    else if (N <= Threshold)
-      Small.reserve(N);
+    } else if (N <= Threshold) {
+      Small.reserve(std::max(N, InitialCapacity));
+    } else {
+      Small.reserve(Threshold + 1);
+      PendingTable = std::max(PendingTable, N);
+    }
   }
 
   size_t memoryFootprint() const override {
@@ -109,7 +118,7 @@ public:
 
 private:
   void migrate() {
-    Table.reserve(Small.size() * 2);
+    Table.reserve(std::max(PendingTable, Small.size() * 2));
     for (const T &V : Small)
       Table.insert(V);
     Small.clear();
@@ -118,9 +127,13 @@ private:
     AdaptiveConfig::global().recordMigration();
   }
 
+  static constexpr size_t InitialCapacity = 8;
+
   std::vector<T, CountingAllocator<T>> Small;
   detail::OpenHashSetTable<T, 1, 2> Table;
   size_t Threshold;
+  /// Largest reservation made before migration; sizes the table then.
+  size_t PendingTable = 0;
   bool Migrated = false;
 };
 

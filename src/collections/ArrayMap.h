@@ -87,8 +87,10 @@ public:
   }
 
   void reserve(size_t N) override {
-    Keys.reserve(N);
-    Vals.reserve(N);
+    if (N == 0)
+      return;
+    Keys.reserve(std::max(N, InitialCapacity));
+    Vals.reserve(std::max(N, InitialCapacity));
   }
 
   size_t memoryFootprint() const override {

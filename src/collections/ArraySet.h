@@ -61,7 +61,10 @@ public:
       Fn(V);
   }
 
-  void reserve(size_t N) override { Data.reserve(N); }
+  void reserve(size_t N) override {
+    if (N)
+      Data.reserve(std::max(N, InitialCapacity));
+  }
 
   size_t memoryFootprint() const override {
     return sizeof(*this) + Data.capacity() * sizeof(T);

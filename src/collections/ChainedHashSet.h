@@ -107,7 +107,9 @@ public:
   }
 
   void reserve(size_t N) override {
-    size_t Needed = nextPowerOfTwo((N * 4 + 2) / 3);
+    if (N == 0)
+      return;
+    size_t Needed = chainedBucketCount(N, InitialBuckets);
     if (Needed > Buckets.size())
       rehash(Needed);
   }

@@ -34,7 +34,7 @@ public:
 
   void push_back(const T &Value) override {
     if (Data.capacity() == 0)
-      Data.reserve(8);
+      Data.reserve(InitialCapacity);
     Data.push_back(Value);
     Index.addOne(Value);
   }
@@ -91,7 +91,12 @@ public:
       Fn(V);
   }
 
-  void reserve(size_t N) override { Data.reserve(N); }
+  void reserve(size_t N) override {
+    if (N == 0)
+      return;
+    Data.reserve(std::max(N, InitialCapacity));
+    Index.reserve(N);
+  }
 
   size_t memoryFootprint() const override {
     return sizeof(*this) + Data.capacity() * sizeof(T) +
@@ -107,6 +112,8 @@ public:
   }
 
 private:
+  static constexpr size_t InitialCapacity = 8;
+
   std::vector<T, CountingAllocator<T>> Data;
   detail::HashBag<T> Index;
 };

@@ -129,7 +129,7 @@ public:
   void add(const T &Value) {
     note(OperationKind::Populate);
     Impl->push_back(Value);
-    noteSize(Impl->size());
+    noteGrowth();
     recordOp(TraceOpKind::Populate, OpClass::None);
   }
 
@@ -138,13 +138,14 @@ public:
     note(OperationKind::Middle);
     OpClass Class = Rec ? classifyIndex(Index, Impl->size()) : OpClass::None;
     Impl->insertAt(Index, Value);
-    noteSize(Impl->size());
+    noteGrowth();
     recordOp(TraceOpKind::InsertAt, Class);
   }
 
   /// Removes the element at \p Index (profiled as middle).
   void removeAt(size_t Index) {
     note(OperationKind::Middle);
+    foldSize();
     OpClass Class = Rec ? classifyIndex(Index, Impl->size()) : OpClass::None;
     Impl->removeAt(Index);
     recordOp(TraceOpKind::RemoveAt, Class);
@@ -153,6 +154,7 @@ public:
   /// Removes the first occurrence of \p Value (profiled as remove).
   bool remove(const T &Value) {
     note(OperationKind::Remove);
+    foldSize();
     bool Found = Impl->removeValue(Value);
     recordOp(TraceOpKind::RemoveValue, Found ? OpClass::Hit : OpClass::Miss);
     return Found;
@@ -200,6 +202,7 @@ public:
   size_t size() const { return Impl->size(); }
   bool empty() const { return Impl->empty(); }
   void clear() {
+    foldSize();
     Impl->clear();
     recordOp(TraceOpKind::Clear, OpClass::None);
   }
@@ -212,6 +215,8 @@ public:
   const WorkloadProfile &profile() const {
     if (Shared)
       Profile = Shared->snapshot();
+    else
+      foldSize();
     return Profile;
   }
 
@@ -247,6 +252,8 @@ private:
       return;
     if (Shared)
       Profile = Shared->snapshot();
+    else
+      foldSize();
     Sink->onInstanceFinished(Slot, Profile);
     Sink = nullptr;
   }
@@ -270,11 +277,19 @@ private:
       Profile.record(Kind);
   }
 
-  void noteSize(size_t Size) const {
+  // Sizes only fall in remove, removeAt and clear, so the one-owner
+  // profile folds Impl->size() into MaxSize lazily: before each of them
+  // and whenever the profile is read or reported. Growing operations
+  // skip the virtual size() call. Shared profiles record every growth
+  // eagerly, since other owners may shrink the list in between.
+  void noteGrowth() const {
     if (Shared)
-      Shared->recordSize(Size);
-    else
-      Profile.recordSize(Size);
+      Shared->recordSize(Impl->size());
+  }
+
+  void foldSize() const {
+    if (!Shared && Impl)
+      Profile.recordSize(Impl->size());
   }
 
   std::unique_ptr<ListImpl<T>> Impl;

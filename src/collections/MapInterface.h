@@ -116,7 +116,7 @@ public:
   bool put(const K &Key, const V &Value) {
     note(OperationKind::Populate);
     bool Inserted = Impl->put(Key, Value);
-    noteSize(Impl->size());
+    noteGrowth();
     recordOp(TraceOpKind::Populate,
              Inserted ? OpClass::None : OpClass::Hit);
     return Inserted;
@@ -159,6 +159,7 @@ public:
   /// Removes a mapping (profiled as remove).
   bool remove(const K &Key) {
     note(OperationKind::Remove);
+    foldSize();
     bool Found = Impl->remove(Key);
     recordOp(TraceOpKind::RemoveValue, Found ? OpClass::Hit : OpClass::Miss);
     return Found;
@@ -184,6 +185,7 @@ public:
   size_t size() const { return Impl->size(); }
   bool empty() const { return Impl->empty(); }
   void clear() {
+    foldSize();
     Impl->clear();
     recordOp(TraceOpKind::Clear, OpClass::None);
   }
@@ -195,6 +197,8 @@ public:
   const WorkloadProfile &profile() const {
     if (Shared)
       Profile = Shared->snapshot();
+    else
+      foldSize();
     return Profile;
   }
   bool isMonitored() const { return Sink != nullptr; }
@@ -222,6 +226,8 @@ private:
       return;
     if (Shared)
       Profile = Shared->snapshot();
+    else
+      foldSize();
     Sink->onInstanceFinished(Slot, Profile);
     Sink = nullptr;
   }
@@ -245,11 +251,16 @@ private:
       Profile.record(Kind);
   }
 
-  void noteSize(size_t Size) const {
+  // See List<T>::foldSize(): MaxSize is folded in lazily before every
+  // shrinking operation and every profile read or report.
+  void noteGrowth() const {
     if (Shared)
-      Shared->recordSize(Size);
-    else
-      Profile.recordSize(Size);
+      Shared->recordSize(Impl->size());
+  }
+
+  void foldSize() const {
+    if (!Shared && Impl)
+      Profile.recordSize(Impl->size());
   }
 
   std::unique_ptr<MapImpl<K, V>> Impl;

@@ -99,7 +99,7 @@ public:
   bool add(const T &Value) {
     note(OperationKind::Populate);
     bool Inserted = Impl->add(Value);
-    noteSize(Impl->size());
+    noteGrowth();
     recordOp(TraceOpKind::Populate,
              Inserted ? OpClass::None : OpClass::Hit);
     return Inserted;
@@ -116,6 +116,7 @@ public:
   /// Removes \p Value (profiled as remove).
   bool remove(const T &Value) {
     note(OperationKind::Remove);
+    foldSize();
     bool Found = Impl->remove(Value);
     recordOp(TraceOpKind::RemoveValue, Found ? OpClass::Hit : OpClass::Miss);
     return Found;
@@ -139,6 +140,7 @@ public:
   size_t size() const { return Impl->size(); }
   bool empty() const { return Impl->empty(); }
   void clear() {
+    foldSize();
     Impl->clear();
     recordOp(TraceOpKind::Clear, OpClass::None);
   }
@@ -150,6 +152,8 @@ public:
   const WorkloadProfile &profile() const {
     if (Shared)
       Profile = Shared->snapshot();
+    else
+      foldSize();
     return Profile;
   }
   bool isMonitored() const { return Sink != nullptr; }
@@ -177,6 +181,8 @@ private:
       return;
     if (Shared)
       Profile = Shared->snapshot();
+    else
+      foldSize();
     Sink->onInstanceFinished(Slot, Profile);
     Sink = nullptr;
   }
@@ -200,11 +206,16 @@ private:
       Profile.record(Kind);
   }
 
-  void noteSize(size_t Size) const {
+  // See List<T>::foldSize(): MaxSize is folded in lazily before every
+  // shrinking operation and every profile read or report.
+  void noteGrowth() const {
     if (Shared)
-      Shared->recordSize(Size);
-    else
-      Profile.recordSize(Size);
+      Shared->recordSize(Impl->size());
+  }
+
+  void foldSize() const {
+    if (!Shared && Impl)
+      Profile.recordSize(Impl->size());
   }
 
   std::unique_ptr<SetImpl<T>> Impl;

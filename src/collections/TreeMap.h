@@ -79,8 +79,8 @@ public:
       return false;
     }
     if (Keys.capacity() == 0) {
-      Keys.reserve(8);
-      Vals.reserve(8);
+      Keys.reserve(InitialCapacity);
+      Vals.reserve(InitialCapacity);
     }
     Keys.insert(Keys.begin() + static_cast<ptrdiff_t>(Index), Key);
     Vals.insert(Vals.begin() + static_cast<ptrdiff_t>(Index), Value);
@@ -125,8 +125,10 @@ public:
   }
 
   void reserve(size_t N) override {
-    Keys.reserve(N);
-    Vals.reserve(N);
+    if (N == 0)
+      return;
+    Keys.reserve(std::max(N, InitialCapacity));
+    Vals.reserve(std::max(N, InitialCapacity));
   }
 
   size_t memoryFootprint() const override {
@@ -143,6 +145,8 @@ public:
   }
 
 private:
+  static constexpr size_t InitialCapacity = 8;
+
   size_t lowerBound(const K &Key) const {
     return static_cast<size_t>(
         std::lower_bound(Keys.begin(), Keys.end(), Key) - Keys.begin());

@@ -83,7 +83,7 @@ public:
     // reserve() invalidates It; carry the position as an index.
     size_t Index = static_cast<size_t>(It - Data.begin());
     if (Data.capacity() == 0)
-      Data.reserve(8);
+      Data.reserve(InitialCapacity);
     Data.insert(Data.begin() + static_cast<ptrdiff_t>(Index), Value);
     return true;
   }
@@ -110,7 +110,10 @@ public:
       Fn(V);
   }
 
-  void reserve(size_t N) override { Data.reserve(N); }
+  void reserve(size_t N) override {
+    if (N)
+      Data.reserve(std::max(N, InitialCapacity));
+  }
 
   size_t memoryFootprint() const override {
     return sizeof(*this) + Data.capacity() * sizeof(T);
@@ -125,6 +128,8 @@ public:
   }
 
 private:
+  static constexpr size_t InitialCapacity = 8;
+
   std::vector<T, CountingAllocator<T>> Data;
 };
 

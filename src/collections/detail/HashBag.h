@@ -88,6 +88,15 @@ public:
     return false;
   }
 
+  /// Presizes the table for \p N distinct values.
+  void reserve(size_t N) {
+    if (N == 0)
+      return;
+    size_t Needed = chainedBucketCount(N, InitialBuckets);
+    if (Needed > Buckets.size())
+      rehash(Needed);
+  }
+
   /// Number of distinct values held.
   size_t distinctSize() const { return DistinctCount; }
 

@@ -165,7 +165,10 @@ public:
   /// Removes every element and releases the storage.
   void clear() { release(); }
 
+  /// Presizes for \p N elements; reserve(0) allocates nothing.
   void reserve(size_t N) {
+    if (N == 0)
+      return;
     size_t Needed = requiredCapacity(N);
     if (Needed > Cap)
       rehash(Needed);

@@ -338,6 +338,7 @@ std::optional<unsigned> AllocationContextBase::analyzeRound(uint32_t Round,
       Groups.back().MaxSize = Entry.MaxSize;
     }
     MergedGroup &Group = Groups[It->second];
+    ++Group.Instances;
     for (size_t Op = 0; Op != NumOperationKinds; ++Op)
       Group.Counts[Op] += Entry.Counts[Op];
   }
@@ -361,6 +362,18 @@ std::optional<unsigned> AllocationContextBase::analyzeRound(uint32_t Round,
             });
   uint64_t MinMaxSize = Groups.front().MaxSize;
   uint64_t MaxMaxSize = Groups.back().MaxSize;
+
+  // Capacity hint: the lower median of the consumed instances' maximum
+  // sizes (DESIGN.md §4.2). Instances at or above it grow from there
+  // as they would have anyway; only smaller ones are oversized.
+  size_t MedianRank = (Consumed + 1) / 2;
+  for (const MergedGroup &G : Groups) {
+    if (G.Instances >= MedianRank) {
+      CapacityHint.store(G.MaxSize, std::memory_order_relaxed);
+      break;
+    }
+    MedianRank -= G.Instances;
+  }
 
   // Memoized total costs: every cost_op,V(s) polynomial is evaluated
   // once per (variant, op, dimension, distinct size) — not once per

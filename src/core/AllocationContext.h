@@ -256,6 +256,15 @@ public:
     return Evaluations.load(std::memory_order_relaxed);
   }
 
+  /// Capacity every new instance is reserved at (0 = none): the lower
+  /// median of the maximum sizes the last analyzed round's instances
+  /// reached, weighted by instance count. Set by every analysis round
+  /// that consumed a profile; an empty round keeps the previous hint
+  /// (DESIGN.md §4.2).
+  size_t capacityHint() const {
+    return CapacityHint.load(std::memory_order_relaxed);
+  }
+
   /// Variant transitions performed.
   uint64_t switchCount() const {
     return Switches.load(std::memory_order_relaxed);
@@ -402,6 +411,7 @@ private:
   /// per group instead of once per instance).
   struct MergedGroup {
     uint32_t MaxSize = 0;
+    uint32_t Instances = 0;
     std::array<uint64_t, NumOperationKinds> Counts = {};
   };
 
@@ -485,6 +495,8 @@ private:
   obs::SiteProfile *Prof = nullptr;
 
   std::atomic<unsigned> Current;
+  /// See capacityHint(); written by analyzeRound under EvalMutex.
+  std::atomic<uint32_t> CapacityHint{0};
   /// Thread-cardinality sketch feeding the contention dimension; created
   /// only for concurrent contexts (see contentionSketch()).
   std::unique_ptr<ContentionSketch> Sketch;
@@ -567,12 +579,13 @@ public:
                               std::move(Model), std::move(Rule),
                               Options) {}
 
-  /// Creates a list of the context's current variant; a sample of
-  /// created instances is monitored (and traced, when the context has a
-  /// recorder). In a concurrent tier (ContextOptions::concurrency) the
-  /// instance profiles through the thread-safe SharedProfile and may be
-  /// operated on from multiple threads; tracing stays sequential-only
-  /// (the trace cursor is single-owner).
+  /// Creates a list of the context's current variant, reserved at the
+  /// site's capacityHint(); a sample of created instances is monitored
+  /// (and traced, when the context has a recorder). In a concurrent tier
+  /// (ContextOptions::concurrency) the instance profiles through the
+  /// thread-safe SharedProfile and may be operated on from multiple
+  /// threads; tracing stays sequential-only (the trace cursor is
+  /// single-owner).
   List<T> createList() {
     auto Variant = static_cast<ListVariant>(currentVariantIndex());
     const AdaptiveThresholds *Adaptive = adaptiveOverride();
@@ -581,6 +594,8 @@ public:
         Slot == NoSlot
             ? List<T>(makeListImpl<T>(Variant, Adaptive))
             : List<T>(makeListImpl<T>(Variant, Adaptive), this, Slot);
+    if (size_t Hint = capacityHint())
+      Out.reserve(Hint);
     if (concurrencyMode() != Concurrency::None) {
       Out.enableSharedProfiling(contentionSketch());
       return Out;
@@ -614,6 +629,8 @@ public:
     Set<T> Out = Slot == NoSlot
                      ? Set<T>(makeSetImpl<T>(Variant, Adaptive))
                      : Set<T>(makeSetImpl<T>(Variant, Adaptive), this, Slot);
+    if (size_t Hint = capacityHint())
+      Out.reserve(Hint);
     if (concurrencyMode() != Concurrency::None) {
       Out.enableSharedProfiling(contentionSketch());
       return Out;
@@ -649,6 +666,8 @@ public:
         Slot == NoSlot
             ? Map<K, V>(makeMapImpl<K, V>(Variant, Adaptive))
             : Map<K, V>(makeMapImpl<K, V>(Variant, Adaptive), this, Slot);
+    if (size_t Hint = capacityHint())
+      Out.reserve(Hint);
     if (concurrencyMode() != Concurrency::None) {
       Out.enableSharedProfiling(contentionSketch());
       return Out;

@@ -92,6 +92,14 @@ inline size_t nextPowerOfTwo(size_t X) {
   return X + 1;
 }
 
+/// Bucket count a chained table (load factor at most 3/4, power-of-two
+/// buckets) needs to hold \p Elements without growing, never below its
+/// own first allocation of \p InitialBuckets.
+inline size_t chainedBucketCount(size_t Elements, size_t InitialBuckets) {
+  size_t Needed = nextPowerOfTwo((Elements * 4 + 2) / 3);
+  return Needed < InitialBuckets ? InitialBuckets : Needed;
+}
+
 } // namespace cswitch
 
 #endif // CSWITCH_SUPPORT_HASHING_H

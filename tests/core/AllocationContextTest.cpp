@@ -16,7 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <optional>
+#include <thread>
 #include <vector>
 
 using namespace cswitch;
@@ -359,6 +361,163 @@ TEST(AllocationContext, ReportsIdentity) {
   EXPECT_EQ(Ctx.currentVariant().name(), "ArrayMap");
   EXPECT_EQ(Ctx.rule().Name, "Ralloc");
   EXPECT_EQ(Ctx.options().WindowSize, 10u);
+}
+
+/// Finishes one monitored instance per entry of \p MaxSizes: each grows
+/// to its maximum and then shrinks, so only a correctly folded maximum
+/// can reach the context.
+void finishSets(SetContext<int64_t> &Ctx,
+                const std::vector<int64_t> &MaxSizes) {
+  for (int64_t Max : MaxSizes) {
+    Set<int64_t> S = Ctx.createSet();
+    for (int64_t K = 0; K != Max; ++K)
+      (void)S.add(K);
+    for (int64_t K = 0; K != Max / 2; ++K)
+      (void)S.remove(K);
+  }
+}
+
+TEST(AllocationContext, CapacityHintIsZeroBeforeFirstAnalysis) {
+  SetContext<int64_t> Ctx("t:hint0", SetVariant::ChainedHashSet,
+                          defaultModel(), SelectionRule::impossibleRule(),
+                          quietOptions(5));
+  finishSets(Ctx, {40, 40, 40, 40});
+  EXPECT_EQ(Ctx.capacityHint(), 0u);
+  // No hint: a new instance is exactly an unreserved one.
+  Set<int64_t> S = Ctx.createSet();
+  EXPECT_EQ(S.memoryFootprint(),
+            makeSetImpl<int64_t>(SetVariant::ChainedHashSet)
+                ->memoryFootprint());
+}
+
+TEST(AllocationContext, CapacityHintIsLowerMedianOfMaxSizes) {
+  SetContext<int64_t> Ctx("t:hintmedian", SetVariant::ChainedHashSet,
+                          defaultModel(), SelectionRule::impossibleRule(),
+                          quietOptions(5, 1.0));
+  // Sorted 3, 7, 7, 50, 200: the third of five.
+  finishSets(Ctx, {50, 7, 200, 3, 7});
+  ASSERT_FALSE(Ctx.evaluate());
+  ASSERT_EQ(Ctx.evaluationCount(), 1u);
+  EXPECT_EQ(Ctx.capacityHint(), 7u);
+
+  // An even count takes the lower of the two middle sizes: 2, 4 | 9, 30.
+  SetContext<int64_t> Even("t:hinteven", SetVariant::ChainedHashSet,
+                           defaultModel(), SelectionRule::impossibleRule(),
+                           quietOptions(4, 1.0));
+  finishSets(Even, {30, 4, 9, 2});
+  ASSERT_FALSE(Even.evaluate());
+  EXPECT_EQ(Even.capacityHint(), 4u);
+}
+
+TEST(AllocationContext, RoundWithoutFinishedInstancesKeepsHint) {
+  SetContext<int64_t> Ctx("t:hintkeep", SetVariant::ChainedHashSet,
+                          defaultModel(), SelectionRule::impossibleRule(),
+                          quietOptions(4, 0.5));
+  finishSets(Ctx, {20, 20, 20, 20});
+  ASSERT_FALSE(Ctx.evaluate());
+  ASSERT_EQ(Ctx.capacityHint(), 20u);
+  // The next round's instances are all still alive: nothing is
+  // analyzed and the hint stands.
+  std::vector<Set<int64_t>> Alive;
+  for (int I = 0; I != 4; ++I)
+    Alive.push_back(Ctx.createSet());
+  EXPECT_FALSE(Ctx.evaluate());
+  EXPECT_EQ(Ctx.evaluationCount(), 1u);
+  EXPECT_EQ(Ctx.capacityHint(), 20u);
+  // Empty finished instances are a real median of zero: no reservation.
+  Alive.clear();
+  ASSERT_FALSE(Ctx.evaluate());
+  EXPECT_EQ(Ctx.evaluationCount(), 2u);
+  EXPECT_EQ(Ctx.capacityHint(), 0u);
+}
+
+TEST(AllocationContext, CreatedInstancesAreReservedAtHint) {
+  constexpr size_t Window = 5;
+  ListContext<int64_t> Lists("t:hintlist", ListVariant::ArrayList,
+                             defaultModel(), SelectionRule::impossibleRule(),
+                             quietOptions(Window, 1.0));
+  SetContext<int64_t> Sets("t:hintset", SetVariant::CompactHashSet,
+                           defaultModel(), SelectionRule::impossibleRule(),
+                           quietOptions(Window, 1.0));
+  MapContext<int64_t, int64_t> Maps(
+      "t:hintmap", MapVariant::ChainedHashMap, defaultModel(),
+      SelectionRule::impossibleRule(), quietOptions(Window, 1.0));
+  for (size_t I = 0; I != Window; ++I) {
+    List<int64_t> L = Lists.createList();
+    Set<int64_t> S = Sets.createSet();
+    Map<int64_t, int64_t> M = Maps.createMap();
+    for (int64_t K = 0; K != 100; ++K) {
+      L.add(K);
+      (void)S.add(K);
+      (void)M.put(K, K);
+    }
+  }
+  ASSERT_FALSE(Lists.evaluate());
+  ASSERT_FALSE(Sets.evaluate());
+  ASSERT_FALSE(Maps.evaluate());
+  ASSERT_EQ(Lists.capacityHint(), 100u);
+  ASSERT_EQ(Sets.capacityHint(), 100u);
+  ASSERT_EQ(Maps.capacityHint(), 100u);
+
+  auto ReservedList = makeListImpl<int64_t>(ListVariant::ArrayList);
+  ReservedList->reserve(100);
+  auto ReservedSet = makeSetImpl<int64_t>(SetVariant::CompactHashSet);
+  ReservedSet->reserve(100);
+  auto ReservedMap = makeMapImpl<int64_t, int64_t>(MapVariant::ChainedHashMap);
+  ReservedMap->reserve(100);
+  // Monitored instances, then sampled-out ones once the window is full.
+  std::vector<List<int64_t>> HeldLists;
+  std::vector<Set<int64_t>> HeldSets;
+  std::vector<Map<int64_t, int64_t>> HeldMaps;
+  for (size_t I = 0; I != Window + 2; ++I) {
+    HeldLists.push_back(Lists.createList());
+    HeldSets.push_back(Sets.createSet());
+    HeldMaps.push_back(Maps.createMap());
+    EXPECT_GE(HeldLists.back().memoryFootprint(),
+              ReservedList->memoryFootprint());
+    EXPECT_GE(HeldSets.back().memoryFootprint(),
+              ReservedSet->memoryFootprint());
+    EXPECT_GE(HeldMaps.back().memoryFootprint(),
+              ReservedMap->memoryFootprint());
+  }
+  EXPECT_TRUE(HeldLists.front().isMonitored());
+  EXPECT_FALSE(HeldLists.back().isMonitored());
+}
+
+TEST(AllocationContext, CapacityHintUnderConcurrentCreatorsAndEvaluate) {
+  constexpr int Creators = 3;
+  constexpr int InstancesPerCreator = 400;
+  MapContext<int64_t, int64_t> Ctx(
+      "t:hintstress", MapVariant::CompactHashMap, defaultModel(),
+      SelectionRule::timeRule(), quietOptions(16, 0.5));
+  std::atomic<bool> Done{false};
+  std::thread Evaluator([&] {
+    while (!Done.load(std::memory_order_relaxed)) {
+      (void)Ctx.evaluate();
+      size_t Hint = Ctx.capacityHint();
+      EXPECT_TRUE(Hint == 0 || (Hint >= 8 && Hint <= 64)) << Hint;
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> Threads;
+  for (int T = 0; T != Creators; ++T)
+    Threads.emplace_back([&Ctx, T] {
+      for (int I = 0; I != InstancesPerCreator; ++I) {
+        Map<int64_t, int64_t> M = Ctx.createMap();
+        int64_t Size = 8 + (I * 7 + T) % 57;
+        for (int64_t K = 0; K != Size; ++K)
+          (void)M.put(K, K);
+      }
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
+  Done.store(true, std::memory_order_relaxed);
+  Evaluator.join();
+  (void)Ctx.evaluate();
+  EXPECT_GE(Ctx.evaluationCount(), 1u);
+  size_t Hint = Ctx.capacityHint();
+  EXPECT_GE(Hint, 8u);
+  EXPECT_LE(Hint, 64u);
 }
 
 } // namespace
