@@ -18,11 +18,15 @@
 // point, and the sharded pin beats the mutex pin by >= 2x throughput
 // at 8+ threads.
 //
-// Emits BENCH_server.json (schema cswitch-server-v1).
+// Emits BENCH_server.json (schema cswitch-server-v1), with a host
+// record: cpus, NUMA nodes, and the stripe counts the run resolved.
 //
 // Usage: server_scaling [--ops N] [--epochs N] [--tenants N]
-//                       [--max-threads N] [--json <path>] [--check]
-//                       [--check-switch]
+//                       [--max-threads N] [--shards N] [--json <path>]
+//                       [--check] [--check-switch]
+//
+// --shards sets ContentionPolicy::Shards for the striped variants
+// (default 0 = auto, 64 shards); a 4/16/64 series is the shard sweep.
 //
 // --check-switch gates only the strategy-switch half (for CI smoke on
 // small runners, where the throughput ratio is scheduling noise).
@@ -31,8 +35,10 @@
 
 #include "BenchSupport.h"
 #include "apps/SessionServer.h"
+#include "collections/concurrent/Sharding.h"
 #include "core/Switch.h"
 #include "support/MetricsExport.h"
+#include "support/Topology.h"
 
 #include <cstdio>
 #include <string>
@@ -76,13 +82,18 @@ int main(int Argc, char **Argv) {
   Base.Epochs = static_cast<size_t>(intOption(Argc, Argv, "--epochs", 8));
   Base.Tenants = static_cast<size_t>(intOption(Argc, Argv, "--tenants", 4));
   Base.Seed = static_cast<uint64_t>(intOption(Argc, Argv, "--seed", 17));
+  ContentionPolicy Policy = AdaptiveConfig::global().contention();
+  Policy.Shards = static_cast<size_t>(intOption(Argc, Argv, "--shards", 0));
+  AdaptiveConfig::global().setContention(Policy);
+  size_t Shards = concurrent::configuredShardCount();
 
   Switch::setModel(loadModel());
   std::vector<size_t> Sweep = threadSweep(Argc, Argv);
 
   std::printf("\nSession-server scaling: %zu tenants, %zu ops/thread x %zu "
-              "epochs, Zipf %.2f\n",
-              Base.Tenants, Base.OpsPerThread, Base.Epochs, Base.ZipfSkew);
+              "epochs, Zipf %.2f, %zu shards\n",
+              Base.Tenants, Base.OpsPerThread, Base.Epochs, Base.ZipfSkew,
+              Shards);
   std::printf("%7s | %12s %12s %7s | %12s %-14s %3s %8s\n", "threads",
               "mutex op/s", "sharded op/s", "ratio", "auto op/s",
               "auto variant", "sw", "est.thr");
@@ -159,6 +170,13 @@ int main(int Argc, char **Argv) {
   std::string Json = "{\n  \"schema\": \"cswitch-server-v1\",\n";
   Json += "  \"hardware_threads\": " + std::to_string(HardwareThreads) +
           ",\n";
+  const Topology &Topo = Topology::system();
+  Json += "  \"host\": {\"cpus\": " + std::to_string(Topo.cpuCount()) +
+          ", \"numa_nodes\": " + std::to_string(Topo.nodeCount()) +
+          ", \"synthetic_nodes\": " + (Topo.synthetic() ? "true" : "false") +
+          ", \"shards\": " + std::to_string(Shards) +
+          ", \"profile_stripes\": " + std::to_string(resolveCpuStripes(0)) +
+          "},\n";
   Json += "  \"tenants\": " + std::to_string(Base.Tenants) + ",\n";
   Json += "  \"ops_per_thread\": " + std::to_string(Base.OpsPerThread) +
           ",\n";

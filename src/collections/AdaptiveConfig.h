@@ -60,9 +60,9 @@ struct ContentionPolicy {
   /// concurrent contexts. When false, concurrent variants compete on
   /// their single-threaded polynomials alone.
   bool Enabled = true;
-  /// Shards of the lock-striped variants. 0 = auto: the hardware
-  /// concurrency rounded up to a power of two, clamped to [1, 64].
-  /// Explicit values are clamped and rounded the same way.
+  /// Shards of the lock-striped variants. 0 = auto: the maximum, 64.
+  /// Explicit values are rounded up to a power of two and clamped to
+  /// [1, 64].
   size_t Shards = 0;
   /// Minimum operations a context's contention sketch must have seen in
   /// a round before its thread estimate is trusted (below it the round

@@ -16,31 +16,26 @@
 
 #include "collections/AdaptiveConfig.h"
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <thread>
 
 namespace cswitch {
 namespace concurrent {
 
 /// Maximum shards of any striped variant; bounds the per-instance
-/// footprint (64 shards x one cache line of mutex + table header).
+/// footprint (64 shards x a cache-line-aligned mutex + table header).
 inline constexpr size_t MaxShards = 64;
 
 /// Rounds \p Requested to the shard count actually used: the next power
-/// of two, clamped to [1, MaxShards]. 0 = auto (hardware concurrency).
+/// of two, clamped to [1, MaxShards]. 0 = auto, which is MaxShards:
+/// Zipf-skewed keys from even a few threads collide on a lock with
+/// probability ~1/shards, so the stripe count follows contention rather
+/// than the cpu count, and empty shards allocate no table.
 inline size_t resolveShardCount(size_t Requested) {
-  size_t Want = Requested;
-  if (Want == 0) {
-    unsigned Hardware = std::thread::hardware_concurrency();
-    Want = Hardware ? Hardware : 1;
-  }
-  if (Want > MaxShards)
-    Want = MaxShards;
-  size_t Shards = 1;
-  while (Shards < Want)
-    Shards *= 2;
-  return Shards;
+  if (Requested == 0 || Requested > MaxShards)
+    return MaxShards;
+  return std::bit_ceil(Requested);
 }
 
 /// Shard count configured for new striped instances (the

@@ -79,8 +79,14 @@ public:
     }
   }
 
+  /// Presizes every shard for its even share of \p N, but only once
+  /// that share reaches the in-shard table's first allocation: a
+  /// smaller share would allocate shards no key reaches, for no growth
+  /// saved in the rest.
   void reserve(size_t N) override {
     size_t PerShard = (N + NumShards - 1) / NumShards;
+    if (PerShard < ShardTable::InitialCapacity)
+      return;
     for (size_t I = 0; I != NumShards; ++I) {
       std::lock_guard<std::mutex> Lock(Lanes[I].Mutex);
       Lanes[I].Table.reserve(PerShard);
@@ -106,9 +112,11 @@ public:
   size_t shardCount() const { return NumShards; }
 
 private:
+  using ShardTable = detail::OpenHashSetTable<T, 1, 2>;
+
   struct alignas(CacheLineBytes) Shard {
     mutable std::mutex Mutex;
-    detail::OpenHashSetTable<T, 1, 2> Table;
+    ShardTable Table;
   };
 
   Shard &shardOf(const T &Value) const {

@@ -128,10 +128,14 @@ using Group = ScalarGroup;
 template <typename K, typename V, unsigned LoadNum, unsigned LoadDen,
           typename Hash>
 class GroupProbedTable {
+public:
+  /// Slots of the first allocation; no table allocates fewer.
+  static constexpr size_t InitialCapacity = 8;
+
+private:
   static constexpr bool HasValues = !std::is_void_v<V>;
   using ValueT = std::conditional_t<HasValues, V, char>;
   static constexpr size_t ValueBytes = HasValues ? sizeof(ValueT) : 0;
-  static constexpr size_t InitialCapacity = 8;
 
   // The slot arrays sit back to back in one allocation from operator new.
   static_assert(alignof(K) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__ &&

@@ -129,7 +129,7 @@ struct ContextOptions {
   /// strategy; Auto lets the contention signal choose among the
   /// concurrent strategies. Any mode but None makes created facades
   /// thread-safe to operate on from multiple threads (the underlying
-  /// variant synchronizes, and profiling switches to the NUMA-striped
+  /// variant synchronizes, and profiling switches to the per-cpu-striped
   /// SharedProfile).
   Concurrency ConcurrencyMode = Concurrency::None;
 

@@ -14,8 +14,8 @@
 ///
 /// The sketch is a 64-bucket linear-counting bitmap: each thread sets
 /// the bit of its id hash (computed once per thread, cached in a
-/// thread-local), striped per NUMA node like StripedCounters so the hot
-/// path is one relaxed check-then-fetch_or on a node-local line. The
+/// thread-local), striped per cpu like SharedProfile so the hot path is
+/// one relaxed check-then-fetch_or on a line only that cpu writes. The
 /// estimate n = 64 * ln(64 / zero-bits) is exact to within a few
 /// percent for the 1..16 threads the selection actually discriminates.
 ///
@@ -52,18 +52,19 @@ inline uint64_t threadSketchBit() {
 /// Striped thread-cardinality sketch with an operation counter.
 class ContentionSketch {
 public:
-  /// \p Stripes = 0 means one stripe per NUMA node.
+  /// \p Stripes = 0 means one stripe per cpu; every count is rounded
+  /// up to a power of two and capped at 64 (resolveCpuStripes).
   explicit ContentionSketch(unsigned Stripes = 0)
-      : NumStripes(Stripes ? Stripes : Topology::system().nodeCount()),
+      : NumStripes(resolveCpuStripes(Stripes)),
         Lanes(std::make_unique<Stripe[]>(NumStripes)) {}
 
   /// Records \p N operations by the calling thread.
   void observe(uint64_t N = 1) {
-    Stripe &S = Lanes[currentStripe(NumStripes)];
+    Stripe &S = Lanes[currentCpuStripe(NumStripes)];
     S.Ops.fetch_add(N, std::memory_order_relaxed);
     uint64_t Bit = detail::threadSketchBit();
-    // Check-before-or: after a thread's first op the bit is already set
-    // and the hot path is a read of a node-local line.
+    // Check-before-or: after a thread's first op on a cpu the bit is
+    // already set and the hot path is a read of that cpu's line.
     if (!(S.Bits.load(std::memory_order_relaxed) & Bit))
       S.Bits.fetch_or(Bit, std::memory_order_relaxed);
   }

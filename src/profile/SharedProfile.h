@@ -9,8 +9,9 @@
 /// A sequential facade is owned by one thread, so its profile is plain
 /// data; a concurrent-tier facade is hammered from many threads, and a
 /// plain profile would be both racy and a cache-line hot spot. The
-/// SharedProfile stripes the per-operation counters per NUMA node
-/// (exactly like StripedCounters), maintains the maximum size as a
+/// SharedProfile stripes the per-operation counters per cpu (the
+/// writers of one instance are its contenders, so the stripes follow
+/// them rather than the NUMA layout), maintains the maximum size as a
 /// CAS-max, and forwards every operation to the owning context's
 /// ContentionSketch so the contention signal sees the instance's
 /// threads. The facade destructor collapses it into an ordinary
@@ -31,20 +32,21 @@
 
 namespace cswitch {
 
-/// Thread-safe, NUMA-striped workload profile for concurrent facades.
+/// Thread-safe, per-cpu-striped workload profile for concurrent facades.
 class SharedProfile {
 public:
   /// \p Sketch, when non-null, additionally observes every recorded
   /// operation (it outlives the profile: the owning context holds it).
-  /// \p Stripes = 0 means one stripe per NUMA node.
+  /// \p Stripes = 0 means one stripe per cpu; every count is rounded
+  /// up to a power of two and capped at 64 (resolveCpuStripes).
   explicit SharedProfile(ContentionSketch *Sketch = nullptr,
                          unsigned Stripes = 0)
-      : NumStripes(Stripes ? Stripes : Topology::system().nodeCount()),
+      : NumStripes(resolveCpuStripes(Stripes)),
         Lanes(std::make_unique<Stripe[]>(NumStripes)), Sketch(Sketch) {}
 
-  /// Increments the counter of \p Kind on the calling thread's stripe.
+  /// Increments the counter of \p Kind on the calling cpu's stripe.
   void record(OperationKind Kind, uint64_t N = 1) {
-    Lanes[currentStripe(NumStripes)]
+    Lanes[currentCpuStripe(NumStripes)]
         .Counts[static_cast<size_t>(Kind)]
         .fetch_add(N, std::memory_order_relaxed);
     if (Sketch)

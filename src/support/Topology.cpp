@@ -7,6 +7,7 @@
 #include "support/Topology.h"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cstdlib>
 #include <filesystem>
@@ -69,26 +70,22 @@ unsigned threadOrdinal() {
   return Ordinal;
 }
 
-/// Cached sched_getcpu(): one syscall per ~1024 calls per thread. A
-/// stale value survives thread migration for at most one refresh
-/// window, which only costs locality, never correctness.
-unsigned cachedCurrentCpu() {
+} // namespace
+
+unsigned cswitch::detail::refreshCurrentCpu() {
+  CpuSample &Sample = ThreadCpu;
+  Sample.Countdown = 1023;
 #if defined(__linux__)
-  thread_local unsigned Cached = 0;
-  thread_local unsigned Countdown = 0;
-  if (Countdown == 0) {
-    Countdown = 1024;
-    int Cpu = sched_getcpu();
-    Cached = Cpu < 0 ? 0 : static_cast<unsigned>(Cpu);
-  }
-  --Countdown;
-  return Cached;
-#else
-  return 0;
+  int Cpu = sched_getcpu();
+  Sample.Cpu = Cpu < 0 ? 0 : static_cast<unsigned>(Cpu);
 #endif
+  return Sample.Cpu;
 }
 
-} // namespace
+unsigned cswitch::resolveCpuStripes(unsigned Requested) {
+  unsigned Want = Requested ? Requested : Topology::system().cpuCount();
+  return std::bit_ceil(std::clamp(Want, 1u, 64u));
+}
 
 Topology Topology::detect(const std::string &SysfsNodeDir,
                           unsigned OverrideNodes) {

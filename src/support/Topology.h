@@ -10,7 +10,10 @@
 /// histograms, registry shards) are all write-heavy and read-rarely;
 /// striping them per NUMA node keeps the cache lines they hammer local
 /// to the writing socket and turns cross-node contention into a
-/// merge-at-snapshot cost on the cold read path (DESIGN.md §10).
+/// merge-at-snapshot cost on the cold read path (DESIGN.md §10). The
+/// concurrent tier's per-instance profiles and contention sketches
+/// stripe per cpu instead (currentCpuStripe), because their writers
+/// contend on one line even within a node (DESIGN.md §11).
 ///
 /// Detection reads `/sys/devices/system/node/node*/cpulist` and degrades
 /// to a single node when sysfs is absent (non-Linux, containers with a
@@ -109,6 +112,51 @@ inline unsigned currentStripe(unsigned NumStripes) {
   if (NumStripes <= 1)
     return 0;
   return Topology::system().currentNode() % NumStripes;
+}
+
+namespace detail {
+
+/// The calling thread's last sched_getcpu() and the calls left until
+/// the next one. Constant-initialized, so reading it is a plain
+/// thread-local access with no init guard.
+struct CpuSample {
+  unsigned Cpu = 0;
+  unsigned Countdown = 0;
+};
+inline thread_local CpuSample ThreadCpu;
+
+/// Re-samples the current cpu into ThreadCpu and returns it (0 where
+/// the platform cannot tell).
+unsigned refreshCurrentCpu();
+
+} // namespace detail
+
+/// The calling thread's cpu, sampled once per 1024 calls. A migrated
+/// thread keeps its old cpu for at most one window, which only costs
+/// locality, never correctness.
+inline unsigned cachedCurrentCpu() {
+  detail::CpuSample &Sample = detail::ThreadCpu;
+  if (Sample.Countdown == 0)
+    return detail::refreshCurrentCpu();
+  --Sample.Countdown;
+  return Sample.Cpu;
+}
+
+/// Stripe count of a per-cpu striped structure: \p Requested, or the
+/// system's cpu count when it is 0, rounded up to a power of two and
+/// capped at 64. Synthetic node counts (CSWITCH_NUMA_NODES) do not
+/// change it.
+unsigned resolveCpuStripes(unsigned Requested);
+
+/// Stripe index of the calling thread for a per-cpu striped structure
+/// with \p NumStripes (a power of two) stripes: the cached current cpu,
+/// masked. A thread-local read on the hot path; threads on distinct
+/// cpus write distinct stripes whenever there are at least as many
+/// stripes as cpus.
+inline unsigned currentCpuStripe(unsigned NumStripes) {
+  if (NumStripes <= 1)
+    return 0;
+  return cachedCurrentCpu() & (NumStripes - 1);
 }
 
 /// A small fixed set of per-node-striped uint64 counters. add() is a

@@ -172,10 +172,25 @@ TEST(ConcurrentCollections, ResolveShardCountRoundsAndClamps) {
   EXPECT_EQ(concurrent::resolveShardCount(3), 4u);
   EXPECT_EQ(concurrent::resolveShardCount(64), 64u);
   EXPECT_EQ(concurrent::resolveShardCount(1000), concurrent::MaxShards);
-  size_t Auto = concurrent::resolveShardCount(0);
-  EXPECT_GE(Auto, 1u);
-  EXPECT_LE(Auto, concurrent::MaxShards);
-  EXPECT_EQ(Auto & (Auto - 1), 0u) << "shard counts are powers of two";
+  EXPECT_EQ(concurrent::resolveShardCount(0), concurrent::MaxShards)
+      << "auto stripes for contention, not for the cpu count";
+}
+
+TEST(ConcurrentCollections, SmallReserveAllocatesNoShard) {
+  // Below one first allocation per shard, a hint would only fill shards
+  // no key reaches; at or above it every shard is presized.
+  ShardedHashMapImpl<int64_t, int64_t> Map(concurrent::MaxShards);
+  StripedHashSetImpl<int64_t> Set(concurrent::MaxShards);
+  size_t EmptyMap = Map.memoryFootprint();
+  size_t EmptySet = Set.memoryFootprint();
+  Map.reserve(10);
+  Set.reserve(10);
+  EXPECT_EQ(Map.memoryFootprint(), EmptyMap);
+  EXPECT_EQ(Set.memoryFootprint(), EmptySet);
+  Map.reserve(concurrent::MaxShards * 8);
+  Set.reserve(concurrent::MaxShards * 8);
+  EXPECT_GT(Map.memoryFootprint(), EmptyMap);
+  EXPECT_GT(Set.memoryFootprint(), EmptySet);
 }
 
 TEST(ConcurrentCollections, ShardEdgesOneAndMaxBehaveIdentically) {

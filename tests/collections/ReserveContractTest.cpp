@@ -12,11 +12,12 @@
 /// built at migration and already sized for N); reserve(N) followed by
 /// N inserts never allocates more bytes than the N inserts alone; and a
 /// reservation no larger than a variant's first allocation changes
-/// nothing.
+/// nothing. Lock-striped variants keep the contract per shard.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "collections/Factory.h"
+#include "collections/concurrent/Sharding.h"
 #include "collections/detail/HashBag.h"
 #include "collections/detail/OpenHashTable.h"
 #include "support/MemoryTracker.h"
@@ -40,6 +41,11 @@ enum class Growth {
   /// Nothing below the adaptive threshold; above it, the one hash
   /// representation migration builds (given by MigrationBytes).
   Migrates,
+  /// Per shard of a lock-striped variant: each shard is reserved for its
+  /// even share of N, or not at all while that share is below the
+  /// in-shard table's first allocation, and then grows like a plain
+  /// table with the keys routed to it (given by ShardBytes).
+  PerShard,
   /// Not held to the contract; see excludedBecause().
   Excluded,
 };
@@ -48,9 +54,6 @@ enum class Growth {
 const char *excludedBecause(const std::string &Name) {
   if (Name == "SnapshotList")
     return "every write copies the whole array";
-  if (Name == "StripedHashSet" || Name == "ShardedHashMap")
-    return "reserve() splits N evenly over the shards, but the keys do "
-           "not split evenly, so a shard can still grow";
   return nullptr;
 }
 
@@ -85,7 +88,7 @@ Growth growthOf(SetVariant V) {
   case SetVariant::AdaptiveSet:
     return Growth::Migrates;
   case SetVariant::StripedHashSet:
-    return Growth::Excluded;
+    return Growth::PerShard;
   }
   return Growth::Excluded;
 }
@@ -105,7 +108,7 @@ Growth growthOf(MapVariant V) {
   case MapVariant::AdaptiveMap:
     return Growth::Migrates;
   case MapVariant::ShardedHashMap:
-    return Growth::Excluded;
+    return Growth::PerShard;
   }
   return Growth::Excluded;
 }
@@ -119,6 +122,9 @@ struct Subject {
   /// Bytes of the hash representation migration builds for N elements
   /// (Growth::Migrates only).
   std::function<uint64_t(size_t)> MigrationBytes;
+  /// Bytes one shard's table allocates for its inserts after reserve()
+  /// (arguments as Run's; Growth::PerShard only).
+  std::function<uint64_t(size_t Reserve, size_t Inserts)> ShardBytes;
   /// Makes an instance, calls reserve(\p Reserve) unless it is
   /// NoReserve, inserts the keys 0..Inserts-1, and returns the bytes the
   /// inserts alone allocated.
@@ -157,11 +163,47 @@ template <typename TableT> uint64_t openTableBytes(size_t N) {
   return Scope.allocatedInScope();
 }
 
+/// Bytes a fresh \p TableT, reserved for \p Reserve elements, allocates
+/// while \p Inserts distinct keys go in.
+template <typename TableT>
+uint64_t tableInsertBytes(size_t Reserve, size_t Inserts) {
+  TableT Table;
+  Table.reserve(Reserve);
+  AllocationScope Scope;
+  for (size_t K = 0; K != Inserts; ++K) {
+    if constexpr (requires { Table.insert(int64_t()); })
+      Table.insert(static_cast<int64_t>(K));
+    else
+      Table.insertOrAssign(static_cast<int64_t>(K), 0);
+  }
+  return Scope.allocatedInScope();
+}
+
+/// What inserting the keys 0..N-1 into a lock-striped variant reserved
+/// for N may allocate: each shard's table growth past its reservation.
+uint64_t perShardBytes(const Subject &S, size_t N) {
+  size_t Shards = concurrent::configuredShardCount();
+  size_t Share = (N + Shards - 1) / Shards;
+  size_t Reserve =
+      Share < detail::OpenHashSetTable<int64_t, 1, 2>::InitialCapacity
+          ? 0
+          : Share;
+  std::vector<size_t> Keys(Shards);
+  for (size_t K = 0; K != N; ++K)
+    ++Keys[concurrent::shardOfHash(
+        DefaultHash<int64_t>{}(static_cast<int64_t>(K)), Shards)];
+  uint64_t Total = 0;
+  for (size_t InShard : Keys)
+    Total += S.ShardBytes(Reserve, InShard);
+  return Total;
+}
+
 std::vector<Subject> allSubjects() {
   AdaptiveThresholds T = AdaptiveConfig::global().thresholds();
   std::vector<Subject> Out;
   for (ListVariant V : AllListVariants)
     Out.push_back({listVariantName(V), growthOf(V), T.List, hashBagBytes,
+                   nullptr,
                    runner<ListImpl<int64_t>>(
                        [V] { return makeListImpl<int64_t>(V); },
                        [](ListImpl<int64_t> &L, int64_t K) {
@@ -171,6 +213,7 @@ std::vector<Subject> allSubjects() {
     Out.push_back(
         {setVariantName(V), growthOf(V), T.Set,
          openTableBytes<detail::OpenHashSetTable<int64_t, 1, 2>>,
+         tableInsertBytes<detail::OpenHashSetTable<int64_t, 1, 2>>,
          runner<SetImpl<int64_t>>([V] { return makeSetImpl<int64_t>(V); },
                                   [](SetImpl<int64_t> &S, int64_t K) {
                                     S.add(K);
@@ -179,6 +222,7 @@ std::vector<Subject> allSubjects() {
     Out.push_back(
         {mapVariantName(V), growthOf(V), T.Map,
          openTableBytes<detail::OpenHashMapTable<int64_t, int64_t, 1, 2>>,
+         tableInsertBytes<detail::OpenHashMapTable<int64_t, int64_t, 1, 2>>,
          runner<MapImpl<int64_t, int64_t>>(
              [V] { return makeMapImpl<int64_t, int64_t>(V); },
              [](MapImpl<int64_t, int64_t> &M, int64_t K) { M.put(K, K); })});
@@ -199,7 +243,7 @@ TEST(ReserveContract, InsertsAfterReserveAllocateOnlyNodes) {
     // The bytes of one node: what the single insert into an instance
     // reserved for one element allocates.
     uint64_t NodeBytes = S.Run(1, 1);
-    if (S.Kind == Growth::PerNode)
+    if (S.Kind == Growth::PerNode || S.Kind == Growth::PerShard)
       EXPECT_GT(NodeBytes, 0u);
     else
       EXPECT_EQ(NodeBytes, 0u);
@@ -209,6 +253,8 @@ TEST(ReserveContract, InsertsAfterReserveAllocateOnlyNodes) {
         Expected = N * NodeBytes;
       else if (S.Kind == Growth::Migrates && N > S.Threshold)
         Expected = S.MigrationBytes(N);
+      else if (S.Kind == Growth::PerShard)
+        Expected = perShardBytes(S, N);
       EXPECT_EQ(S.Run(N, N), Expected) << "N = " << N;
     }
   }
