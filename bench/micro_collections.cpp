@@ -13,23 +13,28 @@
 //   bm_set_contains: Chained < Compact < Open at n=256, all within 3 ns,
 //                    with ArraySet about 8x slower; at n=16 the
 //                    sequential sets are all within 3 ns of each other;
-//   bm_list_contains: HashArrayList flat, ArrayList linear.
+//   bm_list_contains: HashArrayList flat, ArrayList linear; the
+//                    _miss rows (three probes in four miss) keep that
+//                    shape, with ArrayList 1.3-1.8x its all-hit time.
 //
 // Both sizes put the open-addressing tables at load exactly 1/2, and the
 // loops repeat hits on a cache-resident table. There the group-probed
 // tables pay for the control-byte load that precedes the key compare,
-// and back-to-back inserts are slower than linear probing's. Their gains,
-// on misses and near the 7/8 load limit, show in the repository
-// benchmark's op_stream workload (bench/suite), not here.
+// and back-to-back inserts are slower than linear probing's. The same
+// holds for the hash bag behind HashArrayList: its contains rows take
+// 1.2-1.35x the time of the chained bag it replaced. Their gains, on
+// misses, near the 7/8 load limit and on many short-lived instances,
+// show in the repository benchmark (bench/suite), not here.
 //
 // The presize rows populate N keys into an instance that grows from
 // empty and into one reserved for N first, as allocation contexts
 // reserve every new instance at the site's capacity hint (DESIGN.md
 // §4.2). At N = 16, 256 and 1000, reserved populate takes 0.35-0.4x
 // the growing time for CompactHashSet and 0.5-0.7x for OpenHashSet (no
-// rehash re-places keys), 0.6-0.85x for ArrayList, and the same time
-// for ChainedHashSet, whose per-key node allocation outweighs the
-// bucket regrowth.
+// rehash re-places keys), 0.55-0.6x for HashArrayList, 0.6-0.85x for
+// ArrayList, and the same time for ChainedHashSet, whose per-key node
+// allocation outweighs the bucket regrowth. HashArrayList populates in
+// 0.3-0.7x the chained bag's time growing and 0.25-0.55x reserved.
 //
 //===----------------------------------------------------------------------===//
 
@@ -90,6 +95,25 @@ void bmListContains(benchmark::State &State) {
   State.SetLabel(listVariantName(Variant));
 }
 
+/// Three lookups in four miss: the instance holds even keys and the
+/// probes are odd, except every fourth, which is a held key.
+void bmListContainsMiss(benchmark::State &State) {
+  auto Variant = static_cast<ListVariant>(State.range(0));
+  size_t N = static_cast<size_t>(State.range(1));
+  std::vector<int64_t> Keys = keysFor(N);
+  auto L = makeListImpl<int64_t>(Variant);
+  for (int64_t K : Keys)
+    L->push_back(K * 2);
+  std::vector<int64_t> Probes;
+  for (size_t I = 0; I != N; ++I)
+    Probes.push_back(Keys[I] * 2 + (I % 4 != 0));
+  size_t I = 0;
+  for (auto _ : State) {
+    benchmark::DoNotOptimize(L->contains(Probes[I++ % N]));
+  }
+  State.SetLabel(std::string(listVariantName(Variant)) + " 75% misses");
+}
+
 void bmSetPopulate(benchmark::State &State) {
   auto Variant = static_cast<SetVariant>(State.range(0));
   size_t N = static_cast<size_t>(State.range(1));
@@ -142,6 +166,9 @@ void registerAll() {
           ->Args({static_cast<int64_t>(V), N, -1})->MinTime(0.02);
       benchmark::RegisterBenchmark("bm_list_contains", bmListContains)
           ->Args({static_cast<int64_t>(V), N})->MinTime(0.02);
+      benchmark::RegisterBenchmark("bm_list_contains_miss",
+                                   bmListContainsMiss)
+          ->Args({static_cast<int64_t>(V), N})->MinTime(0.02);
     }
   }
   for (SetVariant V : AllSetVariants) {
@@ -162,9 +189,10 @@ void registerAll() {
   // site's capacity hint saves (DESIGN.md §4.2).
   for (int64_t N : {16, 256, 1000}) {
     for (int64_t Reserve : {0, 1}) {
-      benchmark::RegisterBenchmark("bm_list_presize", bmListPopulate)
-          ->Args({static_cast<int64_t>(ListVariant::ArrayList), N, Reserve})
-          ->MinTime(0.02);
+      for (ListVariant V : {ListVariant::ArrayList, ListVariant::HashArrayList})
+        benchmark::RegisterBenchmark("bm_list_presize", bmListPopulate)
+            ->Args({static_cast<int64_t>(V), N, Reserve})
+            ->MinTime(0.02);
       for (SetVariant V : {SetVariant::ChainedHashSet, SetVariant::OpenHashSet,
                            SetVariant::CompactHashSet})
         benchmark::RegisterBenchmark("bm_set_presize", bmSetPopulate)

@@ -10,7 +10,8 @@
 /// lookup index once the size crosses the configured threshold — an
 /// instant transition that trades a one-time O(n) migration for O(1)
 /// lookups afterwards. The transition is one-way (no thrashing when the
-/// size oscillates around the threshold).
+/// size oscillates around the threshold). The index is HashArrayList's
+/// group-probed hash bag (detail/HashBag.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,13 +65,13 @@ public:
   }
 
   bool removeValue(const T &Value) override {
-    if (Indexed && !Index.contains(Value))
+    if (Indexed && !Index.removeOne(Value))
       return false;
     auto It = std::find(Data.begin(), Data.end(), Value);
-    if (It == Data.end())
+    if (It == Data.end()) {
+      assert(!Indexed && "index out of sync with data");
       return false;
-    if (Indexed)
-      Index.removeOne(Value);
+    }
     Data.erase(It);
     return true;
   }
@@ -143,7 +144,9 @@ private:
   void maybeMigrate() {
     if (Data.size() <= Threshold)
       return;
-    Index.reserve(PendingIndex);
+    // Sized for every element at once, so migration allocates the index
+    // exactly once.
+    Index.reserve(std::max(PendingIndex, Data.size()));
     for (const T &V : Data)
       Index.addOne(V);
     Indexed = true;

@@ -9,8 +9,11 @@
 /// faster lookups"): contiguous element storage plus a hash multiset
 /// index, giving O(1) contains at the price of extra memory and slower
 /// mutation — every structural change maintains both structures. The
+/// index is a value → count table on the group-probed core
+/// (detail/HashBag.h), so after reserve(N) the list allocates nothing
+/// while N values go in, and every index update probes it once. The
 /// paper's multi-phase experiment (§5.1) calls out remove-by-value as the
-/// operation where this cost bites.
+/// operation where this cost bites: the array search stays linear.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,13 +55,13 @@ public:
   }
 
   bool removeValue(const T &Value) override {
-    // The bag answers "is it here" in O(1), but locating the position for
-    // the array removal is still linear — the slowness the paper observed.
-    if (!Index.contains(Value))
+    // One probe of the bag answers "is it here" and drops the occurrence,
+    // but locating the position for the array removal is still linear —
+    // the slowness the paper observed.
+    if (!Index.removeOne(Value))
       return false;
     auto It = std::find(Data.begin(), Data.end(), Value);
     assert(It != Data.end() && "index out of sync with data");
-    Index.removeOne(Value);
     Data.erase(It);
     return true;
   }

@@ -6,15 +6,16 @@
 ///
 /// \file
 /// Group-probed (SwissTable-style) open-addressing hash tables shared by
-/// the open-hash and compact-hash set/map variants and the concurrent
-/// tier. The maximum load factor is a template parameter: the fast
-/// variants probe a half-empty table (Koloboke-like), the compact
-/// variants a 7/8-full one (memory-efficient but slower near capacity) —
-/// giving the framework genuinely different points on the time/space
-/// trade-off curve, as the paper's multi-library candidate set does.
+/// the open-hash and compact-hash set/map variants, the hash-bag index of
+/// the hash-indexed lists (HashBag.h) and the concurrent tier. The
+/// maximum load factor is a template parameter: the fast variants probe a
+/// half-empty table (Koloboke-like), the compact variants a 7/8-full one
+/// (memory-efficient but slower near capacity) — giving the framework
+/// genuinely different points on the time/space trade-off curve, as the
+/// paper's multi-library candidate set does.
 ///
 /// Layout: one counted allocation per capacity `Cap` (a power of two,
-/// at least 8) holding the key slots, the value slots (maps only), then
+/// at least 8) holding the key slots, the value slots (maps, HashBag), then
 /// `Cap + 15` signed control bytes — `Cap·(Σsizeof + 1) + 15` bytes in
 /// all. A control byte is CtrlEmpty (0x80), CtrlDeleted (0xFE) or, for a
 /// full slot, a 7-bit tag from hash bits 57–63. The tag bits are disjoint
@@ -123,8 +124,8 @@ using Group = SseGroup;
 using Group = ScalarGroup;
 #endif
 
-/// Storage, probing and growth shared by OpenHashSetTable and
-/// OpenHashMapTable; \p V is void for sets.
+/// Storage, probing and growth shared by OpenHashSetTable,
+/// OpenHashMapTable and HashBag; \p V is void for sets.
 template <typename K, typename V, unsigned LoadNum, unsigned LoadDen,
           typename Hash>
 class GroupProbedTable {
@@ -185,9 +186,7 @@ public:
     size_t Index = findIndex(Key);
     if (Index == NotFound)
       return false;
-    destroySlot(Index);
-    setCtrl(Index, CtrlDeleted);
-    --Count;
+    eraseIndex(Index);
     return true;
   }
 
@@ -249,6 +248,14 @@ protected:
     setCtrl(Target, Tag);
     ++Count;
     return {Target, true};
+  }
+
+  /// Destroys the element in full slot \p Index and leaves a tombstone,
+  /// for callers that already hold the slot from findIndex().
+  void eraseIndex(size_t Index) {
+    destroySlot(Index);
+    setCtrl(Index, CtrlDeleted);
+    --Count;
   }
 
   /// Calls \p Fn with the index of every full slot, in slot order.

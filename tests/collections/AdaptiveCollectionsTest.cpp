@@ -16,6 +16,8 @@
 #include "collections/AdaptiveMap.h"
 #include "collections/AdaptiveSet.h"
 
+#include "support/MemoryTracker.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -82,6 +84,45 @@ TEST(AdaptiveList, InsertAtTriggersMigrationToo) {
   EXPECT_TRUE(L.hasMigrated());
   EXPECT_TRUE(L.contains(99));
   EXPECT_EQ(L.at(2), 99);
+}
+
+TEST(AdaptiveList, MigrationAllocatesTheIndexOnce) {
+  // The index is sized for the larger of the pending reservation and the
+  // size before the elements go in, so the migrating push allocates one
+  // table and, with the array's capacity unchanged, nothing else.
+  for (size_t Reserve : {0, 30, 200}) {
+    SCOPED_TRACE(Reserve);
+    AdaptiveListImpl<int64_t> L(40);
+    L.reserve(Reserve);
+    for (int64_t I = 0; I != 40; ++I)
+      L.push_back(I % 25);
+    size_t Before = L.memoryFootprint();
+    AllocationScope Scope;
+    L.push_back(40);
+    uint64_t Allocated = Scope.allocatedInScope();
+    ASSERT_TRUE(L.hasMigrated());
+    detail::HashBag<int64_t> Expected;
+    Expected.reserve(std::max<size_t>(Reserve, 41));
+    EXPECT_EQ(Allocated, Expected.memoryFootprint());
+    EXPECT_EQ(L.memoryFootprint() - Before, Expected.memoryFootprint());
+  }
+}
+
+TEST(AdaptiveList, RemoveValueKeepsDuplicatesIndexed) {
+  AdaptiveListImpl<int64_t> L(4);
+  for (int64_t I = 0; I != 10; ++I)
+    L.push_back(I % 3);
+  ASSERT_TRUE(L.hasMigrated());
+  // Value 0 appears four times: each removal drops one occurrence.
+  for (int I = 0; I != 4; ++I) {
+    EXPECT_TRUE(L.contains(0));
+    EXPECT_TRUE(L.removeValue(0));
+  }
+  EXPECT_FALSE(L.contains(0));
+  EXPECT_FALSE(L.removeValue(0));
+  EXPECT_EQ(L.size(), 6u);
+  EXPECT_TRUE(L.contains(1));
+  EXPECT_TRUE(L.contains(2));
 }
 
 TEST(AdaptiveSet, MigratesExactlyAboveThreshold) {
