@@ -279,8 +279,9 @@ int emitTraces(const std::shared_ptr<const PerformanceModel> &Model,
   ::mkdir(Dir.c_str(), 0755); // best-effort; the write below reports errors
   for (Scenario &S : recordScenarios(Model, Scale)) {
     std::string Path = Dir + "/" + S.Name + ".optrace";
-    if (!writeTraceToFile(Path, S.Trace)) {
-      std::fprintf(stderr, "error: cannot write %s\n", Path.c_str());
+    std::string Error;
+    if (!writeTraceToFile(Path, S.Trace, &Error)) {
+      std::fprintf(stderr, "error: %s: %s\n", Path.c_str(), Error.c_str());
       return 1;
     }
     std::printf("[wrote %s: %zu sites, %zu ops]\n", Path.c_str(),

@@ -135,8 +135,9 @@ int recordApps(const std::vector<AppKind> &Apps, AppRunConfig Base,
                 (unsigned long long)R.InstancesCreated, R.TargetSites);
   }
   OpTrace Trace = Recorder.trace();
-  if (!writeTraceToFile(Path, Trace)) {
-    std::fprintf(stderr, "error: cannot write trace %s\n", Path);
+  std::string Error;
+  if (!writeTraceToFile(Path, Trace, &Error)) {
+    std::fprintf(stderr, "error: %s: %s\n", Path, Error.c_str());
     return 1;
   }
   std::printf("[wrote %s: %zu sites, %zu ops, %llu dropped, %llu/%llu "

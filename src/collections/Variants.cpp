@@ -134,19 +134,6 @@ std::string VariantId::name() const {
   return "unknown";
 }
 
-size_t cswitch::numVariantsOf(AbstractionKind Kind) {
-  switch (Kind) {
-  case AbstractionKind::List:
-    return NumListVariants;
-  case AbstractionKind::Set:
-    return NumSetVariants;
-  case AbstractionKind::Map:
-    return NumMapVariants;
-  }
-  assert(false && "unknown abstraction kind");
-  return 0;
-}
-
 const char *cswitch::concurrencyName(Concurrency Mode) {
   switch (Mode) {
   case Concurrency::None:

@@ -124,8 +124,19 @@ struct VariantId {
   std::string name() const;
 };
 
-/// Number of variants of \p Kind.
-size_t numVariantsOf(AbstractionKind Kind);
+/// Number of variants of \p Kind. Header-only, so the store and trace
+/// libraries (which sit below cswitch_collections) can use it too.
+constexpr size_t numVariantsOf(AbstractionKind Kind) {
+  switch (Kind) {
+  case AbstractionKind::List:
+    return NumListVariants;
+  case AbstractionKind::Set:
+    return NumSetVariants;
+  case AbstractionKind::Map:
+    return NumMapVariants;
+  }
+  return 0;
+}
 
 //===----------------------------------------------------------------------===//
 // The concurrent tier (DESIGN.md §11)

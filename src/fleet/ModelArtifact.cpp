@@ -6,177 +6,56 @@
 
 #include "fleet/ModelArtifact.h"
 
-#include "store/StoreFormat.h"
+#include "support/Codec.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <numeric>
-#include <sstream>
 #include <thread>
 
 #if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
 #include <sys/utsname.h>
-#include <unistd.h>
 #define CSWITCH_FLEET_POSIX 1
 #endif
 
 using namespace cswitch;
 using namespace cswitch::fleet;
+using codec::fail;
 
 namespace {
 
-constexpr char Magic[] = "cswitch-model-v2"; // 16 bytes, no terminator.
-constexpr size_t MagicSize = 16;
-constexpr uint64_t FormatVersion = 2;
-
-/// Pre-allocation guard while decoding untrusted counts (same policy as
-/// the store format): growth beyond this must be paid for by input
-/// bytes.
-constexpr size_t MaxReserve = 1 << 16;
-
-void putVarint(std::string &Out, uint64_t Value) {
-  while (Value >= 0x80) {
-    Out += static_cast<char>((Value & 0x7f) | 0x80);
-    Value >>= 7;
-  }
-  Out += static_cast<char>(Value);
-}
-
-void putDouble(std::string &Out, double Value) {
-  uint64_t Bits = 0;
-  static_assert(sizeof(Bits) == sizeof(Value));
-  std::memcpy(&Bits, &Value, sizeof(Bits));
-  for (int Byte = 0; Byte != 8; ++Byte)
-    Out += static_cast<char>((Bits >> (8 * Byte)) & 0xFFu);
-}
-
-void putCrc(std::string &Out, std::string_view Payload) {
-  uint32_t Crc = storeCrc32(Payload);
-  for (int Byte = 0; Byte != 4; ++Byte)
-    Out += static_cast<char>((Crc >> (8 * Byte)) & 0xFFu);
-}
-
-/// Bounded byte reader (the store format's Reader, plus doubles).
-class Reader {
-public:
-  Reader(std::string_view Bytes) : Cur(Bytes.data()), End(Cur + Bytes.size()) {}
-
-  bool varint(uint64_t &Out) {
-    Out = 0;
-    for (unsigned Shift = 0; Shift < 64; Shift += 7) {
-      if (Cur == End)
-        return false;
-      uint8_t Byte = static_cast<uint8_t>(*Cur++);
-      Out |= static_cast<uint64_t>(Byte & 0x7f) << Shift;
-      if (!(Byte & 0x80))
-        return true;
-    }
-    return false; // More than 10 continuation bytes: corrupt.
-  }
-
-  bool bytes(size_t N, std::string &Out) {
-    if (static_cast<size_t>(End - Cur) < N)
-      return false;
-    Out.assign(Cur, N);
-    Cur += N;
-    return true;
-  }
-
-  bool view(size_t N, std::string_view &Out) {
-    if (static_cast<size_t>(End - Cur) < N)
-      return false;
-    Out = std::string_view(Cur, N);
-    Cur += N;
-    return true;
-  }
-
-  bool byte(uint8_t &Out) {
-    if (Cur == End)
-      return false;
-    Out = static_cast<uint8_t>(*Cur++);
-    return true;
-  }
-
-  bool f64(double &Out) {
-    if (static_cast<size_t>(End - Cur) < 8)
-      return false;
-    uint64_t Bits = 0;
-    for (int Byte = 0; Byte != 8; ++Byte)
-      Bits |= static_cast<uint64_t>(static_cast<uint8_t>(Cur[Byte]))
-              << (8 * Byte);
-    Cur += 8;
-    std::memcpy(&Out, &Bits, sizeof(Out));
-    return true;
-  }
-
-  bool crcOf(std::string_view Payload) {
-    uint32_t Stored = 0;
-    for (int Byte = 0; Byte != 4; ++Byte) {
-      uint8_t B = 0;
-      if (!byte(B))
-        return false;
-      Stored |= static_cast<uint32_t>(B) << (8 * Byte);
-    }
-    return Stored == storeCrc32(Payload);
-  }
-
-  bool atEnd() const { return Cur == End; }
-
-private:
-  const char *Cur;
-  const char *End;
-};
-
-bool fail(std::string *Error, const char *Message) {
-  if (Error)
-    *Error = Message;
-  return false;
-}
+constexpr codec::Format ModelDoc{"cswitch-model-v2", "cswitch-model", 2};
 
 std::string encodeHeaderPayload(const ModelArtifact &Artifact) {
   std::string Out;
-  putVarint(Out, Artifact.HostFingerprint.size());
-  Out += Artifact.HostFingerprint;
-  for (int Byte = 0; Byte != 8; ++Byte)
-    Out += static_cast<char>((Artifact.FitTimestamp >> (8 * Byte)) & 0xFFu);
-  putDouble(Out, Artifact.HoldoutResidual);
+  codec::putString(Out, Artifact.HostFingerprint);
+  codec::putU64(Out, Artifact.FitTimestamp);
+  codec::putF64(Out, Artifact.HoldoutResidual);
   return Out;
 }
 
 std::string encodeRowPayload(const ModelArtifact::Row &Row) {
   std::string Out;
   Out += static_cast<char>(static_cast<unsigned>(Row.Kind));
-  putVarint(Out, Row.Variant);
-  putVarint(Out, static_cast<uint64_t>(Row.Op));
+  codec::putVarint(Out, Row.Variant);
+  codec::putVarint(Out, static_cast<uint64_t>(Row.Op));
   Out += static_cast<char>(static_cast<unsigned>(Row.Dim));
   const std::vector<double> &Coeffs = Row.Cost.coefficients();
-  putVarint(Out, Coeffs.size());
+  codec::putVarint(Out, Coeffs.size());
   for (double Coeff : Coeffs)
-    putDouble(Out, Coeff);
-  putDouble(Out, Row.Residual);
+    codec::putF64(Out, Coeff);
+  codec::putF64(Out, Row.Residual);
   return Out;
 }
 
 bool decodeHeaderPayload(std::string_view Payload, ModelArtifact &Out,
                          std::string *Error) {
-  Reader In(Payload);
-  uint64_t FingerprintLen = 0;
-  if (!In.varint(FingerprintLen) ||
-      !In.bytes(FingerprintLen, Out.HostFingerprint))
+  codec::Reader In(Payload);
+  if (!In.string(Out.HostFingerprint))
     return fail(Error, "truncated host fingerprint");
-  Out.FitTimestamp = 0;
-  for (int Byte = 0; Byte != 8; ++Byte) {
-    uint8_t B = 0;
-    if (!In.byte(B))
-      return fail(Error, "truncated fit timestamp");
-    Out.FitTimestamp |= static_cast<uint64_t>(B) << (8 * Byte);
-  }
+  if (!In.u64(Out.FitTimestamp))
+    return fail(Error, "truncated fit timestamp");
   if (!In.f64(Out.HoldoutResidual))
     return fail(Error, "truncated holdout residual");
   if (!std::isfinite(Out.HoldoutResidual) || Out.HoldoutResidual < 0.0)
@@ -188,7 +67,7 @@ bool decodeHeaderPayload(std::string_view Payload, ModelArtifact &Out,
 
 bool decodeRowPayload(std::string_view Payload, ModelArtifact::Row &Row,
                       std::string *Error) {
-  Reader In(Payload);
+  codec::Reader In(Payload);
   uint8_t Kind = 0;
   if (!In.byte(Kind) || Kind >= NumAbstractionKinds)
     return fail(Error, "bad abstraction kind");
@@ -224,6 +103,36 @@ bool decodeRowPayload(std::string_view Payload, ModelArtifact::Row &Row,
     return fail(Error, "non-finite row residual");
   if (!In.atEnd())
     return fail(Error, "oversized row payload");
+  return true;
+}
+
+bool decodeArtifact(std::string_view Bytes, ModelArtifact &Out,
+                    std::string *Error) {
+  codec::Reader In(Bytes);
+  if (!codec::readHeader(In, ModelDoc, Error))
+    return false;
+  std::string_view Header;
+  if (!codec::readSection(In, "header", Header, Error) ||
+      !decodeHeaderPayload(Header, Out, Error))
+    return false;
+
+  uint64_t RowCount = 0;
+  if (!In.varint(RowCount))
+    return fail(Error, "truncated row count");
+  Out.Rows.reserve(std::min<uint64_t>(RowCount, codec::MaxReserve));
+  for (uint64_t I = 0; I != RowCount; ++I) {
+    std::string_view Payload;
+    ModelArtifact::Row Row;
+    if (!codec::readSection(In, "row", Payload, Error) ||
+        !decodeRowPayload(Payload, Row, Error))
+      return false;
+    if (!Out.Rows.empty() &&
+        !ModelArtifact::Row::orderedBefore(Out.Rows.back(), Row))
+      return fail(Error, "rows out of canonical order");
+    Out.Rows.push_back(std::move(Row));
+  }
+  if (!In.atEnd())
+    return fail(Error, "trailing bytes after row records");
   return true;
 }
 
@@ -263,158 +172,40 @@ std::string cswitch::fleet::encodeModelArtifact(const ModelArtifact &Artifact) {
   });
 
   std::string Out;
-  Out.reserve(MagicSize + 32 + Artifact.Rows.size() * 56);
-  Out.append(Magic, MagicSize);
-  putVarint(Out, FormatVersion);
-  std::string Header = encodeHeaderPayload(Artifact);
-  putVarint(Out, Header.size());
-  Out += Header;
-  putCrc(Out, Header);
-  putVarint(Out, Artifact.Rows.size());
-  for (size_t I : Order) {
-    std::string Payload = encodeRowPayload(Artifact.Rows[I]);
-    putVarint(Out, Payload.size());
-    Out += Payload;
-    putCrc(Out, Payload);
-  }
+  Out.reserve(ModelDoc.Magic.size() + 32 + Artifact.Rows.size() * 56);
+  codec::putHeader(Out, ModelDoc);
+  codec::putSection(Out, encodeHeaderPayload(Artifact));
+  codec::putVarint(Out, Artifact.Rows.size());
+  for (size_t I : Order)
+    codec::putSection(Out, encodeRowPayload(Artifact.Rows[I]));
   return Out;
 }
 
 bool cswitch::fleet::decodeModelArtifact(std::string_view Bytes,
                                          ModelArtifact &Out,
                                          std::string *Error) {
-  Out = ModelArtifact();
-  if (Bytes.size() < MagicSize ||
-      std::memcmp(Bytes.data(), Magic, MagicSize) != 0)
-    return fail(Error, "not a cswitch-model document (bad magic)");
-  Reader In(Bytes.substr(MagicSize));
-
-  uint64_t Version = 0;
-  if (!In.varint(Version))
-    return fail(Error, "truncated version");
-  if (Version != FormatVersion) {
-    if (Error)
-      *Error = "unsupported cswitch-model version " +
-               std::to_string(Version) + " (expected " +
-               std::to_string(FormatVersion) + ")";
-    return false;
-  }
-
-  uint64_t HeaderLen = 0;
-  std::string_view Header;
-  if (!In.varint(HeaderLen) || !In.view(HeaderLen, Header))
-    return fail(Error, "truncated header record");
-  if (!In.crcOf(Header))
-    return fail(Error, "header crc mismatch");
-  if (!decodeHeaderPayload(Header, Out, Error)) {
-    Out = ModelArtifact();
-    return false;
-  }
-
-  uint64_t RowCount = 0;
-  if (!In.varint(RowCount)) {
-    Out = ModelArtifact();
-    return fail(Error, "truncated row count");
-  }
-  Out.Rows.reserve(std::min<uint64_t>(RowCount, MaxReserve));
-  for (uint64_t I = 0; I != RowCount; ++I) {
-    uint64_t PayloadLen = 0;
-    std::string_view Payload;
-    if (!In.varint(PayloadLen) || !In.view(PayloadLen, Payload)) {
-      Out = ModelArtifact();
-      return fail(Error, "truncated row record");
-    }
-    if (!In.crcOf(Payload)) {
-      Out = ModelArtifact();
-      return fail(Error, "row crc mismatch");
-    }
-    ModelArtifact::Row Row;
-    if (!decodeRowPayload(Payload, Row, Error)) {
-      Out = ModelArtifact();
-      return false;
-    }
-    if (!Out.Rows.empty() &&
-        !ModelArtifact::Row::orderedBefore(Out.Rows.back(), Row)) {
-      Out = ModelArtifact();
-      return fail(Error, "rows out of canonical order");
-    }
-    Out.Rows.push_back(std::move(Row));
-  }
-
-  if (!In.atEnd()) {
-    Out = ModelArtifact();
-    return fail(Error, "trailing bytes after row records");
-  }
-  return true;
+  return codec::decodeOrReset(
+      Out, [&] { return decodeArtifact(Bytes, Out, Error); });
 }
 
 bool cswitch::fleet::writeModelArtifactToFile(const std::string &Path,
                                               const ModelArtifact &Artifact,
                                               std::string *Error) {
-  std::string Bytes = encodeModelArtifact(Artifact);
-  std::string TmpPath = Path + ".tmp";
-#ifdef CSWITCH_FLEET_POSIX
-  // Crash-safe replace, mirroring writeStoreToFile: a reader (or a
-  // restarting process pointing CSWITCH_MODEL here) observes either the
-  // complete old artifact or the complete new one, never a torn write.
-  int Fd = ::open(TmpPath.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC,
-                  0644);
-  if (Fd < 0)
-    return fail(Error, "cannot create model temp file");
-  size_t Off = 0;
-  while (Off != Bytes.size()) {
-    ssize_t N = ::write(Fd, Bytes.data() + Off, Bytes.size() - Off);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      ::close(Fd);
-      ::unlink(TmpPath.c_str());
-      return fail(Error, "short write to model temp file");
-    }
-    Off += static_cast<size_t>(N);
-  }
-  bool Flushed = ::fsync(Fd) == 0;
-  bool Closed = ::close(Fd) == 0;
-  if (!Flushed || !Closed ||
-      std::rename(TmpPath.c_str(), Path.c_str()) != 0) {
-    ::unlink(TmpPath.c_str());
-    return fail(Error, "cannot replace model file");
-  }
-  return true;
-#else
-  {
-    std::ofstream OS(TmpPath, std::ios::binary | std::ios::trunc);
-    if (!OS)
-      return fail(Error, "cannot create model temp file");
-    OS.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
-    if (!OS) {
-      std::remove(TmpPath.c_str());
-      return fail(Error, "short write to model temp file");
-    }
-  }
-  if (std::rename(TmpPath.c_str(), Path.c_str()) != 0) {
-    std::remove(TmpPath.c_str());
-    return fail(Error, "cannot replace model file");
-  }
-  return true;
-#endif
+  // A reader (or a restarting process pointing CSWITCH_MODEL here)
+  // observes either the complete old artifact or the complete new one.
+  return codec::installFile(Path, encodeModelArtifact(Artifact), "model",
+                            Error);
 }
 
 bool cswitch::fleet::readModelArtifactFromFile(const std::string &Path,
                                                ModelArtifact &Out,
                                                std::string *Error) {
-  std::ifstream IS(Path, std::ios::binary);
-  if (!IS) {
+  std::string Bytes;
+  if (!codec::readFile(Path, Bytes, "model", Error)) {
     Out = ModelArtifact();
-    return fail(Error, "cannot open model file");
+    return false;
   }
-  std::ostringstream Buffer;
-  Buffer << IS.rdbuf();
-  if (IS.bad()) {
-    Out = ModelArtifact();
-    return fail(Error, "I/O error reading model file");
-  }
-  return decodeModelArtifact(Buffer.str(), Out, Error);
+  return decodeModelArtifact(Bytes, Out, Error);
 }
 
 ModelArtifact cswitch::fleet::artifactFromModel(const PerformanceModel &Model) {

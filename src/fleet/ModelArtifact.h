@@ -11,8 +11,9 @@
 /// decide whether the artifact applies to it — which host fitted it,
 /// when, and how well it predicted the held-out trace slice.
 ///
-/// Document layout (LEB128 varints and per-record CRC32 exactly like
-/// `cswitch-store-v1`; doubles are 8-byte little-endian IEEE 754):
+/// Document layout (wire primitives from support/Codec.h: LEB128
+/// varints, CRC-framed sections, doubles as 8-byte little-endian
+/// IEEE 754):
 ///
 ///   magic "cswitch-model-v2" (16 bytes)
 ///   varint version (2)
@@ -108,8 +109,8 @@ bool decodeModelArtifact(std::string_view Bytes, ModelArtifact &Out,
                          std::string *Error = nullptr);
 
 /// Atomically replaces \p Path with the encoding of \p Artifact
-/// (temporary sibling + fsync + rename, like writeStoreToFile) so a
-/// crash mid-install never leaves a torn model beside the store.
+/// through codec::installFile, so a crash mid-install never leaves a
+/// torn model beside the store.
 bool writeModelArtifactToFile(const std::string &Path,
                               const ModelArtifact &Artifact,
                               std::string *Error = nullptr);

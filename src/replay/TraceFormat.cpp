@@ -6,100 +6,84 @@
 
 #include "replay/TraceFormat.h"
 
+#include "support/Codec.h"
+
 #include <algorithm>
-#include <cstring>
-#include <fstream>
-#include <sstream>
+#include <istream>
 
 using namespace cswitch;
+using codec::fail;
 
 namespace {
 
-constexpr char Magic[] = "cswitch-optrace-"; // 16 bytes, no terminator.
-constexpr size_t MagicSize = 16;
-constexpr uint64_t FormatVersion = 1;
+constexpr codec::Format TraceDoc{"cswitch-optrace-", "cswitch-optrace", 1};
 
-/// Pre-allocation guard while decoding untrusted counts: never reserve
-/// more than this many elements up front; growth beyond it must be paid
-/// for by actual input bytes.
-constexpr size_t MaxReserve = 1 << 16;
+bool decodeOps(std::string_view Bytes, OpTrace &Out, std::string *Error) {
+  codec::Reader In(Bytes);
+  if (!codec::readHeader(In, TraceDoc, Error))
+    return false;
 
-/// Header-only mirror of numVariantsOf(): the trace library sits below
-/// the collections library in the link order, so it must not pull in
-/// Variants.cpp symbols.
-constexpr size_t variantCountOf(AbstractionKind Kind) {
-  switch (Kind) {
-  case AbstractionKind::List:
-    return NumListVariants;
-  case AbstractionKind::Set:
-    return NumSetVariants;
-  case AbstractionKind::Map:
-    return NumMapVariants;
-  }
-  return 0;
-}
-
-void putVarint(std::string &Out, uint64_t Value) {
-  while (Value >= 0x80) {
-    Out += static_cast<char>((Value & 0x7f) | 0x80);
-    Value >>= 7;
-  }
-  Out += static_cast<char>(Value);
-}
-
-uint64_t zigzag(int64_t Value) {
-  return (static_cast<uint64_t>(Value) << 1) ^
-         static_cast<uint64_t>(Value >> 63);
-}
-
-int64_t unzigzag(uint64_t Value) {
-  return static_cast<int64_t>(Value >> 1) ^ -static_cast<int64_t>(Value & 1);
-}
-
-/// Bounded byte reader over the encoded document.
-class Reader {
-public:
-  Reader(std::string_view Bytes) : Cur(Bytes.data()), End(Cur + Bytes.size()) {}
-
-  bool varint(uint64_t &Out) {
-    Out = 0;
-    for (unsigned Shift = 0; Shift < 64; Shift += 7) {
-      if (Cur == End)
-        return false;
-      uint8_t Byte = static_cast<uint8_t>(*Cur++);
-      Out |= static_cast<uint64_t>(Byte & 0x7f) << Shift;
-      if (!(Byte & 0x80))
-        return true;
-    }
-    return false; // More than 10 continuation bytes: corrupt.
+  uint64_t SiteCount = 0;
+  if (!In.varint(SiteCount))
+    return fail(Error, "truncated site count");
+  Out.Sites.reserve(std::min<uint64_t>(SiteCount, codec::MaxReserve));
+  for (uint64_t I = 0; I != SiteCount; ++I) {
+    TraceSite Site;
+    if (!In.string(Site.Name))
+      return fail(Error, "truncated site name");
+    uint8_t Kind = 0;
+    if (!In.byte(Kind) || Kind >= NumAbstractionKinds)
+      return fail(Error, "bad abstraction kind");
+    Site.Kind = static_cast<AbstractionKind>(Kind);
+    uint64_t Declared = 0;
+    if (!In.varint(Declared) || Declared >= numVariantsOf(Site.Kind))
+      return fail(Error, "bad declared variant index");
+    Site.DeclaredVariantIndex = static_cast<unsigned>(Declared);
+    Out.Sites.push_back(std::move(Site));
   }
 
-  bool bytes(size_t N, std::string &Out) {
-    if (static_cast<size_t>(End - Cur) < N)
-      return false;
-    Out.assign(Cur, N);
-    Cur += N;
-    return true;
+  uint64_t OpCount = 0;
+  if (!In.varint(Out.OpsDropped) || !In.varint(Out.InstancesSampled) ||
+      !In.varint(Out.InstancesSkipped) || !In.varint(OpCount))
+    return fail(Error, "truncated recorder counters");
+
+  Out.Ops.reserve(std::min<uint64_t>(OpCount, codec::MaxReserve));
+  uint32_t PrevSite = 0, PrevInstance = 0;
+  uint64_t PrevTime = 0;
+  for (uint64_t I = 0; I != OpCount; ++I) {
+    uint8_t Packed = 0;
+    uint64_t SiteDelta = 0, InstanceDelta = 0, Size = 0, TimeDelta = 0;
+    if (!In.byte(Packed) || !In.varint(SiteDelta) ||
+        !In.varint(InstanceDelta) || !In.varint(Size) ||
+        !In.varint(TimeDelta))
+      return fail(Error, "truncated op stream");
+    TraceOp Op;
+    unsigned Kind = Packed >> 3, Class = Packed & 0x7;
+    if (Kind >= NumTraceOpKinds || Class >= NumOpClasses)
+      return fail(Error, "bad op kind/class byte");
+    Op.Kind = static_cast<TraceOpKind>(Kind);
+    Op.Class = static_cast<OpClass>(Class);
+    int64_t Site = static_cast<int64_t>(PrevSite) + codec::unzigzag(SiteDelta);
+    int64_t Instance =
+        static_cast<int64_t>(PrevInstance) + codec::unzigzag(InstanceDelta);
+    int64_t Time = static_cast<int64_t>(PrevTime) + codec::unzigzag(TimeDelta);
+    if (Site < 0 || static_cast<uint64_t>(Site) >= Out.Sites.size() ||
+        Instance < 0 || Instance > static_cast<int64_t>(UINT32_MAX) ||
+        Size > UINT32_MAX || Time < 0)
+      return fail(Error, "op field out of range");
+    Op.Site = static_cast<uint32_t>(Site);
+    Op.Instance = static_cast<uint32_t>(Instance);
+    Op.Size = static_cast<uint32_t>(Size);
+    Op.TimeNanos = static_cast<uint64_t>(Time);
+    PrevSite = Op.Site;
+    PrevInstance = Op.Instance;
+    PrevTime = Op.TimeNanos;
+    Out.Ops.push_back(Op);
   }
 
-  bool byte(uint8_t &Out) {
-    if (Cur == End)
-      return false;
-    Out = static_cast<uint8_t>(*Cur++);
-    return true;
-  }
-
-  bool atEnd() const { return Cur == End; }
-
-private:
-  const char *Cur;
-  const char *End;
-};
-
-bool fail(std::string *Error, const char *Message) {
-  if (Error)
-    *Error = Message;
-  return false;
+  if (!In.atEnd())
+    return fail(Error, "trailing bytes after op stream");
+  return true;
 }
 
 } // namespace
@@ -187,35 +171,33 @@ uint64_t OpTrace::durationNanos() const {
 
 std::string cswitch::encodeTrace(const OpTrace &Trace) {
   std::string Out;
-  Out.reserve(MagicSize + 16 + Trace.Ops.size() * 6);
-  Out.append(Magic, MagicSize);
-  putVarint(Out, FormatVersion);
+  Out.reserve(TraceDoc.Magic.size() + 16 + Trace.Ops.size() * 6);
+  codec::putHeader(Out, TraceDoc);
 
-  putVarint(Out, Trace.Sites.size());
+  codec::putVarint(Out, Trace.Sites.size());
   for (const TraceSite &Site : Trace.Sites) {
-    putVarint(Out, Site.Name.size());
-    Out += Site.Name;
+    codec::putString(Out, Site.Name);
     Out += static_cast<char>(static_cast<unsigned>(Site.Kind));
-    putVarint(Out, Site.DeclaredVariantIndex);
+    codec::putVarint(Out, Site.DeclaredVariantIndex);
   }
 
-  putVarint(Out, Trace.OpsDropped);
-  putVarint(Out, Trace.InstancesSampled);
-  putVarint(Out, Trace.InstancesSkipped);
+  codec::putVarint(Out, Trace.OpsDropped);
+  codec::putVarint(Out, Trace.InstancesSampled);
+  codec::putVarint(Out, Trace.InstancesSkipped);
 
-  putVarint(Out, Trace.Ops.size());
+  codec::putVarint(Out, Trace.Ops.size());
   uint32_t PrevSite = 0, PrevInstance = 0;
   uint64_t PrevTime = 0;
   for (const TraceOp &Op : Trace.Ops) {
     Out += static_cast<char>((static_cast<unsigned>(Op.Kind) << 3) |
                              static_cast<unsigned>(Op.Class));
-    putVarint(Out, zigzag(static_cast<int64_t>(Op.Site) -
-                          static_cast<int64_t>(PrevSite)));
-    putVarint(Out, zigzag(static_cast<int64_t>(Op.Instance) -
-                          static_cast<int64_t>(PrevInstance)));
-    putVarint(Out, Op.Size);
-    putVarint(Out, zigzag(static_cast<int64_t>(Op.TimeNanos) -
-                          static_cast<int64_t>(PrevTime)));
+    codec::putVarint(Out, codec::zigzag(static_cast<int64_t>(Op.Site) -
+                                        static_cast<int64_t>(PrevSite)));
+    codec::putVarint(Out, codec::zigzag(static_cast<int64_t>(Op.Instance) -
+                                        static_cast<int64_t>(PrevInstance)));
+    codec::putVarint(Out, Op.Size);
+    codec::putVarint(Out, codec::zigzag(static_cast<int64_t>(Op.TimeNanos) -
+                                        static_cast<int64_t>(PrevTime)));
     PrevSite = Op.Site;
     PrevInstance = Op.Instance;
     PrevTime = Op.TimeNanos;
@@ -225,126 +207,30 @@ std::string cswitch::encodeTrace(const OpTrace &Trace) {
 
 bool cswitch::decodeTrace(std::string_view Bytes, OpTrace &Out,
                           std::string *Error) {
-  Out = OpTrace();
-  if (Bytes.size() < MagicSize ||
-      std::memcmp(Bytes.data(), Magic, MagicSize) != 0)
-    return fail(Error, "not a cswitch-optrace document (bad magic)");
-  Reader In(Bytes.substr(MagicSize));
-
-  uint64_t Version = 0;
-  if (!In.varint(Version))
-    return fail(Error, "truncated version");
-  if (Version != FormatVersion) {
-    if (Error)
-      *Error = "unsupported cswitch-optrace version " +
-               std::to_string(Version) + " (expected " +
-               std::to_string(FormatVersion) + ")";
-    Out = OpTrace();
-    return false;
-  }
-
-  uint64_t SiteCount = 0;
-  if (!In.varint(SiteCount))
-    return fail(Error, "truncated site count");
-  Out.Sites.reserve(std::min<uint64_t>(SiteCount, MaxReserve));
-  for (uint64_t I = 0; I != SiteCount; ++I) {
-    TraceSite Site;
-    uint64_t NameLen = 0;
-    if (!In.varint(NameLen) || !In.bytes(NameLen, Site.Name)) {
-      Out = OpTrace();
-      return fail(Error, "truncated site name");
-    }
-    uint8_t Kind = 0;
-    if (!In.byte(Kind) || Kind >= NumAbstractionKinds) {
-      Out = OpTrace();
-      return fail(Error, "bad abstraction kind");
-    }
-    Site.Kind = static_cast<AbstractionKind>(Kind);
-    uint64_t Declared = 0;
-    if (!In.varint(Declared) || Declared >= variantCountOf(Site.Kind)) {
-      Out = OpTrace();
-      return fail(Error, "bad declared variant index");
-    }
-    Site.DeclaredVariantIndex = static_cast<unsigned>(Declared);
-    Out.Sites.push_back(std::move(Site));
-  }
-
-  uint64_t OpCount = 0;
-  if (!In.varint(Out.OpsDropped) || !In.varint(Out.InstancesSampled) ||
-      !In.varint(Out.InstancesSkipped) || !In.varint(OpCount)) {
-    Out = OpTrace();
-    return fail(Error, "truncated recorder counters");
-  }
-
-  Out.Ops.reserve(std::min<uint64_t>(OpCount, MaxReserve));
-  uint32_t PrevSite = 0, PrevInstance = 0;
-  uint64_t PrevTime = 0;
-  for (uint64_t I = 0; I != OpCount; ++I) {
-    uint8_t Packed = 0;
-    uint64_t SiteDelta = 0, InstanceDelta = 0, Size = 0, TimeDelta = 0;
-    if (!In.byte(Packed) || !In.varint(SiteDelta) ||
-        !In.varint(InstanceDelta) || !In.varint(Size) ||
-        !In.varint(TimeDelta)) {
-      Out = OpTrace();
-      return fail(Error, "truncated op stream");
-    }
-    TraceOp Op;
-    unsigned Kind = Packed >> 3, Class = Packed & 0x7;
-    if (Kind >= NumTraceOpKinds || Class >= NumOpClasses) {
-      Out = OpTrace();
-      return fail(Error, "bad op kind/class byte");
-    }
-    Op.Kind = static_cast<TraceOpKind>(Kind);
-    Op.Class = static_cast<OpClass>(Class);
-    int64_t Site = static_cast<int64_t>(PrevSite) + unzigzag(SiteDelta);
-    int64_t Instance =
-        static_cast<int64_t>(PrevInstance) + unzigzag(InstanceDelta);
-    int64_t Time = static_cast<int64_t>(PrevTime) + unzigzag(TimeDelta);
-    if (Site < 0 || static_cast<uint64_t>(Site) >= Out.Sites.size() ||
-        Instance < 0 || Instance > static_cast<int64_t>(UINT32_MAX) ||
-        Size > UINT32_MAX || Time < 0) {
-      Out = OpTrace();
-      return fail(Error, "op field out of range");
-    }
-    Op.Site = static_cast<uint32_t>(Site);
-    Op.Instance = static_cast<uint32_t>(Instance);
-    Op.Size = static_cast<uint32_t>(Size);
-    Op.TimeNanos = static_cast<uint64_t>(Time);
-    PrevSite = Op.Site;
-    PrevInstance = Op.Instance;
-    PrevTime = Op.TimeNanos;
-    Out.Ops.push_back(Op);
-  }
-
-  if (!In.atEnd()) {
-    Out = OpTrace();
-    return fail(Error, "trailing bytes after op stream");
-  }
-  return true;
+  return codec::decodeOrReset(Out,
+                              [&] { return decodeOps(Bytes, Out, Error); });
 }
 
-bool cswitch::writeTraceToFile(const std::string &Path,
-                               const OpTrace &Trace) {
-  std::ofstream OS(Path, std::ios::binary);
-  if (!OS)
-    return false;
-  std::string Bytes = encodeTrace(Trace);
-  OS.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
-  return static_cast<bool>(OS);
+bool cswitch::writeTraceToFile(const std::string &Path, const OpTrace &Trace,
+                               std::string *Error) {
+  return codec::installFile(Path, encodeTrace(Trace), "trace", Error);
 }
 
 bool cswitch::readTrace(std::istream &IS, OpTrace &Out, std::string *Error) {
-  std::ostringstream Buffer;
-  Buffer << IS.rdbuf();
-  if (IS.bad())
+  std::string Bytes;
+  if (!codec::readAll(IS, Bytes)) {
+    Out = OpTrace();
     return fail(Error, "I/O error reading trace stream");
-  return decodeTrace(Buffer.str(), Out, Error);
+  }
+  return decodeTrace(Bytes, Out, Error);
 }
 
 bool cswitch::readTraceFromFile(const std::string &Path, OpTrace &Out,
                                 std::string *Error) {
-  std::ifstream IS(Path, std::ios::binary);
-  if (!IS)
-    return fail(Error, "cannot open trace file");
-  return readTrace(IS, Out, Error);
+  std::string Bytes;
+  if (!codec::readFile(Path, Bytes, "trace", Error)) {
+    Out = OpTrace();
+    return false;
+  }
+  return decodeTrace(Bytes, Out, Error);
 }

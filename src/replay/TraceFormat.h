@@ -14,7 +14,8 @@
 /// original run, which is what deterministic replay and what-if policy
 /// simulation need (MapReplay-style trace-driven benchmark generation).
 ///
-/// Layout (all integers LEB128 varints, deltas zigzag-encoded):
+/// Layout (wire primitives from support/Codec.h: all integers LEB128
+/// varints, deltas zigzag-encoded):
 ///
 ///   "cswitch-optrace-"  16-byte magic prefix
 ///   version             varint (currently 1; readers reject others)
@@ -153,9 +154,14 @@ std::string encodeTrace(const OpTrace &Trace);
 bool decodeTrace(std::string_view Bytes, OpTrace &Out,
                  std::string *Error = nullptr);
 
-/// File/stream wrappers; `readTrace` consumes the whole stream (so `-`
-/// pipelines work). All return false on I/O or parse failure.
-bool writeTraceToFile(const std::string &Path, const OpTrace &Trace);
+/// Atomically replaces \p Path with the encoding of \p Trace through
+/// codec::installFile, so a crash never leaves a torn trace.
+bool writeTraceToFile(const std::string &Path, const OpTrace &Trace,
+                      std::string *Error = nullptr);
+
+/// Stream and file readers; `readTrace` consumes the whole stream (so
+/// `-` pipelines work). Both return false on I/O or parse failure, with
+/// \p Out left empty.
 bool readTrace(std::istream &IS, OpTrace &Out, std::string *Error = nullptr);
 bool readTraceFromFile(const std::string &Path, OpTrace &Out,
                        std::string *Error = nullptr);

@@ -6,124 +6,31 @@
 
 #include "store/StoreFormat.h"
 
-#include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <numeric>
-#include <sstream>
+#include "support/Codec.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#define CSWITCH_STORE_POSIX 1
-#endif
+#include <algorithm>
+#include <istream>
+#include <numeric>
 
 using namespace cswitch;
+using codec::fail;
 
 namespace {
 
-constexpr char Magic[] = "cswitch-store-v1"; // 16 bytes, no terminator.
-constexpr size_t MagicSize = 16;
-constexpr uint64_t FormatVersion = 1;
-
-/// Pre-allocation guard while decoding untrusted counts: never reserve
-/// more than this many elements up front; growth beyond it must be paid
-/// for by actual input bytes.
-constexpr size_t MaxReserve = 1 << 16;
-
-/// Header-only mirror of numVariantsOf(): the store library sits below
-/// the collections library in the link order, so it must not pull in
-/// Variants.cpp symbols.
-constexpr size_t variantCountOf(AbstractionKind Kind) {
-  switch (Kind) {
-  case AbstractionKind::List:
-    return NumListVariants;
-  case AbstractionKind::Set:
-    return NumSetVariants;
-  case AbstractionKind::Map:
-    return NumMapVariants;
-  }
-  return 0;
-}
-
-void putVarint(std::string &Out, uint64_t Value) {
-  while (Value >= 0x80) {
-    Out += static_cast<char>((Value & 0x7f) | 0x80);
-    Value >>= 7;
-  }
-  Out += static_cast<char>(Value);
-}
-
-/// Bounded byte reader over the encoded document.
-class Reader {
-public:
-  Reader(std::string_view Bytes) : Cur(Bytes.data()), End(Cur + Bytes.size()) {}
-
-  bool varint(uint64_t &Out) {
-    Out = 0;
-    for (unsigned Shift = 0; Shift < 64; Shift += 7) {
-      if (Cur == End)
-        return false;
-      uint8_t Byte = static_cast<uint8_t>(*Cur++);
-      Out |= static_cast<uint64_t>(Byte & 0x7f) << Shift;
-      if (!(Byte & 0x80))
-        return true;
-    }
-    return false; // More than 10 continuation bytes: corrupt.
-  }
-
-  bool bytes(size_t N, std::string &Out) {
-    if (static_cast<size_t>(End - Cur) < N)
-      return false;
-    Out.assign(Cur, N);
-    Cur += N;
-    return true;
-  }
-
-  bool view(size_t N, std::string_view &Out) {
-    if (static_cast<size_t>(End - Cur) < N)
-      return false;
-    Out = std::string_view(Cur, N);
-    Cur += N;
-    return true;
-  }
-
-  bool byte(uint8_t &Out) {
-    if (Cur == End)
-      return false;
-    Out = static_cast<uint8_t>(*Cur++);
-    return true;
-  }
-
-  bool atEnd() const { return Cur == End; }
-
-private:
-  const char *Cur;
-  const char *End;
-};
-
-bool fail(std::string *Error, const char *Message) {
-  if (Error)
-    *Error = Message;
-  return false;
-}
+constexpr codec::Format StoreDoc{"cswitch-store-v1", "cswitch-store", 1};
 
 /// Encodes one site payload (the checksummed record body).
 std::string encodeSitePayload(const StoreSite &Site) {
   std::string Out;
-  putVarint(Out, Site.Name.size());
-  Out += Site.Name;
-  putVarint(Out, Site.Rule.size());
-  Out += Site.Rule;
+  codec::putString(Out, Site.Name);
+  codec::putString(Out, Site.Rule);
   Out += static_cast<char>(static_cast<unsigned>(Site.Kind));
-  putVarint(Out, Site.Decision);
-  putVarint(Out, Site.Runs);
-  putVarint(Out, Site.Instances);
-  putVarint(Out, Site.MaxSize);
+  codec::putVarint(Out, Site.Decision);
+  codec::putVarint(Out, Site.Runs);
+  codec::putVarint(Out, Site.Instances);
+  codec::putVarint(Out, Site.MaxSize);
   for (uint64_t Count : Site.Counts)
-    putVarint(Out, Count);
+    codec::putVarint(Out, Count);
   return Out;
 }
 
@@ -131,19 +38,17 @@ std::string encodeSitePayload(const StoreSite &Site) {
 /// consumed).
 bool decodeSitePayload(std::string_view Payload, StoreSite &Site,
                        std::string *Error) {
-  Reader In(Payload);
-  uint64_t NameLen = 0;
-  if (!In.varint(NameLen) || !In.bytes(NameLen, Site.Name))
+  codec::Reader In(Payload);
+  if (!In.string(Site.Name))
     return fail(Error, "truncated site name");
-  uint64_t RuleLen = 0;
-  if (!In.varint(RuleLen) || !In.bytes(RuleLen, Site.Rule))
+  if (!In.string(Site.Rule))
     return fail(Error, "truncated rule name");
   uint8_t Kind = 0;
   if (!In.byte(Kind) || Kind >= NumAbstractionKinds)
     return fail(Error, "bad abstraction kind");
   Site.Kind = static_cast<AbstractionKind>(Kind);
   uint64_t Decision = 0;
-  if (!In.varint(Decision) || Decision >= variantCountOf(Site.Kind))
+  if (!In.varint(Decision) || Decision >= numVariantsOf(Site.Kind))
     return fail(Error, "bad decision variant index");
   Site.Decision = static_cast<unsigned>(Decision);
   if (!In.varint(Site.Runs) || !In.varint(Site.Instances) ||
@@ -157,25 +62,31 @@ bool decodeSitePayload(std::string_view Payload, StoreSite &Site,
   return true;
 }
 
-} // namespace
-
-uint32_t cswitch::storeCrc32(std::string_view Bytes) {
-  // IEEE CRC32 (reflected polynomial 0xEDB88320), one shared table.
-  static const std::array<uint32_t, 256> Table = [] {
-    std::array<uint32_t, 256> T;
-    for (uint32_t I = 0; I != 256; ++I) {
-      uint32_t C = I;
-      for (int Bit = 0; Bit != 8; ++Bit)
-        C = (C >> 1) ^ (0xEDB88320u & (0u - (C & 1u)));
-      T[I] = C;
-    }
-    return T;
-  }();
-  uint32_t Crc = 0xFFFFFFFFu;
-  for (char Ch : Bytes)
-    Crc = (Crc >> 8) ^ Table[(Crc ^ static_cast<uint8_t>(Ch)) & 0xFFu];
-  return Crc ^ 0xFFFFFFFFu;
+bool decodeSites(std::string_view Bytes, std::vector<StoreSite> &Out,
+                 std::string *Error) {
+  codec::Reader In(Bytes);
+  if (!codec::readHeader(In, StoreDoc, Error))
+    return false;
+  uint64_t SiteCount = 0;
+  if (!In.varint(SiteCount))
+    return fail(Error, "truncated site count");
+  Out.reserve(std::min<uint64_t>(SiteCount, codec::MaxReserve));
+  for (uint64_t I = 0; I != SiteCount; ++I) {
+    std::string_view Payload;
+    StoreSite Site;
+    if (!codec::readSection(In, "site", Payload, Error) ||
+        !decodeSitePayload(Payload, Site, Error))
+      return false;
+    if (!Out.empty() && !StoreSite::orderedBefore(Out.back(), Site))
+      return fail(Error, "sites out of canonical order");
+    Out.push_back(std::move(Site));
+  }
+  if (!In.atEnd())
+    return fail(Error, "trailing bytes after site records");
+  return true;
 }
+
+} // namespace
 
 std::string cswitch::encodeStore(const std::vector<StoreSite> &Sites) {
   // Canonical order regardless of the caller's: encode a sorted view.
@@ -186,153 +97,43 @@ std::string cswitch::encodeStore(const std::vector<StoreSite> &Sites) {
   });
 
   std::string Out;
-  Out.reserve(MagicSize + 8 + Sites.size() * 48);
-  Out.append(Magic, MagicSize);
-  putVarint(Out, FormatVersion);
-  putVarint(Out, Sites.size());
-  for (size_t I : Order) {
-    std::string Payload = encodeSitePayload(Sites[I]);
-    putVarint(Out, Payload.size());
-    Out += Payload;
-    uint32_t Crc = storeCrc32(Payload);
-    for (int Byte = 0; Byte != 4; ++Byte)
-      Out += static_cast<char>((Crc >> (8 * Byte)) & 0xFFu);
-  }
+  Out.reserve(StoreDoc.Magic.size() + 8 + Sites.size() * 48);
+  codec::putHeader(Out, StoreDoc);
+  codec::putVarint(Out, Sites.size());
+  for (size_t I : Order)
+    codec::putSection(Out, encodeSitePayload(Sites[I]));
   return Out;
 }
 
 bool cswitch::decodeStore(std::string_view Bytes,
                           std::vector<StoreSite> &Out, std::string *Error) {
-  Out.clear();
-  if (Bytes.size() < MagicSize ||
-      std::memcmp(Bytes.data(), Magic, MagicSize) != 0)
-    return fail(Error, "not a cswitch-store document (bad magic)");
-  Reader In(Bytes.substr(MagicSize));
-
-  uint64_t Version = 0;
-  if (!In.varint(Version))
-    return fail(Error, "truncated version");
-  if (Version != FormatVersion) {
-    if (Error)
-      *Error = "unsupported cswitch-store version " +
-               std::to_string(Version) + " (expected " +
-               std::to_string(FormatVersion) + ")";
-    return false;
-  }
-
-  uint64_t SiteCount = 0;
-  if (!In.varint(SiteCount))
-    return fail(Error, "truncated site count");
-  Out.reserve(std::min<uint64_t>(SiteCount, MaxReserve));
-  for (uint64_t I = 0; I != SiteCount; ++I) {
-    uint64_t PayloadLen = 0;
-    std::string_view Payload;
-    if (!In.varint(PayloadLen) || !In.view(PayloadLen, Payload)) {
-      Out.clear();
-      return fail(Error, "truncated site record");
-    }
-    uint32_t Stored = 0;
-    for (int Byte = 0; Byte != 4; ++Byte) {
-      uint8_t B = 0;
-      if (!In.byte(B)) {
-        Out.clear();
-        return fail(Error, "truncated record crc");
-      }
-      Stored |= static_cast<uint32_t>(B) << (8 * Byte);
-    }
-    if (Stored != storeCrc32(Payload)) {
-      Out.clear();
-      return fail(Error, "record crc mismatch");
-    }
-    StoreSite Site;
-    if (!decodeSitePayload(Payload, Site, Error)) {
-      Out.clear();
-      return false;
-    }
-    if (!Out.empty() && !StoreSite::orderedBefore(Out.back(), Site)) {
-      Out.clear();
-      return fail(Error, "sites out of canonical order");
-    }
-    Out.push_back(std::move(Site));
-  }
-
-  if (!In.atEnd()) {
-    Out.clear();
-    return fail(Error, "trailing bytes after site records");
-  }
-  return true;
+  return codec::decodeOrReset(
+      Out, [&] { return decodeSites(Bytes, Out, Error); });
 }
 
 bool cswitch::writeStoreToFile(const std::string &Path,
                                const std::vector<StoreSite> &Sites,
                                std::string *Error) {
-  std::string Bytes = encodeStore(Sites);
-  std::string TmpPath = Path + ".tmp";
-#ifdef CSWITCH_STORE_POSIX
-  // Crash-safe replace: write a temporary sibling, flush it to disk,
-  // then atomically rename it over the destination. Readers observe
-  // either the complete old document or the complete new one.
-  int Fd = ::open(TmpPath.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC,
-                  0644);
-  if (Fd < 0)
-    return fail(Error, "cannot create store temp file");
-  size_t Off = 0;
-  while (Off != Bytes.size()) {
-    ssize_t N = ::write(Fd, Bytes.data() + Off, Bytes.size() - Off);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      ::close(Fd);
-      ::unlink(TmpPath.c_str());
-      return fail(Error, "short write to store temp file");
-    }
-    Off += static_cast<size_t>(N);
-  }
-  bool Flushed = ::fsync(Fd) == 0;
-  bool Closed = ::close(Fd) == 0;
-  if (!Flushed || !Closed ||
-      std::rename(TmpPath.c_str(), Path.c_str()) != 0) {
-    ::unlink(TmpPath.c_str());
-    return fail(Error, "cannot replace store file");
-  }
-  return true;
-#else
-  {
-    std::ofstream OS(TmpPath, std::ios::binary | std::ios::trunc);
-    if (!OS)
-      return fail(Error, "cannot create store temp file");
-    OS.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
-    if (!OS) {
-      std::remove(TmpPath.c_str());
-      return fail(Error, "short write to store temp file");
-    }
-  }
-  if (std::rename(TmpPath.c_str(), Path.c_str()) != 0) {
-    std::remove(TmpPath.c_str());
-    return fail(Error, "cannot replace store file");
-  }
-  return true;
-#endif
+  return codec::installFile(Path, encodeStore(Sites), "store", Error);
 }
 
 bool cswitch::readStore(std::istream &IS, std::vector<StoreSite> &Out,
                         std::string *Error) {
-  std::ostringstream Buffer;
-  Buffer << IS.rdbuf();
-  if (IS.bad()) {
+  std::string Bytes;
+  if (!codec::readAll(IS, Bytes)) {
     Out.clear();
     return fail(Error, "I/O error reading store stream");
   }
-  return decodeStore(Buffer.str(), Out, Error);
+  return decodeStore(Bytes, Out, Error);
 }
 
 bool cswitch::readStoreFromFile(const std::string &Path,
                                 std::vector<StoreSite> &Out,
                                 std::string *Error) {
-  std::ifstream IS(Path, std::ios::binary);
-  if (!IS) {
+  std::string Bytes;
+  if (!codec::readFile(Path, Bytes, "store", Error)) {
     Out.clear();
-    return fail(Error, "cannot open store file");
+    return false;
   }
-  return readStore(IS, Out, Error);
+  return decodeStore(Bytes, Out, Error);
 }

@@ -9,8 +9,8 @@
 /// store: per allocation site, the aggregated workload summary and the
 /// converged variant decision of previous process runs.
 ///
-/// Document layout (all integers LEB128 varints, like the
-/// `cswitch-optrace-v1` trace format):
+/// Document layout (wire primitives from support/Codec.h: LEB128
+/// varints and CRC-framed sections):
 ///
 ///   magic "cswitch-store-v1" (16 bytes)
 ///   varint version (1)
@@ -76,10 +76,6 @@ struct StoreSite {
   }
 };
 
-/// IEEE CRC32 (polynomial 0xEDB88320) of \p Bytes — the per-record
-/// checksum of the store format, exposed for tests and tools.
-uint32_t storeCrc32(std::string_view Bytes);
-
 /// Serializes \p Sites into the canonical `cswitch-store-v1` encoding.
 /// The input order does not matter (a sorted copy of the indices is
 /// encoded); duplicate (Name, Rule, Kind) keys are a caller bug and
@@ -92,10 +88,9 @@ std::string encodeStore(const std::vector<StoreSite> &Sites);
 bool decodeStore(std::string_view Bytes, std::vector<StoreSite> &Out,
                  std::string *Error = nullptr);
 
-/// Atomically replaces \p Path with the encoding of \p Sites: the
-/// document is written to a temporary sibling, fsync'ed, and renamed
-/// over the destination, so a crash mid-write never leaves a torn
-/// store behind.
+/// Atomically replaces \p Path with the encoding of \p Sites through
+/// codec::installFile, so a crash mid-write never leaves a torn store
+/// behind.
 bool writeStoreToFile(const std::string &Path,
                       const std::vector<StoreSite> &Sites,
                       std::string *Error = nullptr);

@@ -285,105 +285,6 @@ std::string cswitch::toJson(const TelemetrySnapshot &Snapshot) {
   return Out;
 }
 
-namespace {
-
-/// CSV-quotes \p Field when it contains a comma, quote, or newline.
-std::string csvField(const std::string &Field) {
-  if (Field.find_first_of(",\"\n") == std::string::npos)
-    return Field;
-  std::string Out = "\"";
-  for (char C : Field) {
-    if (C == '"')
-      Out += '"';
-    Out += C;
-  }
-  Out += '"';
-  return Out;
-}
-
-} // namespace
-
-std::string cswitch::toCsv(const TelemetrySnapshot &Snapshot) {
-  // Loss counters ride along as `#` comments: the column schema (and
-  // the tests pinning it) stays untouched, but trace/event loss is
-  // never silently invisible in exported data.
-  std::string Out = "# events_recorded=" +
-                    std::to_string(Snapshot.Events.Recorded) +
-                    " events_dropped=" +
-                    std::to_string(Snapshot.Events.Dropped) + "\n";
-  Out += "# recorder_ops_recorded=" +
-         std::to_string(Snapshot.Recorder.OpsRecorded) +
-         " recorder_ops_dropped=" +
-         std::to_string(Snapshot.Recorder.OpsDropped) +
-         " recorder_instances_sampled=" +
-         std::to_string(Snapshot.Recorder.InstancesSampled) +
-         " recorder_instances_skipped=" +
-         std::to_string(Snapshot.Recorder.InstancesSkipped) + "\n";
-  Out += "# store_loads=" + std::to_string(Snapshot.Store.Loads) +
-         " store_load_failures=" +
-         std::to_string(Snapshot.Store.LoadFailures) +
-         " store_sites_loaded=" + std::to_string(Snapshot.Store.SitesLoaded) +
-         " store_warm_starts=" + std::to_string(Snapshot.Store.WarmStarts) +
-         " store_persists=" + std::to_string(Snapshot.Store.Persists) +
-         " store_persist_failures=" +
-         std::to_string(Snapshot.Store.PersistFailures) + "\n";
-  Out += "# fleet_pulls=" + std::to_string(Snapshot.Fleet.Pulls) +
-         " fleet_pushes=" + std::to_string(Snapshot.Fleet.Pushes) +
-         " fleet_merges_applied=" +
-         std::to_string(Snapshot.Fleet.MergesApplied) +
-         " fleet_rejected_oversize=" +
-         std::to_string(Snapshot.Fleet.RejectedOversize) +
-         " fleet_rejected_malformed=" +
-         std::to_string(Snapshot.Fleet.RejectedMalformed) +
-         " fleet_rejected_incompatible=" +
-         std::to_string(Snapshot.Fleet.RejectedIncompatible) +
-         " fleet_recalibrations=" +
-         std::to_string(Snapshot.Fleet.Recalibrations) +
-         " fleet_promotions=" + std::to_string(Snapshot.Fleet.Promotions) +
-         " fleet_promotions_rejected=" +
-         std::to_string(Snapshot.Fleet.PromotionsRejected) + "\n";
-  Out += "# tuning_loads=" + std::to_string(Snapshot.Tuning.Loads) +
-         " tuning_load_failures=" +
-         std::to_string(Snapshot.Tuning.LoadFailures) +
-         " tuning_parameters=" + std::to_string(Snapshot.Tuning.Parameters) +
-         " tuning_seed=" + std::to_string(Snapshot.Tuning.Seed) +
-         " tuning_source=" + csvField(Snapshot.Tuning.Source) + "\n";
-  {
-    // Engine-wide latency p99s ride along the same way: the column
-    // schema stays untouched, but tail behaviour is visible in every
-    // exported table.
-    char Buf[320];
-    std::snprintf(Buf, sizeof(Buf),
-                  "# latency_record_count=%llu latency_record_p99=%.1f"
-                  " latency_evaluate_p99=%.1f latency_switch_p99=%.1f"
-                  " latency_persist_p99=%.1f topology_nodes=%u"
-                  " topology_cpus=%u\n",
-                  static_cast<unsigned long long>(
-                      Snapshot.Latency.Record.Count),
-                  Snapshot.Latency.Record.P99, Snapshot.Latency.Evaluate.P99,
-                  Snapshot.Latency.Switch.P99, Snapshot.Latency.Persist.P99,
-                  Snapshot.Topology.Nodes, Snapshot.Topology.Cpus);
-    Out += Buf;
-  }
-  Out += "name,abstraction,variant,instances_created,"
-         "instances_monitored,profiles_published,"
-         "profiles_discarded,evaluations,switches,"
-         "footprint_bytes,contended_threads\n";
-  for (const ContextSnapshot &C : Snapshot.Contexts) {
-    Out += csvField(C.Name) + ',' + csvField(C.Abstraction) + ',' +
-           csvField(C.Variant) + ',';
-    Out += std::to_string(C.Stats.InstancesCreated) + ',';
-    Out += std::to_string(C.Stats.InstancesMonitored) + ',';
-    Out += std::to_string(C.Stats.ProfilesPublished) + ',';
-    Out += std::to_string(C.Stats.ProfilesDiscarded) + ',';
-    Out += std::to_string(C.Stats.Evaluations) + ',';
-    Out += std::to_string(C.Stats.Switches) + ',';
-    Out += std::to_string(C.FootprintBytes) + ',';
-    Out += formatDouble(C.ContendedThreads) + '\n';
-  }
-  return Out;
-}
-
 bool cswitch::writeTextFile(const std::string &Path,
                             std::string_view Content) {
   std::FILE *F = std::fopen(Path.c_str(), "w");

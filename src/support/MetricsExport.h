@@ -7,9 +7,8 @@
 /// \file
 /// Serializers for TelemetrySnapshot: a stable JSON document (schema
 /// "cswitch-telemetry-v1", consumed by the CI bench artifacts and the
-/// snapshot-consistency tests) and a flat CSV table (one row per
-/// context) for spreadsheet-grade analysis. Plus the small JSON string
-/// escaping helper the tools reuse for their own reports.
+/// snapshot-consistency tests), plus the small JSON string escaping
+/// helper the tools reuse for their own reports.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,14 +49,6 @@ std::string jsonEscape(std::string_view Text);
 /// Engine totals always equal the per-context column sums of the same
 /// snapshot (the round-trip invariant the tests pin down).
 std::string toJson(const TelemetrySnapshot &Snapshot);
-
-/// Serializes the per-context breakdown as CSV with a header row:
-/// name,abstraction,variant,instances_created,instances_monitored,
-/// profiles_published,profiles_discarded,evaluations,switches,
-/// footprint_bytes,contended_threads
-/// Preceded by `#` comment lines carrying the event-log and trace
-/// recorder loss counters.
-std::string toCsv(const TelemetrySnapshot &Snapshot);
 
 /// Writes \p Content to \p Path; returns false on I/O failure.
 bool writeTextFile(const std::string &Path, std::string_view Content);

@@ -7,7 +7,7 @@
 #include "tuner/Tuner.h"
 
 #include "fleet/ModelArtifact.h"
-#include "store/StoreFormat.h"
+#include "support/Codec.h"
 #include "support/Random.h"
 
 #include <algorithm>
@@ -47,7 +47,7 @@ std::string Tuner::corpusDigest() const {
   for (const OpTrace &Trace : Corpus)
     All += encodeTrace(Trace);
   char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "crc32:%08x", storeCrc32(All));
+  std::snprintf(Buf, sizeof(Buf), "crc32:%08x", codec::crc32(All));
   return Buf;
 }
 

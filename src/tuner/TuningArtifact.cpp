@@ -6,166 +6,50 @@
 
 #include "tuner/TuningArtifact.h"
 
-#include "store/StoreFormat.h"
+#include "support/Codec.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <numeric>
-#include <sstream>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#define CSWITCH_TUNER_POSIX 1
-#endif
 
 using namespace cswitch;
 using namespace cswitch::tuner;
+using codec::fail;
 
 namespace {
 
-constexpr char Magic[] = "cswitch-tuning-v1"; // 17 bytes, no terminator.
-constexpr size_t MagicSize = 17;
-constexpr uint64_t FormatVersion = 1;
+constexpr codec::Format TuningDoc{"cswitch-tuning-v1", "cswitch-tuning", 1};
 
 /// Longest accepted fingerprint / corpus-digest string. Real values are
 /// tens of bytes; anything larger is a corrupt length field.
 constexpr uint64_t MaxHeaderString = 1 << 12;
 
-void putVarint(std::string &Out, uint64_t Value) {
-  while (Value >= 0x80) {
-    Out += static_cast<char>((Value & 0x7f) | 0x80);
-    Value >>= 7;
-  }
-  Out += static_cast<char>(Value);
-}
-
-void putDouble(std::string &Out, double Value) {
-  uint64_t Bits = 0;
-  static_assert(sizeof(Bits) == sizeof(Value));
-  std::memcpy(&Bits, &Value, sizeof(Bits));
-  for (int Byte = 0; Byte != 8; ++Byte)
-    Out += static_cast<char>((Bits >> (8 * Byte)) & 0xFFu);
-}
-
-void putCrc(std::string &Out, std::string_view Payload) {
-  uint32_t Crc = storeCrc32(Payload);
-  for (int Byte = 0; Byte != 4; ++Byte)
-    Out += static_cast<char>((Crc >> (8 * Byte)) & 0xFFu);
-}
-
-/// Bounded byte reader (the store format's Reader, plus doubles).
-class Reader {
-public:
-  Reader(std::string_view Bytes) : Cur(Bytes.data()), End(Cur + Bytes.size()) {}
-
-  bool varint(uint64_t &Out) {
-    Out = 0;
-    for (unsigned Shift = 0; Shift < 64; Shift += 7) {
-      if (Cur == End)
-        return false;
-      uint8_t Byte = static_cast<uint8_t>(*Cur++);
-      Out |= static_cast<uint64_t>(Byte & 0x7f) << Shift;
-      if (!(Byte & 0x80))
-        return true;
-    }
-    return false; // More than 10 continuation bytes: corrupt.
-  }
-
-  bool bytes(size_t N, std::string &Out) {
-    if (static_cast<size_t>(End - Cur) < N)
-      return false;
-    Out.assign(Cur, N);
-    Cur += N;
-    return true;
-  }
-
-  bool view(size_t N, std::string_view &Out) {
-    if (static_cast<size_t>(End - Cur) < N)
-      return false;
-    Out = std::string_view(Cur, N);
-    Cur += N;
-    return true;
-  }
-
-  bool byte(uint8_t &Out) {
-    if (Cur == End)
-      return false;
-    Out = static_cast<uint8_t>(*Cur++);
-    return true;
-  }
-
-  bool f64(double &Out) {
-    if (static_cast<size_t>(End - Cur) < 8)
-      return false;
-    uint64_t Bits = 0;
-    for (int Byte = 0; Byte != 8; ++Byte)
-      Bits |= static_cast<uint64_t>(static_cast<uint8_t>(Cur[Byte]))
-              << (8 * Byte);
-    Cur += 8;
-    std::memcpy(&Out, &Bits, sizeof(Out));
-    return true;
-  }
-
-  bool crcOf(std::string_view Payload) {
-    uint32_t Stored = 0;
-    for (int Byte = 0; Byte != 4; ++Byte) {
-      uint8_t B = 0;
-      if (!byte(B))
-        return false;
-      Stored |= static_cast<uint32_t>(B) << (8 * Byte);
-    }
-    return Stored == storeCrc32(Payload);
-  }
-
-  bool atEnd() const { return Cur == End; }
-
-private:
-  const char *Cur;
-  const char *End;
-};
-
-bool fail(std::string *Error, const char *Message) {
-  if (Error)
-    *Error = Message;
-  return false;
-}
-
 std::string encodeHeaderPayload(const TuningArtifact &Artifact) {
   std::string Out;
-  putVarint(Out, Artifact.HostFingerprint.size());
-  Out += Artifact.HostFingerprint;
-  putVarint(Out, Artifact.Seed);
-  putVarint(Out, Artifact.Generations);
-  putVarint(Out, Artifact.Population);
-  putVarint(Out, Artifact.Evaluations);
-  putVarint(Out, Artifact.CorpusDigest.size());
-  Out += Artifact.CorpusDigest;
-  putDouble(Out, Artifact.TimeWeight);
-  putDouble(Out, Artifact.AllocWeight);
-  putDouble(Out, Artifact.WinnerFitness);
-  putDouble(Out, Artifact.BaselineFitness);
+  codec::putString(Out, Artifact.HostFingerprint);
+  codec::putVarint(Out, Artifact.Seed);
+  codec::putVarint(Out, Artifact.Generations);
+  codec::putVarint(Out, Artifact.Population);
+  codec::putVarint(Out, Artifact.Evaluations);
+  codec::putString(Out, Artifact.CorpusDigest);
+  codec::putF64(Out, Artifact.TimeWeight);
+  codec::putF64(Out, Artifact.AllocWeight);
+  codec::putF64(Out, Artifact.WinnerFitness);
+  codec::putF64(Out, Artifact.BaselineFitness);
   return Out;
 }
 
 std::string encodeRowPayload(const TuningArtifact::Row &Row) {
   std::string Out;
-  putVarint(Out, Row.Name.size());
-  Out += Row.Name;
-  putDouble(Out, Row.Value);
+  codec::putString(Out, Row.Name);
+  codec::putF64(Out, Row.Value);
   return Out;
 }
 
 bool decodeHeaderPayload(std::string_view Payload, TuningArtifact &Out,
                          std::string *Error) {
-  Reader In(Payload);
-  uint64_t FingerprintLen = 0;
-  if (!In.varint(FingerprintLen) || FingerprintLen > MaxHeaderString ||
-      !In.bytes(FingerprintLen, Out.HostFingerprint))
+  codec::Reader In(Payload);
+  if (!In.string(Out.HostFingerprint, MaxHeaderString))
     return fail(Error, "truncated host fingerprint");
   if (!In.varint(Out.Seed))
     return fail(Error, "truncated seed");
@@ -175,9 +59,7 @@ bool decodeHeaderPayload(std::string_view Payload, TuningArtifact &Out,
     return fail(Error, "truncated population size");
   if (!In.varint(Out.Evaluations))
     return fail(Error, "truncated evaluation count");
-  uint64_t DigestLen = 0;
-  if (!In.varint(DigestLen) || DigestLen > MaxHeaderString ||
-      !In.bytes(DigestLen, Out.CorpusDigest))
+  if (!In.string(Out.CorpusDigest, MaxHeaderString))
     return fail(Error, "truncated corpus digest");
   if (!In.f64(Out.TimeWeight) || !In.f64(Out.AllocWeight))
     return fail(Error, "truncated objective weights");
@@ -196,10 +78,8 @@ bool decodeHeaderPayload(std::string_view Payload, TuningArtifact &Out,
 
 bool decodeRowPayload(std::string_view Payload, TuningArtifact::Row &Row,
                       std::string *Error) {
-  Reader In(Payload);
-  uint64_t NameLen = 0;
-  if (!In.varint(NameLen) || NameLen > MaxHeaderString ||
-      !In.bytes(NameLen, Row.Name))
+  codec::Reader In(Payload);
+  if (!In.string(Row.Name, MaxHeaderString))
     return fail(Error, "truncated parameter name");
   if (!In.f64(Row.Value))
     return fail(Error, "truncated parameter value");
@@ -209,29 +89,55 @@ bool decodeRowPayload(std::string_view Payload, TuningArtifact::Row &Row,
   // Semantic validation: the row must name a known parameter and carry
   // a value the parameter space accepts as-is.
   const ParamInfo *Info = findParam(Row.Name);
-  if (!Info) {
-    if (Error)
-      *Error = "unknown parameter \"" + Row.Name + "\"";
+  if (!Info)
+    return fail(Error, "unknown parameter \"" + Row.Name + "\"");
+  if (!std::isfinite(Row.Value))
+    return fail(Error,
+                "non-finite value for parameter \"" + Row.Name + "\"");
+  if (Row.Value < Info->Min || Row.Value > Info->Max)
+    return fail(Error, "parameter \"" + Row.Name + "\" value " +
+                           std::to_string(Row.Value) + " outside [" +
+                           std::to_string(Info->Min) + ", " +
+                           std::to_string(Info->Max) + "]");
+  if (Info->Integer && Row.Value != std::nearbyint(Row.Value))
+    return fail(Error,
+                "parameter \"" + Row.Name + "\" requires an integral value");
+  return true;
+}
+
+bool decodeArtifact(std::string_view Bytes, TuningArtifact &Out,
+                    std::string *Error) {
+  codec::Reader In(Bytes);
+  if (!codec::readHeader(In, TuningDoc, Error))
     return false;
-  }
-  if (!std::isfinite(Row.Value)) {
-    if (Error)
-      *Error = "non-finite value for parameter \"" + Row.Name + "\"";
+  std::string_view Header;
+  if (!codec::readSection(In, "header", Header, Error) ||
+      !decodeHeaderPayload(Header, Out, Error))
     return false;
+
+  uint64_t RowCount = 0;
+  if (!In.varint(RowCount))
+    return fail(Error, "truncated row count");
+  if (RowCount != NumTunableParams)
+    return fail(Error, "expected " + std::to_string(NumTunableParams) +
+                           " parameter rows, found " +
+                           std::to_string(RowCount));
+  Out.Rows.reserve(NumTunableParams);
+  for (uint64_t I = 0; I != RowCount; ++I) {
+    std::string_view Payload;
+    TuningArtifact::Row Row;
+    if (!codec::readSection(In, "row", Payload, Error) ||
+        !decodeRowPayload(Payload, Row, Error))
+      return false;
+    if (!Out.Rows.empty() && !(Out.Rows.back().Name < Row.Name))
+      return fail(Error, "rows out of canonical order");
+    Out.Rows.push_back(std::move(Row));
   }
-  if (Row.Value < Info->Min || Row.Value > Info->Max) {
-    if (Error)
-      *Error = "parameter \"" + Row.Name + "\" value " +
-               std::to_string(Row.Value) + " outside [" +
-               std::to_string(Info->Min) + ", " + std::to_string(Info->Max) +
-               "]";
-    return false;
-  }
-  if (Info->Integer && Row.Value != std::nearbyint(Row.Value)) {
-    if (Error)
-      *Error = "parameter \"" + Row.Name + "\" requires an integral value";
-    return false;
-  }
+  // RowCount == NumTunableParams, every name known, and names strictly
+  // ascending => the rows are exactly the full parameter space.
+
+  if (!In.atEnd())
+    return fail(Error, "trailing bytes after row records");
   return true;
 }
 
@@ -248,167 +154,40 @@ cswitch::tuner::encodeTuningArtifact(const TuningArtifact &Artifact) {
   });
 
   std::string Out;
-  Out.reserve(MagicSize + 96 + Artifact.Rows.size() * 48);
-  Out.append(Magic, MagicSize);
-  putVarint(Out, FormatVersion);
-  std::string Header = encodeHeaderPayload(Artifact);
-  putVarint(Out, Header.size());
-  Out += Header;
-  putCrc(Out, Header);
-  putVarint(Out, Artifact.Rows.size());
-  for (size_t I : Order) {
-    std::string Payload = encodeRowPayload(Artifact.Rows[I]);
-    putVarint(Out, Payload.size());
-    Out += Payload;
-    putCrc(Out, Payload);
-  }
+  Out.reserve(TuningDoc.Magic.size() + 96 + Artifact.Rows.size() * 48);
+  codec::putHeader(Out, TuningDoc);
+  codec::putSection(Out, encodeHeaderPayload(Artifact));
+  codec::putVarint(Out, Artifact.Rows.size());
+  for (size_t I : Order)
+    codec::putSection(Out, encodeRowPayload(Artifact.Rows[I]));
   return Out;
 }
 
 bool cswitch::tuner::decodeTuningArtifact(std::string_view Bytes,
                                           TuningArtifact &Out,
                                           std::string *Error) {
-  Out = TuningArtifact();
-  if (Bytes.size() < MagicSize ||
-      std::memcmp(Bytes.data(), Magic, MagicSize) != 0)
-    return fail(Error, "not a cswitch-tuning document (bad magic)");
-  Reader In(Bytes.substr(MagicSize));
-
-  uint64_t Version = 0;
-  if (!In.varint(Version))
-    return fail(Error, "truncated version");
-  if (Version != FormatVersion) {
-    if (Error)
-      *Error = "unsupported cswitch-tuning version " +
-               std::to_string(Version) + " (expected " +
-               std::to_string(FormatVersion) + ")";
-    return false;
-  }
-
-  uint64_t HeaderLen = 0;
-  std::string_view Header;
-  if (!In.varint(HeaderLen) || !In.view(HeaderLen, Header))
-    return fail(Error, "truncated header record");
-  if (!In.crcOf(Header))
-    return fail(Error, "header crc mismatch");
-  if (!decodeHeaderPayload(Header, Out, Error)) {
-    Out = TuningArtifact();
-    return false;
-  }
-
-  uint64_t RowCount = 0;
-  if (!In.varint(RowCount)) {
-    Out = TuningArtifact();
-    return fail(Error, "truncated row count");
-  }
-  if (RowCount != NumTunableParams) {
-    Out = TuningArtifact();
-    if (Error)
-      *Error = "expected " + std::to_string(NumTunableParams) +
-               " parameter rows, found " + std::to_string(RowCount);
-    return false;
-  }
-  Out.Rows.reserve(NumTunableParams);
-  for (uint64_t I = 0; I != RowCount; ++I) {
-    uint64_t PayloadLen = 0;
-    std::string_view Payload;
-    if (!In.varint(PayloadLen) || !In.view(PayloadLen, Payload)) {
-      Out = TuningArtifact();
-      return fail(Error, "truncated row record");
-    }
-    if (!In.crcOf(Payload)) {
-      Out = TuningArtifact();
-      return fail(Error, "row crc mismatch");
-    }
-    TuningArtifact::Row Row;
-    if (!decodeRowPayload(Payload, Row, Error)) {
-      Out = TuningArtifact();
-      return false;
-    }
-    if (!Out.Rows.empty() && !(Out.Rows.back().Name < Row.Name)) {
-      Out = TuningArtifact();
-      return fail(Error, "rows out of canonical order");
-    }
-    Out.Rows.push_back(std::move(Row));
-  }
-  // RowCount == NumTunableParams, every name known, and names strictly
-  // ascending => the rows are exactly the full parameter space.
-
-  if (!In.atEnd()) {
-    Out = TuningArtifact();
-    return fail(Error, "trailing bytes after row records");
-  }
-  return true;
+  return codec::decodeOrReset(
+      Out, [&] { return decodeArtifact(Bytes, Out, Error); });
 }
 
 bool cswitch::tuner::writeTuningArtifactToFile(const std::string &Path,
                                                const TuningArtifact &Artifact,
                                                std::string *Error) {
-  std::string Bytes = encodeTuningArtifact(Artifact);
-  std::string TmpPath = Path + ".tmp";
-#ifdef CSWITCH_TUNER_POSIX
-  // Crash-safe replace, mirroring writeModelArtifactToFile: a reader
-  // (or a restarting process pointing CSWITCH_TUNING here) observes
-  // either the complete old artifact or the complete new one, never a
-  // torn write.
-  int Fd = ::open(TmpPath.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC,
-                  0644);
-  if (Fd < 0)
-    return fail(Error, "cannot create tuning temp file");
-  size_t Off = 0;
-  while (Off != Bytes.size()) {
-    ssize_t N = ::write(Fd, Bytes.data() + Off, Bytes.size() - Off);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      ::close(Fd);
-      ::unlink(TmpPath.c_str());
-      return fail(Error, "short write to tuning temp file");
-    }
-    Off += static_cast<size_t>(N);
-  }
-  bool Flushed = ::fsync(Fd) == 0;
-  bool Closed = ::close(Fd) == 0;
-  if (!Flushed || !Closed ||
-      std::rename(TmpPath.c_str(), Path.c_str()) != 0) {
-    ::unlink(TmpPath.c_str());
-    return fail(Error, "cannot replace tuning file");
-  }
-  return true;
-#else
-  {
-    std::ofstream OS(TmpPath, std::ios::binary | std::ios::trunc);
-    if (!OS)
-      return fail(Error, "cannot create tuning temp file");
-    OS.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
-    if (!OS) {
-      std::remove(TmpPath.c_str());
-      return fail(Error, "short write to tuning temp file");
-    }
-  }
-  if (std::rename(TmpPath.c_str(), Path.c_str()) != 0) {
-    std::remove(TmpPath.c_str());
-    return fail(Error, "cannot replace tuning file");
-  }
-  return true;
-#endif
+  // A reader (or a restarting process pointing CSWITCH_TUNING here)
+  // observes either the complete old artifact or the complete new one.
+  return codec::installFile(Path, encodeTuningArtifact(Artifact), "tuning",
+                            Error);
 }
 
 bool cswitch::tuner::readTuningArtifactFromFile(const std::string &Path,
                                                 TuningArtifact &Out,
                                                 std::string *Error) {
-  std::ifstream IS(Path, std::ios::binary);
-  if (!IS) {
+  std::string Bytes;
+  if (!codec::readFile(Path, Bytes, "tuning", Error)) {
     Out = TuningArtifact();
-    return fail(Error, "cannot open tuning file");
+    return false;
   }
-  std::ostringstream Buffer;
-  Buffer << IS.rdbuf();
-  if (IS.bad()) {
-    Out = TuningArtifact();
-    return fail(Error, "I/O error reading tuning file");
-  }
-  return decodeTuningArtifact(Buffer.str(), Out, Error);
+  return decodeTuningArtifact(Bytes, Out, Error);
 }
 
 TuningArtifact cswitch::tuner::artifactFromParams(const ParameterSet &Params) {
@@ -425,16 +204,11 @@ bool cswitch::tuner::paramsFromArtifact(const TuningArtifact &Artifact,
   ParameterSet Params;
   for (const TuningArtifact::Row &Row : Artifact.Rows) {
     const ParamInfo *Info = findParam(Row.Name);
-    if (!Info) {
-      if (Error)
-        *Error = "unknown parameter \"" + Row.Name + "\"";
-      return false;
-    }
-    if (!std::isfinite(Row.Value)) {
-      if (Error)
-        *Error = "non-finite value for parameter \"" + Row.Name + "\"";
-      return false;
-    }
+    if (!Info)
+      return fail(Error, "unknown parameter \"" + Row.Name + "\"");
+    if (!std::isfinite(Row.Value))
+      return fail(Error,
+                  "non-finite value for parameter \"" + Row.Name + "\"");
     Params.set(Info->Id, Row.Value);
   }
   Out = Params;

@@ -8,10 +8,9 @@
 /// The versioned `cswitch-tuning-v1` artifact: the winning parameter set
 /// of an offline tuner run, plus the provenance needed to trust it (host
 /// fingerprint, search seed/geometry, corpus digest, winner-vs-baseline
-/// fitness). Same persistence discipline as `cswitch-model-v2`
-/// (fleet/ModelArtifact.h): CRC-framed records, a total decoder that
-/// rejects every malformed input without crashing, and crash-safe
-/// tmp + fsync + rename installs.
+/// fitness). Built on support/Codec.h like every other binary document:
+/// CRC-framed records, a total decoder that rejects every malformed
+/// input without crashing, and crash-safe installs.
 ///
 /// Layout:
 ///
@@ -92,8 +91,8 @@ std::string encodeTuningArtifact(const TuningArtifact &Artifact);
 bool decodeTuningArtifact(std::string_view Bytes, TuningArtifact &Out,
                           std::string *Error = nullptr);
 
-/// Atomically replaces \p Path with the serialized artifact
-/// (tmp + fsync + rename; same discipline as writeModelArtifactToFile).
+/// Atomically replaces \p Path with the serialized artifact through
+/// codec::installFile.
 bool writeTuningArtifactToFile(const std::string &Path,
                                const TuningArtifact &Artifact,
                                std::string *Error = nullptr);

@@ -19,7 +19,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 using namespace cswitch;
 
@@ -321,45 +320,6 @@ TEST(Telemetry, SnapshotDiffCarriesStoreDelta) {
   EXPECT_EQ(Delta.Store.Loads, 2u);
   EXPECT_EQ(Delta.Store.WarmStarts, 5u);
   EXPECT_EQ(Delta.Store.Persists, 4u);
-}
-
-TEST(Telemetry, CsvHasHeaderAndQuotesSpecials) {
-  std::string Csv = toCsv(sampleSnapshot());
-  std::istringstream Lines(Csv);
-  // Loss counters lead as `#` comments so the column schema is
-  // unchanged but drops are never invisible in exported data.
-  std::string Events, Recorder, Store, Fleet, Tuning, Latency, Header;
-  ASSERT_TRUE(std::getline(Lines, Events));
-  EXPECT_EQ(Events, "# events_recorded=42 events_dropped=2");
-  ASSERT_TRUE(std::getline(Lines, Recorder));
-  EXPECT_EQ(Recorder,
-            "# recorder_ops_recorded=1000 recorder_ops_dropped=7 "
-            "recorder_instances_sampled=20 recorder_instances_skipped=60");
-  ASSERT_TRUE(std::getline(Lines, Store));
-  EXPECT_EQ(Store, "# store_loads=2 store_load_failures=1 "
-                   "store_sites_loaded=9 store_warm_starts=4 "
-                   "store_persists=5 store_persist_failures=0");
-  ASSERT_TRUE(std::getline(Lines, Fleet));
-  EXPECT_EQ(Fleet.rfind("# fleet_pulls=", 0), 0u);
-  ASSERT_TRUE(std::getline(Lines, Tuning));
-  EXPECT_EQ(Tuning, "# tuning_loads=1 tuning_load_failures=0 "
-                    "tuning_parameters=13 tuning_seed=6405 "
-                    "tuning_source=tuned.cstune");
-  ASSERT_TRUE(std::getline(Lines, Latency));
-  EXPECT_EQ(Latency.rfind("# latency_record_count=", 0), 0u);
-  ASSERT_TRUE(std::getline(Lines, Header));
-  EXPECT_EQ(Header,
-            "name,abstraction,variant,instances_created,"
-            "instances_monitored,profiles_published,profiles_discarded,"
-            "evaluations,switches,footprint_bytes,contended_threads");
-  std::string Row1, Row2, Extra;
-  ASSERT_TRUE(std::getline(Lines, Row1));
-  ASSERT_TRUE(std::getline(Lines, Row2));
-  EXPECT_FALSE(std::getline(Lines, Extra));
-  // Embedded quotes double, fields with commas/quotes get quoted.
-  EXPECT_NE(Row1.find("\"bench \"\"quoted\"\"\""), std::string::npos);
-  EXPECT_NE(Row2.find("\"site,with,commas\""), std::string::npos);
-  EXPECT_NE(Row2.find(",256,3.5"), std::string::npos);
 }
 
 TEST(Telemetry, WriteTextFileRoundTrips) {

@@ -14,6 +14,9 @@
 
 #include "tuner/TuningArtifact.h"
 
+#include "ExpectTotalDecoder.h"
+#include "support/Codec.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -86,6 +89,14 @@ TEST(TuningArtifact, EncodingIsCanonicalAcrossInputOrder) {
   EXPECT_EQ(encodeTuningArtifact(Shuffled), encodeTuningArtifact(Artifact));
 }
 
+// Pinned before the format moved onto support/Codec.h: the encoding
+// must stay byte-identical.
+TEST(TuningArtifact, EncodingMatchesPinnedDigest) {
+  std::string Bytes = encodeTuningArtifact(sampleArtifact());
+  EXPECT_EQ(Bytes.size(), 538u);
+  EXPECT_EQ(codec::crc32(Bytes), 0x849913C1u);
+}
+
 TEST(TuningArtifact, ParamsRoundTripThroughArtifact) {
   ParameterSet Params;
   Params.set(ParamId::AdaptiveSetThreshold, 512);
@@ -101,31 +112,18 @@ TEST(TuningArtifact, ParamsRoundTripThroughArtifact) {
 // The decoder must be total: truncation at EVERY offset is rejected
 // without crashing, and the output is left empty.
 TEST(TuningArtifact, TruncationAtEveryOffsetIsRejected) {
-  std::string Bytes = encodeTuningArtifact(sampleArtifact());
-  for (size_t Len = 0; Len != Bytes.size(); ++Len) {
-    TuningArtifact Out;
-    EXPECT_FALSE(decodeTuningArtifact(Bytes.substr(0, Len), Out))
-        << "accepted truncation at offset " << Len;
-    EXPECT_TRUE(sameArtifact(Out, TuningArtifact()))
-        << "output not cleared at " << Len;
-  }
+  expectTotalDecoder(encodeTuningArtifact(sampleArtifact()),
+                     decodeTuningArtifact, encodeTuningArtifact,
+                     /*CheckCorruption=*/false);
 }
 
 // Flipping any single byte must never be silently accepted as the
 // original document (CRCs cover header and rows; the envelope fields
 // are structurally checked).
 TEST(TuningArtifact, SingleByteCorruptionNeverYieldsOriginal) {
-  TuningArtifact Artifact = sampleArtifact();
-  std::string Bytes = encodeTuningArtifact(Artifact);
-  for (size_t I = 0; I != Bytes.size(); ++I) {
-    std::string Corrupt = Bytes;
-    Corrupt[I] = static_cast<char>(Corrupt[I] ^ 0x20);
-    TuningArtifact Out;
-    if (decodeTuningArtifact(Corrupt, Out)) {
-      EXPECT_FALSE(sameArtifact(Out, Artifact))
-          << "bit flip at " << I << " undetected";
-    }
-  }
+  expectTotalDecoder(encodeTuningArtifact(sampleArtifact()),
+                     decodeTuningArtifact, encodeTuningArtifact,
+                     /*CheckCorruption=*/true);
 }
 
 // Whatever a mutated document decodes to must still be semantically
