@@ -33,73 +33,45 @@ AppHarness::~AppHarness() {
     SwitchEngine::global().unregisterContext(Ctx.get());
 }
 
-AppHarness::ListSite AppHarness::declareListSite(const std::string &Name,
-                                                 ListVariant Default) {
+template <typename Facade>
+AppHarness::Site<Facade>
+AppHarness::declareSite(const std::string &Name,
+                        typename ContextTraits<Facade>::Variant Default) {
+  using Traits = ContextTraits<Facade>;
   ++Sites;
-  ListSite Site;
+  Site<Facade> Out;
   switch (Config) {
   case AppConfig::Original:
-    Site.Fixed = Default;
+    Out.Fixed = Default;
     break;
   case AppConfig::InstanceAdap:
-    Site.Fixed = ListVariant::AdaptiveList;
+    Out.Fixed = Traits::Adaptive;
     break;
   case AppConfig::FullAdap: {
-    auto Ctx = std::make_unique<ListContext<AppElem>>(Name, Default, Model,
-                                                      Rule, CtxOptions);
-    Site.Ctx = Ctx.get();
+    auto Ctx = std::make_unique<typename Traits::Context>(Name, Default, Model,
+                                                          Rule, CtxOptions);
+    Out.Ctx = Ctx.get();
     Owned.push_back(std::move(Ctx));
-    SwitchEngine::global().registerContext(Site.Ctx);
+    SwitchEngine::global().registerContext(Out.Ctx);
     break;
   }
   }
-  return Site;
+  return Out;
+}
+
+AppHarness::ListSite AppHarness::declareListSite(const std::string &Name,
+                                                 ListVariant Default) {
+  return declareSite<List<AppElem>>(Name, Default);
 }
 
 AppHarness::SetSite AppHarness::declareSetSite(const std::string &Name,
                                                SetVariant Default) {
-  ++Sites;
-  SetSite Site;
-  switch (Config) {
-  case AppConfig::Original:
-    Site.Fixed = Default;
-    break;
-  case AppConfig::InstanceAdap:
-    Site.Fixed = SetVariant::AdaptiveSet;
-    break;
-  case AppConfig::FullAdap: {
-    auto Ctx = std::make_unique<SetContext<AppElem>>(Name, Default, Model,
-                                                     Rule, CtxOptions);
-    Site.Ctx = Ctx.get();
-    Owned.push_back(std::move(Ctx));
-    SwitchEngine::global().registerContext(Site.Ctx);
-    break;
-  }
-  }
-  return Site;
+  return declareSite<Set<AppElem>>(Name, Default);
 }
 
 AppHarness::MapSite AppHarness::declareMapSite(const std::string &Name,
                                                MapVariant Default) {
-  ++Sites;
-  MapSite Site;
-  switch (Config) {
-  case AppConfig::Original:
-    Site.Fixed = Default;
-    break;
-  case AppConfig::InstanceAdap:
-    Site.Fixed = MapVariant::AdaptiveMap;
-    break;
-  case AppConfig::FullAdap: {
-    auto Ctx = std::make_unique<MapContext<AppElem, AppElem>>(
-        Name, Default, Model, Rule, CtxOptions);
-    Site.Ctx = Ctx.get();
-    Owned.push_back(std::move(Ctx));
-    SwitchEngine::global().registerContext(Site.Ctx);
-    break;
-  }
-  }
-  return Site;
+  return declareSite<Map<AppElem, AppElem>>(Name, Default);
 }
 
 size_t AppHarness::evaluateAll() {

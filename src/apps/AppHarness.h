@@ -58,51 +58,28 @@ public:
   AppHarness(const AppHarness &) = delete;
   AppHarness &operator=(const AppHarness &) = delete;
 
-  /// A declared list allocation site.
-  class ListSite {
+  /// A declared allocation site of one facade kind (List<AppElem>,
+  /// Set<AppElem> or Map<AppElem, AppElem>).
+  template <typename Facade> class Site {
+    using Traits = ContextTraits<Facade>;
+
   public:
-    /// Instantiates a list per the harness configuration.
-    List<AppElem> create() {
+    /// Instantiates a collection per the harness configuration.
+    Facade create() {
       if (Ctx)
-        return Ctx->createList();
-      return List<AppElem>(makeListImpl<AppElem>(Fixed));
+        return Traits::create(*Ctx);
+      return Facade(Traits::makeImpl(Fixed));
     }
 
   private:
     friend class AppHarness;
-    ListVariant Fixed = ListVariant::ArrayList;
-    ListContext<AppElem> *Ctx = nullptr;
+    typename Traits::Variant Fixed{};
+    typename Traits::Context *Ctx = nullptr;
   };
 
-  /// A declared set allocation site.
-  class SetSite {
-  public:
-    Set<AppElem> create() {
-      if (Ctx)
-        return Ctx->createSet();
-      return Set<AppElem>(makeSetImpl<AppElem>(Fixed));
-    }
-
-  private:
-    friend class AppHarness;
-    SetVariant Fixed = SetVariant::ChainedHashSet;
-    SetContext<AppElem> *Ctx = nullptr;
-  };
-
-  /// A declared map allocation site.
-  class MapSite {
-  public:
-    Map<AppElem, AppElem> create() {
-      if (Ctx)
-        return Ctx->createMap();
-      return Map<AppElem, AppElem>(makeMapImpl<AppElem, AppElem>(Fixed));
-    }
-
-  private:
-    friend class AppHarness;
-    MapVariant Fixed = MapVariant::ChainedHashMap;
-    MapContext<AppElem, AppElem> *Ctx = nullptr;
-  };
+  using ListSite = Site<List<AppElem>>;
+  using SetSite = Site<Set<AppElem>>;
+  using MapSite = Site<Map<AppElem, AppElem>>;
 
   /// Declares a list site whose unmodified program uses \p Default.
   ListSite declareListSite(const std::string &Name, ListVariant Default);
@@ -127,6 +104,13 @@ public:
   AppConfig config() const { return Config; }
 
 private:
+  /// Realizes one site per the configuration: the fixed \p Default
+  /// (Original), the kind's adaptive variant (InstanceAdap) or a
+  /// registered allocation context (FullAdap).
+  template <typename Facade>
+  Site<Facade> declareSite(const std::string &Name,
+                           typename ContextTraits<Facade>::Variant Default);
+
   AppConfig Config;
   SelectionRule Rule;
   std::shared_ptr<const PerformanceModel> Model;

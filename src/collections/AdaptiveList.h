@@ -130,10 +130,6 @@ public:
 
   ListVariant variant() const override { return ListVariant::AdaptiveList; }
 
-  std::unique_ptr<ListImpl<T>> cloneEmpty() const override {
-    return std::make_unique<AdaptiveListImpl<T>>(Threshold);
-  }
-
   /// True once the hash index has been built.
   bool hasMigrated() const { return Indexed; }
 

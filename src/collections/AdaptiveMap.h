@@ -130,10 +130,6 @@ public:
 
   MapVariant variant() const override { return MapVariant::AdaptiveMap; }
 
-  std::unique_ptr<MapImpl<K, V>> cloneEmpty() const override {
-    return std::make_unique<AdaptiveMapImpl<K, V>>(Threshold);
-  }
-
   /// True once the hash representation is active.
   bool hasMigrated() const { return Migrated; }
 

@@ -106,10 +106,6 @@ public:
 
   SetVariant variant() const override { return SetVariant::AdaptiveSet; }
 
-  std::unique_ptr<SetImpl<T>> cloneEmpty() const override {
-    return std::make_unique<AdaptiveSetImpl<T>>(Threshold);
-  }
-
   /// True once the hash representation is active.
   bool hasMigrated() const { return Migrated; }
 

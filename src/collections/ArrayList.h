@@ -89,10 +89,6 @@ public:
 
   ListVariant variant() const override { return ListVariant::ArrayList; }
 
-  std::unique_ptr<ListImpl<T>> cloneEmpty() const override {
-    return std::make_unique<ArrayListImpl<T>>();
-  }
-
 private:
   static constexpr size_t InitialCapacity = 8;
 

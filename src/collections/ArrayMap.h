@@ -100,10 +100,6 @@ public:
 
   MapVariant variant() const override { return MapVariant::ArrayMap; }
 
-  std::unique_ptr<MapImpl<K, V>> cloneEmpty() const override {
-    return std::make_unique<ArrayMapImpl<K, V>>();
-  }
-
 private:
   static constexpr size_t InitialCapacity = 8;
 

@@ -72,10 +72,6 @@ public:
 
   SetVariant variant() const override { return SetVariant::ArraySet; }
 
-  std::unique_ptr<SetImpl<T>> cloneEmpty() const override {
-    return std::make_unique<ArraySetImpl<T>>();
-  }
-
 private:
   static constexpr size_t InitialCapacity = 8;
 

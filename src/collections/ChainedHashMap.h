@@ -133,10 +133,6 @@ public:
 
   MapVariant variant() const override { return MapVariant::ChainedHashMap; }
 
-  std::unique_ptr<MapImpl<K, V>> cloneEmpty() const override {
-    return std::make_unique<ChainedHashMapImpl<K, V, Hash>>();
-  }
-
 private:
   static constexpr size_t InitialBuckets = 16;
 

@@ -121,10 +121,6 @@ public:
 
   SetVariant variant() const override { return SetVariant::ChainedHashSet; }
 
-  std::unique_ptr<SetImpl<T>> cloneEmpty() const override {
-    return std::make_unique<ChainedHashSetImpl<T, Hash>>();
-  }
-
 private:
   static constexpr size_t InitialBuckets = 16;
 

@@ -110,10 +110,6 @@ public:
     return ListVariant::HashArrayList;
   }
 
-  std::unique_ptr<ListImpl<T>> cloneEmpty() const override {
-    return std::make_unique<HashArrayListImpl<T>>();
-  }
-
 private:
   static constexpr size_t InitialCapacity = 8;
 

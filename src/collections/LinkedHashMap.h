@@ -141,10 +141,6 @@ public:
 
   MapVariant variant() const override { return MapVariant::LinkedHashMap; }
 
-  std::unique_ptr<MapImpl<K, V>> cloneEmpty() const override {
-    return std::make_unique<LinkedHashMapImpl<K, V, Hash>>();
-  }
-
 private:
   static constexpr size_t InitialBuckets = 16;
 

@@ -129,10 +129,6 @@ public:
 
   SetVariant variant() const override { return SetVariant::LinkedHashSet; }
 
-  std::unique_ptr<SetImpl<T>> cloneEmpty() const override {
-    return std::make_unique<LinkedHashSetImpl<T, Hash>>();
-  }
-
 private:
   static constexpr size_t InitialBuckets = 16;
 

@@ -122,10 +122,6 @@ public:
 
   ListVariant variant() const override { return ListVariant::LinkedList; }
 
-  std::unique_ptr<ListImpl<T>> cloneEmpty() const override {
-    return std::make_unique<LinkedListImpl<T>>();
-  }
-
 private:
   /// Walks to \p Index from whichever end is closer (JDK-style).
   Node *nodeAt(size_t Index) const {

@@ -14,7 +14,8 @@
 ///
 /// C++ has no JCF-style uniform collection interface, so this header *is*
 /// the substrate that makes runtime variant swapping possible at all —
-/// see DESIGN.md §4.
+/// see DESIGN.md §4. The monitoring itself is detail::MonitoredHandle's,
+/// shared with Set<T> and Map<K, V>.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,14 +23,10 @@
 #define CSWITCH_COLLECTIONS_LISTINTERFACE_H
 
 #include "collections/Variants.h"
-#include "profile/SharedProfile.h"
-#include "profile/WorkloadProfile.h"
-#include "replay/TraceRecorder.h"
+#include "collections/detail/MonitoredHandle.h"
 #include "support/FunctionRef.h"
 
-#include <cassert>
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 namespace cswitch {
@@ -71,59 +68,27 @@ public:
   virtual size_t memoryFootprint() const = 0;
   /// Which variant this is.
   virtual ListVariant variant() const = 0;
-  /// Creates an empty list of the same variant (used when a context
-  /// re-instantiates after a switch decision).
-  virtual std::unique_ptr<ListImpl<T>> cloneEmpty() const = 0;
 
   bool empty() const { return size() == 0; }
 };
 
 /// Value-semantic list handle: the type application code holds.
 ///
-/// Wraps the current variant behind the uniform interface, counts critical
-/// operations into a WorkloadProfile and, when created monitored by an
-/// allocation context, reports that profile from the destructor. Movable,
-/// not copyable (a collection instance has one identity in the profiler).
-template <typename T> class List {
+/// Wraps the current variant behind the uniform interface; the
+/// monitoring contract (profile counting, reporting from the destructor,
+/// move semantics, tracing) is detail::MonitoredHandle's. Only the list
+/// operations live here.
+template <typename T> class List : public detail::MonitoredHandle<ListImpl<T>> {
+  using Base = detail::MonitoredHandle<ListImpl<T>>;
+  using Base::foldSize;
+  using Base::Impl;
+  using Base::note;
+  using Base::noteGrowth;
+  using Base::Rec;
+  using Base::recordOp;
+
 public:
-  /// An unmonitored list over \p Impl.
-  explicit List(std::unique_ptr<ListImpl<T>> Impl)
-      : Impl(std::move(Impl)) {}
-
-  /// A monitored list: \p Sink receives the workload profile for
-  /// monitoring slot \p Slot when this instance dies.
-  List(std::unique_ptr<ListImpl<T>> Impl, ProfileSink *Sink, size_t Slot)
-      : Impl(std::move(Impl)), Sink(Sink), Slot(Slot) {}
-
-  List(List &&Other) noexcept
-      : Impl(std::move(Other.Impl)), Profile(Other.Profile),
-        Shared(std::move(Other.Shared)), Sink(Other.Sink),
-        Slot(Other.Slot), Rec(std::move(Other.Rec)) {
-    Other.Sink = nullptr;
-  }
-
-  List &operator=(List &&Other) noexcept {
-    if (this == &Other)
-      return *this;
-    reportIfMonitored();
-    finishTrace();
-    Impl = std::move(Other.Impl);
-    Profile = Other.Profile;
-    Shared = std::move(Other.Shared);
-    Sink = Other.Sink;
-    Slot = Other.Slot;
-    Rec = std::move(Other.Rec);
-    Other.Sink = nullptr;
-    return *this;
-  }
-
-  List(const List &) = delete;
-  List &operator=(const List &) = delete;
-
-  ~List() {
-    reportIfMonitored();
-    finishTrace();
-  }
+  using Base::Base;
 
   /// Appends \p Value (profiled as populate).
   void add(const T &Value) {
@@ -194,110 +159,10 @@ public:
   /// Copies the elements into a std::vector (profiled as one iterate).
   std::vector<T> snapshot() const {
     std::vector<T> Out;
-    Out.reserve(size());
+    Out.reserve(this->size());
     forEach([&Out](const T &V) { Out.push_back(V); });
     return Out;
   }
-
-  size_t size() const { return Impl->size(); }
-  bool empty() const { return Impl->empty(); }
-  void clear() {
-    foldSize();
-    Impl->clear();
-    recordOp(TraceOpKind::Clear, OpClass::None);
-  }
-  void reserve(size_t N) { Impl->reserve(N); }
-  size_t memoryFootprint() const { return Impl->memoryFootprint(); }
-  ListVariant variant() const { return Impl->variant(); }
-
-  /// The workload profile accumulated so far (collapsed from the shared
-  /// stripes when profiling is shared; see enableSharedProfiling).
-  const WorkloadProfile &profile() const {
-    if (Shared)
-      Profile = Shared->snapshot();
-    else
-      foldSize();
-    return Profile;
-  }
-
-  /// True if this instance reports to an allocation context.
-  bool isMonitored() const { return Sink != nullptr; }
-
-  /// Switches this instance to thread-safe, NUMA-striped profiling so
-  /// multiple owner threads may operate on it concurrently (only
-  /// meaningful over a concurrent-tier variant). \p Sketch, when
-  /// non-null, observes every operation for the contention signal; it
-  /// must outlive this instance (the allocation context owns it).
-  void enableSharedProfiling(ContentionSketch *Sketch = nullptr) {
-    Shared = std::make_unique<SharedProfile>(Sketch);
-  }
-
-  /// True if profiling is multi-owner (see enableSharedProfiling).
-  bool isShared() const { return Shared != nullptr; }
-
-  /// Attaches an operation recorder: every subsequent operation is
-  /// appended to the trace as instance \p Instance of site \p Site, and
-  /// an InstanceEnd marker is recorded when this facade dies.
-  void attachRecorder(TraceRecorder *Recorder, uint32_t Site,
-                      uint32_t Instance) {
-    Rec.attach(Recorder, Site, Instance);
-  }
-
-  /// True if this instance records into an operation trace.
-  bool isTraced() const { return static_cast<bool>(Rec); }
-
-private:
-  void reportIfMonitored() {
-    if (!Sink)
-      return;
-    if (Shared)
-      Profile = Shared->snapshot();
-    else
-      foldSize();
-    Sink->onInstanceFinished(Slot, Profile);
-    Sink = nullptr;
-  }
-
-  // Sizes are read only while a recorder is bound: Impl->size() is a
-  // virtual call that untraced operations would otherwise pay.
-  void finishTrace() {
-    if (Rec)
-      Rec.finish(Impl ? Impl->size() : 0);
-  }
-
-  void recordOp(TraceOpKind Kind, OpClass Class) const {
-    if (Rec)
-      Rec.push(Kind, Class, Impl->size());
-  }
-
-  void note(OperationKind Kind) const {
-    if (Shared)
-      Shared->record(Kind);
-    else
-      Profile.record(Kind);
-  }
-
-  // Sizes only fall in remove, removeAt and clear, so the one-owner
-  // profile folds Impl->size() into MaxSize lazily: before each of them
-  // and whenever the profile is read or reported. Growing operations
-  // skip the virtual size() call. Shared profiles record every growth
-  // eagerly, since other owners may shrink the list in between.
-  void noteGrowth() const {
-    if (Shared)
-      Shared->recordSize(Impl->size());
-  }
-
-  void foldSize() const {
-    if (!Shared && Impl)
-      Profile.recordSize(Impl->size());
-  }
-
-  std::unique_ptr<ListImpl<T>> Impl;
-  mutable WorkloadProfile Profile;
-  mutable std::unique_ptr<SharedProfile> Shared;
-  ProfileSink *Sink = nullptr;
-  size_t Slot = 0;
-  mutable TraceCursor Rec;
 };
 
 } // namespace cswitch

@@ -16,13 +16,10 @@
 #define CSWITCH_COLLECTIONS_MAPINTERFACE_H
 
 #include "collections/Variants.h"
-#include "profile/SharedProfile.h"
-#include "profile/WorkloadProfile.h"
-#include "replay/TraceRecorder.h"
+#include "collections/detail/MonitoredHandle.h"
 #include "support/FunctionRef.h"
 
 #include <cstddef>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -67,50 +64,22 @@ public:
   virtual size_t memoryFootprint() const = 0;
   /// Which variant this is.
   virtual MapVariant variant() const = 0;
-  /// Creates an empty map of the same variant.
-  virtual std::unique_ptr<MapImpl<K, V>> cloneEmpty() const = 0;
 
   bool empty() const { return size() == 0; }
 };
 
 /// Value-semantic map handle; see List<T> for the monitoring contract.
-template <typename K, typename V> class Map {
+template <typename K, typename V>
+class Map : public detail::MonitoredHandle<MapImpl<K, V>> {
+  using Base = detail::MonitoredHandle<MapImpl<K, V>>;
+  using Base::foldSize;
+  using Base::Impl;
+  using Base::note;
+  using Base::noteGrowth;
+  using Base::recordOp;
+
 public:
-  explicit Map(std::unique_ptr<MapImpl<K, V>> Impl)
-      : Impl(std::move(Impl)) {}
-
-  Map(std::unique_ptr<MapImpl<K, V>> Impl, ProfileSink *Sink, size_t Slot)
-      : Impl(std::move(Impl)), Sink(Sink), Slot(Slot) {}
-
-  Map(Map &&Other) noexcept
-      : Impl(std::move(Other.Impl)), Profile(Other.Profile),
-        Shared(std::move(Other.Shared)), Sink(Other.Sink),
-        Slot(Other.Slot), Rec(std::move(Other.Rec)) {
-    Other.Sink = nullptr;
-  }
-
-  Map &operator=(Map &&Other) noexcept {
-    if (this == &Other)
-      return *this;
-    reportIfMonitored();
-    finishTrace();
-    Impl = std::move(Other.Impl);
-    Profile = Other.Profile;
-    Shared = std::move(Other.Shared);
-    Sink = Other.Sink;
-    Slot = Other.Slot;
-    Rec = std::move(Other.Rec);
-    Other.Sink = nullptr;
-    return *this;
-  }
-
-  Map(const Map &) = delete;
-  Map &operator=(const Map &) = delete;
-
-  ~Map() {
-    reportIfMonitored();
-    finishTrace();
-  }
+  using Base::Base;
 
   /// Inserts or overwrites a mapping (profiled as populate).
   bool put(const K &Key, const V &Value) {
@@ -175,100 +144,12 @@ public:
   /// Copies the mappings into a vector of pairs (profiled as one iterate).
   std::vector<std::pair<K, V>> snapshot() const {
     std::vector<std::pair<K, V>> Out;
-    Out.reserve(size());
+    Out.reserve(this->size());
     forEach([&Out](const K &Key, const V &Value) {
       Out.emplace_back(Key, Value);
     });
     return Out;
   }
-
-  size_t size() const { return Impl->size(); }
-  bool empty() const { return Impl->empty(); }
-  void clear() {
-    foldSize();
-    Impl->clear();
-    recordOp(TraceOpKind::Clear, OpClass::None);
-  }
-  void reserve(size_t N) { Impl->reserve(N); }
-  size_t memoryFootprint() const { return Impl->memoryFootprint(); }
-  MapVariant variant() const { return Impl->variant(); }
-
-  /// See List<T>::profile().
-  const WorkloadProfile &profile() const {
-    if (Shared)
-      Profile = Shared->snapshot();
-    else
-      foldSize();
-    return Profile;
-  }
-  bool isMonitored() const { return Sink != nullptr; }
-
-  /// See List<T>::enableSharedProfiling().
-  void enableSharedProfiling(ContentionSketch *Sketch = nullptr) {
-    Shared = std::make_unique<SharedProfile>(Sketch);
-  }
-
-  /// True if profiling is multi-owner (see enableSharedProfiling).
-  bool isShared() const { return Shared != nullptr; }
-
-  /// Attaches an operation recorder (see List<T>::attachRecorder).
-  void attachRecorder(TraceRecorder *Recorder, uint32_t Site,
-                      uint32_t Instance) {
-    Rec.attach(Recorder, Site, Instance);
-  }
-
-  /// True if this instance records into an operation trace.
-  bool isTraced() const { return static_cast<bool>(Rec); }
-
-private:
-  void reportIfMonitored() {
-    if (!Sink)
-      return;
-    if (Shared)
-      Profile = Shared->snapshot();
-    else
-      foldSize();
-    Sink->onInstanceFinished(Slot, Profile);
-    Sink = nullptr;
-  }
-
-  // Sizes are read only while a recorder is bound: Impl->size() is a
-  // virtual call that untraced operations would otherwise pay.
-  void finishTrace() {
-    if (Rec)
-      Rec.finish(Impl ? Impl->size() : 0);
-  }
-
-  void recordOp(TraceOpKind Kind, OpClass Class) const {
-    if (Rec)
-      Rec.push(Kind, Class, Impl->size());
-  }
-
-  void note(OperationKind Kind) const {
-    if (Shared)
-      Shared->record(Kind);
-    else
-      Profile.record(Kind);
-  }
-
-  // See List<T>::foldSize(): MaxSize is folded in lazily before every
-  // shrinking operation and every profile read or report.
-  void noteGrowth() const {
-    if (Shared)
-      Shared->recordSize(Impl->size());
-  }
-
-  void foldSize() const {
-    if (!Shared && Impl)
-      Profile.recordSize(Impl->size());
-  }
-
-  std::unique_ptr<MapImpl<K, V>> Impl;
-  mutable WorkloadProfile Profile;
-  mutable std::unique_ptr<SharedProfile> Shared;
-  ProfileSink *Sink = nullptr;
-  size_t Slot = 0;
-  mutable TraceCursor Rec;
 };
 
 } // namespace cswitch

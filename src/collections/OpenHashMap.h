@@ -57,10 +57,6 @@ public:
 
   MapVariant variant() const override { return Variant; }
 
-  std::unique_ptr<MapImpl<K, V>> cloneEmpty() const override {
-    return std::make_unique<OpenAddressingMapImpl>();
-  }
-
 private:
   detail::OpenHashMapTable<K, V, LoadNum, LoadDen> Table;
 };

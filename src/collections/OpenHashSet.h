@@ -55,10 +55,6 @@ public:
 
   SetVariant variant() const override { return Variant; }
 
-  std::unique_ptr<SetImpl<T>> cloneEmpty() const override {
-    return std::make_unique<OpenAddressingSetImpl>();
-  }
-
 private:
   detail::OpenHashSetTable<T, LoadNum, LoadDen> Table;
 };

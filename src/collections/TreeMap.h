@@ -58,10 +58,6 @@ public:
 
   MapVariant variant() const override { return MapVariant::TreeMap; }
 
-  std::unique_ptr<MapImpl<K, V>> cloneEmpty() const override {
-    return std::make_unique<TreeMapImpl<K, V>>();
-  }
-
 private:
   detail::AVLTree<K, V> Tree;
 };
@@ -138,10 +134,6 @@ public:
 
   MapVariant variant() const override {
     return MapVariant::SortedArrayMap;
-  }
-
-  std::unique_ptr<MapImpl<K, V>> cloneEmpty() const override {
-    return std::make_unique<SortedArrayMapImpl<K, V>>();
   }
 
 private:

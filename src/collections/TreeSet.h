@@ -63,10 +63,6 @@ public:
 
   SetVariant variant() const override { return SetVariant::TreeSet; }
 
-  std::unique_ptr<SetImpl<T>> cloneEmpty() const override {
-    return std::make_unique<TreeSetImpl<T>>();
-  }
-
 private:
   detail::AVLTree<T, char> Tree;
 };
@@ -121,10 +117,6 @@ public:
 
   SetVariant variant() const override {
     return SetVariant::SortedArraySet;
-  }
-
-  std::unique_ptr<SetImpl<T>> cloneEmpty() const override {
-    return std::make_unique<SortedArraySetImpl<T>>();
   }
 
 private:

@@ -104,10 +104,6 @@ public:
 
   MapVariant variant() const override { return MapVariant::MutexHashMap; }
 
-  std::unique_ptr<MapImpl<K, V>> cloneEmpty() const override {
-    return std::make_unique<MutexHashMapImpl<K, V>>();
-  }
-
 private:
   mutable std::mutex Mutex;
   detail::OpenHashMapTable<K, V, 1, 2> Table;

@@ -74,10 +74,6 @@ public:
 
   SetVariant variant() const override { return SetVariant::MutexHashSet; }
 
-  std::unique_ptr<SetImpl<T>> cloneEmpty() const override {
-    return std::make_unique<MutexHashSetImpl<T>>();
-  }
-
 private:
   mutable std::mutex Mutex;
   detail::OpenHashSetTable<T, 1, 2> Table;

@@ -106,10 +106,6 @@ public:
 
   ListVariant variant() const override { return ListVariant::MutexList; }
 
-  std::unique_ptr<ListImpl<T>> cloneEmpty() const override {
-    return std::make_unique<MutexListImpl<T>>();
-  }
-
 private:
   mutable std::mutex Mutex;
   std::vector<T, CountingAllocator<T>> Data;

@@ -136,10 +136,6 @@ public:
 
   MapVariant variant() const override { return MapVariant::ShardedHashMap; }
 
-  std::unique_ptr<MapImpl<K, V>> cloneEmpty() const override {
-    return std::make_unique<ShardedHashMapImpl<K, V>>(NumShards);
-  }
-
   /// Number of lock stripes (for tests and footprint accounting).
   size_t shardCount() const { return NumShards; }
 

@@ -121,10 +121,6 @@ public:
 
   ListVariant variant() const override { return ListVariant::SnapshotList; }
 
-  std::unique_ptr<ListImpl<T>> cloneEmpty() const override {
-    return std::make_unique<SnapshotListImpl<T>>();
-  }
-
 private:
   /// Copy the current snapshot pointer under the shared lock; traversal
   /// of the immutable array happens after the lock is released.

@@ -104,10 +104,6 @@ public:
 
   SetVariant variant() const override { return SetVariant::StripedHashSet; }
 
-  std::unique_ptr<SetImpl<T>> cloneEmpty() const override {
-    return std::make_unique<StripedHashSetImpl<T>>(NumShards);
-  }
-
   /// Number of lock stripes (for tests and footprint accounting).
   size_t shardCount() const { return NumShards; }
 

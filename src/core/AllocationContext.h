@@ -67,6 +67,9 @@ namespace cswitch {
 
 class SelectionStore;
 
+/// Per-kind facts of a collection facade; defined below the contexts.
+template <typename Collection> struct ContextTraits;
+
 /// Tuning knobs of an allocation context (defaults follow the paper §5).
 ///
 /// Plain aggregate with a fluent builder spelling on top; both styles
@@ -345,6 +348,38 @@ public:
   }
 
 protected:
+  /// The one create body behind createList/createSet/createMap (paper
+  /// Fig. 4): an instance of the current variant, monitored when it
+  /// claims a window slot, reserved at capacityHint(). In a concurrent
+  /// tier (ContextOptions::concurrency) the instance profiles through
+  /// the thread-safe SharedProfile and may be operated on from multiple
+  /// threads; otherwise a context with a recorder offers it for tracing
+  /// (the trace cursor is single-owner, so tracing stays
+  /// sequential-only). The per-kind facts come from ContextTraits.
+  template <typename Facade> Facade createInstance() {
+    using Traits = ContextTraits<Facade>;
+    auto Variant =
+        static_cast<typename Traits::Variant>(currentVariantIndex());
+    const AdaptiveThresholds *Adaptive = adaptiveOverride();
+    size_t Slot = acquireMonitorSlot();
+    Facade Out = Slot == NoSlot
+                     ? Facade(Traits::makeImpl(Variant, Adaptive))
+                     : Facade(Traits::makeImpl(Variant, Adaptive), this, Slot);
+    if (size_t Hint = capacityHint())
+      Out.reserve(Hint);
+    if (concurrencyMode() != Concurrency::None) {
+      Out.enableSharedProfiling(contentionSketch());
+      return Out;
+    }
+    if (TraceRecorder *Rec = recorder()) {
+      uint32_t Instance;
+      if (Rec->beginInstance(recorderSite(), Instance))
+        Out.attachRecorder(Rec, recorderSite(), Instance);
+    }
+    return Out;
+  }
+
+private:
   /// Sentinel: instance is not monitored.
   static constexpr size_t NoSlot = SIZE_MAX;
 
@@ -368,7 +403,6 @@ protected:
     return Options.AdaptiveOverride ? &*Options.AdaptiveOverride : nullptr;
   }
 
-private:
   /// Life-cycle of one window slot within a round R. Transitions:
   ///   Idle/stale --store--> Claimed(R)      [creator, after winning CAS
   ///                                          on the RoundState word]
@@ -579,34 +613,10 @@ public:
                               std::move(Model), std::move(Rule),
                               Options) {}
 
-  /// Creates a list of the context's current variant, reserved at the
-  /// site's capacityHint(); a sample of created instances is monitored
-  /// (and traced, when the context has a recorder). In a concurrent tier
-  /// (ContextOptions::concurrency) the instance profiles through the
-  /// thread-safe SharedProfile and may be operated on from multiple
-  /// threads; tracing stays sequential-only (the trace cursor is
-  /// single-owner).
-  List<T> createList() {
-    auto Variant = static_cast<ListVariant>(currentVariantIndex());
-    const AdaptiveThresholds *Adaptive = adaptiveOverride();
-    size_t Slot = acquireMonitorSlot();
-    List<T> Out =
-        Slot == NoSlot
-            ? List<T>(makeListImpl<T>(Variant, Adaptive))
-            : List<T>(makeListImpl<T>(Variant, Adaptive), this, Slot);
-    if (size_t Hint = capacityHint())
-      Out.reserve(Hint);
-    if (concurrencyMode() != Concurrency::None) {
-      Out.enableSharedProfiling(contentionSketch());
-      return Out;
-    }
-    if (TraceRecorder *Rec = recorder()) {
-      uint32_t Instance;
-      if (Rec->beginInstance(recorderSite(), Instance))
-        Out.attachRecorder(Rec, recorderSite(), Instance);
-    }
-    return Out;
-  }
+  /// Creates a list of the context's current variant (see
+  /// createInstance: monitoring sample, capacity hint, concurrent tier,
+  /// tracing).
+  List<T> createList() { return createInstance<List<T>>(); }
 };
 
 /// Allocation context for set sites.
@@ -620,28 +630,8 @@ public:
                               std::move(Model), std::move(Rule),
                               Options) {}
 
-  /// Creates a set of the context's current variant (see
-  /// ListContext::createList for the concurrent-tier behavior).
-  Set<T> createSet() {
-    auto Variant = static_cast<SetVariant>(currentVariantIndex());
-    const AdaptiveThresholds *Adaptive = adaptiveOverride();
-    size_t Slot = acquireMonitorSlot();
-    Set<T> Out = Slot == NoSlot
-                     ? Set<T>(makeSetImpl<T>(Variant, Adaptive))
-                     : Set<T>(makeSetImpl<T>(Variant, Adaptive), this, Slot);
-    if (size_t Hint = capacityHint())
-      Out.reserve(Hint);
-    if (concurrencyMode() != Concurrency::None) {
-      Out.enableSharedProfiling(contentionSketch());
-      return Out;
-    }
-    if (TraceRecorder *Rec = recorder()) {
-      uint32_t Instance;
-      if (Rec->beginInstance(recorderSite(), Instance))
-        Out.attachRecorder(Rec, recorderSite(), Instance);
-    }
-    return Out;
-  }
+  /// Creates a set of the context's current variant.
+  Set<T> createSet() { return createInstance<Set<T>>(); }
 };
 
 /// Allocation context for map sites.
@@ -656,30 +646,54 @@ public:
                               std::move(Model), std::move(Rule),
                               Options) {}
 
-  /// Creates a map of the context's current variant (see
-  /// ListContext::createList for the concurrent-tier behavior).
-  Map<K, V> createMap() {
-    auto Variant = static_cast<MapVariant>(currentVariantIndex());
-    const AdaptiveThresholds *Adaptive = adaptiveOverride();
-    size_t Slot = acquireMonitorSlot();
-    Map<K, V> Out =
-        Slot == NoSlot
-            ? Map<K, V>(makeMapImpl<K, V>(Variant, Adaptive))
-            : Map<K, V>(makeMapImpl<K, V>(Variant, Adaptive), this, Slot);
-    if (size_t Hint = capacityHint())
-      Out.reserve(Hint);
-    if (concurrencyMode() != Concurrency::None) {
-      Out.enableSharedProfiling(contentionSketch());
-      return Out;
-    }
-    if (TraceRecorder *Rec = recorder()) {
-      uint32_t Instance;
-      if (Rec->beginInstance(recorderSite(), Instance))
-        Out.attachRecorder(Rec, recorderSite(), Instance);
-    }
-    return Out;
-  }
+  /// Creates a map of the context's current variant.
+  Map<K, V> createMap() { return createInstance<Map<K, V>>(); }
 };
+
+/// Maps a collection facade type (List<T>, Set<T>, Map<K, V>) — or the
+/// context type itself — to the facts that differ per kind: its context
+/// type, variant enum, adaptive variant, impl factory and the Fig. 4
+/// create call. The one create body (AllocationContextBase::
+/// createInstance), Switch::makeContext<> and the app harness all read
+/// them from here; specialize it to plug custom abstractions in.
+template <typename T> struct ContextTraits<List<T>> {
+  using Context = ListContext<T>;
+  using Variant = ListVariant;
+  static constexpr Variant Adaptive = ListVariant::AdaptiveList;
+  static std::unique_ptr<ListImpl<T>>
+  makeImpl(Variant V, const AdaptiveThresholds *Thresholds = nullptr) {
+    return makeListImpl<T>(V, Thresholds);
+  }
+  static List<T> create(Context &Ctx) { return Ctx.createList(); }
+};
+template <typename T> struct ContextTraits<Set<T>> {
+  using Context = SetContext<T>;
+  using Variant = SetVariant;
+  static constexpr Variant Adaptive = SetVariant::AdaptiveSet;
+  static std::unique_ptr<SetImpl<T>>
+  makeImpl(Variant V, const AdaptiveThresholds *Thresholds = nullptr) {
+    return makeSetImpl<T>(V, Thresholds);
+  }
+  static Set<T> create(Context &Ctx) { return Ctx.createSet(); }
+};
+template <typename K, typename V> struct ContextTraits<Map<K, V>> {
+  using Context = MapContext<K, V>;
+  using Variant = MapVariant;
+  static constexpr Variant Adaptive = MapVariant::AdaptiveMap;
+  static std::unique_ptr<MapImpl<K, V>>
+  makeImpl(Variant Var, const AdaptiveThresholds *Thresholds = nullptr) {
+    return makeMapImpl<K, V>(Var, Thresholds);
+  }
+  static Map<K, V> create(Context &Ctx) { return Ctx.createMap(); }
+};
+// Context types name themselves, so makeContext<ListContext<T>> also
+// works.
+template <typename T>
+struct ContextTraits<ListContext<T>> : ContextTraits<List<T>> {};
+template <typename T>
+struct ContextTraits<SetContext<T>> : ContextTraits<Set<T>> {};
+template <typename K, typename V>
+struct ContextTraits<MapContext<K, V>> : ContextTraits<Map<K, V>> {};
 
 } // namespace cswitch
 

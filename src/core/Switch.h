@@ -119,33 +119,6 @@ struct UnregisteringDeleter {
 template <typename ContextT>
 using ContextHandle = std::unique_ptr<ContextT, UnregisteringDeleter>;
 
-/// Maps a collection facade type (List<T>, Set<T>, Map<K, V>) — or the
-/// context type itself — to its allocation-context machinery. The trait
-/// behind Switch::makeContext<>; specialize it to plug custom
-/// abstractions into the generic factory.
-template <typename Collection> struct ContextTraits;
-
-template <typename T> struct ContextTraits<List<T>> {
-  using Context = ListContext<T>;
-  using Variant = ListVariant;
-};
-template <typename T> struct ContextTraits<Set<T>> {
-  using Context = SetContext<T>;
-  using Variant = SetVariant;
-};
-template <typename K, typename V> struct ContextTraits<Map<K, V>> {
-  using Context = MapContext<K, V>;
-  using Variant = MapVariant;
-};
-// Context types name themselves, so makeContext<ListContext<T>> also
-// works.
-template <typename T>
-struct ContextTraits<ListContext<T>> : ContextTraits<List<T>> {};
-template <typename T>
-struct ContextTraits<SetContext<T>> : ContextTraits<Set<T>> {};
-template <typename K, typename V>
-struct ContextTraits<MapContext<K, V>> : ContextTraits<Map<K, V>> {};
-
 /// Facade over the process-wide CollectionSwitch runtime.
 class Switch {
 public:
