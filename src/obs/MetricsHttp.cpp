@@ -12,8 +12,11 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
+#include <fcntl.h>
+#include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -321,4 +324,227 @@ void MetricsServer::serveConnection(int Fd) {
 
   PostResult Result = Route->Handler(Body);
   respond(Fd, statusLine(Result.Status), "text/plain", Result.Body);
+}
+
+//===----------------------------------------------------------------------===//
+// Client
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+bool fail(std::string *Error, std::string Message) {
+  if (Error)
+    *Error = std::move(Message);
+  return false;
+}
+
+struct ParsedUrl {
+  std::string Host;
+  std::string Port;
+  std::string Path;
+};
+
+/// Parses `http://host[:port][/path]`. HTTPS is out of scope by design
+/// (the endpoint binds loopback; fleet topologies that need transport
+/// security front it with a local proxy).
+bool parseUrl(const std::string &Url, ParsedUrl &Out, std::string *Error) {
+  constexpr std::string_view Scheme = "http://";
+  if (Url.compare(0, Scheme.size(), Scheme) != 0)
+    return fail(Error, "unsupported URL (expected http://): " + Url);
+  std::string Rest = Url.substr(Scheme.size());
+  size_t Slash = Rest.find('/');
+  std::string HostPort =
+      Slash == std::string::npos ? Rest : Rest.substr(0, Slash);
+  Out.Path = Slash == std::string::npos ? "/" : Rest.substr(Slash);
+  size_t Colon = HostPort.rfind(':');
+  if (Colon == std::string::npos) {
+    Out.Host = HostPort;
+    Out.Port = "80";
+  } else {
+    Out.Host = HostPort.substr(0, Colon);
+    Out.Port = HostPort.substr(Colon + 1);
+  }
+  if (Out.Host.empty() || Out.Port.empty())
+    return fail(Error, "malformed URL: " + Url);
+  return true;
+}
+
+/// SplitMix64 — the deterministic jitter source of the backoff.
+uint64_t splitMix64(uint64_t &State) {
+  uint64_t Z = (State += 0x9e3779b97f4a7c15ull);
+  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
+  return Z ^ (Z >> 31);
+}
+
+void setSocketTimeouts(int Fd, std::chrono::milliseconds Timeout) {
+  timeval Tv = {};
+  Tv.tv_sec = static_cast<time_t>(Timeout.count() / 1000);
+  Tv.tv_usec = static_cast<suseconds_t>((Timeout.count() % 1000) * 1000);
+  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
+  ::setsockopt(Fd, SOL_SOCKET, SO_SNDTIMEO, &Tv, sizeof(Tv));
+}
+
+/// Connects with a bounded wait (non-blocking connect + poll) so a
+/// black-holed peer costs RequestTimeout, not the kernel's minutes-long
+/// default.
+int connectWithTimeout(const ParsedUrl &Url,
+                       std::chrono::milliseconds Timeout,
+                       std::string *Error) {
+  addrinfo Hints = {};
+  Hints.ai_family = AF_UNSPEC;
+  Hints.ai_socktype = SOCK_STREAM;
+  addrinfo *Resolved = nullptr;
+  int Rc = ::getaddrinfo(Url.Host.c_str(), Url.Port.c_str(), &Hints,
+                         &Resolved);
+  if (Rc != 0) {
+    fail(Error, "cannot resolve " + Url.Host + ": " + gai_strerror(Rc));
+    return -1;
+  }
+  int Fd = -1;
+  for (addrinfo *Ai = Resolved; Ai; Ai = Ai->ai_next) {
+    Fd = ::socket(Ai->ai_family, Ai->ai_socktype | SOCK_CLOEXEC,
+                  Ai->ai_protocol);
+    if (Fd < 0)
+      continue;
+    int Flags = ::fcntl(Fd, F_GETFL, 0);
+    ::fcntl(Fd, F_SETFL, Flags | O_NONBLOCK);
+    if (::connect(Fd, Ai->ai_addr, Ai->ai_addrlen) == 0)
+      break;
+    if (errno == EINPROGRESS) {
+      pollfd Pfd = {Fd, POLLOUT, 0};
+      int Ready = ::poll(&Pfd, 1, static_cast<int>(Timeout.count()));
+      int SoError = 0;
+      socklen_t Len = sizeof(SoError);
+      if (Ready == 1 &&
+          ::getsockopt(Fd, SOL_SOCKET, SO_ERROR, &SoError, &Len) == 0 &&
+          SoError == 0)
+        break;
+    }
+    ::close(Fd);
+    Fd = -1;
+  }
+  ::freeaddrinfo(Resolved);
+  if (Fd < 0) {
+    fail(Error, "cannot connect to " + Url.Host + ":" + Url.Port);
+    return -1;
+  }
+  int Flags = ::fcntl(Fd, F_GETFL, 0);
+  ::fcntl(Fd, F_SETFL, Flags & ~O_NONBLOCK);
+  setSocketTimeouts(Fd, Timeout);
+  return Fd;
+}
+
+/// One request attempt: connect, send, read to EOF (HTTP/1.0 with
+/// Connection: close), parse status + body. Size-capped while reading.
+bool requestOnce(const ParsedUrl &Url, const std::string &Request,
+                 const HttpOptions &Options, HttpResponse &Out,
+                 std::string *Error) {
+  int Fd = connectWithTimeout(Url, Options.RequestTimeout, Error);
+  if (Fd < 0)
+    return false;
+  if (!writeAll(Fd, Request.data(), Request.size())) {
+    ::close(Fd);
+    return fail(Error, "send failed: " + std::string(std::strerror(errno)));
+  }
+  std::string Response;
+  char Buf[4096];
+  for (;;) {
+    ssize_t N = ::recv(Fd, Buf, sizeof(Buf), 0);
+    if (N == 0)
+      break;
+    if (N < 0) {
+      ::close(Fd);
+      return fail(Error,
+                  "receive failed: " + std::string(std::strerror(errno)));
+    }
+    if (Response.size() + static_cast<size_t>(N) > Options.MaxResponseBytes) {
+      ::close(Fd);
+      Out.Oversize = true;
+      return fail(Error, "response exceeds size limit");
+    }
+    Response.append(Buf, static_cast<size_t>(N));
+  }
+  ::close(Fd);
+
+  // "HTTP/1.x NNN reason\r\n headers \r\n\r\n body"
+  if (Response.compare(0, 5, "HTTP/") != 0)
+    return fail(Error, "malformed response (no status line)");
+  size_t Space = Response.find(' ');
+  if (Space == std::string::npos || Space + 4 > Response.size())
+    return fail(Error, "malformed response (no status code)");
+  int Status = 0;
+  for (size_t I = Space + 1; I != Space + 4; ++I) {
+    char C = Response[I];
+    if (C < '0' || C > '9')
+      return fail(Error, "malformed response (bad status code)");
+    Status = Status * 10 + (C - '0');
+  }
+  size_t BodyStart;
+  if (size_t P = Response.find("\r\n\r\n"); P != std::string::npos)
+    BodyStart = P + 4;
+  else if (size_t Q = Response.find("\n\n"); Q != std::string::npos)
+    BodyStart = Q + 2;
+  else
+    return fail(Error, "malformed response (no header terminator)");
+  Out.Status = Status;
+  Out.Body = Response.substr(BodyStart);
+  return true;
+}
+
+std::string buildRequest(const char *Method, const ParsedUrl &Url,
+                         std::string_view Body) {
+  std::string Request = Method;
+  Request += " ";
+  Request += Url.Path;
+  Request += " HTTP/1.0\r\nHost: ";
+  Request += Url.Host;
+  Request += "\r\nConnection: close\r\n";
+  if (Body.data() != nullptr) {
+    Request += "Content-Type: application/octet-stream\r\n";
+    Request += "Content-Length: " + std::to_string(Body.size()) + "\r\n";
+  }
+  Request += "\r\n";
+  Request.append(Body.data() ? Body.data() : "", Body.size());
+  return Request;
+}
+
+/// Runs one request with the retry/backoff policy. Only transport
+/// failures retry; any parsed response (any status) is final.
+bool requestWithRetries(const std::string &Url, const char *Method,
+                        std::string_view Body, const HttpOptions &Options,
+                        HttpResponse &Out, std::string *Error) {
+  Out = HttpResponse();
+  ParsedUrl Parsed;
+  if (!parseUrl(Url, Parsed, Error))
+    return false;
+  std::string Request = buildRequest(Method, Parsed, Body);
+  uint64_t Jitter = Options.JitterSeed;
+  for (;;) {
+    if (requestOnce(Parsed, Request, Options, Out, Error))
+      return true;
+    if (Out.Oversize || Out.Retries == Options.MaxRetries)
+      return false; // Oversize is a policy rejection, not flakiness.
+    // Jittered exponential backoff: Base * 2^Attempt * uniform[0.5, 1.5).
+    double Uniform =
+        0.5 + static_cast<double>(splitMix64(Jitter) >> 11) /
+                  static_cast<double>(1ull << 53);
+    auto Sleep = std::chrono::duration_cast<std::chrono::milliseconds>(
+        Options.BackoffBase * (1u << std::min(Out.Retries, 10u)) * Uniform);
+    std::this_thread::sleep_for(Sleep);
+    ++Out.Retries;
+  }
+}
+
+} // namespace
+
+bool cswitch::obs::httpGet(const std::string &Url, HttpResponse &Out,
+                           const HttpOptions &Options, std::string *Error) {
+  return requestWithRetries(Url, "GET", {}, Options, Out, Error);
+}
+
+bool cswitch::obs::httpPost(const std::string &Url, std::string_view Body,
+                            HttpResponse &Out, const HttpOptions &Options,
+                            std::string *Error) {
+  return requestWithRetries(Url, "POST", Body, Options, Out, Error);
 }

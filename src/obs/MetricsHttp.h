@@ -21,14 +21,24 @@
 /// concurrently with the application (the snapshot machinery they wrap
 /// already is).
 ///
+/// The client half (httpGet/httpPost) is what talks to such endpoints:
+/// the fleet store sync and the cswitch_top / cswitch_explain tools.
+/// Every peer is untrusted, so each request has connect/send/receive
+/// timeouts, bounded retries with jittered exponential backoff
+/// (transport failures only; an HTTP error status is answered by a live
+/// peer and never retried) and a response-size cap enforced while
+/// reading.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSWITCH_OBS_METRICSHTTP_H
 #define CSWITCH_OBS_METRICSHTTP_H
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -110,6 +120,62 @@ private:
   int ListenFd = -1;
   uint16_t BoundPort = 0;
 };
+
+/// Transport policy of the HTTP client.
+struct HttpOptions {
+  /// Per-request socket timeout (applied to connect, send and receive
+  /// independently).
+  std::chrono::milliseconds RequestTimeout{2000};
+  /// Transport-failure retries after the first attempt.
+  unsigned MaxRetries = 2;
+  /// Base of the jittered exponential backoff between retries (attempt
+  /// N sleeps ~ Base * 2^N * uniform[0.5, 1.5)).
+  std::chrono::milliseconds BackoffBase{100};
+  /// Hard cap on a response (status line + headers + body), enforced
+  /// while reading so an unbounded peer cannot balloon memory.
+  size_t MaxResponseBytes = 4u << 20;
+  /// Seed of the deterministic backoff jitter (so tests replay exact
+  /// schedules).
+  uint64_t JitterSeed = 0x9e3779b97f4a7c15ull;
+
+  HttpOptions &requestTimeout(std::chrono::milliseconds Value) {
+    RequestTimeout = Value;
+    return *this;
+  }
+  HttpOptions &maxRetries(unsigned Value) {
+    MaxRetries = Value;
+    return *this;
+  }
+  HttpOptions &backoffBase(std::chrono::milliseconds Value) {
+    BackoffBase = Value;
+    return *this;
+  }
+  HttpOptions &maxResponseBytes(size_t Value) {
+    MaxResponseBytes = Value;
+    return *this;
+  }
+};
+
+/// One HTTP exchange: the parsed response plus what the transport went
+/// through to get it (set on failure too).
+struct HttpResponse {
+  int Status = 0;
+  std::string Body;
+  unsigned Retries = 0;  ///< Transport-failure retries taken.
+  bool Oversize = false; ///< Refused for exceeding MaxResponseBytes.
+};
+
+/// Issues one GET \p Url (an `http://host[:port][/path]` URL) with the
+/// options' timeout/retry/size policy. \returns true when a response —
+/// any status — was received and parsed; transport failure after all
+/// retries returns false with \p Error set.
+bool httpGet(const std::string &Url, HttpResponse &Out,
+             const HttpOptions &Options = {}, std::string *Error = nullptr);
+
+/// Issues one POST \p Url with \p Body. Same semantics as httpGet.
+bool httpPost(const std::string &Url, std::string_view Body,
+              HttpResponse &Out, const HttpOptions &Options = {},
+              std::string *Error = nullptr);
 
 } // namespace obs
 } // namespace cswitch

@@ -28,26 +28,15 @@ namespace cswitch {
 /// U+FFFD so the emitted document always parses.
 std::string jsonEscape(std::string_view Text);
 
-/// Serializes \p Snapshot as a JSON document:
-/// \code
-/// {
-///   "schema": "cswitch-telemetry-v1",
-///   "engine": {"contexts": N, "instances_created": ..., ...},
-///   "latency": {"record": {"count": ..., "p50": ..., "p99": ...},
-///               "evaluate": {...}, "switch": {...}, "persist": {...}},
-///   "events": {"recorded": ..., "dropped": ...},
-///   "recorder": {"recorders": ..., "ops_recorded": ...,
-///                "ops_dropped": ..., "instances_sampled": ...,
-///                "instances_skipped": ...},
-///   "contexts": [{"name": ..., "abstraction": ..., "variant": ...,
-///                 "instances_created": ..., ..., "footprint_bytes": ...,
-///                 "contended_threads": ...,
-///                 "latency": {"record": {...}, "evaluate": {...},
-///                             "switch": {...}}}]
-/// }
-/// \endcode
-/// Engine totals always equal the per-context column sums of the same
-/// snapshot (the round-trip invariant the tests pin down).
+/// Serializes \p Snapshot as a `cswitch-telemetry-v1` JSON document:
+/// `schema`, then one object per section (`engine`, `topology`,
+/// `latency`, `events`, `recorder`, `store`, `fleet`, `tuning`,
+/// `model`), then the `contexts` array. Each section's keys are the rows
+/// of its stats struct's field table in support/Telemetry.h, in row
+/// order; `latency` blocks, `events.node_dropped` and the per-context
+/// name/abstraction/variant/footprint/contention fields are written by
+/// hand. Engine totals always equal the per-context column sums of a
+/// SwitchEngine snapshot (the round-trip invariant the tests pin down).
 std::string toJson(const TelemetrySnapshot &Snapshot);
 
 /// Writes \p Content to \p Path; returns false on I/O failure.

@@ -6,252 +6,22 @@
 
 #include "support/Telemetry.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <utility>
 
 using namespace cswitch;
 
-namespace {
-
-uint64_t monus(uint64_t A, uint64_t B) { return A > B ? A - B : 0; }
-
-} // namespace
-
-ContextStats &ContextStats::operator+=(const ContextStats &Other) {
-  InstancesCreated += Other.InstancesCreated;
-  InstancesMonitored += Other.InstancesMonitored;
-  ProfilesPublished += Other.ProfilesPublished;
-  ProfilesDiscarded += Other.ProfilesDiscarded;
-  Evaluations += Other.Evaluations;
-  Switches += Other.Switches;
-  return *this;
-}
-
-ContextStats cswitch::operator-(const ContextStats &A,
-                                const ContextStats &B) {
-  ContextStats Out;
-  Out.InstancesCreated = monus(A.InstancesCreated, B.InstancesCreated);
-  Out.InstancesMonitored = monus(A.InstancesMonitored, B.InstancesMonitored);
-  Out.ProfilesPublished = monus(A.ProfilesPublished, B.ProfilesPublished);
-  Out.ProfilesDiscarded = monus(A.ProfilesDiscarded, B.ProfilesDiscarded);
-  Out.Evaluations = monus(A.Evaluations, B.Evaluations);
-  Out.Switches = monus(A.Switches, B.Switches);
-  return Out;
-}
-
-bool cswitch::operator==(const ContextStats &A, const ContextStats &B) {
-  return A.InstancesCreated == B.InstancesCreated &&
-         A.InstancesMonitored == B.InstancesMonitored &&
-         A.ProfilesPublished == B.ProfilesPublished &&
-         A.ProfilesDiscarded == B.ProfilesDiscarded &&
-         A.Evaluations == B.Evaluations && A.Switches == B.Switches;
-}
-
-EngineStats &EngineStats::operator+=(const ContextStats &Context) {
-  ++Contexts;
-  InstancesCreated += Context.InstancesCreated;
-  InstancesMonitored += Context.InstancesMonitored;
-  ProfilesPublished += Context.ProfilesPublished;
-  ProfilesDiscarded += Context.ProfilesDiscarded;
-  Evaluations += Context.Evaluations;
-  Switches += Context.Switches;
-  return *this;
-}
-
-EngineStats &EngineStats::operator+=(const EngineStats &Other) {
-  Contexts += Other.Contexts;
-  InstancesCreated += Other.InstancesCreated;
-  InstancesMonitored += Other.InstancesMonitored;
-  ProfilesPublished += Other.ProfilesPublished;
-  ProfilesDiscarded += Other.ProfilesDiscarded;
-  Evaluations += Other.Evaluations;
-  Switches += Other.Switches;
-  return *this;
-}
-
-EngineStats cswitch::operator-(const EngineStats &A, const EngineStats &B) {
-  EngineStats Out;
-  Out.Contexts = A.Contexts > B.Contexts ? A.Contexts - B.Contexts : 0;
-  Out.InstancesCreated = monus(A.InstancesCreated, B.InstancesCreated);
-  Out.InstancesMonitored = monus(A.InstancesMonitored, B.InstancesMonitored);
-  Out.ProfilesPublished = monus(A.ProfilesPublished, B.ProfilesPublished);
-  Out.ProfilesDiscarded = monus(A.ProfilesDiscarded, B.ProfilesDiscarded);
-  Out.Evaluations = monus(A.Evaluations, B.Evaluations);
-  Out.Switches = monus(A.Switches, B.Switches);
-  return Out;
-}
-
-bool cswitch::operator==(const EngineStats &A, const EngineStats &B) {
-  return A.Contexts == B.Contexts &&
-         A.InstancesCreated == B.InstancesCreated &&
-         A.InstancesMonitored == B.InstancesMonitored &&
-         A.ProfilesPublished == B.ProfilesPublished &&
-         A.ProfilesDiscarded == B.ProfilesDiscarded &&
-         A.Evaluations == B.Evaluations && A.Switches == B.Switches;
-}
-
-bool cswitch::operator==(const LatencyStats &A, const LatencyStats &B) {
-  return A.Count == B.Count && A.Saturated == B.Saturated &&
-         A.SumNanos == B.SumNanos && A.MinNanos == B.MinNanos &&
-         A.MaxNanos == B.MaxNanos && A.P50 == B.P50 && A.P90 == B.P90 &&
-         A.P99 == B.P99 && A.P999 == B.P999;
-}
-
 EventLogStats cswitch::operator-(const EventLogStats &A,
                                  const EventLogStats &B) {
-  EventLogStats Out;
-  Out.Recorded = monus(A.Recorded, B.Recorded);
-  Out.Dropped = monus(A.Dropped, B.Dropped);
-  // Element-wise saturating difference, sized by the newer snapshot (a
-  // baseline from before the per-node split simply subtracts nothing).
-  Out.NodeDropped.resize(A.NodeDropped.size());
-  for (size_t I = 0; I != A.NodeDropped.size(); ++I)
-    Out.NodeDropped[I] =
-        monus(A.NodeDropped[I],
-              I < B.NodeDropped.size() ? B.NodeDropped[I] : 0);
+  // The generic delta for the scalar rows, then NodeDropped element-wise,
+  // sized by A (a baseline from before the per-node split subtracts
+  // nothing).
+  EventLogStats Out = cswitch::operator-<EventLogStats>(A, B);
+  for (size_t I = 0; I < Out.NodeDropped.size() && I < B.NodeDropped.size();
+       ++I)
+    Out.NodeDropped[I] -= std::min(Out.NodeDropped[I], B.NodeDropped[I]);
   return Out;
-}
-
-bool cswitch::operator==(const TopologyStats &A, const TopologyStats &B) {
-  return A.Nodes == B.Nodes && A.Cpus == B.Cpus;
-}
-
-RecorderStats &RecorderStats::operator+=(const RecorderStats &Other) {
-  Recorders += Other.Recorders;
-  OpsRecorded += Other.OpsRecorded;
-  OpsDropped += Other.OpsDropped;
-  InstancesSampled += Other.InstancesSampled;
-  InstancesSkipped += Other.InstancesSkipped;
-  return *this;
-}
-
-RecorderStats cswitch::operator-(const RecorderStats &A,
-                                 const RecorderStats &B) {
-  RecorderStats Out;
-  Out.Recorders = monus(A.Recorders, B.Recorders);
-  Out.OpsRecorded = monus(A.OpsRecorded, B.OpsRecorded);
-  Out.OpsDropped = monus(A.OpsDropped, B.OpsDropped);
-  Out.InstancesSampled = monus(A.InstancesSampled, B.InstancesSampled);
-  Out.InstancesSkipped = monus(A.InstancesSkipped, B.InstancesSkipped);
-  return Out;
-}
-
-bool cswitch::operator==(const RecorderStats &A, const RecorderStats &B) {
-  return A.Recorders == B.Recorders && A.OpsRecorded == B.OpsRecorded &&
-         A.OpsDropped == B.OpsDropped &&
-         A.InstancesSampled == B.InstancesSampled &&
-         A.InstancesSkipped == B.InstancesSkipped;
-}
-
-StoreStats &StoreStats::operator+=(const StoreStats &Other) {
-  Loads += Other.Loads;
-  LoadFailures += Other.LoadFailures;
-  SitesLoaded += Other.SitesLoaded;
-  WarmStarts += Other.WarmStarts;
-  Persists += Other.Persists;
-  PersistFailures += Other.PersistFailures;
-  return *this;
-}
-
-StoreStats cswitch::operator-(const StoreStats &A, const StoreStats &B) {
-  StoreStats Out;
-  Out.Path = A.Path; // State, not a counter: carries over verbatim.
-  Out.Loads = monus(A.Loads, B.Loads);
-  Out.LoadFailures = monus(A.LoadFailures, B.LoadFailures);
-  Out.SitesLoaded = monus(A.SitesLoaded, B.SitesLoaded);
-  Out.WarmStarts = monus(A.WarmStarts, B.WarmStarts);
-  Out.Persists = monus(A.Persists, B.Persists);
-  Out.PersistFailures = monus(A.PersistFailures, B.PersistFailures);
-  return Out;
-}
-
-bool cswitch::operator==(const StoreStats &A, const StoreStats &B) {
-  return A.Loads == B.Loads && A.LoadFailures == B.LoadFailures &&
-         A.SitesLoaded == B.SitesLoaded && A.WarmStarts == B.WarmStarts &&
-         A.Persists == B.Persists &&
-         A.PersistFailures == B.PersistFailures && A.Path == B.Path;
-}
-
-FleetStats &FleetStats::operator+=(const FleetStats &Other) {
-  Pulls += Other.Pulls;
-  PullFailures += Other.PullFailures;
-  Pushes += Other.Pushes;
-  PushFailures += Other.PushFailures;
-  Retries += Other.Retries;
-  StoreGets += Other.StoreGets;
-  MergesApplied += Other.MergesApplied;
-  SitesMerged += Other.SitesMerged;
-  RejectedOversize += Other.RejectedOversize;
-  RejectedMalformed += Other.RejectedMalformed;
-  RejectedIncompatible += Other.RejectedIncompatible;
-  Recalibrations += Other.Recalibrations;
-  Promotions += Other.Promotions;
-  PromotionsRejected += Other.PromotionsRejected;
-  return *this;
-}
-
-FleetStats cswitch::operator-(const FleetStats &A, const FleetStats &B) {
-  FleetStats Out;
-  Out.Pulls = monus(A.Pulls, B.Pulls);
-  Out.PullFailures = monus(A.PullFailures, B.PullFailures);
-  Out.Pushes = monus(A.Pushes, B.Pushes);
-  Out.PushFailures = monus(A.PushFailures, B.PushFailures);
-  Out.Retries = monus(A.Retries, B.Retries);
-  Out.StoreGets = monus(A.StoreGets, B.StoreGets);
-  Out.MergesApplied = monus(A.MergesApplied, B.MergesApplied);
-  Out.SitesMerged = monus(A.SitesMerged, B.SitesMerged);
-  Out.RejectedOversize = monus(A.RejectedOversize, B.RejectedOversize);
-  Out.RejectedMalformed = monus(A.RejectedMalformed, B.RejectedMalformed);
-  Out.RejectedIncompatible =
-      monus(A.RejectedIncompatible, B.RejectedIncompatible);
-  Out.Recalibrations = monus(A.Recalibrations, B.Recalibrations);
-  Out.Promotions = monus(A.Promotions, B.Promotions);
-  Out.PromotionsRejected = monus(A.PromotionsRejected, B.PromotionsRejected);
-  return Out;
-}
-
-bool cswitch::operator==(const FleetStats &A, const FleetStats &B) {
-  return A.Pulls == B.Pulls && A.PullFailures == B.PullFailures &&
-         A.Pushes == B.Pushes && A.PushFailures == B.PushFailures &&
-         A.Retries == B.Retries && A.StoreGets == B.StoreGets &&
-         A.MergesApplied == B.MergesApplied &&
-         A.SitesMerged == B.SitesMerged &&
-         A.RejectedOversize == B.RejectedOversize &&
-         A.RejectedMalformed == B.RejectedMalformed &&
-         A.RejectedIncompatible == B.RejectedIncompatible &&
-         A.Recalibrations == B.Recalibrations &&
-         A.Promotions == B.Promotions &&
-         A.PromotionsRejected == B.PromotionsRejected;
-}
-
-TuningStats cswitch::operator-(const TuningStats &A, const TuningStats &B) {
-  TuningStats Out = A; // Provenance carries over verbatim.
-  Out.Loads = monus(A.Loads, B.Loads);
-  Out.LoadFailures = monus(A.LoadFailures, B.LoadFailures);
-  return Out;
-}
-
-bool cswitch::operator==(const TuningStats &A, const TuningStats &B) {
-  return A.Loads == B.Loads && A.LoadFailures == B.LoadFailures &&
-         A.Source == B.Source && A.Fingerprint == B.Fingerprint &&
-         A.CorpusDigest == B.CorpusDigest && A.Seed == B.Seed &&
-         A.Generations == B.Generations && A.Population == B.Population &&
-         A.Evaluations == B.Evaluations && A.Parameters == B.Parameters &&
-         A.WinnerFitness == B.WinnerFitness &&
-         A.BaselineFitness == B.BaselineFitness;
-}
-
-ModelStats cswitch::operator-(const ModelStats &A, const ModelStats &B) {
-  ModelStats Out = A; // Provenance carries over verbatim.
-  Out.Installs = monus(A.Installs, B.Installs);
-  return Out;
-}
-
-bool cswitch::operator==(const ModelStats &A, const ModelStats &B) {
-  return A.Installs == B.Installs && A.Source == B.Source &&
-         A.Fingerprint == B.Fingerprint &&
-         A.FitTimestamp == B.FitTimestamp &&
-         A.HoldoutResidual == B.HoldoutResidual;
 }
 
 ModelRegistry &ModelRegistry::global() {
@@ -369,26 +139,4 @@ TelemetrySnapshot cswitch::operator-(const TelemetrySnapshot &Now,
     Out.Contexts.push_back(std::move(Delta));
   }
   return Out;
-}
-
-Telemetry::Telemetry(Source SnapshotSource)
-    : Snap(std::move(SnapshotSource)) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Last = Snap();
-}
-
-TelemetrySnapshot Telemetry::capture() const { return Snap(); }
-
-TelemetrySnapshot Telemetry::interval() {
-  TelemetrySnapshot Now = Snap();
-  std::lock_guard<std::mutex> Lock(Mutex);
-  TelemetrySnapshot Delta = Now - Last;
-  Last = std::move(Now);
-  return Delta;
-}
-
-void Telemetry::reset() {
-  TelemetrySnapshot Now = Snap();
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Last = std::move(Now);
 }

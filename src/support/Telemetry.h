@@ -17,8 +17,7 @@
 ///
 /// All counters are cumulative ("since process start" for a live
 /// snapshot). Interval behaviour is obtained by subtracting two
-/// snapshots: `Now - Before` via the saturating operator- overloads, or
-/// statefully via the Telemetry interval tracker.
+/// snapshots: `Now - Before` via the saturating operator-.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,12 +29,86 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace cswitch {
 
+/// How a described stats field aggregates and exports. Each scalar stats
+/// struct below declares its fields once, in a static `fields(Row)`
+/// visitor that calls `Row(Key, Kind, &Struct::Member, Help)` per field;
+/// the arithmetic here and both exports (support/MetricsExport's JSON,
+/// obs/OpenMetrics) iterate that table. DESIGN.md §6.2.
+enum class MetricKind : uint8_t {
+  Counter, ///< Summed, saturating delta; OpenMetrics `<family>_total`.
+  Gauge,   ///< Summed, saturating delta; OpenMetrics gauge `<family>`.
+  Info,    ///< Carried verbatim; a label of `cswitch_<section>_info`.
+  State,   ///< Carried verbatim; JSON only.
+};
+
+namespace telemetry {
+
+template <typename M> struct MemberOf;
+template <typename C, typename T> struct MemberOf<T C::*> { using Type = T; };
+/// The field type a row's member pointer designates.
+template <typename M> using FieldType = typename MemberOf<M>::Type;
+
+/// True when a row's member pointer type \p M designates an integer.
+template <typename M>
+inline constexpr bool IsIntegerField = std::is_integral_v<FieldType<M>>;
+
+constexpr bool isAggregated(MetricKind K) {
+  return K == MetricKind::Counter || K == MetricKind::Gauge;
+}
+
+/// True when the rows of \p S cover its whole layout (the row sizes plus
+/// \p Unrowed bytes of hand-handled members sum to sizeof(S)) and every
+/// aggregated row is an integer. Each described struct static_asserts
+/// it, so a field added without a row does not build.
+template <typename S> constexpr bool describesLayout(size_t Unrowed = 0) {
+  size_t Bytes = Unrowed;
+  bool Integral = true;
+  S::fields([&](const char *, MetricKind K, auto Member, const char *) {
+    Bytes += sizeof(FieldType<decltype(Member)>);
+    Integral &= !isAggregated(K) || IsIntegerField<decltype(Member)>;
+  });
+  return Integral && Bytes == sizeof(S);
+}
+
+} // namespace telemetry
+
+/// A stats struct with a field table.
+template <typename S>
+concept DescribedStats = requires {
+  S::fields([](const char *, MetricKind, auto, const char *) {});
+};
+
+/// Adds \p B's aggregated fields into \p A; state stays \p A's.
+template <DescribedStats S> S &operator+=(S &A, const S &B) {
+  S::fields([&](const char *, MetricKind K, auto Member, const char *) {
+    if constexpr (telemetry::IsIntegerField<decltype(Member)>)
+      if (telemetry::isAggregated(K))
+        A.*Member += B.*Member;
+  });
+  return A;
+}
+
+/// Interval difference: aggregated fields subtract saturating at zero (a
+/// negative interval can only come from sources vanishing), state is
+/// carried over from the newer snapshot \p A.
+template <DescribedStats S> S operator-(const S &A, const S &B) {
+  S Out = A;
+  S::fields([&](const char *, MetricKind K, auto Member, const char *) {
+    if constexpr (telemetry::IsIntegerField<decltype(Member)>)
+      if (telemetry::isAggregated(K))
+        Out.*Member = A.*Member > B.*Member ? A.*Member - B.*Member : 0;
+  });
+  return Out;
+}
+
 /// Monitoring counters of one allocation context (the "accessor pile"
-/// of AllocationContextBase, batched into one value type).
+/// of AllocationContextBase, batched into one value type). Exported per
+/// site as `cswitch_<key>_total{site=...}`.
 struct ContextStats {
   uint64_t InstancesCreated = 0;
   uint64_t InstancesMonitored = 0;
@@ -44,34 +117,50 @@ struct ContextStats {
   uint64_t Evaluations = 0;
   uint64_t Switches = 0;
 
-  ContextStats &operator+=(const ContextStats &Other);
-};
+  template <typename Row> static constexpr void fields(Row &&R) {
+    using enum MetricKind;
+    using S = ContextStats;
+    R("instances_created", Counter, &S::InstancesCreated,
+      "Collections created through adaptive contexts.");
+    R("instances_monitored", Counter, &S::InstancesMonitored,
+      "Instances that claimed a monitoring slot.");
+    R("profiles_published", Counter, &S::ProfilesPublished,
+      "Usage profiles published into evaluation windows.");
+    R("profiles_discarded", Counter, &S::ProfilesDiscarded,
+      "Usage profiles discarded by closed windows.");
+    R("evaluations", Counter, &S::Evaluations, "Window evaluation rounds run.");
+    R("switches", Counter, &S::Switches, "Variant transitions executed.");
+  }
 
-/// Saturating per-field difference (counters are monotonic; a negative
-/// interval can only come from contexts vanishing and clamps to zero).
-ContextStats operator-(const ContextStats &A, const ContextStats &B);
-bool operator==(const ContextStats &A, const ContextStats &B);
+  bool operator==(const ContextStats &) const = default;
+};
+static_assert(telemetry::describesLayout<ContextStats>());
 
 /// Aggregate monitoring statistics over every registered context (the
-/// facade-level report of the §5.3 overhead discussion).
-struct EngineStats {
+/// facade-level report of the §5.3 overhead discussion): the contexts'
+/// counters summed, plus how many contexts were summed.
+struct EngineStats : ContextStats {
   size_t Contexts = 0;
-  uint64_t InstancesCreated = 0;
-  uint64_t InstancesMonitored = 0;
-  uint64_t ProfilesPublished = 0;
-  uint64_t ProfilesDiscarded = 0;
-  uint64_t Evaluations = 0;
-  uint64_t Switches = 0;
 
-  EngineStats &operator+=(const ContextStats &Context);
-  EngineStats &operator+=(const EngineStats &Other);
+  /// Adds one context's counters and counts it.
+  EngineStats &operator+=(const ContextStats &Context) {
+    ++Contexts;
+    static_cast<ContextStats &>(*this) += Context;
+    return *this;
+  }
+  EngineStats &operator+=(const EngineStats &Other) {
+    return cswitch::operator+=(*this, Other);
+  }
+
+  template <typename Row> static constexpr void fields(Row &&R) {
+    R("contexts", MetricKind::Gauge, &EngineStats::Contexts,
+      "Allocation contexts currently registered with the engine.");
+    ContextStats::fields(R);
+  }
+
+  bool operator==(const EngineStats &) const = default;
 };
-
-/// Saturating per-field difference: the interval behaviour between two
-/// engine-wide snapshots (benchmarks bracket runs with this instead of
-/// hand-diffing individual counters).
-EngineStats operator-(const EngineStats &A, const EngineStats &B);
-bool operator==(const EngineStats &A, const EngineStats &B);
+static_assert(telemetry::describesLayout<EngineStats>());
 
 /// Distilled view of one latency histogram (src/obs/LatencyHistogram):
 /// counts, extrema and the headline quantiles, all in nanoseconds.
@@ -88,12 +177,12 @@ struct LatencyStats {
   double P90 = 0.0;
   double P99 = 0.0;
   double P999 = 0.0;
+
+  bool operator==(const LatencyStats &) const = default;
 };
 // No operator+= on purpose: quantiles cannot be merged from two
 // LatencyStats — aggregation happens on the histograms themselves
 // (obs::HistogramSnapshot::operator+=) before distilling.
-
-bool operator==(const LatencyStats &A, const LatencyStats &B);
 
 /// Latency distributions of one allocation site's instrumented paths
 /// (the continuous-profiling layer's per-site view).
@@ -129,136 +218,236 @@ struct ContextSnapshot {
 
 /// Counters of the event-log rings at snapshot time.
 struct EventLogStats {
-  uint64_t Recorded = 0; ///< Events recorded (including dropped).
-  uint64_t Dropped = 0;  ///< Events lost to ring wrap-around.
+  uint64_t Recorded = 0;
+  uint64_t Dropped = 0;
   /// Wrap losses split per NUMA node ring (DESIGN.md §10); indexed by
   /// node, sums to Dropped. Empty when the producer predates the
-  /// per-node split.
+  /// per-node split. Not a row: exported by hand, element-wise.
   std::vector<uint64_t> NodeDropped;
-};
 
+  template <typename Row> static constexpr void fields(Row &&R) {
+    using enum MetricKind;
+    using S = EventLogStats;
+    R("recorded", Counter, &S::Recorded,
+      "Decision events recorded (incl. dropped).");
+    R("dropped", Counter, &S::Dropped,
+      "Decision events lost to ring wrap-around.");
+  }
+
+  bool operator==(const EventLogStats &) const = default;
+};
+static_assert(
+    telemetry::describesLayout<EventLogStats>(sizeof(std::vector<uint64_t>)));
+
+/// The generic delta plus NodeDropped's element-wise saturating
+/// difference, sized by the newer snapshot.
 EventLogStats operator-(const EventLogStats &A, const EventLogStats &B);
 
 /// The machine topology the striped monitoring structures were sized
 /// for (detected once at process start; see support/Topology.h).
 /// Carried in the snapshot so exports can label per-node series.
 struct TopologyStats {
-  uint32_t Nodes = 1; ///< NUMA nodes.
-  uint32_t Cpus = 1;  ///< Cpus the detection saw.
-};
+  uint32_t Nodes = 1;
+  uint32_t Cpus = 1;
 
-bool operator==(const TopologyStats &A, const TopologyStats &B);
+  template <typename Row> static constexpr void fields(Row &&R) {
+    using enum MetricKind;
+    using S = TopologyStats;
+    R("nodes", Gauge, &S::Nodes, "NUMA nodes monitoring is striped over.");
+    R("cpus", Gauge, &S::Cpus, "CPUs seen by topology detection.");
+  }
+
+  bool operator==(const TopologyStats &) const = default;
+};
+static_assert(telemetry::describesLayout<TopologyStats>());
 
 /// Counters of the operation-trace recorders (src/replay/) at snapshot
 /// time. Aggregated over every recorder ever attached in this process so
 /// trace loss (ops dropped by a full buffer, instances passed over by
 /// sampling) is observable, not silent.
 struct RecorderStats {
-  uint64_t Recorders = 0;        ///< Recorders attached (cumulative).
-  uint64_t OpsRecorded = 0;      ///< Ops captured into trace buffers.
-  uint64_t OpsDropped = 0;       ///< Ops lost to full trace buffers.
-  uint64_t InstancesSampled = 0; ///< Instances traced.
-  uint64_t InstancesSkipped = 0; ///< Instances passed over by sampling.
+  uint64_t Recorders = 0;
+  uint64_t OpsRecorded = 0;
+  uint64_t OpsDropped = 0;
+  uint64_t InstancesSampled = 0;
+  uint64_t InstancesSkipped = 0;
 
-  RecorderStats &operator+=(const RecorderStats &Other);
+  template <typename Row> static constexpr void fields(Row &&R) {
+    using enum MetricKind;
+    using S = RecorderStats;
+    R("recorders", Counter, &S::Recorders, "Trace recorders attached.");
+    R("ops_recorded", Counter, &S::OpsRecorded,
+      "Ops captured into trace buffers.");
+    R("ops_dropped", Counter, &S::OpsDropped,
+      "Ops lost to full trace buffers.");
+    R("instances_sampled", Counter, &S::InstancesSampled,
+      "Instances the trace recorders traced.");
+    R("instances_skipped", Counter, &S::InstancesSkipped,
+      "Instances the trace recorders passed over by sampling.");
+  }
+
+  bool operator==(const RecorderStats &) const = default;
 };
-
-RecorderStats operator-(const RecorderStats &A, const RecorderStats &B);
-bool operator==(const RecorderStats &A, const RecorderStats &B);
+static_assert(telemetry::describesLayout<RecorderStats>());
 
 /// Counters of the persistent selection store (src/store/) at snapshot
 /// time, so cross-run warm-start behaviour — including graceful
 /// degradation on a corrupt store — is observable, not silent.
 struct StoreStats {
-  uint64_t Loads = 0;           ///< Store documents loaded (incl. missing).
-  uint64_t LoadFailures = 0;    ///< Corrupt/mismatched documents (cold start).
-  uint64_t SitesLoaded = 0;     ///< Sites read from loaded documents.
-  uint64_t WarmStarts = 0;      ///< Contexts seeded from a stored decision.
-  uint64_t Persists = 0;        ///< Successful store merges written out.
-  uint64_t PersistFailures = 0; ///< Failed lock/write attempts.
-  /// Path of the engine-installed store (state, not a counter: carried
-  /// verbatim by operator-). Empty when no store is installed.
+  uint64_t Loads = 0;
+  uint64_t LoadFailures = 0;
+  uint64_t SitesLoaded = 0;
+  uint64_t WarmStarts = 0;
+  uint64_t Persists = 0;
+  uint64_t PersistFailures = 0;
+  /// Empty when no store is installed.
   std::string Path;
 
-  StoreStats &operator+=(const StoreStats &Other);
-};
+  template <typename Row> static constexpr void fields(Row &&R) {
+    using enum MetricKind;
+    using S = StoreStats;
+    R("loads", Counter, &S::Loads,
+      "Selection-store documents loaded (incl. missing).");
+    R("load_failures", Counter, &S::LoadFailures,
+      "Corrupt or mismatched store documents (cold start).");
+    R("sites_loaded", Counter, &S::SitesLoaded,
+      "Sites read from store documents.");
+    R("warm_starts", Counter, &S::WarmStarts,
+      "Contexts seeded from a stored cross-run decision.");
+    R("persists", Counter, &S::Persists, "Successful selection-store writes.");
+    R("persist_failures", Counter, &S::PersistFailures,
+      "Failed selection-store lock or write attempts.");
+    R("path", Info, &S::Path, "Path of the engine-installed selection store.");
+  }
 
-StoreStats operator-(const StoreStats &A, const StoreStats &B);
-bool operator==(const StoreStats &A, const StoreStats &B);
+  bool operator==(const StoreStats &) const = default;
+};
+static_assert(telemetry::describesLayout<StoreStats>());
 
 /// Counters of the fleet calibration subsystem (src/fleet/) at snapshot
-/// time: store push/pull sync traffic, every network-input rejection
-/// class, and the recalibration promotion gate — so fleet behaviour
-/// (including every failure mode) is observable, not silent.
+/// time: store push/pull sync traffic (client side), the /store endpoint
+/// of this process (server side), every network-input rejection class,
+/// and the recalibration promotion gate — so fleet behaviour (including
+/// every failure mode) is observable, not silent.
 struct FleetStats {
-  // Client side (pull/push against a peer's /store endpoint).
-  uint64_t Pulls = 0;         ///< Successful store pulls from peers.
-  uint64_t PullFailures = 0;  ///< Failed pulls (after retries).
-  uint64_t Pushes = 0;        ///< Successful store pushes to peers.
-  uint64_t PushFailures = 0;  ///< Failed pushes (after retries).
-  uint64_t Retries = 0;       ///< Request retries (timeouts, refused).
-  // Server side (/store endpoint on this process).
-  uint64_t StoreGets = 0;          ///< Store documents served to peers.
-  uint64_t MergesApplied = 0;      ///< Remote documents merged in.
-  uint64_t SitesMerged = 0;        ///< Sites received across all merges.
-  uint64_t RejectedOversize = 0;   ///< Pushes over the size limit.
-  uint64_t RejectedMalformed = 0;  ///< Pushes the total decoder refused.
-  uint64_t RejectedIncompatible = 0; ///< Artifacts with a foreign
-                                     ///< schema/host fingerprint.
-  // On-device recalibration (Recalibrator).
-  uint64_t Recalibrations = 0;      ///< Fit runs completed.
-  uint64_t Promotions = 0;          ///< Candidate models promoted.
-  uint64_t PromotionsRejected = 0;  ///< Candidates the gate refused.
+  uint64_t Pulls = 0;
+  uint64_t PullFailures = 0;
+  uint64_t Pushes = 0;
+  uint64_t PushFailures = 0;
+  uint64_t Retries = 0;
+  uint64_t StoreGets = 0;
+  uint64_t MergesApplied = 0;
+  uint64_t SitesMerged = 0;
+  uint64_t RejectedOversize = 0;
+  uint64_t RejectedMalformed = 0;
+  uint64_t RejectedIncompatible = 0;
+  uint64_t Recalibrations = 0;
+  uint64_t Promotions = 0;
+  uint64_t PromotionsRejected = 0;
 
-  FleetStats &operator+=(const FleetStats &Other);
+  template <typename Row> static constexpr void fields(Row &&R) {
+    using enum MetricKind;
+    using S = FleetStats;
+    R("pulls", Counter, &S::Pulls, "Store documents pulled from fleet peers.");
+    R("pull_failures", Counter, &S::PullFailures,
+      "Pulls failed after retries.");
+    R("pushes", Counter, &S::Pushes, "Store documents pushed to fleet peers.");
+    R("push_failures", Counter, &S::PushFailures,
+      "Pushes failed after retries.");
+    R("retries", Counter, &S::Retries, "Fleet HTTP request retries.");
+    R("store_gets", Counter, &S::StoreGets,
+      "Store documents served to peers over /store.");
+    R("merges_applied", Counter, &S::MergesApplied,
+      "Remote store documents merged into the local store.");
+    R("sites_merged", Counter, &S::SitesMerged,
+      "Sites received across all remote store merges.");
+    R("rejected_oversize", Counter, &S::RejectedOversize,
+      "Store transfers rejected for exceeding the size limit.");
+    R("rejected_malformed", Counter, &S::RejectedMalformed,
+      "Documents the decoder refused.");
+    R("rejected_incompatible", Counter, &S::RejectedIncompatible,
+      "Fleet artifacts rejected for schema/fingerprint mismatch.");
+    R("recalibrations", Counter, &S::Recalibrations,
+      "On-device model fits run.");
+    R("promotions", Counter, &S::Promotions,
+      "Recalibrated models promoted past the hold-out gate.");
+    R("promotions_rejected", Counter, &S::PromotionsRejected,
+      "Recalibrated models the hold-out gate refused.");
+  }
+
+  bool operator==(const FleetStats &) const = default;
 };
-
-FleetStats operator-(const FleetStats &A, const FleetStats &B);
-bool operator==(const FleetStats &A, const FleetStats &B);
+static_assert(telemetry::describesLayout<FleetStats>());
 
 /// Counters and provenance of the tuned-configuration loader (the
 /// `cswitch-tuning-v1` artifacts the offline autotuner emits), so which
 /// tuned parameters a process runs under — and every rejected artifact —
-/// is observable, not silent.
+/// is observable, not silent. The provenance fields describe the most
+/// recently applied artifact (empty/zero when none).
 struct TuningStats {
-  uint64_t Loads = 0;        ///< Tuning artifacts applied.
-  uint64_t LoadFailures = 0; ///< Artifacts rejected (decode/validate).
-  // Provenance of the most recently applied artifact (empty/zero when
-  // none). These are state, not counters: operator- carries the newer
-  // snapshot's values verbatim (same convention as Variant/Latency).
-  std::string Source;       ///< Artifact origin (file path, or "<memory>").
-  std::string Fingerprint;  ///< Host fingerprint recorded at tune time.
-  std::string CorpusDigest; ///< Digest of the trace corpus tuned against.
-  uint64_t Seed = 0;        ///< Search seed.
-  uint64_t Generations = 0; ///< Generations the search ran.
-  uint64_t Population = 0;  ///< Genomes per generation.
-  uint64_t Evaluations = 0; ///< Fitness evaluations performed.
-  uint64_t Parameters = 0;  ///< Parameter rows applied.
-  double WinnerFitness = 0.0;   ///< Fitness of the applied genome.
-  double BaselineFitness = 0.0; ///< Fitness of the paper defaults.
-};
+  uint64_t Loads = 0;
+  uint64_t LoadFailures = 0;
+  std::string Source;
+  std::string Fingerprint;
+  std::string CorpusDigest;
+  uint64_t Seed = 0;
+  uint64_t Generations = 0;
+  uint64_t Population = 0;
+  uint64_t Evaluations = 0;
+  uint64_t Parameters = 0;
+  double WinnerFitness = 0.0;
+  double BaselineFitness = 0.0;
 
-TuningStats operator-(const TuningStats &A, const TuningStats &B);
-bool operator==(const TuningStats &A, const TuningStats &B);
+  template <typename Row> static constexpr void fields(Row &&R) {
+    using enum MetricKind;
+    using S = TuningStats;
+    R("loads", Counter, &S::Loads, "Tuned-configuration artifacts applied.");
+    R("load_failures", Counter, &S::LoadFailures,
+      "Tuned-configuration artifacts the loader rejected.");
+    R("source", Info, &S::Source, "Artifact origin (file path or <memory>).");
+    R("fingerprint", Info, &S::Fingerprint, "Host fingerprint at tune time.");
+    R("corpus_digest", Info, &S::CorpusDigest, "Digest of the tuning corpus.");
+    R("seed", Info, &S::Seed, "Search seed.");
+    R("generations", Info, &S::Generations, "Generations the search ran.");
+    R("population", Info, &S::Population, "Genomes per generation.");
+    R("evaluations", State, &S::Evaluations, "Fitness evaluations run.");
+    R("parameters", State, &S::Parameters, "Parameter rows applied.");
+    R("winner_fitness", State, &S::WinnerFitness, "Applied genome fitness.");
+    R("baseline_fitness", State, &S::BaselineFitness, "Paper-default fitness.");
+  }
+
+  bool operator==(const TuningStats &) const = default;
+};
+static_assert(telemetry::describesLayout<TuningStats>());
 
 /// Provenance of the performance model driving selection decisions:
 /// where the installed model came from and, for recalibrated
 /// cswitch-model-v2 artifacts, the fit metadata of the promotion gate.
-/// Installs counts model installations; the provenance fields are
-/// state and carry over verbatim in operator- (TuningStats convention).
 struct ModelStats {
-  uint64_t Installs = 0;    ///< Models installed since process start.
-  std::string Source;       ///< "<builtin>", a file path, or an artifact
-                            ///< tag such as "cswitch-model-v2".
-  std::string Fingerprint;  ///< Content hash / host fingerprint.
-  uint64_t FitTimestamp = 0;    ///< Unix seconds the model was fit; 0 =
-                                ///< not a recalibrated artifact.
-  double HoldoutResidual = 0.0; ///< Held-out residual of the promotion
-                                ///< gate (cswitch-model-v2 only).
-};
+  uint64_t Installs = 0;
+  std::string Source;
+  std::string Fingerprint;
+  uint64_t FitTimestamp = 0;
+  double HoldoutResidual = 0.0;
 
-ModelStats operator-(const ModelStats &A, const ModelStats &B);
-bool operator==(const ModelStats &A, const ModelStats &B);
+  template <typename Row> static constexpr void fields(Row &&R) {
+    using enum MetricKind;
+    using S = ModelStats;
+    R("installs", Counter, &S::Installs,
+      "Performance models installed (builtin, measured, or artifact).");
+    R("source", Info, &S::Source,
+      "<builtin>, a file path, or an artifact tag such as cswitch-model-v2.");
+    R("fingerprint", Info, &S::Fingerprint,
+      "Content hash / host fingerprint of the model.");
+    R("fit_timestamp", Info, &S::FitTimestamp,
+      "Unix seconds the model was fit (0 = not a recalibrated artifact).");
+    R("holdout_residual", Info, &S::HoldoutResidual,
+      "Held-out residual of the promotion gate (cswitch-model-v2 only).");
+  }
+
+  bool operator==(const ModelStats &) const = default;
+};
+static_assert(telemetry::describesLayout<ModelStats>());
 
 /// Process-wide accumulator model installers report through, so the
 /// engine's telemetry snapshot (and the /explain.json provenance
@@ -380,36 +569,6 @@ struct TelemetrySnapshot {
 /// (quantiles of a lifetime histogram do not subtract).
 TelemetrySnapshot operator-(const TelemetrySnapshot &Now,
                             const TelemetrySnapshot &Before);
-
-/// Stateful interval tracker over a snapshot source: capture() returns
-/// the absolute snapshot, interval() the delta since the previous
-/// interval() (or since construction/reset). Thread-safe.
-///
-/// The source is a callable so this layer stays decoupled from the
-/// engine; wire it up with e.g.
-/// \code
-///   Telemetry T([] { return SwitchEngine::global().telemetry(); });
-/// \endcode
-class Telemetry {
-public:
-  using Source = std::function<TelemetrySnapshot()>;
-
-  explicit Telemetry(Source SnapshotSource);
-
-  /// Current absolute snapshot.
-  TelemetrySnapshot capture() const;
-
-  /// Delta since the previous interval() call (or reset/construction).
-  TelemetrySnapshot interval();
-
-  /// Restarts the interval baseline at the current snapshot.
-  void reset();
-
-private:
-  Source Snap;
-  mutable std::mutex Mutex;
-  TelemetrySnapshot Last; ///< Guarded by Mutex.
-};
 
 } // namespace cswitch
 

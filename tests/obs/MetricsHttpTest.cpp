@@ -7,7 +7,8 @@
 // The introspection endpoint over a real loopback socket: ephemeral
 // port binding, route dispatch with fresh render calls per request,
 // content types, 404 for unknown paths, 405 for non-GET methods, and
-// clean stop/restart.
+// clean stop/restart. The client half is held to its timeout budget
+// against a peer that never answers.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +22,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
 
@@ -185,6 +187,47 @@ TEST(MetricsHttp, StopsAndRestartsCleanly) {
   ASSERT_TRUE(Server.start(0));
   EXPECT_NE(get(Server.port(), "/").find("alive"), std::string::npos);
   Server.stop();
+}
+
+TEST(MetricsHttp, ClientGivesUpOnAPeerThatNeverAnswers) {
+  // A loopback listener that never accepts: the kernel completes the
+  // handshake, the request is sent, and no byte ever comes back.
+  int Listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(Listener, 0);
+  sockaddr_in Addr = {};
+  Addr.sin_family = AF_INET;
+  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(Listener, reinterpret_cast<sockaddr *>(&Addr),
+                   sizeof(Addr)),
+            0);
+  ASSERT_EQ(::listen(Listener, 8), 0);
+  socklen_t Len = sizeof(Addr);
+  ASSERT_EQ(::getsockname(Listener, reinterpret_cast<sockaddr *>(&Addr),
+                          &Len),
+            0);
+  std::string Url =
+      "http://127.0.0.1:" + std::to_string(ntohs(Addr.sin_port)) + "/metrics";
+
+  HttpOptions Options = HttpOptions()
+                            .requestTimeout(std::chrono::milliseconds(100))
+                            .maxRetries(2)
+                            .backoffBase(std::chrono::milliseconds(10));
+  // Each attempt waits one RequestTimeout; the two backoffs sleep at
+  // most 1.5 * Base * (1 + 2).
+  auto Budget = Options.RequestTimeout * (Options.MaxRetries + 1) +
+                Options.BackoffBase * 3 * 3 / 2;
+  HttpResponse Response;
+  std::string Error;
+  auto Start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(httpGet(Url, Response, Options, &Error));
+  auto Elapsed = std::chrono::steady_clock::now() - Start;
+  ::close(Listener);
+
+  EXPECT_NE(Error.find("receive failed"), std::string::npos) << Error;
+  EXPECT_EQ(Response.Retries, 2u);
+  EXPECT_GE(Elapsed, Options.RequestTimeout * (Options.MaxRetries + 1));
+  // Scheduling slack on a loaded host, far below a hang.
+  EXPECT_LT(Elapsed, Budget + std::chrono::milliseconds(250));
 }
 
 TEST(MetricsHttp, StopWithoutStartIsANoOp) {

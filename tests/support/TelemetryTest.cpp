@@ -5,10 +5,9 @@
 //===----------------------------------------------------------------------===//
 //
 // Tests of the support-layer telemetry schema in isolation: counter
-// arithmetic (saturating deltas), snapshot diffing by context name, the
-// stateful interval tracker, and the JSON/CSV serializers. The
-// engine-facing round-trip tests (snapshot == SwitchEngine::stats())
-// live in tests/core/SwitchApiTest.cpp.
+// arithmetic (saturating deltas), snapshot diffing by context name, and
+// the JSON serializer. The engine-facing round-trip tests (snapshot ==
+// SwitchEngine::stats()) live in tests/core/SwitchApiTest.cpp.
 //
 //===----------------------------------------------------------------------===//
 
@@ -130,26 +129,6 @@ TEST(Telemetry, SnapshotDiffMatchesContextsByName) {
   EXPECT_EQ(Delta.Contexts[1].Name, "site-new");
   EXPECT_TRUE(Delta.Contexts[1].Stats == makeStats(5));
   EXPECT_EQ(Delta.Events.Recorded, 15u);
-}
-
-TEST(Telemetry, IntervalTrackerReportsDeltas) {
-  uint64_t Counter = 0;
-  Telemetry Tracker([&Counter] {
-    TelemetrySnapshot S;
-    S.Engine.InstancesCreated = Counter;
-    S.Events.Recorded = Counter;
-    return S;
-  });
-  Counter = 10;
-  EXPECT_EQ(Tracker.capture().Engine.InstancesCreated, 10u);
-  EXPECT_EQ(Tracker.interval().Engine.InstancesCreated, 10u);
-  Counter = 25;
-  TelemetrySnapshot Delta = Tracker.interval();
-  EXPECT_EQ(Delta.Engine.InstancesCreated, 15u);
-  EXPECT_EQ(Delta.Events.Recorded, 15u);
-  Counter = 40;
-  Tracker.reset();
-  EXPECT_EQ(Tracker.interval().Engine.InstancesCreated, 0u);
 }
 
 TEST(Telemetry, JsonEscapeHandlesSpecials) {

@@ -19,121 +19,42 @@
 //       to --out (default cswitch_trace.json; `-` for stdout). Load the
 //       file in ui.perfetto.dev or chrome://tracing.
 //
-// The HTTP client is deliberately tiny (blocking GET over a POSIX
-// socket, HTTP/1.0, loopback-scale) — the endpoint it talks to is just
-// as minimal by design.
+// Requests go through the obs HTTP client (obs/MetricsHttp.h): a peer
+// that accepts and never answers costs bounded timeouts, not a hang.
 //
 //===----------------------------------------------------------------------===//
 
-#include <arpa/inet.h>
+#include "obs/MetricsHttp.h"
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
-#include <netdb.h>
-#include <netinet/in.h>
 #include <string>
-#include <sys/socket.h>
 #include <thread>
-#include <unistd.h>
 #include <vector>
+
+using namespace cswitch;
 
 namespace {
 
-struct ParsedUrl {
-  std::string Host = "127.0.0.1";
-  std::string Port = "9100";
-  std::string BasePath; // without trailing slash
-};
-
-/// Parses http://host:port[/base]; returns false on anything else.
-bool parseUrl(const std::string &Url, ParsedUrl &Out) {
-  const std::string Scheme = "http://";
-  if (Url.rfind(Scheme, 0) != 0)
-    return false;
-  std::string Rest = Url.substr(Scheme.size());
-  size_t Slash = Rest.find('/');
-  std::string HostPort = Rest.substr(0, Slash);
-  if (Slash != std::string::npos) {
-    Out.BasePath = Rest.substr(Slash);
-    while (!Out.BasePath.empty() && Out.BasePath.back() == '/')
-      Out.BasePath.pop_back();
-  }
-  size_t Colon = HostPort.rfind(':');
-  if (Colon == std::string::npos) {
-    Out.Host = HostPort;
-    Out.Port = "80";
-  } else {
-    Out.Host = HostPort.substr(0, Colon);
-    Out.Port = HostPort.substr(Colon + 1);
-  }
-  return !Out.Host.empty() && !Out.Port.empty();
-}
-
-/// Blocking HTTP GET; fills \p Body with the response body. Returns
-/// false on connection/protocol failure (message on stderr).
-bool httpGet(const ParsedUrl &Url, const std::string &Path,
-             std::string &Body) {
-  addrinfo Hints = {};
-  Hints.ai_family = AF_UNSPEC;
-  Hints.ai_socktype = SOCK_STREAM;
-  addrinfo *Res = nullptr;
-  if (int Err = ::getaddrinfo(Url.Host.c_str(), Url.Port.c_str(), &Hints,
-                              &Res)) {
-    std::fprintf(stderr, "cswitch_top: cannot resolve %s:%s: %s\n",
-                 Url.Host.c_str(), Url.Port.c_str(), ::gai_strerror(Err));
+/// GETs \p Path from the endpoint at \p Url through the obs client
+/// (timeouts, bounded retries, a response cap far above any real
+/// document); fills \p Body with a 200 answer's body, or says why not.
+bool fetch(std::string Url, const char *Path, std::string &Body) {
+  while (!Url.empty() && Url.back() == '/')
+    Url.pop_back();
+  obs::HttpResponse Response;
+  std::string Error;
+  if (obs::httpGet(Url + Path, Response,
+                   obs::HttpOptions().maxResponseBytes(64u << 20), &Error) &&
+      Response.Status != 200)
+    Error = Path + (" answered HTTP " + std::to_string(Response.Status));
+  if (!Error.empty()) {
+    std::fprintf(stderr, "cswitch_top: %s\n", Error.c_str());
     return false;
   }
-  int Fd = -1;
-  for (addrinfo *A = Res; A; A = A->ai_next) {
-    Fd = ::socket(A->ai_family, A->ai_socktype, A->ai_protocol);
-    if (Fd < 0)
-      continue;
-    if (::connect(Fd, A->ai_addr, A->ai_addrlen) == 0)
-      break;
-    ::close(Fd);
-    Fd = -1;
-  }
-  ::freeaddrinfo(Res);
-  if (Fd < 0) {
-    std::fprintf(stderr, "cswitch_top: cannot connect to %s:%s\n",
-                 Url.Host.c_str(), Url.Port.c_str());
-    return false;
-  }
-
-  std::string Request = "GET " + Url.BasePath + Path +
-                        " HTTP/1.0\r\nHost: " + Url.Host +
-                        "\r\nConnection: close\r\n\r\n";
-  size_t Sent = 0;
-  while (Sent < Request.size()) {
-    ssize_t N = ::send(Fd, Request.data() + Sent, Request.size() - Sent, 0);
-    if (N <= 0) {
-      ::close(Fd);
-      return false;
-    }
-    Sent += static_cast<size_t>(N);
-  }
-
-  std::string Response;
-  char Buf[4096];
-  for (ssize_t N; (N = ::recv(Fd, Buf, sizeof(Buf), 0)) > 0;)
-    Response.append(Buf, static_cast<size_t>(N));
-  ::close(Fd);
-
-  size_t HeaderEnd = Response.find("\r\n\r\n");
-  if (HeaderEnd == std::string::npos) {
-    std::fprintf(stderr, "cswitch_top: malformed HTTP response\n");
-    return false;
-  }
-  if (Response.rfind("HTTP/", 0) != 0 ||
-      Response.find(" 200 ") == std::string::npos ||
-      Response.find(" 200 ") > Response.find("\r\n")) {
-    std::fprintf(stderr, "cswitch_top: %s\n",
-                 Response.substr(0, Response.find("\r\n")).c_str());
-    return false;
-  }
-  Body = Response.substr(HeaderEnd + 4);
+  Body = std::move(Response.Body);
   return true;
 }
 
@@ -334,14 +255,9 @@ void renderSample(const MetricsSample &Sample, const std::string &Url) {
 }
 
 int runWatch(const std::string &Url, double IntervalSec, bool Once) {
-  ParsedUrl Parsed;
-  if (!parseUrl(Url, Parsed)) {
-    std::fprintf(stderr, "cswitch_top: bad --url %s\n", Url.c_str());
-    return 1;
-  }
   for (;;) {
     std::string Body;
-    if (!httpGet(Parsed, "/metrics", Body))
+    if (!fetch(Url, "/metrics", Body))
       return 1;
     if (!Once)
       std::printf("\033[H\033[2J"); // clear screen between samples
@@ -354,13 +270,8 @@ int runWatch(const std::string &Url, double IntervalSec, bool Once) {
 }
 
 int runExport(const std::string &Url, const std::string &OutPath) {
-  ParsedUrl Parsed;
-  if (!parseUrl(Url, Parsed)) {
-    std::fprintf(stderr, "cswitch_top: bad --url %s\n", Url.c_str());
-    return 1;
-  }
   std::string Trace;
-  if (!httpGet(Parsed, "/trace.json", Trace))
+  if (!fetch(Url, "/trace.json", Trace))
     return 1;
   if (OutPath == "-") {
     std::fwrite(Trace.data(), 1, Trace.size(), stdout);
