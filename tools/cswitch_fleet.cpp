@@ -68,7 +68,7 @@ struct Args {
   double Decay = 0.5;
   uint64_t Holdout = 4;
   double Epsilon = 0.05;
-  fleet::FleetSyncOptions Sync;
+  obs::HttpOptions Sync;
 };
 
 bool parseArgs(int Argc, char **Argv, Args &Out) {
