@@ -72,7 +72,7 @@ int main() {
         [] {});
   }
   std::vector<SiteRecommendation> Advice =
-      adviseOffline({&Profiler}, *Model, SelectionRule::timeRule());
+      adviseOffline({Profiler.profile()}, *Model, SelectionRule::timeRule());
   std::printf("\noffline advisor on the two-phase profile:\n  %s\n",
               Advice[0].toString().c_str());
   ListVariant OfflineChoice =

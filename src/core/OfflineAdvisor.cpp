@@ -17,22 +17,21 @@ using namespace cswitch;
 ProfileAggregator::ProfileAggregator(std::string Site,
                                      AbstractionKind Kind,
                                      unsigned DeclaredVariantIndex)
-    : Site(std::move(Site)), Kind(Kind),
-      DeclaredVariant(DeclaredVariantIndex) {}
+    : Collected{std::move(Site), Kind, DeclaredVariantIndex, {}} {}
 
 void ProfileAggregator::onInstanceFinished(size_t,
                                            const WorkloadProfile &Profile) {
   std::lock_guard<std::mutex> Lock(Mutex);
   ++Instances;
-  if (Profiles.size() < MaxRetainedProfiles)
-    Profiles.push_back(Profile);
+  if (Collected.Profiles.size() < MaxRetainedProfiles)
+    Collected.Profiles.push_back(Profile);
   else
-    Profiles.back().merge(Profile);
+    Collected.Profiles.back().merge(Profile);
 }
 
-std::vector<WorkloadProfile> ProfileAggregator::profiles() const {
+SiteProfile ProfileAggregator::profile() const {
   std::lock_guard<std::mutex> Lock(Mutex);
-  return Profiles;
+  return Collected;
 }
 
 size_t ProfileAggregator::instanceCount() const {
@@ -101,21 +100,21 @@ size_t adaptiveThresholdOf(AbstractionKind Kind) {
 } // namespace
 
 std::vector<SiteRecommendation>
-cswitch::adviseOffline(const std::vector<const ProfileAggregator *> &Sites,
+cswitch::adviseOffline(const std::vector<SiteProfile> &Sites,
                        const PerformanceModel &Model,
                        const SelectionRule &Rule,
                        double WideRangeFactor) {
   std::vector<SiteRecommendation> Report;
   Report.reserve(Sites.size());
 
-  for (const ProfileAggregator *Site : Sites) {
+  for (const SiteProfile &Site : Sites) {
     SiteRecommendation Rec;
-    Rec.Site = Site->site();
-    Rec.Kind = Site->abstraction();
-    Rec.DeclaredVariantIndex = Site->declaredVariantIndex();
-    Rec.InstancesProfiled = Site->instanceCount();
+    Rec.Site = Site.Name;
+    Rec.Kind = Site.Kind;
+    Rec.DeclaredVariantIndex = Site.DeclaredVariantIndex;
+    Rec.InstancesProfiled = Site.Profiles.size();
 
-    std::vector<WorkloadProfile> Profiles = Site->profiles();
+    const std::vector<WorkloadProfile> &Profiles = Site.Profiles;
     size_t NumVariants = numVariantsOf(Rec.Kind);
     std::vector<VariantCosts> Costs(NumVariants);
     uint64_t MinMaxSize = UINT64_MAX;

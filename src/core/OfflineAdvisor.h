@@ -13,9 +13,11 @@
 /// it cannot follow phase changes, which is precisely the gap
 /// CollectionSwitch's runtime adaptation closes (§1).
 ///
-/// Usage: attach a ProfileAggregator as the sink of the collections of
-/// one allocation site (or run the site's AllocationContext and export
-/// its aggregates), then ask adviseOffline() for the report.
+/// Usage: record an operation trace (ContextOptions::recorder or
+/// `table5_dacapo --record`) and aggregate it with aggregateTrace()
+/// (replay/Replayer.h), or attach a ProfileAggregator as the sink of
+/// the collections of one allocation site; then ask adviseOffline() for
+/// the report. `cswitch_advisor trace.optrace` does the former.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +35,16 @@
 
 namespace cswitch {
 
+/// One allocation site's aggregate workload: one profile per finished
+/// instance. The only aggregate form of the offline pipeline; the
+/// advisor, the policy simulator and the recalibrator all consume it.
+struct SiteProfile {
+  std::string Name;
+  AbstractionKind Kind = AbstractionKind::List;
+  unsigned DeclaredVariantIndex = 0;
+  std::vector<WorkloadProfile> Profiles; ///< One per recorded instance.
+};
+
 /// Collects every finished-instance profile of one allocation site
 /// during a profiling run. Thread-safe.
 class ProfileAggregator : public ProfileSink {
@@ -43,12 +55,10 @@ public:
   void onInstanceFinished(size_t Slot,
                           const WorkloadProfile &Profile) override;
 
-  const std::string &site() const { return Site; }
-  AbstractionKind abstraction() const { return Kind; }
-  unsigned declaredVariantIndex() const { return DeclaredVariant; }
+  const std::string &site() const { return Collected.Name; }
 
-  /// Snapshot of the collected profiles.
-  std::vector<WorkloadProfile> profiles() const;
+  /// Snapshot of the collected aggregate.
+  SiteProfile profile() const;
 
   /// Number of finished instances recorded.
   size_t instanceCount() const;
@@ -58,12 +68,10 @@ public:
   static constexpr size_t MaxRetainedProfiles = 65536;
 
 private:
-  const std::string Site;
-  const AbstractionKind Kind;
-  const unsigned DeclaredVariant;
-
   mutable std::mutex Mutex;
-  std::vector<WorkloadProfile> Profiles;
+  /// Guarded by Mutex, except Name, Kind and DeclaredVariantIndex: they
+  /// never change after construction, so site() reads Name unlocked.
+  SiteProfile Collected;
   size_t Instances = 0;
 };
 
@@ -80,7 +88,7 @@ struct SiteRecommendation {
   /// Predicted total cost of the recommendation (== DeclaredCost when
   /// there is none).
   std::array<double, NumCostDimensions> RecommendedCost = {};
-  size_t InstancesProfiled = 0;
+  size_t InstancesProfiled = 0; ///< Profiles the advice covers.
 
   /// Predicted improvement ratio on \p Dim (1.0 when no recommendation).
   double improvementRatio(CostDimension Dim) const;
@@ -95,7 +103,7 @@ struct SiteRecommendation {
 /// workload is stable — the property the offline/online comparison
 /// rests on). \p WideRangeFactor matches ContextOptions::WideRangeFactor.
 std::vector<SiteRecommendation>
-adviseOffline(const std::vector<const ProfileAggregator *> &Sites,
+adviseOffline(const std::vector<SiteProfile> &Sites,
               const PerformanceModel &Model, const SelectionRule &Rule,
               double WideRangeFactor = 4.0);
 

@@ -28,6 +28,20 @@ SelectionRule SelectionRule::impossibleRule() {
   return {"Rimpossible", {{CostDimension::Time, 0.001}}};
 }
 
+bool SelectionRule::fromName(std::string_view Name, SelectionRule &Out) {
+  if (Name == "rtime")
+    Out = timeRule();
+  else if (Name == "ralloc")
+    Out = allocRule();
+  else if (Name == "renergy")
+    Out = energyRule();
+  else if (Name == "impossible")
+    Out = impossibleRule();
+  else
+    return false;
+  return true;
+}
+
 CostDimension SelectionRule::primaryDimension() const {
   assert(!Criteria.empty() && "rule without criteria");
   return Criteria.front().Dimension;

@@ -22,6 +22,7 @@
 #include "model/CostModel.h"
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cswitch {
@@ -54,6 +55,10 @@ struct SelectionRule {
   /// improvement, so no transition ever fires while all monitoring and
   /// analysis machinery stays active.
   static SelectionRule impossibleRule();
+
+  /// Parses a command-line rule name ("rtime", "ralloc", "renergy" or
+  /// "impossible") into its preset. \returns false for any other name.
+  static bool fromName(std::string_view Name, SelectionRule &Out);
 
   /// The improvement dimension (dimension of the first criterion).
   CostDimension primaryDimension() const;

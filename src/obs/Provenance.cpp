@@ -20,31 +20,6 @@
 using namespace cswitch;
 using namespace cswitch::obs;
 
-// TSan does not model std::atomic_thread_fence (GCC even rejects it
-// under -fsanitize=thread -Werror=tsan). Every slot field is atomic, so
-// the fences below are value-ordering devices only — no non-atomic
-// state is published through them — and can weaken to compiler fences
-// under the sanitizer without hiding any reportable race.
-#if defined(__SANITIZE_THREAD__)
-#define CSWITCH_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define CSWITCH_TSAN 1
-#endif
-#endif
-
-namespace {
-
-inline void orderingFence(std::memory_order Order) {
-#ifdef CSWITCH_TSAN
-  std::atomic_signal_fence(Order);
-#else
-  std::atomic_thread_fence(Order);
-#endif
-}
-
-} // namespace
-
 //===----------------------------------------------------------------------===//
 // Names
 //===----------------------------------------------------------------------===//
@@ -102,56 +77,32 @@ SiteLedger::SiteLedger(std::string Name, std::string Abstraction,
       Rule(std::move(Rule)), Variants(std::move(Variants)) {}
 
 void SiteLedger::record(DecisionRecord Record) {
-  uint64_t Seq = Count.load(std::memory_order_relaxed);
-  Record.Sequence = Seq + 1;
-  Slot &S = Slots[Seq % ExplainLedgerCapacity];
-  // Seqlock publication: odd version while the payload words are in
-  // flux. The writer is serialized per site (the context's evaluation
-  // mutex), so plain stores suffice for the version bumps.
-  uint64_t Version = S.Version.load(std::memory_order_relaxed);
-  S.Version.store(Version + 1, std::memory_order_relaxed);
-  orderingFence(std::memory_order_release);
-  uint64_t Staged[WordsPerRecord] = {};
-  std::memcpy(Staged, &Record, sizeof(Record));
-  for (size_t I = 0; I != WordsPerRecord; ++I)
-    S.Words[I].store(Staged[I], std::memory_order_relaxed);
-  orderingFence(std::memory_order_release);
-  S.Version.store(Version + 2, std::memory_order_relaxed);
-  Count.store(Seq + 1, std::memory_order_release);
+  uint64_t Ticket = Ring.claim();
+  Record.Sequence = Ticket + 1;
+  Ring.publish(Ticket, Record);
 }
 
 std::vector<DecisionRecord> SiteLedger::snapshot() const {
-  uint64_t Total = Count.load(std::memory_order_acquire);
-  uint64_t Retained = std::min<uint64_t>(Total, ExplainLedgerCapacity);
+  uint64_t Total = Ring.next();
+  uint64_t Retained = std::min<uint64_t>(Total, Ring.capacity());
   std::vector<DecisionRecord> Out;
   Out.reserve(Retained);
-  for (uint64_t I = Total - Retained; I != Total; ++I) {
-    const Slot &S = Slots[I % ExplainLedgerCapacity];
-    uint64_t Staged[WordsPerRecord];
-    bool Valid = false;
-    for (int Attempt = 0; Attempt != 16 && !Valid; ++Attempt) {
-      uint64_t V1 = S.Version.load(std::memory_order_acquire);
-      if (V1 & 1) {
-        // Writer mid-publication; it completes in a bounded number of
-        // stores (or is descheduled — yield instead of burning).
-        std::this_thread::yield();
-        continue;
-      }
-      for (size_t J = 0; J != WordsPerRecord; ++J)
-        Staged[J] = S.Words[J].load(std::memory_order_relaxed);
-      orderingFence(std::memory_order_acquire);
-      Valid = S.Version.load(std::memory_order_relaxed) == V1;
-    }
-    if (!Valid)
-      continue; // Torn by a fast-wrapping writer; skip, never block.
+  for (uint64_t Ticket = Total - Retained; Ticket != Total; ++Ticket) {
     DecisionRecord Record;
-    std::memcpy(&Record, Staged, sizeof(Record));
-    // A writer may have lapped this logical index between the Count
-    // read and the slot read; the slot then holds a newer record. Drop
-    // it — it will appear in its own position on the next snapshot.
-    if (Record.Sequence != I + 1)
-      continue;
-    Out.push_back(Record);
+    SlotRead Read = SlotRead::Pending;
+    for (int Attempt = 0; Attempt != 16 && Read == SlotRead::Pending;
+         ++Attempt) {
+      Read = Ring.read(Ticket, Record);
+      // A writer mid-publication completes in a bounded number of
+      // stores (or is descheduled — yield instead of burning).
+      if (Read == SlotRead::Pending)
+        std::this_thread::yield();
+    }
+    // Lapped by a fast-wrapping writer (the slot holds a newer record,
+    // which the next snapshot shows in its own position), or still
+    // unpublished after the retries: skip, never block.
+    if (Read == SlotRead::Ok)
+      Out.push_back(Record);
   }
   return Out;
 }

@@ -17,11 +17,10 @@
 /// is off by default and the enabled check is one relaxed atomic load;
 /// when disabled the capture paths allocate nothing and touch no ledger
 /// state (ProvenanceRegistry::allocationCount() pins this down). Each
-/// site's writer is already serialized by the context's evaluation
-/// mutex, so record() is a plain seqlock publication: wait-free for the
-/// writer, and readers (the /explain.json endpoint, cswitch_explain)
-/// validate the per-slot version word and retry or skip torn slots —
-/// they never block a decision.
+/// site's ledger is a SeqlockRing (the EventLog's slot protocol), so
+/// record() is wait-free for the writer, and readers (the /explain.json
+/// endpoint, cswitch_explain) validate the per-slot version word and
+/// retry or skip unreadable slots — they never block a decision.
 ///
 /// Rendering is byte-stable: renderExplainJson() of an unchanged ledger
 /// set produces an identical document (sites sorted by name, doubles
@@ -35,6 +34,8 @@
 #ifndef CSWITCH_OBS_PROVENANCE_H
 #define CSWITCH_OBS_PROVENANCE_H
 
+#include "support/SeqlockRing.h"
+
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -43,7 +44,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 namespace cswitch {
@@ -144,9 +144,6 @@ struct DecisionRecord {
   std::array<CandidateExplanation, ExplainMaxCandidates> Candidates = {};
 };
 
-static_assert(std::is_trivially_copyable<DecisionRecord>::value,
-              "records are published word-wise through atomic slots");
-
 /// Reader-side view of one site's ledger.
 struct SiteLedgerSnapshot {
   std::string Name;
@@ -157,11 +154,11 @@ struct SiteLedgerSnapshot {
   std::vector<DecisionRecord> Records; ///< Oldest to newest.
 };
 
-/// Bounded per-site decision ring. One writer (the context's evaluator,
-/// serialized by its evaluation mutex), any number of concurrent
-/// readers. The writer publishes through per-slot seqlock versions over
-/// all-atomic payload words — it never blocks, and a reader that loses
-/// the race to a wrapping writer skips the torn slot.
+/// Bounded per-site decision ring: a SeqlockRing (DESIGN.md §6.1) of
+/// the last ExplainLedgerCapacity records. Writers (the context's
+/// evaluator, serialized by its evaluation mutex) never block, and a
+/// reader that loses the race to a wrapping writer skips the lapped
+/// slot.
 class SiteLedger {
 public:
   SiteLedger(std::string Name, std::string Abstraction, std::string Rule,
@@ -170,18 +167,17 @@ public:
   SiteLedger(const SiteLedger &) = delete;
   SiteLedger &operator=(const SiteLedger &) = delete;
 
-  /// Publishes \p Record into the ring, stamping its Sequence from the
-  /// site's decision counter. Wait-free; single writer at a time.
+  /// Publishes \p Record into the ring, stamping its Sequence with its
+  /// ticket + 1 (the 1-based decision counter). Wait-free.
   void record(DecisionRecord Record);
 
-  /// Snapshot of the retained records, oldest to newest. Slots torn by
-  /// a concurrent writer are retried briefly, then skipped.
+  /// Snapshot of the retained records, oldest to newest. A record still
+  /// being published is retried briefly, then skipped; lapped records
+  /// are skipped.
   std::vector<DecisionRecord> snapshot() const;
 
-  /// Lifetime decisions recorded (may exceed the retained window).
-  uint64_t decisionCount() const {
-    return Count.load(std::memory_order_acquire);
-  }
+  /// Lifetime decisions claimed (may exceed the retained window).
+  uint64_t decisionCount() const { return Ring.next(); }
 
   const std::string &name() const { return Name; }
   const std::string &abstraction() const { return Abstraction; }
@@ -192,24 +188,11 @@ public:
   SiteLedgerSnapshot snapshotSite() const;
 
 private:
-  static constexpr size_t WordsPerRecord =
-      (sizeof(DecisionRecord) + sizeof(uint64_t) - 1) / sizeof(uint64_t);
-
-  /// One seqlock slot: Version is even when stable, odd while the
-  /// writer republishes. Payload words are atomic so the fences in
-  /// record()/snapshot() are value-ordering devices only (the same
-  /// discipline — and TSan weakening — as the EventLog rings).
-  struct Slot {
-    std::atomic<uint64_t> Version{0};
-    std::array<std::atomic<uint64_t>, WordsPerRecord> Words = {};
-  };
-
   const std::string Name;
   const std::string Abstraction;
   const std::string Rule;
   const std::vector<std::string> Variants;
-  std::array<Slot, ExplainLedgerCapacity> Slots;
-  std::atomic<uint64_t> Count{0};
+  SeqlockRing<DecisionRecord> Ring{ExplainLedgerCapacity};
 };
 
 /// Process-wide registry of site ledgers. Ledgers are interned by site

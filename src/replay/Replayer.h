@@ -32,6 +32,7 @@
 #define CSWITCH_REPLAY_REPLAYER_H
 
 #include "core/AllocationContext.h"
+#include "core/OfflineAdvisor.h"
 #include "core/SelectionRule.h"
 #include "replay/TraceFormat.h"
 
@@ -144,15 +145,9 @@ private:
 
 /// Aggregates the per-site workload profiles a trace implies (op counts
 /// bucketed by OperationKind, max size per instance merged per site).
-/// This is how the offline pipeline turns an operation trace back into
-/// the aggregate form (ProfileTrace / OfflineAdvisor) — and what the
+/// This is how the offline pipeline turns an operation trace into the
+/// aggregate form the OfflineAdvisor consumes — and what the
 /// PolicySimulator feeds the cost model for predicted costs.
-struct SiteProfile {
-  std::string Name;
-  AbstractionKind Kind = AbstractionKind::List;
-  unsigned DeclaredVariantIndex = 0;
-  std::vector<WorkloadProfile> Profiles; ///< One per recorded instance.
-};
 std::vector<SiteProfile> aggregateTrace(const OpTrace &Trace);
 
 } // namespace cswitch

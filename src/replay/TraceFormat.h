@@ -8,11 +8,12 @@
 /// The compact versioned binary format (`cswitch-optrace-v1`) for
 /// persisted operation traces: the operation-level record of a workload
 /// captured by the TraceRecorder and consumed by the Replayer and the
-/// PolicySimulator. Where ProfileTrace persists *aggregated* per-site
-/// counters (good for one-shot offline advice, §6), an operation trace
+/// PolicySimulator, and aggregated (aggregateTrace) for the offline
+/// advisor (§6). Unlike per-site aggregate counters, an operation trace
 /// preserves the order, interleaving and per-operation context of the
 /// original run, which is what deterministic replay and what-if policy
-/// simulation need (MapReplay-style trace-driven benchmark generation).
+/// simulation need (MapReplay-style trace-driven benchmark generation):
+/// one recorded format drives every offline tool.
 ///
 /// Layout (wire primitives from support/Codec.h: all integers LEB128
 /// varints, deltas zigzag-encoded):

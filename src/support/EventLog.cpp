@@ -10,33 +10,9 @@
 #include "support/Topology.h"
 
 #include <algorithm>
+#include <bit>
 
 using namespace cswitch;
-
-// TSan does not model std::atomic_thread_fence (GCC even rejects it
-// under -fsanitize=thread -Werror=tsan). Every slot field is atomic, so
-// the fences below are value-ordering devices only — no non-atomic
-// state is published through them — and can weaken to compiler fences
-// under the sanitizer without hiding any reportable race.
-#if defined(__SANITIZE_THREAD__)
-#define CSWITCH_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define CSWITCH_TSAN 1
-#endif
-#endif
-
-namespace {
-
-inline void orderingFence(std::memory_order Order) {
-#ifdef CSWITCH_TSAN
-  std::atomic_signal_fence(Order);
-#else
-  std::atomic_thread_fence(Order);
-#endif
-}
-
-} // namespace
 
 const char *cswitch::eventKindName(EventKind Kind) {
   switch (Kind) {
@@ -63,17 +39,6 @@ EventLog &EventLog::global() {
   return Instance;
 }
 
-namespace {
-
-size_t roundUpPow2(size_t Value) {
-  size_t Pow = 1;
-  while (Pow < Value)
-    Pow <<= 1;
-  return Pow;
-}
-
-} // namespace
-
 EventLog::EventLog(size_t Capacity, unsigned Nodes)
     : Nodes(Nodes ? Nodes : Topology::system().nodeCount()) {
   // Split the slot budget over the rings: each ring gets the per-node
@@ -81,11 +46,10 @@ EventLog::EventLog(size_t Capacity, unsigned Nodes)
   // exact pre-sharding capacity.
   size_t PerRing = (std::max<size_t>(Capacity, 2) + this->Nodes - 1) /
                    this->Nodes;
-  RingCap = roundUpPow2(std::max<size_t>(PerRing, 2));
-  Mask = RingCap - 1;
-  Rings = std::make_unique<Ring[]>(this->Nodes);
+  RingCap = std::bit_ceil(std::max<size_t>(PerRing, 2));
+  Rings.reserve(this->Nodes);
   for (unsigned N = 0; N != this->Nodes; ++N)
-    Rings[N].Slots = std::make_unique<Slot[]>(RingCap);
+    Rings.push_back(std::make_unique<Ring>(RingCap));
   // Id 0 is reserved for the empty string so that "no detail" needs no
   // interning.
   InternedText.emplace_back();
@@ -114,21 +78,10 @@ std::string EventLog::textOf(uint32_t Id) const {
 
 void EventLog::recordOnRing(unsigned Node, EventKind Kind,
                             uint32_t ContextId, uint32_t DetailId) {
-  Ring &R = Rings[Node];
-  uint64_t Ticket = R.Next.fetch_add(1, std::memory_order_relaxed);
-  Slot &S = R.Slots[Ticket & Mask];
-  // Seqlock write protocol: odd version opens the write, the release
-  // fence orders it before the payload stores, the release store of the
-  // even version publishes the payload. Two writers racing on a wrapped
-  // slot leave one of their versions behind; readers reject the slot
-  // unless both version loads agree on the ticket they expect.
-  S.Ver.store(2 * Ticket + 1, std::memory_order_relaxed);
-  orderingFence(std::memory_order_release);
-  S.Ts.store(monotonicNanos(), std::memory_order_relaxed);
-  S.Context.store(ContextId, std::memory_order_relaxed);
-  S.Detail.store(DetailId, std::memory_order_relaxed);
-  S.Kind.store(static_cast<uint32_t>(Kind), std::memory_order_relaxed);
-  S.Ver.store(2 * Ticket + 2, std::memory_order_release);
+  SeqlockRing<Payload> &Slots = Rings[Node]->Slots;
+  uint64_t Ticket = Slots.claim();
+  Slots.publish(Ticket, Payload{monotonicNanos(), ContextId, DetailId,
+                                static_cast<uint32_t>(Kind)});
 }
 
 void EventLog::record(EventKind Kind, uint32_t ContextId,
@@ -152,32 +105,22 @@ void EventLog::record(EventKind Kind, std::string_view Context,
   record(Kind, intern(Context), intern(Detail));
 }
 
-std::vector<EventLog::RawEvent>
-EventLog::collect(unsigned Node, uint64_t Lo, uint64_t Hi) const {
-  std::vector<RawEvent> Out;
-  if (Lo >= Hi)
-    return Out;
-  const Ring &R = Rings[Node];
-  Out.reserve(static_cast<size_t>(Hi - Lo));
-  for (uint64_t Ticket = Lo; Ticket != Hi; ++Ticket) {
-    const Slot &S = R.Slots[Ticket & Mask];
-    uint64_t Expected = 2 * Ticket + 2;
-    uint64_t V1 = S.Ver.load(std::memory_order_acquire);
-    if (V1 != Expected)
-      continue; // mid-write, overwritten, or never published
-    RawEvent Raw;
-    Raw.Ticket = Ticket;
-    Raw.Ts = S.Ts.load(std::memory_order_relaxed);
-    Raw.Context = S.Context.load(std::memory_order_relaxed);
-    Raw.Detail = S.Detail.load(std::memory_order_relaxed);
-    Raw.Kind = S.Kind.load(std::memory_order_relaxed);
-    Raw.Node = Node;
-    orderingFence(std::memory_order_acquire);
-    if (S.Ver.load(std::memory_order_relaxed) != Expected)
-      continue; // overwritten while reading
-    Out.push_back(Raw);
+uint64_t EventLog::collect(unsigned Node, uint64_t Lo, uint64_t Hi,
+                          bool StopAtPending,
+                          std::vector<RawEvent> &Out) const {
+  const SeqlockRing<Payload> &Slots = Rings[Node]->Slots;
+  if (Lo < Hi)
+    Out.reserve(Out.size() + static_cast<size_t>(Hi - Lo));
+  uint64_t Ticket = Lo;
+  for (; Ticket < Hi; ++Ticket) {
+    RawEvent Raw{{}, Ticket, Node};
+    SlotRead Read = Slots.read(Ticket, Raw.Data);
+    if (Read == SlotRead::Pending && StopAtPending)
+      break; // writer still mid-publication: the next drain resumes here
+    if (Read == SlotRead::Ok)
+      Out.push_back(Raw);
   }
-  return Out;
+  return Ticket;
 }
 
 std::vector<EventLog::RawEvent>
@@ -200,7 +143,7 @@ EventLog::merge(std::vector<std::vector<RawEvent>> PerRing) {
       if (Heads[R] == PerRing[R].size())
         continue;
       if (Best == PerRing.size() ||
-          PerRing[R][Heads[R]].Ts < PerRing[Best][Heads[Best]].Ts)
+          PerRing[R][Heads[R]].Data.Ts < PerRing[Best][Heads[Best]].Data.Ts)
         Best = R;
     }
     Out.push_back(PerRing[Best][Heads[Best]++]);
@@ -215,18 +158,18 @@ std::vector<Event> EventLog::resolve(
   std::lock_guard<std::mutex> Lock(InternMutex);
   for (const RawEvent &R : Raw) {
     Event E;
-    E.Kind = static_cast<EventKind>(R.Kind);
+    E.Kind = static_cast<EventKind>(R.Data.Kind);
     // Ring index in the high bits keeps sequence numbers unique across
     // rings; a single-node log yields the plain ticket.
     E.SequenceNumber = (static_cast<uint64_t>(R.Node) << 48) | R.Ticket;
-    E.TimestampNanos = R.Ts;
-    E.ContextId = R.Context;
-    E.DetailId = R.Detail;
+    E.TimestampNanos = R.Data.Ts;
+    E.ContextId = R.Data.Context;
+    E.DetailId = R.Data.Detail;
     E.Node = R.Node;
-    if (R.Context < InternedText.size())
-      E.Context = InternedText[R.Context];
-    if (R.Detail < InternedText.size())
-      E.Detail = InternedText[R.Detail];
+    if (R.Data.Context < InternedText.size())
+      E.Context = InternedText[R.Data.Context];
+    if (R.Data.Detail < InternedText.size())
+      E.Detail = InternedText[R.Data.Detail];
     Out.push_back(std::move(E));
   }
   return Out;
@@ -236,9 +179,9 @@ std::vector<Event> EventLog::snapshot() const {
   std::lock_guard<std::mutex> Lock(ConsumerMutex);
   std::vector<std::vector<RawEvent>> PerRing(Nodes);
   for (unsigned N = 0; N != Nodes; ++N) {
-    const Ring &R = Rings[N];
-    uint64_t Hi = R.Next.load(std::memory_order_acquire);
-    PerRing[N] = collect(N, windowStart(R, Hi), Hi);
+    const Ring &R = *Rings[N];
+    uint64_t Hi = R.Slots.next();
+    collect(N, windowStart(R, Hi), Hi, /*StopAtPending=*/false, PerRing[N]);
   }
   return resolve(merge(std::move(PerRing)));
 }
@@ -256,32 +199,10 @@ std::vector<Event> EventLog::drain() {
   std::lock_guard<std::mutex> Lock(ConsumerMutex);
   std::vector<std::vector<RawEvent>> PerRing(Nodes);
   for (unsigned N = 0; N != Nodes; ++N) {
-    Ring &R = Rings[N];
-    uint64_t Hi = R.Next.load(std::memory_order_acquire);
+    Ring &R = *Rings[N];
+    uint64_t Hi = R.Slots.next();
     uint64_t Lo = std::max(R.DrainCursor, windowStart(R, Hi));
-    std::vector<RawEvent> &Raw = PerRing[N];
-    uint64_t Ticket = Lo;
-    for (; Ticket != Hi; ++Ticket) {
-      const Slot &S = R.Slots[Ticket & Mask];
-      uint64_t Expected = 2 * Ticket + 2;
-      uint64_t V1 = S.Ver.load(std::memory_order_acquire);
-      if (V1 < Expected)
-        break; // writer still mid-publication: stop, next drain resumes
-      if (V1 != Expected)
-        continue; // overwritten by a later ticket
-      RawEvent Re;
-      Re.Ticket = Ticket;
-      Re.Ts = S.Ts.load(std::memory_order_relaxed);
-      Re.Context = S.Context.load(std::memory_order_relaxed);
-      Re.Detail = S.Detail.load(std::memory_order_relaxed);
-      Re.Kind = S.Kind.load(std::memory_order_relaxed);
-      Re.Node = N;
-      orderingFence(std::memory_order_acquire);
-      if (S.Ver.load(std::memory_order_relaxed) != Expected)
-        continue; // overwritten while reading
-      Raw.push_back(Re);
-    }
-    R.DrainCursor = Ticket;
+    R.DrainCursor = collect(N, Lo, Hi, /*StopAtPending=*/true, PerRing[N]);
   }
   return resolve(merge(std::move(PerRing)));
 }
@@ -289,8 +210,8 @@ std::vector<Event> EventLog::drain() {
 void EventLog::clear() {
   std::lock_guard<std::mutex> Lock(ConsumerMutex);
   for (unsigned N = 0; N != Nodes; ++N) {
-    Ring &R = Rings[N];
-    uint64_t Hi = R.Next.load(std::memory_order_acquire);
+    Ring &R = *Rings[N];
+    uint64_t Hi = R.Slots.next();
     R.Base.store(Hi, std::memory_order_relaxed);
     R.DrainCursor = Hi;
   }
@@ -298,20 +219,16 @@ void EventLog::clear() {
 
 uint64_t EventLog::droppedCount() const {
   uint64_t Dropped = 0;
-  for (unsigned N = 0; N != Nodes; ++N) {
-    const Ring &R = Rings[N];
-    uint64_t Hi = R.Next.load(std::memory_order_acquire);
-    uint64_t Total = Hi - R.Base.load(std::memory_order_relaxed);
-    Dropped += Total > RingCap ? Total - RingCap : 0;
-  }
+  for (uint64_t NodeDropped : nodeDroppedCounts())
+    Dropped += NodeDropped;
   return Dropped;
 }
 
 std::vector<uint64_t> EventLog::nodeDroppedCounts() const {
   std::vector<uint64_t> Out(Nodes, 0);
   for (unsigned N = 0; N != Nodes; ++N) {
-    const Ring &R = Rings[N];
-    uint64_t Hi = R.Next.load(std::memory_order_acquire);
+    const Ring &R = *Rings[N];
+    uint64_t Hi = R.Slots.next();
     uint64_t Total = Hi - R.Base.load(std::memory_order_relaxed);
     Out[N] = Total > RingCap ? Total - RingCap : 0;
   }
@@ -321,9 +238,8 @@ std::vector<uint64_t> EventLog::nodeDroppedCounts() const {
 uint64_t EventLog::totalRecorded() const {
   uint64_t Total = 0;
   for (unsigned N = 0; N != Nodes; ++N) {
-    const Ring &R = Rings[N];
-    Total += R.Next.load(std::memory_order_acquire) -
-             R.Base.load(std::memory_order_relaxed);
+    const Ring &R = *Rings[N];
+    Total += R.Slots.next() - R.Base.load(std::memory_order_relaxed);
   }
   return Total;
 }

@@ -11,7 +11,7 @@
 /// snapshotted for inspection; Table 6 (most common transitions) is
 /// produced from the Transition events recorded here.
 ///
-/// Record path (DESIGN.md §6, "telemetry ring protocol"): record() is
+/// Record path (DESIGN.md §6.1, support/SeqlockRing.h): record() is
 /// wait-free apart from one atomic fetch_add — a ticket claims a slot,
 /// the payload is published under a per-slot sequence version, and
 /// writers never block on readers or on each other. Site names and
@@ -33,6 +33,8 @@
 
 #ifndef CSWITCH_SUPPORT_EVENTLOG_H
 #define CSWITCH_SUPPORT_EVENTLOG_H
+
+#include "support/SeqlockRing.h"
 
 #include <atomic>
 #include <cstdint>
@@ -89,10 +91,11 @@ struct Event {
 /// record path takes no mutex and performs no allocation: it is one
 /// relaxed fetch_add on the caller's node's ticket counter, one
 /// steady-clock read (the timestamp that anchors the decision
-/// timeline), and five slot stores. Consumers (snapshot / drain /
-/// clear) serialize against each other on a mutex but never against
-/// recorders; slots overwritten mid-read are detected by their sequence
-/// version and skipped.
+/// timeline), one compare-and-swap that opens the slot, three payload
+/// word stores and the publishing release store. Consumers (snapshot /
+/// drain / clear) serialize against each other on a mutex but never
+/// against recorders; slots overwritten mid-read are detected by their
+/// sequence version and skipped.
 class EventLog {
 public:
   /// Returns the process-wide log instance.
@@ -190,29 +193,26 @@ public:
   unsigned nodeCount() const { return Nodes; }
 
 private:
-  /// One ring slot. Ver carries the full ticket: 2*T+1 while the
-  /// payload of ticket T is being written, 2*T+2 once published. A
-  /// reader accepts a slot only when Ver reads 2*T+2 for the ticket it
-  /// expects both before and after loading the payload (seqlock
-  /// validation with Boehm's fence protocol), so overwrites and torn
-  /// writes are detected instead of locked out.
-  struct alignas(32) Slot {
-    std::atomic<uint64_t> Ver{0};
-    std::atomic<uint64_t> Ts{0};
-    std::atomic<uint32_t> Context{0};
-    std::atomic<uint32_t> Detail{0};
-    std::atomic<uint32_t> Kind{0};
+  /// One event as the ring stores it: 24 bytes, three payload words, so
+  /// a slot (version word included) is 32 bytes.
+  struct Payload {
+    uint64_t Ts;
+    uint32_t Context;
+    uint32_t Detail;
+    uint32_t Kind;
   };
+  static_assert(SeqlockRing<Payload>::SlotBytes == 32,
+                "an event slot is 32 bytes: version plus three words");
 
-  /// One per-node ring: slots plus the ticket counters that only
-  /// threads of this node touch on the record path. Cache-line aligned
-  /// so one node's Next never shares a line with another's.
+  /// One per-node ring: the slot ring (whose ticket counter is the
+  /// single point of contention on the record path, now per node) plus
+  /// the consumer-side window state. Cache-line aligned so one node's
+  /// ticket counter never shares a line with another's.
   struct alignas(64) Ring {
-    std::unique_ptr<Slot[]> Slots;
-    /// Monotonic ticket counter: the single point of contention on the
-    /// record path, now per node. Never reset (clear() moves Base
-    /// instead so in-flight recorders keep working).
-    std::atomic<uint64_t> Next{0};
+    explicit Ring(size_t Capacity) : Slots(Capacity) {}
+    /// Tickets are never reset (clear() moves Base instead so in-flight
+    /// recorders keep working).
+    SeqlockRing<Payload> Slots;
     /// Logical beginning of the ring (advanced by clear()).
     std::atomic<uint64_t> Base{0};
     uint64_t DrainCursor = 0; ///< Guarded by ConsumerMutex.
@@ -220,11 +220,8 @@ private:
 
   /// Raw (still id-based) event collected from a ring.
   struct RawEvent {
+    Payload Data;
     uint64_t Ticket;
-    uint64_t Ts;
-    uint32_t Context;
-    uint32_t Detail;
-    uint32_t Kind;
     uint32_t Node;
   };
 
@@ -232,10 +229,13 @@ private:
   void recordOnRing(unsigned Node, EventKind Kind, uint32_t ContextId,
                     uint32_t DetailId);
 
-  /// Collects ring \p Node's validated events with tickets in
-  /// [Lo, Hi), in ticket order.
-  std::vector<RawEvent> collect(unsigned Node, uint64_t Lo,
-                                uint64_t Hi) const;
+  /// Appends ring \p Node's validated events with tickets in [Lo, Hi)
+  /// to \p Out in ticket order, skipping overwritten ones. An event
+  /// whose writer is still mid-publication is skipped too, unless
+  /// \p StopAtPending, in which case collection stops there. \returns
+  /// the ticket collection stopped at (the next drain cursor).
+  uint64_t collect(unsigned Node, uint64_t Lo, uint64_t Hi,
+                   bool StopAtPending, std::vector<RawEvent> &Out) const;
 
   /// Merges per-ring collections (each ticket-ordered) into one
   /// timestamp-ordered stream; ties break by node index, so the merge
@@ -256,9 +256,8 @@ private:
   }
 
   size_t RingCap; ///< Power-of-two slot count per ring.
-  size_t Mask;    ///< RingCap - 1.
   unsigned Nodes; ///< Ring count (>= 1).
-  std::unique_ptr<Ring[]> Rings;
+  std::vector<std::unique_ptr<Ring>> Rings;
 
   std::atomic<bool> Enabled{true};
 

@@ -159,7 +159,7 @@ TEST_P(ListVariantTest, MemoryFootprintGrowsWithContents) {
   EXPECT_GE(L->memoryFootprint(), 1000 * sizeof(int64_t));
 }
 
-TEST_P(ListVariantTest, VariantAndCloneEmpty) {
+TEST_P(ListVariantTest, VariantMatchesFactory) {
   auto L = make();
   EXPECT_EQ(L->variant(), GetParam());
 }

@@ -154,7 +154,7 @@ TEST_P(MapVariantTest, MemoryFootprintGrowsWithContents) {
   EXPECT_GE(M->memoryFootprint(), 1000 * 2 * sizeof(int64_t));
 }
 
-TEST_P(MapVariantTest, VariantAndCloneEmpty) {
+TEST_P(MapVariantTest, VariantMatchesFactory) {
   auto M = make();
   EXPECT_EQ(M->variant(), GetParam());
 }

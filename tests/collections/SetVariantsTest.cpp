@@ -135,7 +135,7 @@ TEST_P(SetVariantTest, MemoryFootprintGrowsWithContents) {
   EXPECT_GE(S->memoryFootprint(), 1000 * sizeof(int64_t));
 }
 
-TEST_P(SetVariantTest, VariantAndCloneEmpty) {
+TEST_P(SetVariantTest, VariantMatchesFactory) {
   auto S = make();
   EXPECT_EQ(S->variant(), GetParam());
 }

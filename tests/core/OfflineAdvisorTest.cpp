@@ -34,7 +34,7 @@ TEST(ProfileAggregator, CollectsProfiles) {
   Agg.onInstanceFinished(0, lookupHeavyProfile());
   Agg.onInstanceFinished(1, lookupHeavyProfile());
   EXPECT_EQ(Agg.instanceCount(), 2u);
-  EXPECT_EQ(Agg.profiles().size(), 2u);
+  EXPECT_EQ(Agg.profile().Profiles.size(), 2u);
   EXPECT_EQ(Agg.site(), "site:a");
 }
 
@@ -44,7 +44,7 @@ TEST(OfflineAdvisor, RecommendsOpenHashForLookupHeavySets) {
   for (int I = 0; I != 10; ++I)
     Agg.onInstanceFinished(0, lookupHeavyProfile());
   std::vector<SiteRecommendation> Report =
-      adviseOffline({&Agg}, model(), SelectionRule::timeRule());
+      adviseOffline({Agg.profile()}, model(), SelectionRule::timeRule());
   ASSERT_EQ(Report.size(), 1u);
   ASSERT_TRUE(Report[0].RecommendedVariantIndex.has_value());
   EXPECT_EQ(*Report[0].RecommendedVariantIndex,
@@ -59,7 +59,7 @@ TEST(OfflineAdvisor, KeepsDeclaredVariantWhenAlreadyBest) {
   for (int I = 0; I != 5; ++I)
     Agg.onInstanceFinished(0, lookupHeavyProfile());
   std::vector<SiteRecommendation> Report =
-      adviseOffline({&Agg}, model(), SelectionRule::timeRule());
+      adviseOffline({Agg.profile()}, model(), SelectionRule::timeRule());
   ASSERT_EQ(Report.size(), 1u);
   EXPECT_FALSE(Report[0].RecommendedVariantIndex.has_value());
   EXPECT_DOUBLE_EQ(Report[0].improvementRatio(CostDimension::Time), 1.0);
@@ -69,7 +69,7 @@ TEST(OfflineAdvisor, NoProfilesMeansNoRecommendation) {
   ProfileAggregator Agg("site:d", AbstractionKind::List,
                         static_cast<unsigned>(ListVariant::ArrayList));
   std::vector<SiteRecommendation> Report =
-      adviseOffline({&Agg}, model(), SelectionRule::timeRule());
+      adviseOffline({Agg.profile()}, model(), SelectionRule::timeRule());
   ASSERT_EQ(Report.size(), 1u);
   EXPECT_FALSE(Report[0].RecommendedVariantIndex.has_value());
   EXPECT_EQ(Report[0].InstancesProfiled, 0u);
@@ -103,7 +103,7 @@ TEST(OfflineAdvisor, AgreesWithOnlineContextOnStableWorkloads) {
   }
   ASSERT_TRUE(Ctx.evaluate());
   std::vector<SiteRecommendation> Report =
-      adviseOffline({&Agg}, *SharedModel, SelectionRule::timeRule());
+      adviseOffline({Agg.profile()}, *SharedModel, SelectionRule::timeRule());
   ASSERT_TRUE(Report[0].RecommendedVariantIndex.has_value());
   EXPECT_EQ(*Report[0].RecommendedVariantIndex,
             Ctx.currentVariantIndex());
@@ -127,7 +127,7 @@ TEST(OfflineAdvisor, SingleStaticChoiceCannotFollowPhases) {
     Agg.onInstanceFinished(0, P);
   }
   std::vector<SiteRecommendation> Report =
-      adviseOffline({&Agg}, model(), SelectionRule::timeRule());
+      adviseOffline({Agg.profile()}, model(), SelectionRule::timeRule());
   // Whatever it recommends, it is exactly one choice for both phases —
   // while the online framework switched per phase (see
   // AllocationContext.ContinuousAdaptationCanSwitchBack).
@@ -146,7 +146,7 @@ TEST(OfflineAdvisor, RetentionCapMergesOverflow) {
     Agg.onInstanceFinished(0, P);
   EXPECT_EQ(Agg.instanceCount(),
             ProfileAggregator::MaxRetainedProfiles + 100);
-  EXPECT_EQ(Agg.profiles().size(),
+  EXPECT_EQ(Agg.profile().Profiles.size(),
             ProfileAggregator::MaxRetainedProfiles);
 }
 
@@ -156,7 +156,7 @@ TEST(SiteRecommendation, ToStringIsReadable) {
   for (int I = 0; I != 3; ++I)
     Agg.onInstanceFinished(0, lookupHeavyProfile());
   std::vector<SiteRecommendation> Report =
-      adviseOffline({&Agg}, model(), SelectionRule::timeRule());
+      adviseOffline({Agg.profile()}, model(), SelectionRule::timeRule());
   std::string Line = Report[0].toString();
   EXPECT_NE(Line.find("Foo.cpp:12"), std::string::npos);
   EXPECT_NE(Line.find("ChainedHashSet -> OpenHashSet"),

@@ -21,7 +21,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,8 +58,29 @@ HttpOptions fastSync() {
       .backoffBase(std::chrono::milliseconds(1));
 }
 
+/// \p Pulled minus \p Baseline, in document order. GET /store folds the
+/// live engine's contexts into the served document, so when the whole
+/// suite runs in one process it also serves contexts that earlier tests
+/// left registered. Taking a baseline pull before the first push keeps
+/// every check exact: each baseline site must still be served
+/// unchanged, and the remainder is what the test itself added.
+std::vector<StoreSite> servedSince(const std::vector<StoreSite> &Baseline,
+                                   const std::vector<StoreSite> &Pulled) {
+  std::vector<StoreSite> Added;
+  size_t Kept = 0;
+  for (const StoreSite &Site : Pulled) {
+    if (std::find(Baseline.begin(), Baseline.end(), Site) != Baseline.end())
+      ++Kept;
+    else
+      Added.push_back(Site);
+  }
+  EXPECT_EQ(Kept, Baseline.size()) << "a baseline site changed or vanished";
+  return Added;
+}
+
 /// One live engine endpoint serving /store on an ephemeral loopback
-/// port, with a scratch store file, torn down on scope exit.
+/// port, with a scratch store file (unique to this process, in the
+/// temporary directory) that is removed with its lock on scope exit.
 class FleetEndpoint {
 public:
   explicit FleetEndpoint(size_t MaxPushBytes = 4u << 20) {
@@ -66,7 +91,10 @@ public:
         FleetOptions{}.serveStore().maxPushBytes(MaxPushBytes),
         std::string()});
     static int Counter = 0;
-    StorePath = "fleet_sync_test_" + std::to_string(++Counter) + ".store";
+    StorePath = (std::filesystem::temp_directory_path() /
+                 ("cswitch_fleet_sync_" + std::to_string(::getpid()) + "_" +
+                  std::to_string(++Counter) + ".store"))
+                    .string();
     std::remove(StorePath.c_str());
     EXPECT_TRUE(Switch::loadStore(StorePath));
     Port = Switch::serveMetrics(0);
@@ -78,6 +106,7 @@ public:
     Switch::closeStore();
     Switch::configure(SwitchConfig{});
     std::remove(StorePath.c_str());
+    std::remove((StorePath + ".lock").c_str());
   }
 
   std::string url() const {
@@ -118,12 +147,14 @@ TEST(FleetSync, StoreRoundTripsOverHttp) {
   FleetEndpoint Endpoint;
   FleetStats Before = FleetRegistry::global().stats();
 
-  // A fresh replica serves an empty document.
-  std::vector<StoreSite> Pulled;
+  // A fresh replica's store file is empty: it serves only the live
+  // engine's contexts (the baseline), none of the sites pushed below.
+  std::vector<StoreSite> Baseline;
   std::string Error;
-  ASSERT_TRUE(pullStore(Endpoint.url(), Pulled, fastSync(), &Error))
+  ASSERT_TRUE(pullStore(Endpoint.url(), Baseline, fastSync(), &Error))
       << Error;
-  EXPECT_TRUE(Pulled.empty());
+  for (const StoreSite &Site : Baseline)
+    EXPECT_EQ(Site.Name.rfind("svc/", 0), std::string::npos) << Site.Name;
 
   // Push two sites; the peer flock-merges them into its store.
   std::vector<StoreSite> Pushed = {makeSite("svc/A.cpp:10", 1, 3),
@@ -133,8 +164,10 @@ TEST(FleetSync, StoreRoundTripsOverHttp) {
 
   // The merged knowledge is served back: both sites present, decisions
   // taken from the pushing side (the local replica had no entries).
-  ASSERT_TRUE(pullStore(Endpoint.url(), Pulled, fastSync(), &Error))
+  std::vector<StoreSite> Served;
+  ASSERT_TRUE(pullStore(Endpoint.url(), Served, fastSync(), &Error))
       << Error;
+  std::vector<StoreSite> Pulled = servedSince(Baseline, Served);
   ASSERT_EQ(Pulled.size(), 2u);
   EXPECT_EQ(Pulled[0].Name, "svc/A.cpp:10");
   EXPECT_EQ(Pulled[0].Decision, 1u);
@@ -159,6 +192,10 @@ TEST(FleetSync, StoreRoundTripsOverHttp) {
 TEST(FleetSync, ConcurrentPushMergeWhileReaderPulls) {
   FleetEndpoint Endpoint;
   constexpr int RoundsPerWriter = 8;
+  std::vector<StoreSite> Baseline;
+  std::string Error;
+  ASSERT_TRUE(pullStore(Endpoint.url(), Baseline, fastSync(), &Error))
+      << Error;
 
   auto Writer = [&Endpoint](const char *Prefix) {
     for (int Round = 0; Round != RoundsPerWriter; ++Round) {
@@ -177,7 +214,6 @@ TEST(FleetSync, ConcurrentPushMergeWhileReaderPulls) {
   std::thread WriterB(Writer, "writer-b");
   for (int Round = 0; Round != RoundsPerWriter; ++Round) {
     std::vector<StoreSite> Sites;
-    std::string Error;
     EXPECT_TRUE(pullStore(Endpoint.url(), Sites, fastSync(), &Error))
         << Error;
   }
@@ -186,9 +222,10 @@ TEST(FleetSync, ConcurrentPushMergeWhileReaderPulls) {
 
   // After the dust settles every site name pushed by either writer is
   // in the merged document exactly once.
-  std::vector<StoreSite> Final;
-  std::string Error;
-  ASSERT_TRUE(pullStore(Endpoint.url(), Final, fastSync(), &Error)) << Error;
+  std::vector<StoreSite> Served;
+  ASSERT_TRUE(pullStore(Endpoint.url(), Served, fastSync(), &Error))
+      << Error;
+  std::vector<StoreSite> Final = servedSince(Baseline, Served);
   ASSERT_EQ(Final.size(), 3u);
   EXPECT_EQ(Final[0].Name, "common/hot.cpp:7");
   EXPECT_EQ(Final[1].Name, "writer-a/shared.cpp:1");
@@ -200,19 +237,22 @@ TEST(FleetSync, ConcurrentPushMergeWhileReaderPulls) {
 
 TEST(FleetSync, OversizedPushIsRefusedBeforeMerge) {
   FleetEndpoint Endpoint(/*MaxPushBytes=*/64);
+  std::vector<StoreSite> Baseline;
+  std::string Error;
+  ASSERT_TRUE(pullStore(Endpoint.url(), Baseline, fastSync(), &Error))
+      << Error;
   FleetStats Before = FleetRegistry::global().stats();
 
   std::vector<StoreSite> Sites = {
       makeSite(std::string(256, 'x') + ":1", 1, 1)};
-  std::string Error;
   EXPECT_FALSE(pushStore(Endpoint.url(), Sites, fastSync(), &Error));
   EXPECT_NE(Error.find("413"), std::string::npos) << Error;
 
-  // Nothing was merged; the store still serves the empty document.
-  std::vector<StoreSite> Pulled;
-  ASSERT_TRUE(pullStore(Endpoint.url(), Pulled, fastSync(), &Error))
+  // Nothing was merged; the store still serves just the baseline.
+  std::vector<StoreSite> Served;
+  ASSERT_TRUE(pullStore(Endpoint.url(), Served, fastSync(), &Error))
       << Error;
-  EXPECT_TRUE(Pulled.empty());
+  EXPECT_TRUE(servedSince(Baseline, Served).empty());
 
   FleetStats Delta = FleetRegistry::global().stats() - Before;
   EXPECT_EQ(Delta.PushFailures, 1u);

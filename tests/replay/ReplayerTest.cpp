@@ -8,7 +8,7 @@
 // with zero size mismatches), determinism (byte-identical decision logs
 // and identical final variants across repeated runs and across thread
 // counts), fixed-variant pinning, and the trace -> workload-profile
-// aggregation the offline pipeline builds on.
+// aggregation the offline advisor builds on.
 //
 //===----------------------------------------------------------------------===//
 
@@ -250,6 +250,31 @@ TEST(Replayer, RecordedTraceSurvivesFormatRoundTripIntoReplay) {
   ReplayResult Result = Replayer(std::move(Decoded), Options).run();
   EXPECT_EQ(Result.SizeMismatches, 0u);
   EXPECT_EQ(Result.OpsExecuted, Trace.Ops.size());
+}
+
+TEST(Replayer, RecordedTraceDrivesOfflineAdvice) {
+  // The cswitch_advisor path: record -> encode -> decode ->
+  // aggregateTrace -> adviseOffline, with no second trace format.
+  OpTrace Trace = recordedTrace(12);
+  OpTrace Decoded;
+  ASSERT_TRUE(decodeTrace(encodeTrace(Trace), Decoded));
+  std::vector<SiteRecommendation> Report = adviseOffline(
+      aggregateTrace(Decoded), *testModel(), SelectionRule::timeRule());
+  ASSERT_EQ(Report.size(), 2u);
+  EXPECT_EQ(Report[0].Site, "replay-test:list");
+  EXPECT_EQ(Report[0].DeclaredVariantIndex,
+            static_cast<unsigned>(ListVariant::LinkedList));
+  EXPECT_EQ(Report[1].Site, "replay-test:set");
+  EXPECT_EQ(Report[1].DeclaredVariantIndex,
+            static_cast<unsigned>(SetVariant::SortedArraySet));
+  for (const SiteRecommendation &Rec : Report)
+    EXPECT_EQ(Rec.InstancesProfiled, 12u) << Rec.Site;
+  // Positional reads on a LinkedList: the advice is ArrayList. The set
+  // site is already the rule-best choice.
+  ASSERT_TRUE(Report[0].RecommendedVariantIndex.has_value());
+  EXPECT_EQ(*Report[0].RecommendedVariantIndex,
+            static_cast<unsigned>(ListVariant::ArrayList));
+  EXPECT_FALSE(Report[1].RecommendedVariantIndex.has_value());
 }
 
 } // namespace

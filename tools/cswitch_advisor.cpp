@@ -5,14 +5,16 @@
 //===----------------------------------------------------------------------===//
 //
 // The offline-selection workflow of the tools the paper positions itself
-// against (§6, Chameleon/Brainy): read a workload trace recorded by a
-// profiling run (core/ProfileTrace.h), evaluate it against a performance
-// model, and print a per-site recommendation report.
+// against (§6, Chameleon/Brainy): read the operation trace of a
+// profiling run (cswitch-optrace-v1, recorded with
+// ContextOptions::recorder or `table5_dacapo --record`), aggregate it per
+// site, evaluate it against a performance model, and print a per-site
+// recommendation report.
 //
-//   cswitch_advisor trace.txt                       # Rtime, built-in model
-//   cswitch_advisor --rule ralloc trace.txt
-//   cswitch_advisor --model data/cswitch_model.txt trace.txt
-//   cswitch_advisor --json report.json trace.txt    # machine-readable copy
+//   cswitch_advisor trace.optrace                   # Rtime, built-in model
+//   cswitch_advisor --rule ralloc trace.optrace
+//   cswitch_advisor --model data/cswitch_model.txt trace.optrace
+//   cswitch_advisor --json report.json trace.optrace  # machine-readable
 //   ... | cswitch_advisor -                         # trace from stdin
 //
 // When `--model` is absent the `CSWITCH_MODEL` environment variable is
@@ -21,8 +23,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/ProfileTrace.h"
 #include "model/DefaultModel.h"
+#include "replay/Replayer.h"
 #include "support/MetricsExport.h"
 
 #include <cstdio>
@@ -85,17 +87,13 @@ int main(int Argc, char **Argv) {
   }
   if (!TracePath) {
     std::fprintf(stderr, "usage: cswitch_advisor [--rule "
-                         "rtime|ralloc|renergy] [--model <file>] "
-                         "[--json <file>] <trace-file | ->\n");
+                         "rtime|ralloc|renergy|impossible] [--model <file>] "
+                         "[--json <file>] <trace.optrace | ->\n");
     return 2;
   }
 
-  SelectionRule Rule = SelectionRule::timeRule();
-  if (RuleName == "ralloc")
-    Rule = SelectionRule::allocRule();
-  else if (RuleName == "renergy")
-    Rule = SelectionRule::energyRule();
-  else if (RuleName != "rtime") {
+  SelectionRule Rule;
+  if (!SelectionRule::fromName(RuleName, Rule)) {
     std::fprintf(stderr, "error: unknown rule '%s'\n", RuleName.c_str());
     return 2;
   }
@@ -117,18 +115,20 @@ int main(int Argc, char **Argv) {
     Model = defaultPerformanceModel();
   }
 
-  // `-` reads the trace from stdin so recorders/exporters can pipe
-  // straight in. A parse failure must exit non-zero even when the
-  // document is well-formed but empty (a broken upstream stage usually
-  // produces just the header): CI pipelines gate on the exit status.
-  std::vector<SiteTrace> Sites;
-  bool Parsed = std::strcmp(TracePath, "-") == 0
-                    ? loadTrace(std::cin, Sites)
-                    : loadTraceFromFile(TracePath, Sites);
-  if (!Parsed) {
-    std::fprintf(stderr, "error: cannot parse trace %s\n", TracePath);
+  // `-` reads the trace from stdin so recorders can pipe straight in.
+  // A trace without sites exits non-zero too: CI pipelines gate on the
+  // exit status, and a broken upstream stage usually records nothing.
+  OpTrace Trace;
+  std::string TraceError;
+  bool Read = std::strcmp(TracePath, "-") == 0
+                  ? readTrace(std::cin, Trace, &TraceError)
+                  : readTraceFromFile(TracePath, Trace, &TraceError);
+  if (!Read) {
+    std::fprintf(stderr, "error: cannot read trace %s (%s)\n", TracePath,
+                 TraceError.c_str());
     return 1;
   }
+  std::vector<SiteProfile> Sites = aggregateTrace(Trace);
   if (Sites.empty()) {
     std::fprintf(stderr, "error: trace %s contains no sites\n", TracePath);
     return 1;

@@ -10,7 +10,6 @@
 // (`table5_dacapo --record out.optrace`).
 //
 //   cswitch_replay info trace.optrace                 # describe a trace
-//   cswitch_replay info --profile-trace - trace.optrace | cswitch_advisor -
 //   cswitch_replay replay trace.optrace               # engine-mode replay
 //   cswitch_replay replay --mode fixed --list arraylist trace.optrace
 //   cswitch_replay replay --decision-log log.txt --seed 7 trace.optrace
@@ -61,10 +60,6 @@ int usage() {
       "  --list/--set/--map <variant>   fixed-mode variant overrides\n"
       "  --decision-log <file|->        dump the decision log\n"
       "\n"
-      "info options:\n"
-      "  --profile-trace <file|->  export as cswitch-profile-trace v1\n"
-      "                            (pipes into cswitch_advisor -)\n"
-      "\n"
       "a trace path of - reads the binary trace from stdin\n");
   return 2;
 }
@@ -92,86 +87,35 @@ bool emitOutput(const std::string &Path, const std::string &Content) {
   return true;
 }
 
-bool parseRule(const std::string &Name, SelectionRule &Out) {
-  if (Name == "rtime")
-    Out = SelectionRule::timeRule();
-  else if (Name == "ralloc")
-    Out = SelectionRule::allocRule();
-  else if (Name == "renergy")
-    Out = SelectionRule::energyRule();
-  else if (Name == "impossible")
-    Out = SelectionRule::impossibleRule();
-  else
-    return false;
-  return true;
-}
-
-/// Renders the trace's aggregate form as a cswitch-profile-trace v1
-/// document, the lingua franca of the offline pipeline (cswitch_advisor
-/// consumes it).
-std::string toProfileTraceText(const OpTrace &Trace) {
-  std::ostringstream OS;
-  OS << "cswitch-profile-trace v1\n";
-  for (const SiteProfile &Site : aggregateTrace(Trace)) {
-    OS << "site " << abstractionKindName(Site.Kind) << ' '
-       << VariantId{Site.Kind, Site.DeclaredVariantIndex}.name() << ' '
-       << Site.Name << '\n';
-    for (const WorkloadProfile &P : Site.Profiles) {
-      OS << "profile " << P.MaxSize;
-      for (OperationKind Op : AllOperationKinds)
-        OS << ' ' << P.count(Op);
-      OS << '\n';
-    }
-  }
-  return OS.str();
-}
-
 int runInfo(const std::vector<std::string> &Args) {
-  std::string ProfileTracePath;
-  std::string TracePath;
-  for (size_t I = 0; I != Args.size(); ++I) {
-    if (Args[I] == "--profile-trace" && I + 1 != Args.size())
-      ProfileTracePath = Args[++I];
-    else
-      TracePath = Args[I];
-  }
-  if (TracePath.empty())
+  if (Args.empty())
     return usage();
+  const std::string &TracePath = Args.back();
 
   OpTrace Trace;
   if (!loadTraceArg(TracePath, Trace))
     return 1;
 
-  // When the profile-trace export goes to stdout, the human-readable
-  // summary moves to stderr so pipelines stay parseable.
-  std::FILE *Info = ProfileTracePath == "-" ? stderr : stdout;
-  std::fprintf(Info, "trace: %s (cswitch-optrace-v1)\n", TracePath.c_str());
-  std::fprintf(Info, "  sites: %zu  ops: %zu  duration: %.3f ms\n",
-               Trace.Sites.size(), Trace.Ops.size(),
-               static_cast<double>(Trace.durationNanos()) / 1e6);
-  std::fprintf(Info,
-               "  instances: %llu sampled, %llu skipped;  ops dropped: "
-               "%llu\n",
-               static_cast<unsigned long long>(Trace.InstancesSampled),
-               static_cast<unsigned long long>(Trace.InstancesSkipped),
-               static_cast<unsigned long long>(Trace.OpsDropped));
+  std::printf("trace: %s (cswitch-optrace-v1)\n", TracePath.c_str());
+  std::printf("  sites: %zu  ops: %zu  duration: %.3f ms\n",
+              Trace.Sites.size(), Trace.Ops.size(),
+              static_cast<double>(Trace.durationNanos()) / 1e6);
+  std::printf("  instances: %llu sampled, %llu skipped;  ops dropped: "
+              "%llu\n",
+              static_cast<unsigned long long>(Trace.InstancesSampled),
+              static_cast<unsigned long long>(Trace.InstancesSkipped),
+              static_cast<unsigned long long>(Trace.OpsDropped));
   std::vector<uint64_t> OpsPerSite(Trace.Sites.size(), 0);
   for (const TraceOp &Op : Trace.Ops)
     if (Op.Site < OpsPerSite.size())
       ++OpsPerSite[Op.Site];
   for (size_t I = 0; I != Trace.Sites.size(); ++I) {
     const TraceSite &Site = Trace.Sites[I];
-    std::fprintf(Info, "  site %zu: %s (%s, declared %s): %llu ops\n", I,
-                 Site.Name.c_str(), abstractionKindName(Site.Kind),
-                 VariantId{Site.Kind, Site.DeclaredVariantIndex}
-                     .name()
-                     .c_str(),
-                 static_cast<unsigned long long>(OpsPerSite[I]));
+    std::printf("  site %zu: %s (%s, declared %s): %llu ops\n", I,
+                Site.Name.c_str(), abstractionKindName(Site.Kind),
+                VariantId{Site.Kind, Site.DeclaredVariantIndex}.name().c_str(),
+                static_cast<unsigned long long>(OpsPerSite[I]));
   }
-
-  if (!ProfileTracePath.empty() &&
-      !emitOutput(ProfileTracePath, toProfileTraceText(Trace)))
-    return 1;
   return 0;
 }
 
@@ -222,7 +166,7 @@ int runReplay(const std::vector<std::string> &Args) {
           *V == "engine" ? ReplayMode::Engine : ReplayMode::Fixed;
     } else if (Arg == "--rule") {
       const std::string *V = Next();
-      if (!V || !parseRule(*V, Options.Rule))
+      if (!V || !SelectionRule::fromName(*V, Options.Rule))
         return usage();
     } else if (Arg == "--model") {
       const std::string *V = Next();
