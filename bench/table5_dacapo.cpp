@@ -269,12 +269,7 @@ int main(int Argc, char **Argv) {
     Row.Name = appKindName(App);
     Row.Abstraction = "app";
     Row.Variant = "FullAdap Rtime";
-    Row.Stats.InstancesCreated = T1.Stats.InstancesCreated;
-    Row.Stats.InstancesMonitored = T1.Stats.InstancesMonitored;
-    Row.Stats.ProfilesPublished = T1.Stats.ProfilesPublished;
-    Row.Stats.ProfilesDiscarded = T1.Stats.ProfilesDiscarded;
-    Row.Stats.Evaluations = T1.Stats.Evaluations;
-    Row.Stats.Switches = T1.Stats.Switches;
+    Row.Stats = T1.Stats;
     Export.Engine += T1.Stats;
     // Stats is an interval, so its context gauge diffs to zero; the
     // app's real site count is the meaningful figure here.

@@ -575,15 +575,12 @@ void AllocationContextBase::recordPendingDecision(bool Switched) {
     return;
   PendingCaptured = false;
   obs::DecisionRecord &R = *PendingDecision;
-  if (Switched) {
-    KeepStreak = 0;
+  if (Switched)
     R.Outcome = obs::DecisionOutcome::Switched;
-  } else {
-    ++KeepStreak;
+  else
     R.Outcome = KeepStreak >= ConvergedKeepStreak
                     ? obs::DecisionOutcome::Converged
                     : obs::DecisionOutcome::Kept;
-  }
   R.ConsecutiveKeeps = KeepStreak;
   Ledger->record(R);
 }
@@ -592,6 +589,20 @@ bool AllocationContextBase::evaluate() {
   std::lock_guard<std::mutex> Lock(EvalMutex);
   uint64_t State = RoundState.load(std::memory_order_acquire);
   auto Round = static_cast<uint32_t>(State >> 32);
+  if (Dormant) {
+    // Back-off: the round ends once it has lasted 2^k - 1 calls (the
+    // monitoring rate) and 2^k - 1 windows of creations (so a
+    // tight-loop evaluator cannot skip it). Nothing was claimed in it,
+    // so it reopens live in place with the assigned count at 0.
+    uint64_t Span = (uint64_t(1) << backoffLevelLocked()) - 1;
+    if (++DormantCalls >= Span &&
+        Hot.sum(CreatedIdx) - DormantCreatedAt >= Span * Options.WindowSize) {
+      Dormant = false;
+      RoundState.store(static_cast<uint64_t>(Round) << 32,
+                       std::memory_order_release);
+    }
+    return false;
+  }
   if (static_cast<uint32_t>(State) == 0)
     return false;
   auto Needed = static_cast<size_t>(
@@ -639,10 +650,16 @@ bool AllocationContextBase::evaluate() {
   // continues into the fresh buffer while the retired one is analyzed
   // below, off the hot path. (Stale-round increments on the counter
   // fail their round-tag check, so the plain store cannot be corrupted.)
+  // A converged site opens the next round dormant: its assigned count
+  // starts at WindowSize, so creation takes the full-window fast path
+  // and no slot of it is ever claimed.
   uint32_t NextRound = Round + 1;
   FinishedState[NextRound & 1].Value.store(
       static_cast<uint64_t>(NextRound) << 32, std::memory_order_relaxed);
+  const bool OpenDormant = backoffLevelLocked() > 0;
   uint64_t Rotated = static_cast<uint64_t>(NextRound) << 32;
+  if (OpenDormant)
+    Rotated |= Options.WindowSize;
   while (!RoundState.compare_exchange_weak(State, Rotated,
                                            std::memory_order_acq_rel,
                                            std::memory_order_acquire)) {
@@ -650,6 +667,8 @@ bool AllocationContextBase::evaluate() {
     // by EvalMutex); retry with the refreshed claim count.
   }
   size_t Assigned = static_cast<uint32_t>(State);
+  const uint64_t CreatedAtRotation = OpenDormant ? Hot.sum(CreatedIdx) : 0;
+  const uint32_t PreviousHint = CapacityHint.load(std::memory_order_relaxed);
 
   std::optional<unsigned> Choice = analyzeRound(Round, Assigned);
   Evaluations.fetch_add(1, std::memory_order_relaxed);
@@ -681,6 +700,26 @@ bool AllocationContextBase::evaluate() {
     }
     if (Profiled)
       Prof->Switch.record(obs::nowNanos() - SwitchStart);
+  }
+
+  // One keep streak, ledger or not. A switch or a capacity hint that
+  // left [h/2, 2h] of the previous round's hint h re-arms back-off; if
+  // the round just opened dormant, it reopens live (nothing in it can
+  // have been claimed).
+  uint32_t Hint = CapacityHint.load(std::memory_order_relaxed);
+  bool HintMoved = PreviousHint != 0 && (uint64_t(Hint) * 2 < PreviousHint ||
+                                         Hint > uint64_t(PreviousHint) * 2);
+  KeepStreak = Switched || HintMoved ? 0 : KeepStreak + 1;
+  if (OpenDormant) {
+    if (backoffLevelLocked() == 0) {
+      RoundState.store(static_cast<uint64_t>(NextRound) << 32,
+                       std::memory_order_release);
+    } else {
+      Dormant = true;
+      DormantCalls = 0;
+      DormantCreatedAt = CreatedAtRotation;
+      RoundsSkipped.fetch_add(1, std::memory_order_relaxed);
+    }
   }
   // Publish the captured explanation (outcome now known); no-op when
   // the ledger is off or the round produced no analyzable groups.

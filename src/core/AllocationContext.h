@@ -37,6 +37,12 @@
 /// hot path. Only evaluate() takes a mutex, and only to serialize
 /// analysis with other evaluators.
 ///
+/// Back-off (DESIGN.md §4.3): once the keep streak passes
+/// ConvergedKeepStreak, rounds open *dormant* — full from the start, so
+/// no instance claims a slot — and stay dormant for 2^k - 1 evaluate()
+/// calls and (2^k - 1) windows of created instances, k capped at
+/// MaxBackoffLevel. A switch or a capacity-hint move re-arms k to 0.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSWITCH_CORE_ALLOCATIONCONTEXT_H
@@ -54,6 +60,7 @@
 #include "support/Telemetry.h"
 #include "support/Topology.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -203,6 +210,11 @@ class AllocationContextBase : public ProfileSink {
   };
 
 public:
+  /// Cap of the back-off exponent: a converged site analyzes at least
+  /// one round in 2^MaxBackoffLevel evaluate() calls, which bounds how
+  /// late it notices a phase change.
+  static constexpr uint32_t MaxBackoffLevel = 4;
+
   AllocationContextBase(std::string Name, AbstractionKind Kind,
                         unsigned InitialVariantIndex,
                         std::shared_ptr<const PerformanceModel> Model,
@@ -215,9 +227,11 @@ public:
 
   /// Analyzes the current monitoring round if the finished ratio has been
   /// reached; may switch the current variant. \returns true if a
-  /// transition happened. Called periodically by the SwitchEngine, or
-  /// manually for deterministic tests. Serialized internally; safe to
-  /// call concurrently with instance creation and destruction.
+  /// transition happened. On a dormant round (back-off) it only counts
+  /// the call and reopens the window live once the round has lasted
+  /// long enough. Called periodically by the SwitchEngine, or manually
+  /// for deterministic tests. Serialized internally; safe to call
+  /// concurrently with instance creation and destruction.
   bool evaluate();
 
   // ProfileSink: called by dying monitored collection facades. Lock-free.
@@ -273,6 +287,25 @@ public:
     return Switches.load(std::memory_order_relaxed);
   }
 
+  /// Monitoring rounds skipped by back-off (dormant rounds opened).
+  uint64_t roundsSkipped() const {
+    return RoundsSkipped.load(std::memory_order_relaxed);
+  }
+
+  /// Back-off exponent k of the current keep streak: 0 while the site
+  /// has not converged (every round is analyzed), at most
+  /// MaxBackoffLevel.
+  uint32_t backoffLevel() const {
+    std::lock_guard<std::mutex> Lock(EvalMutex);
+    return backoffLevelLocked();
+  }
+
+  /// True while the current monitoring round is dormant.
+  bool roundDormant() const {
+    std::lock_guard<std::mutex> Lock(EvalMutex);
+    return Dormant;
+  }
+
   /// All monitoring counters batched into one value (the unit the
   /// telemetry layer snapshots; each individual accessor above reads the
   /// same atomics).
@@ -284,6 +317,7 @@ public:
     S.ProfilesDiscarded = Hot.sum(DiscardedIdx);
     S.Evaluations = Evaluations.load(std::memory_order_relaxed);
     S.Switches = Switches.load(std::memory_order_relaxed);
+    S.RoundsSkipped = RoundsSkipped.load(std::memory_order_relaxed);
     return S;
   }
 
@@ -469,8 +503,17 @@ private:
   void applyWarmStart();
 
   /// Keep streak after which a kept decision records as converged in
-  /// the provenance ledger (DESIGN.md §14).
+  /// the provenance ledger (DESIGN.md §14). Back-off starts one keep
+  /// later.
   static constexpr uint32_t ConvergedKeepStreak = 3;
+
+  /// k = min(KeepStreak - ConvergedKeepStreak, MaxBackoffLevel), or 0
+  /// below convergence. EvalMutex held.
+  uint32_t backoffLevelLocked() const {
+    if (KeepStreak <= ConvergedKeepStreak)
+      return 0;
+    return std::min(KeepStreak - ConvergedKeepStreak, MaxBackoffLevel);
+  }
 
   /// Interns this site's provenance ledger (and allocates the pending
   /// decision scratch) on first call; EvalMutex must be held (or the
@@ -488,9 +531,9 @@ private:
                               double Threads, bool Contended,
                               uint64_t MinMaxSize, uint64_t MaxMaxSize);
 
-  /// Finalizes the captured decision (outcome + keep streak) and
-  /// publishes it into the ledger. No-op when nothing was captured
-  /// this round. EvalMutex held.
+  /// Finalizes the captured decision (outcome + the keep streak
+  /// evaluate() already updated) and publishes it into the ledger.
+  /// No-op when nothing was captured this round. EvalMutex held.
   void recordPendingDecision(bool Switched);
 
   const std::string Name;
@@ -546,10 +589,12 @@ private:
   StripedCounters<NumHotCounters> Hot;
   std::atomic<uint64_t> Evaluations{0};
   std::atomic<uint64_t> Switches{0};
+  std::atomic<uint64_t> RoundsSkipped{0};
 
   /// Packed (round << 32 | assigned) word: the single point of
   /// contention on the creation path. Claimed by CAS; rotated by
-  /// evaluate() with a CAS that resets the assigned count. On its own
+  /// evaluate() with a CAS that resets the assigned count (to
+  /// WindowSize when the new round opens dormant). On its own
   /// cache line: every instance creation CASes here, and false sharing
   /// with the read-mostly fields above showed up in the contended
   /// sweep (EXPERIMENTS.md, false-sharing audit).
@@ -594,9 +639,18 @@ private:
   /// True between capturePendingDecision() and recordPendingDecision()
   /// for the current round. Guarded by EvalMutex.
   bool PendingCaptured = false;
-  /// Consecutive kept decisions (convergence evidence in the ledger);
-  /// reset by every switch. Guarded by EvalMutex.
+  /// Consecutive kept decisions: convergence evidence in the ledger and
+  /// the input of back-off. Updated by every analyzed round, ledger or
+  /// not; reset by a switch or a capacity-hint move. Guarded by
+  /// EvalMutex.
   uint32_t KeepStreak = 0;
+  /// True while the current round is dormant; it opened with the
+  /// assigned count at WindowSize, so it holds no claimed slot.
+  /// DormantCalls counts the evaluate() calls and DormantCreatedAt is
+  /// instancesCreated() when it opened. Guarded by EvalMutex.
+  bool Dormant = false;
+  uint32_t DormantCalls = 0;
+  uint64_t DormantCreatedAt = 0;
   /// Set once in the constructor when the initial variant came from the
   /// selection store; never written afterwards.
   bool WarmStarted = false;

@@ -128,7 +128,9 @@ struct DecisionRecord {
   bool AdaptiveStraddles = false; ///< Sizes straddled the threshold.
   bool AdaptiveWide = false;      ///< Sizes spread by WideRangeFactor.
   int16_t AdaptiveIndex = -1;     ///< Adaptive variant index, or -1.
-  uint32_t ConsecutiveKeeps = 0;  ///< Keep streak after this decision.
+  /// Keep streak after this decision; a switch or a capacity-hint move
+  /// resets it (DESIGN.md §4.3).
+  uint32_t ConsecutiveKeeps = 0;
   double ContendedThreads = 0.0;  ///< Sketch EWMA thread estimate.
   double AdaptiveThreshold = 0.0; ///< §3.2 threshold in effect.
   double WideRangeFactor = 0.0;

@@ -116,6 +116,7 @@ struct ContextStats {
   uint64_t ProfilesDiscarded = 0;
   uint64_t Evaluations = 0;
   uint64_t Switches = 0;
+  uint64_t RoundsSkipped = 0;
 
   template <typename Row> static constexpr void fields(Row &&R) {
     using enum MetricKind;
@@ -130,6 +131,8 @@ struct ContextStats {
       "Usage profiles discarded by closed windows.");
     R("evaluations", Counter, &S::Evaluations, "Window evaluation rounds run.");
     R("switches", Counter, &S::Switches, "Variant transitions executed.");
+    R("rounds_skipped", Counter, &S::RoundsSkipped,
+      "Monitoring rounds a converged context skipped (back-off).");
   }
 
   bool operator==(const ContextStats &) const = default;

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <optional>
 #include <thread>
@@ -168,6 +169,74 @@ TEST(ConcurrentMonitoring, ImpossibleRuleNeverSwitchesUnderContention) {
   expectCounterInvariants(Ctx, 4u * 5000u);
   EXPECT_GT(Ctx.evaluationCount(), 0u);
   EXPECT_EQ(Ctx.switchCount(), 0u);
+}
+
+TEST(ConcurrentMonitoring, BackoffTransitionsUnderChurn) {
+  ListContext<int64_t> Ctx("stress:backoff", ListVariant::ArrayList,
+                           defaultModel(), SelectionRule::timeRule(),
+                           quietOptions(16, 0.6));
+  constexpr int Threads = 4;
+  constexpr int PerThread = 5000;
+
+  // The evaluator is the only thread that moves a round between live
+  // and dormant, so a dormant state it reads stays put until its next
+  // evaluate(). After the call that opened it, the retired round was
+  // fully drained: the monitored and published counters can only move
+  // by bumps already in flight, at most one per creator.
+  std::atomic<bool> Stop{false};
+  uint64_t DormantStretches = 0;
+  uint64_t MaxMonitoredGrowth = 0;
+  uint64_t MaxPublishedGrowth = 0;
+  std::thread Evaluator([&] {
+    bool WasDormant = false;
+    uint64_t MonitoredAtOpen = 0;
+    uint64_t PublishedAtOpen = 0;
+    while (!Stop.load(std::memory_order_relaxed)) {
+      EXPECT_FALSE(Ctx.evaluate());
+      bool Dormant = Ctx.roundDormant();
+      if (Dormant && !WasDormant) {
+        ++DormantStretches;
+        MonitoredAtOpen = Ctx.instancesMonitored();
+        PublishedAtOpen = Ctx.instancesFinished();
+      }
+      if (Dormant) {
+        MaxMonitoredGrowth = std::max(
+            MaxMonitoredGrowth, Ctx.instancesMonitored() - MonitoredAtOpen);
+        MaxPublishedGrowth = std::max(
+            MaxPublishedGrowth, Ctx.instancesFinished() - PublishedAtOpen);
+      }
+      WasDormant = Dormant;
+    }
+  });
+
+  std::vector<std::thread> Workers;
+  for (int T = 0; T != Threads; ++T)
+    Workers.emplace_back([&Ctx] {
+      for (int I = 0; I != PerThread; ++I) {
+        List<int64_t> L = Ctx.createList();
+        for (int64_t V = 0; V != 32; ++V)
+          L.add(V);
+        uint64_t Sum = 0;
+        L.forEach([&Sum](const int64_t &V) {
+          Sum += static_cast<uint64_t>(V);
+        });
+        EXPECT_EQ(Sum, 496u);
+      }
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  Stop.store(true, std::memory_order_relaxed);
+  Evaluator.join();
+
+  expectCounterInvariants(Ctx, uint64_t(Threads) * PerThread);
+  EXPECT_EQ(Ctx.switchCount(), 0u);
+  EXPECT_GT(DormantStretches, 0u);
+  EXPECT_GT(Ctx.roundsSkipped(), 0u);
+  EXPECT_LE(MaxMonitoredGrowth, uint64_t(Threads));
+  EXPECT_LE(MaxPublishedGrowth, uint64_t(Threads));
+  // Back-off shows in the sample: far fewer than every instance was
+  // monitored.
+  EXPECT_LT(Ctx.instancesMonitored() * 2, Ctx.instancesCreated());
 }
 
 TEST(ConcurrentMonitoring, ParallelEvaluateAllMatchesSequentialDecisions) {

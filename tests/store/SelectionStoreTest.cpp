@@ -29,6 +29,13 @@ std::string tempStorePath(const char *Tag) {
          ".cswitchstore";
 }
 
+/// Removes a store document and the lock file persist() creates next to
+/// it.
+void removeStore(const std::string &Path) {
+  std::remove(Path.c_str());
+  std::remove((Path + ".lock").c_str());
+}
+
 WorkloadProfile profileWith(uint64_t Populate, uint64_t Contains,
                             size_t MaxSize) {
   WorkloadProfile P;
@@ -43,7 +50,7 @@ WorkloadProfile profileWith(uint64_t Populate, uint64_t Contains,
 TEST(SelectionStore, MissingFileIsACleanColdStart) {
   SelectionStore Store;
   std::string Path = tempStorePath("missing");
-  std::remove(Path.c_str());
+  removeStore(Path);
   std::string Error;
   EXPECT_TRUE(Store.load(Path, &Error)) << Error;
   EXPECT_EQ(Store.siteCount(), 0u);
@@ -77,12 +84,12 @@ TEST(SelectionStore, CorruptFileDegradesToColdStart) {
         E.Detail.find("load failed") != std::string::npos)
       SawStoreEvent = true;
   EXPECT_TRUE(SawStoreEvent);
-  std::remove(Path.c_str());
+  removeStore(Path);
 }
 
 TEST(SelectionStore, PersistThenLoadRoundTrips) {
   std::string Path = tempStorePath("roundtrip");
-  std::remove(Path.c_str());
+  removeStore(Path);
 
   SelectionStore Writer;
   ASSERT_TRUE(Writer.load(Path));
@@ -106,12 +113,12 @@ TEST(SelectionStore, PersistThenLoadRoundTrips) {
   // The rule is part of the key: the same site under Ralloc is absent.
   EXPECT_FALSE(
       Reader.lookup("site:a", "Ralloc", AbstractionKind::List).has_value());
-  std::remove(Path.c_str());
+  removeStore(Path);
 }
 
 TEST(SelectionStore, RepeatedPersistsOnlyAddTheDelta) {
   std::string Path = tempStorePath("idempotent");
-  std::remove(Path.c_str());
+  removeStore(Path);
 
   SelectionStore Store;
   ASSERT_TRUE(Store.load(Path));
@@ -132,12 +139,12 @@ TEST(SelectionStore, RepeatedPersistsOnlyAddTheDelta) {
   EXPECT_EQ(Site->Instances, 4u);
   EXPECT_EQ(Site->Counts[static_cast<size_t>(OperationKind::Contains)],
             100u);
-  std::remove(Path.c_str());
+  removeStore(Path);
 }
 
 TEST(SelectionStore, DecayScalesTheOlderAggregateOncePerRun) {
   std::string Path = tempStorePath("decay");
-  std::remove(Path.c_str());
+  removeStore(Path);
 
   // Generation 1 contributes 100 contains ops over 8 instances.
   {
@@ -166,12 +173,12 @@ TEST(SelectionStore, DecayScalesTheOlderAggregateOncePerRun) {
   EXPECT_EQ(Site->Decision, 1u) << "the newest run's decision wins";
   // MaxSize tracks the historical high-water mark, undecayed.
   EXPECT_EQ(Site->MaxSize, 64u);
-  std::remove(Path.c_str());
+  removeStore(Path);
 }
 
 TEST(SelectionStore, LiveSitesMergeWithoutFinishing) {
   std::string Path = tempStorePath("live");
-  std::remove(Path.c_str());
+  removeStore(Path);
 
   SelectionStore Store;
   ASSERT_TRUE(Store.load(Path));
@@ -194,7 +201,7 @@ TEST(SelectionStore, LiveSitesMergeWithoutFinishing) {
   // Zero-instance live sites are noise, not knowledge: never persisted.
   SelectionStore Empty;
   std::string Path2 = tempStorePath("live_empty");
-  std::remove(Path2.c_str());
+  removeStore(Path2);
   ASSERT_TRUE(Empty.load(Path2));
   SelectionStore::LiveSite Idle = Live;
   Idle.Instances = 0;
@@ -202,8 +209,8 @@ TEST(SelectionStore, LiveSitesMergeWithoutFinishing) {
   SelectionStore Reader2;
   ASSERT_TRUE(Reader2.load(Path2));
   EXPECT_EQ(Reader2.siteCount(), 0u);
-  std::remove(Path.c_str());
-  std::remove(Path2.c_str());
+  removeStore(Path);
+  removeStore(Path2);
 }
 
 TEST(SelectionStore, PersistReplacesACorruptOnDiskDocument) {
@@ -222,7 +229,7 @@ TEST(SelectionStore, PersistReplacesACorruptOnDiskDocument) {
   SelectionStore Reader;
   ASSERT_TRUE(Reader.load(Path));
   EXPECT_EQ(Reader.siteCount(), 1u);
-  std::remove(Path.c_str());
+  removeStore(Path);
 }
 
 TEST(SelectionStore, StatsCountWarmStarts) {

@@ -46,6 +46,7 @@ ContextStats contextStats(uint64_t Base) {
   S.ProfilesDiscarded = Base * 104;
   S.Evaluations = Base * 105;
   S.Switches = Base * 106;
+  S.RoundsSkipped = Base * 108;
   return S;
 }
 
@@ -58,6 +59,7 @@ EngineStats engineStats(uint64_t Base) {
   S.ProfilesDiscarded = Base * 104;
   S.Evaluations = Base * 105;
   S.Switches = Base * 106;
+  S.RoundsSkipped = Base * 108;
   return S;
 }
 
@@ -253,7 +255,7 @@ std::map<std::string, std::string> parseGolden(const std::string &Golden) {
 /// toJson(fullSnapshot()), byte for byte.
 const char *const GoldenJson = R"golden({
   "schema": "cswitch-telemetry-v1",
-  "engine": {"contexts": 107, "instances_created": 101, "instances_monitored": 102, "profiles_published": 103, "profiles_discarded": 104, "evaluations": 105, "switches": 106},
+  "engine": {"contexts": 107, "instances_created": 101, "instances_monitored": 102, "profiles_published": 103, "profiles_discarded": 104, "evaluations": 105, "switches": 106, "rounds_skipped": 108},
   "topology": {"nodes": 801, "cpus": 802},
   "latency": {"record": {"count": 811, "saturated": 812, "sum_nanos": 813, "min_nanos": 814, "max_nanos": 815, "p50": 816.5, "p90": 817.5, "p99": 818.5, "p999": 819.5}, "evaluate": {"count": 821, "saturated": 822, "sum_nanos": 823, "min_nanos": 824, "max_nanos": 825, "p50": 826.5, "p90": 827.5, "p99": 828.5, "p999": 829.5}, "switch": {"count": 831, "saturated": 832, "sum_nanos": 833, "min_nanos": 834, "max_nanos": 835, "p50": 836.5, "p90": 837.5, "p99": 838.5, "p999": 839.5}, "persist": {"count": 841, "saturated": 842, "sum_nanos": 843, "min_nanos": 844, "max_nanos": 845, "p50": 846.5, "p90": 847.5, "p99": 848.5, "p999": 849.5}},
   "events": {"recorded": 202, "dropped": 204, "node_dropped": [206, 208]},
@@ -263,8 +265,8 @@ const char *const GoldenJson = R"golden({
   "tuning": {"loads": 606, "load_failures": 612, "source": "q\"b\\n\n618", "fingerprint": "q\"b\\n\n624", "corpus_digest": "q\"b\\n\n630", "seed": 636, "generations": 642, "population": 648, "evaluations": 654, "parameters": 660, "winner_fitness": 667.5, "baseline_fitness": 675},
   "model": {"installs": 707, "source": "q\"b\\n\n714", "fingerprint": "q\"b\\n\n721", "fit_timestamp": 728, "holdout_residual": 735.875},
   "contexts": [
-    {"name": "q\"b\\n\n1001", "abstraction": "list", "variant": "q\"b\\n\n1002", "instances_created": 1010, "instances_monitored": 1020, "profiles_published": 1030, "profiles_discarded": 1040, "evaluations": 1050, "switches": 1060, "footprint_bytes": 1003, "contended_threads": 1004.75, "latency": {"record": {"count": 1101, "saturated": 1102, "sum_nanos": 1103, "min_nanos": 1104, "max_nanos": 1105, "p50": 1106.5, "p90": 1107.5, "p99": 1108.5, "p999": 1109.5}, "evaluate": {"count": 1201, "saturated": 1202, "sum_nanos": 1203, "min_nanos": 1204, "max_nanos": 1205, "p50": 1206.5, "p90": 1207.5, "p99": 1208.5, "p999": 1209.5}, "switch": {"count": 1301, "saturated": 1302, "sum_nanos": 1303, "min_nanos": 1304, "max_nanos": 1305, "p50": 1306.5, "p90": 1307.5, "p99": 1308.5, "p999": 1309.5}}},
-    {"name": "q\"b\\n\n2001", "abstraction": "map", "variant": "q\"b\\n\n2002", "instances_created": 2020, "instances_monitored": 2040, "profiles_published": 2060, "profiles_discarded": 2080, "evaluations": 2100, "switches": 2120, "footprint_bytes": 2003, "contended_threads": 2004.75, "latency": {"record": {"count": 2101, "saturated": 2102, "sum_nanos": 2103, "min_nanos": 2104, "max_nanos": 2105, "p50": 2106.5, "p90": 2107.5, "p99": 2108.5, "p999": 2109.5}, "evaluate": {"count": 2201, "saturated": 2202, "sum_nanos": 2203, "min_nanos": 2204, "max_nanos": 2205, "p50": 2206.5, "p90": 2207.5, "p99": 2208.5, "p999": 2209.5}, "switch": {"count": 2301, "saturated": 2302, "sum_nanos": 2303, "min_nanos": 2304, "max_nanos": 2305, "p50": 2306.5, "p90": 2307.5, "p99": 2308.5, "p999": 2309.5}}}
+    {"name": "q\"b\\n\n1001", "abstraction": "list", "variant": "q\"b\\n\n1002", "instances_created": 1010, "instances_monitored": 1020, "profiles_published": 1030, "profiles_discarded": 1040, "evaluations": 1050, "switches": 1060, "rounds_skipped": 1080, "footprint_bytes": 1003, "contended_threads": 1004.75, "latency": {"record": {"count": 1101, "saturated": 1102, "sum_nanos": 1103, "min_nanos": 1104, "max_nanos": 1105, "p50": 1106.5, "p90": 1107.5, "p99": 1108.5, "p999": 1109.5}, "evaluate": {"count": 1201, "saturated": 1202, "sum_nanos": 1203, "min_nanos": 1204, "max_nanos": 1205, "p50": 1206.5, "p90": 1207.5, "p99": 1208.5, "p999": 1209.5}, "switch": {"count": 1301, "saturated": 1302, "sum_nanos": 1303, "min_nanos": 1304, "max_nanos": 1305, "p50": 1306.5, "p90": 1307.5, "p99": 1308.5, "p999": 1309.5}}},
+    {"name": "q\"b\\n\n2001", "abstraction": "map", "variant": "q\"b\\n\n2002", "instances_created": 2020, "instances_monitored": 2040, "profiles_published": 2060, "profiles_discarded": 2080, "evaluations": 2100, "switches": 2120, "rounds_skipped": 2160, "footprint_bytes": 2003, "contended_threads": 2004.75, "latency": {"record": {"count": 2101, "saturated": 2102, "sum_nanos": 2103, "min_nanos": 2104, "max_nanos": 2105, "p50": 2106.5, "p90": 2107.5, "p99": 2108.5, "p999": 2109.5}, "evaluate": {"count": 2201, "saturated": 2202, "sum_nanos": 2203, "min_nanos": 2204, "max_nanos": 2205, "p50": 2206.5, "p90": 2207.5, "p99": 2208.5, "p999": 2209.5}, "switch": {"count": 2301, "saturated": 2302, "sum_nanos": 2303, "min_nanos": 2304, "max_nanos": 2305, "p50": 2306.5, "p90": 2307.5, "p99": 2308.5, "p999": 2309.5}}}
   ]
 }
 )golden";
@@ -284,6 +286,7 @@ cswitch_engine_instances_created_total 101
 cswitch_engine_instances_monitored_total 102
 cswitch_engine_profiles_discarded_total 104
 cswitch_engine_profiles_published_total 103
+cswitch_engine_rounds_skipped_total 108
 cswitch_engine_switches_total 106
 cswitch_evaluate_latency_nanos_count 821
 cswitch_evaluate_latency_nanos_sum 823
@@ -338,6 +341,8 @@ cswitch_recorder_instances_skipped_total 315
 cswitch_recorder_ops_dropped_total 309
 cswitch_recorder_ops_recorded_total 306
 cswitch_recorder_recorders_total 303
+cswitch_rounds_skipped_total{site="q\"b\\n\n1001"} 1080
+cswitch_rounds_skipped_total{site="q\"b\\n\n2001"} 2160
 cswitch_site_evaluate_latency_nanos_count{site="q\"b\\n\n1001"} 0
 cswitch_site_evaluate_latency_nanos_sum{site="q\"b\\n\n1001"} 0
 cswitch_site_evaluate_latency_nanos{quantile="0.5",site="q\"b\\n\n1001"} 0
