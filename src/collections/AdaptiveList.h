@@ -106,6 +106,13 @@ public:
     }
   }
 
+  /// Also forgets the index reservation, which the next reserve() sets
+  /// again, as it does on a fresh list.
+  void clearForReuse() override {
+    clear();
+    PendingIndex = 0;
+  }
+
   void forEach(FunctionRef<void(const T &)> Fn) const override {
     for (const T &V : Data)
       Fn(V);

@@ -89,6 +89,11 @@ public:
     Index.clear();
   }
 
+  void clearForReuse() override {
+    Data.clear();
+    Index.clearKeepingStorage();
+  }
+
   void forEach(FunctionRef<void(const T &)> Fn) const override {
     for (const T &V : Data)
       Fn(V);

@@ -56,6 +56,10 @@ public:
   virtual size_t size() const = 0;
   /// Removes all mappings.
   virtual void clear() = 0;
+  /// Removes all mappings ahead of reuse by an allocation context's spare
+  /// ring (DESIGN.md §4.4). Variants whose clear() releases storage
+  /// they would soon allocate again keep it here instead.
+  virtual void clearForReuse() { clear(); }
   /// Calls \p Fn on each mapping (order is variant-specific).
   virtual void forEach(FunctionRef<void(const K &, const V &)> Fn) const = 0;
   /// Capacity hint; variants without capacity ignore it.

@@ -45,6 +45,8 @@ public:
 
   void clear() override { Table.clear(); }
 
+  void clearForReuse() override { Table.clearKeepingStorage(); }
+
   void forEach(FunctionRef<void(const K &, const V &)> Fn) const override {
     Table.forEach(Fn);
   }

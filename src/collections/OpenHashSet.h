@@ -43,6 +43,8 @@ public:
 
   void clear() override { Table.clear(); }
 
+  void clearForReuse() override { Table.clearKeepingStorage(); }
+
   void forEach(FunctionRef<void(const T &)> Fn) const override {
     Table.forEach(Fn);
   }

@@ -40,6 +40,10 @@ public:
   virtual size_t size() const = 0;
   /// Removes all elements.
   virtual void clear() = 0;
+  /// Removes all elements ahead of reuse by an allocation context's spare
+  /// ring (DESIGN.md §4.4). Variants whose clear() releases storage
+  /// they would soon allocate again keep it here instead.
+  virtual void clearForReuse() { clear(); }
   /// Calls \p Fn on each element (order is variant-specific).
   virtual void forEach(FunctionRef<void(const T &)> Fn) const = 0;
   /// Capacity hint; variants without capacity ignore it.

@@ -36,6 +36,7 @@ class HashBag : private GroupProbedTable<T, uint32_t, 1, 2, Hash> {
 public:
   using Table::capacity;
   using Table::clear;
+  using Table::clearKeepingStorage;
   using Table::memoryFootprint;
   using Table::reserve;
 

@@ -12,7 +12,9 @@
 /// once, when the instance finishes its life-cycle. List<T>, Set<T> and
 /// Map<K, V> derive from MonitoredHandle and add only their own
 /// operations; the lifecycle, the profile/trace helpers and the
-/// kind-independent operations live here once (DESIGN.md §4).
+/// kind-independent operations live here once (DESIGN.md §4). A handle
+/// an allocation context created hands its implementation back to the
+/// context's spare ring when it dies (DESIGN.md §4.4).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,9 +27,21 @@
 
 #include <cstddef>
 #include <memory>
+#include <utility>
 
 namespace cswitch {
 namespace detail {
+
+/// Takes the implementations of dying instances back for reuse (an
+/// allocation context's spare ring, DESIGN.md §4.4).
+template <typename ImplT> class ImplRecycler {
+public:
+  /// Keeps \p Impl, emptied, for a later create, or frees it.
+  virtual void recycle(std::unique_ptr<ImplT> Impl) = 0;
+
+protected:
+  ~ImplRecycler() = default;
+};
 
 /// Monitored handle over one \p ImplT (ListImpl<T>, SetImpl<T> or
 /// MapImpl<K, V>). Movable, not copyable: a collection instance has one
@@ -47,23 +61,26 @@ public:
   MonitoredHandle(MonitoredHandle &&Other) noexcept
       : Impl(std::move(Other.Impl)), Profile(Other.Profile),
         Shared(std::move(Other.Shared)), Sink(Other.Sink),
-        Slot(Other.Slot), Rec(std::move(Other.Rec)) {
+        Slot(Other.Slot), Rec(std::move(Other.Rec)),
+        Recycler(std::exchange(Other.Recycler, nullptr)) {
     Other.Sink = nullptr;
   }
 
-  /// Finishes the overwritten instance (report + trace end) before
-  /// taking over \p Other's.
+  /// Finishes the overwritten instance (report, trace end, recycle)
+  /// before taking over \p Other's.
   MonitoredHandle &operator=(MonitoredHandle &&Other) noexcept {
     if (this == &Other)
       return *this;
     reportIfMonitored();
     finishTrace();
+    recycleImpl();
     Impl = std::move(Other.Impl);
     Profile = Other.Profile;
     Shared = std::move(Other.Shared);
     Sink = Other.Sink;
     Slot = Other.Slot;
     Rec = std::move(Other.Rec);
+    Recycler = std::exchange(Other.Recycler, nullptr);
     Other.Sink = nullptr;
     return *this;
   }
@@ -120,10 +137,16 @@ public:
   /// True if this instance records into an operation trace.
   bool isTraced() const { return static_cast<bool>(Rec); }
 
+  /// Hands the implementation to \p Spares when this instance dies or is
+  /// overwritten, after the profile report and the trace end (both read
+  /// its size). \p Spares must outlive this instance.
+  void recycleInto(ImplRecycler<ImplT> *Spares) { Recycler = Spares; }
+
 protected:
   ~MonitoredHandle() {
     reportIfMonitored();
     finishTrace();
+    recycleImpl();
   }
 
   void recordOp(TraceOpKind Kind, OpClass Class) const {
@@ -159,6 +182,7 @@ protected:
   ProfileSink *Sink = nullptr;
   size_t Slot = 0;
   mutable TraceCursor Rec;
+  ImplRecycler<ImplT> *Recycler = nullptr;
 
 private:
   void reportIfMonitored() {
@@ -177,6 +201,11 @@ private:
   void finishTrace() {
     if (Rec)
       Rec.finish(Impl ? Impl->size() : 0);
+  }
+
+  void recycleImpl() {
+    if (Recycler && Impl)
+      Recycler->recycle(std::move(Impl));
   }
 };
 

@@ -170,6 +170,17 @@ public:
   /// Removes every element and releases the storage.
   void clear() { release(); }
 
+  /// Removes every element and keeps the storage: capacity() stays, and
+  /// the tombstones go with the elements.
+  void clearKeepingStorage() {
+    if (!Slots)
+      return;
+    destroyElements();
+    std::memset(Ctrl, static_cast<unsigned char>(CtrlEmpty),
+                Cap + ClonedCtrlBytes);
+    Count = Occupied = 0;
+  }
+
   /// Presizes for \p N elements; reserve(0) allocates nothing.
   void reserve(size_t N) {
     if (N == 0)
@@ -344,12 +355,16 @@ private:
     Occupied = std::exchange(Other.Occupied, 0);
   }
 
-  void release() {
-    if (!Slots)
-      return;
+  void destroyElements() {
     if constexpr (!std::is_trivially_destructible_v<K> ||
                   !std::is_trivially_destructible_v<ValueT>)
       forEachIndex([this](size_t Index) { destroySlot(Index); });
+  }
+
+  void release() {
+    if (!Slots)
+      return;
+    destroyElements();
     CountingAllocator<unsigned char>().deallocate(Slots, allocationBytes(Cap));
     Slots = nullptr;
     Ctrl = nullptr;

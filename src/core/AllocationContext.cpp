@@ -710,6 +710,8 @@ bool AllocationContextBase::evaluate() {
   bool HintMoved = PreviousHint != 0 && (uint64_t(Hint) * 2 < PreviousHint ||
                                          Hint > uint64_t(PreviousHint) * 2);
   KeepStreak = Switched || HintMoved ? 0 : KeepStreak + 1;
+  if (Switched || Hint != PreviousHint)
+    selectionMoved();
   if (OpenDormant) {
     if (backoffLevelLocked() == 0) {
       RoundState.store(static_cast<uint64_t>(NextRound) << 32,
@@ -734,5 +736,5 @@ size_t AllocationContextBase::memoryFootprint() const {
   return sizeof(*this) + 2 * Options.WindowSize * sizeof(WindowSlot) +
          Hot.memoryBytes() + Name.capacity() +
          Groups.capacity() * sizeof(MergedGroup) +
-         VariantNameIds.capacity() * sizeof(uint32_t);
+         VariantNameIds.capacity() * sizeof(uint32_t) + spareBytes();
 }

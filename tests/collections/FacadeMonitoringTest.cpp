@@ -13,6 +13,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "collections/Factory.h"
+#include "core/AllocationContext.h"
+#include "model/DefaultModel.h"
 #include "replay/TraceRecorder.h"
 
 #include <gtest/gtest.h>
@@ -141,6 +143,7 @@ TEST(Monitoring, MapFacadeReportsToo) {
 template <typename FacadeT> struct FacadeKind;
 
 template <> struct FacadeKind<List<int64_t>> {
+  using Impl = ListImpl<int64_t>;
   static constexpr AbstractionKind Abstraction = AbstractionKind::List;
   static List<int64_t> make(ProfileSink *Sink, size_t Slot) {
     return List<int64_t>(makeListImpl<int64_t>(ListVariant::ArrayList), Sink,
@@ -150,6 +153,7 @@ template <> struct FacadeKind<List<int64_t>> {
 };
 
 template <> struct FacadeKind<Set<int64_t>> {
+  using Impl = SetImpl<int64_t>;
   static constexpr AbstractionKind Abstraction = AbstractionKind::Set;
   static Set<int64_t> make(ProfileSink *Sink, size_t Slot) {
     return Set<int64_t>(makeSetImpl<int64_t>(SetVariant::ArraySet), Sink,
@@ -159,6 +163,7 @@ template <> struct FacadeKind<Set<int64_t>> {
 };
 
 template <> struct FacadeKind<Map<int64_t, int64_t>> {
+  using Impl = MapImpl<int64_t, int64_t>;
   static constexpr AbstractionKind Abstraction = AbstractionKind::Map;
   static Map<int64_t, int64_t> make(ProfileSink *Sink, size_t Slot) {
     return Map<int64_t, int64_t>(
@@ -167,6 +172,25 @@ template <> struct FacadeKind<Map<int64_t, int64_t>> {
   static void add(Map<int64_t, int64_t> &M, int64_t Value) {
     M.put(Value, Value);
   }
+};
+
+/// Counts the implementations handed back, with the size each had and
+/// how many reports \p Sink had received by then.
+template <typename ImplT>
+class CountingRecycler : public detail::ImplRecycler<ImplT> {
+public:
+  explicit CountingRecycler(const RecordingSink &Sink) : Sink(Sink) {}
+
+  void recycle(std::unique_ptr<ImplT> Impl) override {
+    ++Calls;
+    LastSize = Impl->size();
+    ReportsAtRecycle = Sink.Reports;
+  }
+
+  const RecordingSink &Sink;
+  int Calls = 0;
+  size_t LastSize = 0;
+  int ReportsAtRecycle = 0;
 };
 
 /// The move/destroy/report/trace lifecycle every facade shares.
@@ -299,6 +323,65 @@ TYPED_TEST(FacadeLifecycle, SharedProfileMovedThenDestroyedReportsOnce) {
   ASSERT_TRUE(Sink.LastProfile.has_value());
   EXPECT_EQ(Sink.LastProfile->count(OperationKind::Populate), 4u);
   EXPECT_EQ(Sink.LastProfile->MaxSize, 4u);
+}
+
+TYPED_TEST(FacadeLifecycle, ImplementationGoesBackExactlyOnceAfterReport) {
+  using Kind = FacadeKind<TypeParam>;
+  RecordingSink Sink;
+  CountingRecycler<typename Kind::Impl> Spares(Sink);
+  {
+    TypeParam A = Kind::make(&Sink, 1);
+    A.recycleInto(&Spares);
+    Kind::add(A, 1);
+    TypeParam B = std::move(A);
+    TypeParam &Ref = B;
+    B = std::move(Ref);
+    EXPECT_EQ(Spares.Calls, 0);
+    TypeParam C = Kind::make(&Sink, 2);
+    C.recycleInto(&Spares);
+    for (int64_t V = 10; V != 13; ++V)
+      Kind::add(C, V);
+    // Overwriting C hands its implementation back, full, after the
+    // report read its size.
+    C = std::move(B);
+    EXPECT_EQ(Spares.Calls, 1);
+    EXPECT_EQ(Spares.LastSize, 3u);
+    EXPECT_EQ(Spares.ReportsAtRecycle, 1);
+    EXPECT_EQ(Sink.LastProfile->MaxSize, 3u);
+    // A and B are moved-from; only C (holding A's instance) hands back.
+  }
+  EXPECT_EQ(Spares.Calls, 2);
+  EXPECT_EQ(Spares.LastSize, 1u);
+  EXPECT_EQ(Spares.ReportsAtRecycle, 2);
+  EXPECT_EQ(Sink.Reports, 2);
+}
+
+TYPED_TEST(FacadeLifecycle, ContextCreatedInstancesReportBeforeRecycling) {
+  using Traits = ContextTraits<TypeParam>;
+  ContextOptions Options;
+  Options.WindowSize = 2;
+  Options.FinishedRatio = 1.0;
+  Options.LogEvents = false;
+  typename Traits::Context Ctx(
+      "lifecycle:recycled", typename Traits::Variant{},
+      std::make_shared<const PerformanceModel>(defaultPerformanceModel()),
+      SelectionRule::impossibleRule(), Options);
+  {
+    TypeParam A = Traits::create(Ctx);
+    for (int64_t V = 0; V != 5; ++V)
+      FacadeKind<TypeParam>::add(A, V);
+    TypeParam B = Traits::create(Ctx);
+    for (int64_t V = 0; V != 9; ++V)
+      FacadeKind<TypeParam>::add(B, V);
+    B = std::move(A);
+    TypeParam &Ref = B;
+    B = std::move(Ref);
+  }
+  EXPECT_EQ(Ctx.instancesFinished(), 2u);
+  ASSERT_FALSE(Ctx.evaluate());
+  // Both maximum sizes reached the window before their storage was
+  // emptied: the lower median of {5, 9}.
+  EXPECT_EQ(Ctx.capacityHint(), 5u);
 }
 
 } // namespace

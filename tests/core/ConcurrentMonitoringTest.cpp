@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -177,6 +178,10 @@ TEST(ConcurrentMonitoring, BackoffTransitionsUnderChurn) {
                            quietOptions(16, 0.6));
   constexpr int Threads = 4;
   constexpr int PerThread = 5000;
+  // Workers go on past PerThread until the evaluator has seen a dormant
+  // round (up to this many instances each): on a loaded host the
+  // evaluator may otherwise get too few turns before they finish.
+  constexpr int MaxPerThread = 40 * PerThread;
 
   // The evaluator is the only thread that moves a round between live
   // and dormant, so a dormant state it reads stays put until its next
@@ -184,6 +189,8 @@ TEST(ConcurrentMonitoring, BackoffTransitionsUnderChurn) {
   // fully drained: the monitored and published counters can only move
   // by bumps already in flight, at most one per creator.
   std::atomic<bool> Stop{false};
+  std::atomic<bool> SawDormant{false};
+  std::atomic<uint64_t> Created{0};
   uint64_t DormantStretches = 0;
   uint64_t MaxMonitoredGrowth = 0;
   uint64_t MaxPublishedGrowth = 0;
@@ -196,6 +203,7 @@ TEST(ConcurrentMonitoring, BackoffTransitionsUnderChurn) {
       bool Dormant = Ctx.roundDormant();
       if (Dormant && !WasDormant) {
         ++DormantStretches;
+        SawDormant.store(true, std::memory_order_relaxed);
         MonitoredAtOpen = Ctx.instancesMonitored();
         PublishedAtOpen = Ctx.instancesFinished();
       }
@@ -211,8 +219,11 @@ TEST(ConcurrentMonitoring, BackoffTransitionsUnderChurn) {
 
   std::vector<std::thread> Workers;
   for (int T = 0; T != Threads; ++T)
-    Workers.emplace_back([&Ctx] {
-      for (int I = 0; I != PerThread; ++I) {
+    Workers.emplace_back([&] {
+      int I = 0;
+      for (; I != MaxPerThread &&
+             (I < PerThread || !SawDormant.load(std::memory_order_relaxed));
+           ++I) {
         List<int64_t> L = Ctx.createList();
         for (int64_t V = 0; V != 32; ++V)
           L.add(V);
@@ -222,13 +233,14 @@ TEST(ConcurrentMonitoring, BackoffTransitionsUnderChurn) {
         });
         EXPECT_EQ(Sum, 496u);
       }
+      Created.fetch_add(I);
     });
   for (std::thread &W : Workers)
     W.join();
   Stop.store(true, std::memory_order_relaxed);
   Evaluator.join();
 
-  expectCounterInvariants(Ctx, uint64_t(Threads) * PerThread);
+  expectCounterInvariants(Ctx, Created.load());
   EXPECT_EQ(Ctx.switchCount(), 0u);
   EXPECT_GT(DormantStretches, 0u);
   EXPECT_GT(Ctx.roundsSkipped(), 0u);
@@ -237,6 +249,86 @@ TEST(ConcurrentMonitoring, BackoffTransitionsUnderChurn) {
   // Back-off shows in the sample: far fewer than every instance was
   // monitored.
   EXPECT_LT(Ctx.instancesMonitored() * 2, Ctx.instancesCreated());
+}
+
+TEST(ConcurrentMonitoring, RecycleAcrossThreads) {
+  // Instances are created on producer threads and die on consumer
+  // threads, so spare implementations cross threads both ways through
+  // the context's ring while the evaluator switches the variant back and
+  // forth (lookup-heavy phases favor HashArrayList, index-heavy ones
+  // ArrayList). Every instance must come out empty and work, whichever
+  // thread emptied it.
+  ListContext<int64_t> Ctx("stress:recycle", ListVariant::ArrayList,
+                           defaultModel(), SelectionRule::timeRule(),
+                           quietOptions(16, 0.5));
+  constexpr int Producers = 2;
+  constexpr int Consumers = 2;
+  constexpr int PerProducer = 1500;
+  constexpr int64_t Size = 96;
+
+  std::atomic<int> Phase{0};
+  std::atomic<bool> Stop{false};
+  std::thread Evaluator([&] {
+    while (!Stop.load(std::memory_order_relaxed)) {
+      if (Ctx.evaluate())
+        Phase.fetch_xor(1, std::memory_order_relaxed);
+      std::this_thread::yield();
+    }
+  });
+
+  std::mutex QueueMutex;
+  std::vector<List<int64_t>> Queue;
+  std::atomic<int> ProducersLeft{Producers};
+  std::vector<std::thread> Threads;
+  for (int T = 0; T != Producers; ++T)
+    Threads.emplace_back([&] {
+      for (int I = 0; I != PerProducer; ++I) {
+        List<int64_t> L = Ctx.createList();
+        EXPECT_EQ(L.size(), 0u);
+        EXPECT_FALSE(isConcurrentVariant(AbstractionKind::List,
+                                         static_cast<unsigned>(L.variant())));
+        for (int64_t V = 0; V != Size; ++V)
+          L.add(V);
+        bool Lookups = Phase.load(std::memory_order_relaxed) == 0;
+        uint64_t Hits = 0;
+        for (int64_t V = 0; V != 2 * Size; ++V)
+          Hits += Lookups ? L.contains(V) : L.get(V % Size) == V % Size;
+        EXPECT_EQ(Hits, uint64_t(Size) * (Lookups ? 1 : 2));
+        std::lock_guard<std::mutex> Lock(QueueMutex);
+        Queue.push_back(std::move(L));
+      }
+      ProducersLeft.fetch_sub(1);
+    });
+  for (int T = 0; T != Consumers; ++T)
+    Threads.emplace_back([&] {
+      for (;;) {
+        std::optional<List<int64_t>> L;
+        {
+          std::lock_guard<std::mutex> Lock(QueueMutex);
+          if (!Queue.empty()) {
+            L.emplace(std::move(Queue.back()));
+            Queue.pop_back();
+          } else if (ProducersLeft.load() == 0) {
+            return;
+          }
+        }
+        if (!L) {
+          std::this_thread::yield();
+          continue;
+        }
+        EXPECT_EQ(L->size(), size_t(Size));
+        EXPECT_TRUE(L->contains(Size - 1));
+        // Dies here, on this thread: its implementation is emptied and
+        // offered to the ring.
+      }
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
+  Stop.store(true, std::memory_order_relaxed);
+  Evaluator.join();
+
+  expectCounterInvariants(Ctx, uint64_t(Producers) * PerProducer);
+  EXPECT_GT(Ctx.switchCount(), 0u);
 }
 
 TEST(ConcurrentMonitoring, ParallelEvaluateAllMatchesSequentialDecisions) {
