@@ -7,7 +7,7 @@
 /// \file
 /// Helpers shared by the table/figure harnesses: loading the measured
 /// model produced by `model_builder` (falling back to the built-in
-/// default), and simple argument parsing.
+/// default), simple argument parsing, and the host record.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +18,7 @@
 #include "model/DefaultModel.h"
 #include "model/ModelBuilder.h"
 #include "support/Telemetry.h"
+#include "support/Topology.h"
 
 #include <algorithm>
 #include <climits>
@@ -160,6 +161,15 @@ inline std::vector<size_t> threadSweep(int Argc, char **Argv) {
   if (Sweep.empty() || Sweep.back() != Ceiling)
     Sweep.push_back(Ceiling);
   return Sweep;
+}
+
+/// The host record every bench file carries: `{"nodes": N, "cpus": C}`
+/// from Topology::system(), the same object the repository benchmark
+/// writes under `topology`.
+inline std::string topologyJson() {
+  const Topology &Topo = Topology::system();
+  return "{\"nodes\": " + std::to_string(Topo.nodeCount()) +
+         ", \"cpus\": " + std::to_string(Topo.cpuCount()) + "}";
 }
 
 } // namespace bench

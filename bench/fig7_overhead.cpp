@@ -37,7 +37,6 @@
 #include "core/Switch.h"
 #include "support/EventLog.h"
 #include "support/Timer.h"
-#include "support/Topology.h"
 
 #include <algorithm>
 #include <atomic>
@@ -269,13 +268,9 @@ int main(int Argc, char **Argv) {
   size_t PerThread = static_cast<size_t>(
       std::max(intOption(Argc, Argv, "--instances", 200000), 8L));
   std::vector<size_t> Sweep = threadSweep(Argc, Argv);
-  const Topology &Topo = Topology::system();
   std::printf("\nContended monitoring fast path: ns per monitored "
               "create+destroy cycle\n");
-  std::printf("(topology: %u node%s, %u cpu%s%s)\n", Topo.nodeCount(),
-              Topo.nodeCount() == 1 ? "" : "s", Topo.cpuCount(),
-              Topo.cpuCount() == 1 ? "" : "s",
-              Topo.synthetic() ? ", synthetic" : "");
+  std::printf("(topology: %s)\n", topologyJson().c_str());
   std::printf("%8s  %12s  %12s  %12s  %10s  %8s\n", "threads",
               "ns/instance", "baseline", "overhead", "monitored",
               "rounds");
@@ -334,12 +329,7 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     std::fprintf(F, "{\n  \"bench\": \"fig7_overhead\",\n");
-    std::fprintf(F,
-                 "  \"topology\": {\"nodes\": %u, \"cpus\": %u, "
-                 "\"synthetic\": %s, \"hardware_concurrency\": %u},\n",
-                 Topo.nodeCount(), Topo.cpuCount(),
-                 Topo.synthetic() ? "true" : "false",
-                 std::thread::hardware_concurrency());
+    std::fprintf(F, "  \"topology\": %s,\n", topologyJson().c_str());
     std::fprintf(F, "  \"analysis_ns_per_collection\": [\n");
     for (size_t I = 0; I != AnalysisRows.size(); ++I)
       std::fprintf(F, "    {\"window\": %zu, \"ns\": %.1f}%s\n",

@@ -30,7 +30,6 @@
 #include "core/Switch.h"
 #include "obs/Profiling.h"
 #include "support/Timer.h"
-#include "support/Topology.h"
 
 #include <algorithm>
 #include <atomic>
@@ -156,13 +155,9 @@ int main(int Argc, char **Argv) {
   };
   std::vector<Row> Rows;
   std::vector<size_t> Sweep = threadSweep(Argc, Argv);
-  const Topology &Topo = Topology::system();
   std::printf("Continuous profiling: fig7 contended cycle with histograms "
               "on vs off\n");
-  std::printf("(topology: %u node%s, %u cpu%s%s)\n", Topo.nodeCount(),
-              Topo.nodeCount() == 1 ? "" : "s", Topo.cpuCount(),
-              Topo.cpuCount() == 1 ? "" : "s",
-              Topo.synthetic() ? ", synthetic" : "");
+  std::printf("(topology: %s)\n", topologyJson().c_str());
   std::printf("%8s  %14s  %14s  %10s\n", "threads", "profiled ns",
               "unprofiled ns", "delta ns");
   for (size_t Threads : Sweep) {
@@ -194,12 +189,7 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     std::fprintf(F, "{\n  \"bench\": \"histogram_overhead\",\n");
-    std::fprintf(F,
-                 "  \"topology\": {\"nodes\": %u, \"cpus\": %u, "
-                 "\"synthetic\": %s, \"hardware_concurrency\": %u},\n",
-                 Topo.nodeCount(), Topo.cpuCount(),
-                 Topo.synthetic() ? "true" : "false",
-                 std::thread::hardware_concurrency());
+    std::fprintf(F, "  \"topology\": %s,\n", topologyJson().c_str());
     std::fprintf(F, "  \"contended_cycle\": [\n");
     for (size_t I = 0; I != Rows.size(); ++I)
       std::fprintf(F,

@@ -170,13 +170,10 @@ int main(int Argc, char **Argv) {
   std::string Json = "{\n  \"schema\": \"cswitch-server-v1\",\n";
   Json += "  \"hardware_threads\": " + std::to_string(HardwareThreads) +
           ",\n";
-  const Topology &Topo = Topology::system();
-  Json += "  \"host\": {\"cpus\": " + std::to_string(Topo.cpuCount()) +
-          ", \"numa_nodes\": " + std::to_string(Topo.nodeCount()) +
-          ", \"synthetic_nodes\": " + (Topo.synthetic() ? "true" : "false") +
-          ", \"shards\": " + std::to_string(Shards) +
-          ", \"profile_stripes\": " + std::to_string(resolveCpuStripes(0)) +
-          "},\n";
+  Json += "  \"topology\": " + topologyJson() + ",\n";
+  Json += "  \"shards\": " + std::to_string(Shards) + ",\n";
+  Json += "  \"profile_stripes\": " + std::to_string(resolveCpuStripes(0)) +
+          ",\n";
   Json += "  \"tenants\": " + std::to_string(Base.Tenants) + ",\n";
   Json += "  \"ops_per_thread\": " + std::to_string(Base.OpsPerThread) +
           ",\n";

@@ -176,7 +176,7 @@ size_t AllocationContextBase::acquireMonitorSlot() {
   const bool Sampled = obs::shouldSampleRecord();
   const uint64_t Start = Sampled ? obs::nowNanos() : 0;
 
-  Hot.add(CreatedIdx);
+  Hot.Created.fetch_add(1, std::memory_order_relaxed);
   size_t Out = NoSlot;
   uint64_t State = RoundState.load(std::memory_order_acquire);
   for (;;) {
@@ -198,7 +198,7 @@ size_t AllocationContextBase::acquireMonitorSlot() {
       // analyzer (which spins briefly if it wins the race to this line).
       bufferOf(Round)[Index].State.store(
           slotState(Round, SlotStatus::Claimed), std::memory_order_release);
-      Hot.add(MonitoredIdx);
+      Hot.Monitored.fetch_add(1, std::memory_order_relaxed);
       Out = (static_cast<size_t>(Round) << 32) | Index;
       break;
     }
@@ -230,7 +230,7 @@ void AllocationContextBase::onInstanceFinished(
   if (!Entry.State.compare_exchange_strong(
           Expected, slotState(Round, SlotStatus::Writing),
           std::memory_order_acq_rel, std::memory_order_relaxed)) {
-    Hot.add(DiscardedIdx);
+    Hot.Discarded.fetch_add(1, std::memory_order_relaxed);
   } else {
     for (size_t I = 0; I != NumOperationKinds; ++I)
       Entry.Counts[I] = saturate32(Profile.Counts[I]);
@@ -239,7 +239,7 @@ void AllocationContextBase::onInstanceFinished(
     // profile write before its reads.
     Entry.State.store(slotState(Round, SlotStatus::Finished),
                       std::memory_order_release);
-    Hot.add(FinishedIdx);
+    Hot.Finished.fetch_add(1, std::memory_order_relaxed);
 
     // Count the publication toward this round's finished-ratio gate. The
     // round tag in the counter word makes a stale increment (the round
@@ -596,7 +596,7 @@ bool AllocationContextBase::evaluate() {
     // so it reopens live in place with the assigned count at 0.
     uint64_t Span = (uint64_t(1) << backoffLevelLocked()) - 1;
     if (++DormantCalls >= Span &&
-        Hot.sum(CreatedIdx) - DormantCreatedAt >= Span * Options.WindowSize) {
+        instancesCreated() - DormantCreatedAt >= Span * Options.WindowSize) {
       Dormant = false;
       RoundState.store(static_cast<uint64_t>(Round) << 32,
                        std::memory_order_release);
@@ -667,7 +667,7 @@ bool AllocationContextBase::evaluate() {
     // by EvalMutex); retry with the refreshed claim count.
   }
   size_t Assigned = static_cast<uint32_t>(State);
-  const uint64_t CreatedAtRotation = OpenDormant ? Hot.sum(CreatedIdx) : 0;
+  const uint64_t CreatedAtRotation = OpenDormant ? instancesCreated() : 0;
   const uint32_t PreviousHint = CapacityHint.load(std::memory_order_relaxed);
 
   std::optional<unsigned> Choice = analyzeRound(Round, Assigned);
@@ -734,7 +734,7 @@ size_t AllocationContextBase::memoryFootprint() const {
   // background thread; its capacity is only stable under EvalMutex.
   std::lock_guard<std::mutex> Lock(EvalMutex);
   return sizeof(*this) + 2 * Options.WindowSize * sizeof(WindowSlot) +
-         Hot.memoryBytes() + Name.capacity() +
+         Name.capacity() +
          Groups.capacity() * sizeof(MergedGroup) +
          VariantNameIds.capacity() * sizeof(uint32_t) + spareBytes();
 }

@@ -202,19 +202,6 @@ struct ContextOptions {
 /// instances are lock-free (one CAS each); unmonitored creation while
 /// the window is full is a single atomic load.
 class AllocationContextBase : public ProfileSink {
-  /// Indices into the NUMA-striped hot-counter block (DESIGN.md §10).
-  /// These four are bumped on every instance creation/destruction, so
-  /// they live in per-node stripes: writers of different nodes touch
-  /// different cache lines and readers sum the stripes. Evaluations and
-  /// Switches are monitoring-rate-paced and stay plain atomics.
-  enum HotCounter : size_t {
-    CreatedIdx = 0,
-    MonitoredIdx,
-    FinishedIdx,
-    DiscardedIdx,
-    NumHotCounters
-  };
-
 public:
   /// Cap of the back-off exponent: a converged site analyzes at least
   /// one round in 2^MaxBackoffLevel evaluate() calls, which bounds how
@@ -261,18 +248,26 @@ public:
   }
 
   /// Total collections created through this context.
-  uint64_t instancesCreated() const { return Hot.sum(CreatedIdx); }
+  uint64_t instancesCreated() const {
+    return Hot.Created.load(std::memory_order_relaxed);
+  }
 
   /// Total instances that were monitored (assigned a window slot).
-  uint64_t instancesMonitored() const { return Hot.sum(MonitoredIdx); }
+  uint64_t instancesMonitored() const {
+    return Hot.Monitored.load(std::memory_order_relaxed);
+  }
 
   /// Total monitored instances whose profile was published into a window
   /// (finished while their round was still live).
-  uint64_t instancesFinished() const { return Hot.sum(FinishedIdx); }
+  uint64_t instancesFinished() const {
+    return Hot.Finished.load(std::memory_order_relaxed);
+  }
 
   /// Total monitored instances whose profile was discarded because they
   /// outlived their monitoring round (stale stragglers).
-  uint64_t profilesDiscarded() const { return Hot.sum(DiscardedIdx); }
+  uint64_t profilesDiscarded() const {
+    return Hot.Discarded.load(std::memory_order_relaxed);
+  }
 
   /// Completed analysis rounds.
   uint64_t evaluationCount() const {
@@ -317,10 +312,10 @@ public:
   /// same atomics).
   ContextStats stats() const {
     ContextStats S;
-    S.InstancesCreated = Hot.sum(CreatedIdx);
-    S.InstancesMonitored = Hot.sum(MonitoredIdx);
-    S.ProfilesPublished = Hot.sum(FinishedIdx);
-    S.ProfilesDiscarded = Hot.sum(DiscardedIdx);
+    S.InstancesCreated = instancesCreated();
+    S.InstancesMonitored = instancesMonitored();
+    S.ProfilesPublished = instancesFinished();
+    S.ProfilesDiscarded = profilesDiscarded();
     S.Evaluations = Evaluations.load(std::memory_order_relaxed);
     S.Switches = Switches.load(std::memory_order_relaxed);
     S.RoundsSkipped = RoundsSkipped.load(std::memory_order_relaxed);
@@ -375,17 +370,6 @@ public:
   /// ProfilingRegistry, so it aggregates across context lifetimes).
   /// Never null.
   const obs::SiteProfile *siteProfile() const { return Prof; }
-
-  /// Registry-shard bookkeeping owned by SwitchEngine: registerContext
-  /// remembers which (node-affine) shard it filed this context under so
-  /// unregisterContext finds it again even from a thread on a different
-  /// node. UINT32_MAX = never registered.
-  void setEngineShardHint(uint32_t Shard) {
-    EngineShardHint.store(Shard, std::memory_order_relaxed);
-  }
-  uint32_t engineShardHint() const {
-    return EngineShardHint.load(std::memory_order_relaxed);
-  }
 
 protected:
   /// The one create body behind createList/createSet/createMap (paper
@@ -600,13 +584,16 @@ private:
   /// EWMA of the sketch's estimate, refreshed once per analysis round
   /// (ContentionPolicy::Smoothing / MinOps).
   std::atomic<double> ContendedThreads{0.0};
-  /// Shard index SwitchEngine filed this context under (see
-  /// setEngineShardHint). Written at register time only.
-  std::atomic<uint32_t> EngineShardHint{UINT32_MAX};
-  /// Per-instance counters (created/monitored/finished/discarded),
-  /// NUMA-striped; see HotCounter. The stripes live on the heap, so the
-  /// context object itself carries no per-instance fetch_add targets.
-  StripedCounters<NumHotCounters> Hot;
+  /// Per-instance counters: bumped on every instance creation and
+  /// destruction, so they share one line of their own, away from the
+  /// read-mostly fields above and from RoundState. Evaluations and
+  /// Switches are monitoring-rate-paced and need no line of their own.
+  struct alignas(CacheLineBytes) HotCounters {
+    std::atomic<uint64_t> Created{0};
+    std::atomic<uint64_t> Monitored{0};
+    std::atomic<uint64_t> Finished{0};
+    std::atomic<uint64_t> Discarded{0};
+  } Hot;
   std::atomic<uint64_t> Evaluations{0};
   std::atomic<uint64_t> Switches{0};
   std::atomic<uint64_t> RoundsSkipped{0};

@@ -156,7 +156,6 @@ void Switch::setModel(std::shared_ptr<const PerformanceModel> Model) {
 }
 
 void Switch::configure(const SwitchConfig &Config) {
-  SwitchEngine::global().configure(Config.Engine);
   {
     std::lock_guard<std::mutex> Lock(configMutex());
     contextDefaultsSlot() = Config.Context;

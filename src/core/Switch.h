@@ -25,10 +25,10 @@
 /// \endcode
 ///
 /// Process-wide configuration flows through one call: configure() takes
-/// a SwitchConfig bundling the EngineOptions (worker pool, NUMA
-/// pinning) with the ContextOptions every subsequent makeContext()
-/// defaults to — including the monitoring rate startEngine() paces the
-/// background thread at. There is no second configuration path.
+/// a SwitchConfig bundling the ContextOptions every subsequent
+/// makeContext() defaults to — including the monitoring rate
+/// startEngine() paces the background thread at — with the fleet and
+/// tuning options. There is no second configuration path.
 ///
 /// Contexts created here share the process-wide performance model (the
 /// built-in default until setModel() installs a measured one), default to
@@ -80,13 +80,11 @@ struct FleetOptions {
   }
 };
 
-/// The one process-wide configuration bundle: engine-level options plus
-/// the context defaults every makeContext() call falls back to when no
-/// explicit ContextOptions is passed (see Switch::configure).
+/// The one process-wide configuration bundle: the context defaults
+/// every makeContext() call falls back to when no explicit
+/// ContextOptions is passed (see Switch::configure), plus the fleet and
+/// tuning options.
 struct SwitchConfig {
-  /// Worker-pool size and NUMA pinning of periodic evaluation
-  /// (DESIGN.md §10).
-  EngineOptions Engine;
   /// Defaults for contexts created without explicit options — window
   /// geometry, concurrency mode, and the monitoring rate startEngine()
   /// paces the background thread at.
@@ -131,22 +129,9 @@ public:
   /// model they were created with.
   static void setModel(std::shared_ptr<const PerformanceModel> Model);
 
-  /// Sets the parallelism of periodic context evaluation (see
-  /// SwitchEngine::setEvaluationThreads): 0/1 = deterministic
-  /// sequential evaluation (default), N > 1 = worker pool.
-  static void setEvaluationThreads(size_t Threads) {
-    SwitchEngine::global().setEvaluationThreads(Threads);
-  }
-
-  /// Current evaluateAll() parallelism of the global engine.
-  static size_t evaluationThreads() {
-    return SwitchEngine::global().evaluationThreads();
-  }
-
-  /// Applies \p Config process-wide: the engine options take effect on
-  /// the global engine immediately, and the context options become the
+  /// Applies \p Config process-wide: the context options become the
   /// defaults of every subsequent makeContext() call that passes none —
-  /// the single configuration path for engine and contexts alike.
+  /// the single configuration path.
   static void configure(const SwitchConfig &Config);
 
   /// The ContextOptions makeContext() currently defaults to (the

@@ -10,13 +10,6 @@
 #include "support/EventLog.h"
 #include "support/Topology.h"
 
-#include <algorithm>
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 using namespace cswitch;
 
 SwitchEngine &SwitchEngine::global() {
@@ -24,38 +17,13 @@ SwitchEngine &SwitchEngine::global() {
   return Instance;
 }
 
-SwitchEngine::SwitchEngine() : Nodes(Topology::system().nodeCount()) {
-  NodeShards.reserve(Nodes);
-  for (unsigned N = 0; N != Nodes; ++N)
-    NodeShards.push_back(std::make_unique<Shard[]>(ShardsPerNode));
-}
+SwitchEngine::SwitchEngine() = default;
 
-SwitchEngine::~SwitchEngine() {
-  stop();
-  stopPool();
-}
-
-size_t SwitchEngine::shardOf(const AllocationContextBase *Context,
-                             unsigned Node) const {
-  // Fibonacci hash of the pointer; the low bits of a heap pointer are
-  // alignment zeros, so shift them out first. The node picks the arena,
-  // the hash picks the shard within it.
-  auto Ptr = reinterpret_cast<uintptr_t>(Context);
-  size_t Hash =
-      ((Ptr >> 4) * 11400714819323198485ull) >> 60 & (ShardsPerNode - 1);
-  return static_cast<size_t>(Node) * ShardsPerNode + Hash;
-}
+SwitchEngine::~SwitchEngine() { stop(); }
 
 void SwitchEngine::registerContext(AllocationContextBase *Context) {
-  // File the context under the registering thread's node so creation
-  // bursts on different sockets lock different arenas. The shard index
-  // is remembered on the context: unregistration (possibly from a
-  // thread on another node) must find the same shard.
-  size_t Index = shardOf(Context, currentStripe(Nodes));
-  Shard &S = shardAt(Index);
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  S.Contexts.push_back(Context);
-  Context->setEngineShardHint(static_cast<uint32_t>(Index));
+  std::lock_guard<std::mutex> Lock(RegistryMutex);
+  Contexts.push_back(Context);
 }
 
 void SwitchEngine::unregisterContext(AllocationContextBase *Context) {
@@ -69,229 +37,21 @@ void SwitchEngine::unregisterContext(AllocationContextBase *Context) {
                          Context->abstraction(),
                          Context->currentVariantIndex(), Profile, Instances);
   }
-  // The hint is authoritative for the engine that registered the
-  // context last. A context registered with several engines (isolated
-  // replay engines, test-local engines) carries the other engine's
-  // hint, so fall back to scanning every shard when the hinted one
-  // misses — unregistration stays a no-op only when the context is
-  // genuinely absent.
-  uint32_t Hint = Context->engineShardHint();
-  if (Hint < shardCount()) {
-    Shard &S = shardAt(Hint);
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    auto It = std::remove(S.Contexts.begin(), S.Contexts.end(), Context);
-    if (It != S.Contexts.end()) {
-      S.Contexts.erase(It, S.Contexts.end());
-      return;
-    }
-  }
-  for (size_t Index = 0; Index != shardCount(); ++Index) {
-    Shard &S = shardAt(Index);
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    auto It = std::remove(S.Contexts.begin(), S.Contexts.end(), Context);
-    if (It != S.Contexts.end()) {
-      S.Contexts.erase(It, S.Contexts.end());
-      return;
-    }
-  }
+  std::lock_guard<std::mutex> Lock(RegistryMutex);
+  std::erase(Contexts, Context);
 }
 
 std::vector<AllocationContextBase *> SwitchEngine::snapshotContexts() const {
-  // Snapshot shard by shard: evaluation must not hold registry locks
-  // (context evaluation can be slow and must not block registration
-  // from other threads).
-  std::vector<AllocationContextBase *> Snapshot;
-  for (size_t Index = 0; Index != shardCount(); ++Index) {
-    const Shard &S = shardAt(Index);
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    Snapshot.insert(Snapshot.end(), S.Contexts.begin(), S.Contexts.end());
-  }
-  return Snapshot;
-}
-
-std::vector<std::vector<AllocationContextBase *>>
-SwitchEngine::snapshotContextsByNode() const {
-  std::vector<std::vector<AllocationContextBase *>> PerNode(Nodes);
-  for (unsigned N = 0; N != Nodes; ++N) {
-    for (size_t I = 0; I != ShardsPerNode; ++I) {
-      const Shard &S = NodeShards[N][I];
-      std::lock_guard<std::mutex> Lock(S.Mutex);
-      PerNode[N].insert(PerNode[N].end(), S.Contexts.begin(),
-                        S.Contexts.end());
-    }
-  }
-  return PerNode;
+  std::lock_guard<std::mutex> Lock(RegistryMutex);
+  return Contexts;
 }
 
 size_t SwitchEngine::evaluateAll() {
-  size_t Threads = EvalThreads.load(std::memory_order_relaxed);
-  if (Threads <= 1) {
-    // Deterministic sequential mode.
-    size_t Transitions = 0;
-    for (AllocationContextBase *Context : snapshotContexts())
-      if (Context->evaluate())
-        ++Transitions;
-    return Transitions;
-  }
-
-  // Node-affine parallel sweep: every worker drains its own node's
-  // contexts first (each node has its own work-stealing cursor, so the
-  // only cross-node cache traffic while lists are non-empty is the
-  // final steal pass), then steals from the other nodes so stragglers
-  // never idle a worker.
-  std::vector<std::vector<AllocationContextBase *>> PerNode =
-      snapshotContextsByNode();
-  size_t Total = 0;
-  for (const auto &List : PerNode)
-    Total += List.size();
-  if (Total < 2) {
-    size_t Transitions = 0;
-    for (const auto &List : PerNode)
-      for (AllocationContextBase *Context : List)
-        if (Context->evaluate())
-          ++Transitions;
-    return Transitions;
-  }
-
-  struct alignas(CacheLineBytes) NodeCursor {
-    std::atomic<size_t> Next{0};
-  };
-  auto Cursors = std::make_unique<NodeCursor[]>(Nodes);
-  std::atomic<size_t> Transitions{0};
-  unsigned NumNodes = Nodes;
-  std::function<void()> Task = [&PerNode, &Cursors, &Transitions,
-                                NumNodes] {
-    unsigned Home = currentStripe(NumNodes);
-    size_t LocalTransitions = 0;
-    for (unsigned Offset = 0; Offset != NumNodes; ++Offset) {
-      unsigned Node = (Home + Offset) % NumNodes;
-      const auto &List = PerNode[Node];
-      for (size_t I;
-           (I = Cursors[Node].Next.fetch_add(
-                1, std::memory_order_relaxed)) < List.size();)
-        if (List[I]->evaluate())
-          ++LocalTransitions;
-    }
-    if (LocalTransitions)
-      Transitions.fetch_add(LocalTransitions, std::memory_order_relaxed);
-  };
-  dispatchToPool(Task);
-  return Transitions.load(std::memory_order_relaxed);
-}
-
-void SwitchEngine::dispatchToPool(const std::function<void()> &Task) {
-  // Serialize dispatches: concurrent evaluateAll() calls (background
-  // thread + manual driver) take turns; context evaluation itself is
-  // thread-safe either way.
-  std::lock_guard<std::mutex> DispatchLock(DispatchMutex);
-  size_t Expected;
-  {
-    std::lock_guard<std::mutex> Lock(PoolMutex);
-    Expected = PoolThreads.size();
-    ActiveTask = &Task;
-    FinishedWorkers = 0;
-    ++TaskGeneration;
-  }
-  PoolWake.notify_all();
-  Task(); // the caller is the pool's final worker
-  std::unique_lock<std::mutex> Lock(PoolMutex);
-  PoolDone.wait(Lock, [this, Expected] {
-    return FinishedWorkers == Expected;
-  });
-  ActiveTask = nullptr;
-}
-
-namespace {
-
-/// Pins the calling thread to \p Node's cpu set (best effort; no-op on
-/// non-Linux, on synthetic topologies, and on pinning failure — the
-/// node-affine sweep still works unpinned, it just loses the locality
-/// guarantee).
-void pinSelfToNode(unsigned Node) {
-#if defined(__linux__)
-  std::vector<unsigned> Cpus = Topology::system().cpusOfNode(Node);
-  if (Cpus.empty())
-    return;
-  cpu_set_t Set;
-  CPU_ZERO(&Set);
-  for (unsigned Cpu : Cpus)
-    if (Cpu < CPU_SETSIZE)
-      CPU_SET(Cpu, &Set);
-  pthread_setaffinity_np(pthread_self(), sizeof(Set), &Set);
-#else
-  (void)Node;
-#endif
-}
-
-} // namespace
-
-void SwitchEngine::poolMain(uint64_t SeenGeneration, unsigned PinnedNode) {
-  if (PinWorkers.load(std::memory_order_relaxed))
-    pinSelfToNode(PinnedNode);
-  std::unique_lock<std::mutex> Lock(PoolMutex);
-  for (;;) {
-    PoolWake.wait(Lock, [this, SeenGeneration] {
-      return PoolShutdown || TaskGeneration != SeenGeneration;
-    });
-    if (PoolShutdown)
-      return;
-    SeenGeneration = TaskGeneration;
-    const std::function<void()> *Task = ActiveTask;
-    Lock.unlock();
-    (*Task)();
-    Lock.lock();
-    ++FinishedWorkers;
-    PoolDone.notify_all();
-  }
-}
-
-void SwitchEngine::startPool(size_t Workers) {
-  uint64_t Generation;
-  {
-    std::lock_guard<std::mutex> Lock(PoolMutex);
-    PoolShutdown = false;
-    // No dispatch can run while the caller holds DispatchMutex, so
-    // every new worker starts with the current generation as "seen".
-    Generation = TaskGeneration;
-  }
-  for (size_t I = 0; I != Workers; ++I) {
-    // Workers spread round-robin over the nodes; poolMain pins itself
-    // when configure() asked for it.
-    unsigned Node = static_cast<unsigned>(I) % Nodes;
-    PoolThreads.emplace_back(
-        [this, Generation, Node] { poolMain(Generation, Node); });
-  }
-}
-
-void SwitchEngine::stopPool() {
-  {
-    std::lock_guard<std::mutex> Lock(PoolMutex);
-    if (PoolThreads.empty())
-      return;
-    PoolShutdown = true;
-  }
-  PoolWake.notify_all();
-  for (std::thread &T : PoolThreads)
-    T.join();
-  PoolThreads.clear();
-}
-
-void SwitchEngine::setEvaluationThreads(size_t Threads) {
-  // Hold the dispatch lock so the pool is never resized mid-dispatch.
-  std::lock_guard<std::mutex> DispatchLock(DispatchMutex);
-  stopPool();
-  EvalThreads.store(std::max<size_t>(Threads, 1),
-                    std::memory_order_relaxed);
-  if (Threads > 1)
-    startPool(Threads - 1);
-}
-
-void SwitchEngine::configure(const EngineOptions &Options) {
-  // Order matters: the pinning flag must be set before the new pool's
-  // workers start, since each worker reads it once at startup.
-  PinWorkers.store(Options.PinEvaluationWorkers,
-                   std::memory_order_relaxed);
-  setEvaluationThreads(Options.EvaluationThreads);
+  size_t Transitions = 0;
+  for (AllocationContextBase *Context : snapshotContexts())
+    if (Context->evaluate())
+      ++Transitions;
+  return Transitions;
 }
 
 void SwitchEngine::start(std::chrono::milliseconds MonitoringRate) {
@@ -501,43 +261,31 @@ void SwitchEngine::maybePersistStore() {
 }
 
 size_t SwitchEngine::contextCount() const {
-  size_t Total = 0;
-  for (size_t Index = 0; Index != shardCount(); ++Index) {
-    const Shard &S = shardAt(Index);
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    Total += S.Contexts.size();
-  }
-  return Total;
+  std::lock_guard<std::mutex> Lock(RegistryMutex);
+  return Contexts.size();
 }
 
 uint64_t SwitchEngine::totalSwitches() const {
+  std::lock_guard<std::mutex> Lock(RegistryMutex);
   uint64_t Total = 0;
-  for (size_t Index = 0; Index != shardCount(); ++Index) {
-    const Shard &S = shardAt(Index);
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    for (const AllocationContextBase *Context : S.Contexts)
-      Total += Context->switchCount();
-  }
+  for (const AllocationContextBase *Context : Contexts)
+    Total += Context->switchCount();
   return Total;
 }
 
 EngineStats SwitchEngine::stats() const {
+  std::lock_guard<std::mutex> Lock(RegistryMutex);
   EngineStats Stats;
-  for (size_t Index = 0; Index != shardCount(); ++Index) {
-    const Shard &S = shardAt(Index);
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    for (const AllocationContextBase *Context : S.Contexts)
-      Stats += Context->stats();
-  }
+  for (const AllocationContextBase *Context : Contexts)
+    Stats += Context->stats();
   return Stats;
 }
 
 TelemetrySnapshot SwitchEngine::telemetry() const {
   TelemetrySnapshot Snapshot;
-  for (size_t Index = 0; Index != shardCount(); ++Index) {
-    const Shard &S = shardAt(Index);
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    for (const AllocationContextBase *Context : S.Contexts) {
+  {
+    std::lock_guard<std::mutex> Lock(RegistryMutex);
+    for (const AllocationContextBase *Context : Contexts) {
       ContextSnapshot C;
       C.Name = Context->name();
       C.Abstraction = abstractionKindName(Context->abstraction());
@@ -557,7 +305,6 @@ TelemetrySnapshot SwitchEngine::telemetry() const {
   EventLog &Log = EventLog::global();
   Snapshot.Events.Recorded = Log.totalRecorded();
   Snapshot.Events.Dropped = Log.droppedCount();
-  Snapshot.Events.NodeDropped = Log.nodeDroppedCounts();
   Snapshot.Recorder = RecorderRegistry::global().stats();
   Snapshot.Fleet = FleetRegistry::global().stats();
   Snapshot.Tuning = TuningRegistry::global().stats();

@@ -13,19 +13,11 @@
 /// analysis synchronously, which deterministic tests and single-threaded
 /// harnesses use.
 ///
-/// The registry is sharded to keep registration cheap under many
-/// concurrently created sites, and evaluateAll() can fan contexts out to
-/// a small worker pool (setEvaluationThreads) for processes with
-/// thousands of hot sites. The default is single-threaded evaluation,
-/// which is fully deterministic and what tests rely on.
-///
-/// Topology-aware sharding (DESIGN.md §10): each NUMA node gets its own
-/// arena of registry shards, registration files a context under a shard
-/// of the registering thread's node (the shard index is remembered on
-/// the context so unregistration from any node finds it), and parallel
-/// evaluation drains its own node's contexts before stealing from other
-/// nodes. EngineOptions::PinEvaluationWorkers additionally pins pool
-/// workers round-robin over the nodes' cpu sets.
+/// The registry is one vector under one mutex, in registration order;
+/// evaluateAll() evaluates the contexts sequentially in that order, on
+/// the calling thread, so it is fully deterministic. Context
+/// evaluation is thread-safe, so the background thread and a manual
+/// evaluateAll() may run at the same time.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +28,6 @@
 #include "store/SelectionStore.h"
 #include "support/Telemetry.h"
 
-#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <functional>
@@ -65,30 +56,6 @@ struct ReporterOptions {
   std::function<void(const TelemetrySnapshot &)> Sink;
 };
 
-/// Engine-level tuning knobs (per-process; contexts carry their own
-/// options). Applied with SwitchEngine::configure.
-struct EngineOptions {
-  /// evaluateAll() parallelism: 0 or 1 selects the deterministic
-  /// sequential mode, N > 1 keeps a pool of N - 1 workers (the caller
-  /// participates as the Nth). Same semantics as setEvaluationThreads.
-  size_t EvaluationThreads = 1;
-  /// Pin evaluation pool workers round-robin over the NUMA nodes' cpu
-  /// sets (pthread_setaffinity_np), so a worker's node-affine sweep
-  /// actually runs on the node whose contexts it drains. Linux-only;
-  /// silently ignored elsewhere and on synthetic (CSWITCH_NUMA_NODES)
-  /// topologies, which have no real cpu map.
-  bool PinEvaluationWorkers = false;
-
-  EngineOptions &evaluationThreads(size_t Value) {
-    EvaluationThreads = Value;
-    return *this;
-  }
-  EngineOptions &pinEvaluationWorkers(bool Value) {
-    PinEvaluationWorkers = Value;
-    return *this;
-  }
-};
-
 /// Registry of live allocation contexts plus the periodic evaluator.
 class SwitchEngine {
 public:
@@ -108,33 +75,10 @@ public:
   /// Removes \p Context from the registry (no-op if absent).
   void unregisterContext(AllocationContextBase *Context);
 
-  /// Evaluates every registered context once; returns the number of
-  /// contexts that performed a transition. With evaluationThreads() <= 1
-  /// (the default) contexts are evaluated sequentially on the calling
-  /// thread — the deterministic mode tests rely on; otherwise they are
-  /// fanned out to the worker pool.
+  /// Evaluates every registered context once, sequentially on the
+  /// calling thread and in registration order; returns the number of
+  /// contexts that performed a transition.
   size_t evaluateAll();
-
-  /// Sets the number of threads evaluateAll() uses: 0 or 1 selects the
-  /// deterministic sequential mode, N > 1 keeps a pool of N - 1 workers
-  /// (the caller participates as the Nth). Safe to call at any time;
-  /// blocks until an in-flight parallel evaluation finishes.
-  void setEvaluationThreads(size_t Threads);
-
-  /// Current evaluateAll() parallelism (1 = sequential).
-  size_t evaluationThreads() const {
-    return EvalThreads.load(std::memory_order_relaxed);
-  }
-
-  /// Applies \p Options: evaluation parallelism and worker pinning in
-  /// one call. Safe at any time; like setEvaluationThreads it blocks
-  /// until an in-flight parallel evaluation finishes.
-  void configure(const EngineOptions &Options);
-
-  /// True when pool workers are pinned to NUMA nodes (configure()).
-  bool pinsEvaluationWorkers() const {
-    return PinWorkers.load(std::memory_order_relaxed);
-  }
 
   /// Starts the background evaluation thread at the given monitoring
   /// rate (paper default 50 ms). No-op if already running.
@@ -229,13 +173,6 @@ public:
   }
 
 private:
-  /// One registry shard (see ShardsPerNode below). Padded so the locks
-  /// of one arena sit on separate cache lines.
-  struct alignas(64) Shard {
-    mutable std::mutex Mutex;
-    std::vector<AllocationContextBase *> Contexts;
-  };
-
   /// Emits a telemetry report if the reporter is due; called by the
   /// background thread after each evaluation sweep, without holding
   /// ThreadMutex.
@@ -244,52 +181,13 @@ private:
   /// background thread after each sweep, without holding ThreadMutex.
   void maybePersistStore();
   void threadMain(std::chrono::milliseconds Rate);
+  /// Copy of the registry: evaluation and store gathering run without
+  /// RegistryMutex, so a slow evaluation never blocks registration.
   std::vector<AllocationContextBase *> snapshotContexts() const;
-  /// Per-node context snapshot, indexed by node (for the node-affine
-  /// parallel sweep).
-  std::vector<std::vector<AllocationContextBase *>>
-  snapshotContextsByNode() const;
-  /// Flat shard index for registering \p Context from node \p Node:
-  /// the pointer hash picks a shard within the node's arena.
-  size_t shardOf(const AllocationContextBase *Context,
-                 unsigned Node) const;
-  Shard &shardAt(size_t Index) {
-    return NodeShards[Index / ShardsPerNode][Index % ShardsPerNode];
-  }
-  const Shard &shardAt(size_t Index) const {
-    return NodeShards[Index / ShardsPerNode][Index % ShardsPerNode];
-  }
-  size_t shardCount() const { return Nodes * ShardsPerNode; }
 
-  /// Runs \p Task on every pool worker plus the calling thread and
-  /// waits for all of them; PoolMutex protocol in SwitchEngine.cpp.
-  void dispatchToPool(const std::function<void()> &Task);
-  void startPool(size_t Workers);
-  void stopPool();
-  void poolMain(uint64_t SeenGeneration, unsigned PinnedNode);
-
-  /// Shards per NUMA node arena: registration/unregistration from many
-  /// threads only contend within one shard, and each node's arena is a
-  /// separate heap block, so one node's shard locks never share pages —
-  /// let alone cache lines — with another's.
-  static constexpr size_t ShardsPerNode = 16;
-
-  unsigned Nodes; ///< NUMA node count (>= 1), fixed at construction.
-  /// NodeShards[Node] is that node's arena of ShardsPerNode shards.
-  std::vector<std::unique_ptr<Shard[]>> NodeShards;
-
-  /// Worker pool for parallel evaluateAll().
-  std::atomic<size_t> EvalThreads{1};
-  std::atomic<bool> PinWorkers{false};
-  mutable std::mutex DispatchMutex; ///< Serializes parallel dispatches.
-  mutable std::mutex PoolMutex;
-  std::condition_variable PoolWake;
-  std::condition_variable PoolDone;
-  std::vector<std::thread> PoolThreads;
-  const std::function<void()> *ActiveTask = nullptr; ///< Guarded by PoolMutex.
-  uint64_t TaskGeneration = 0;                       ///< Guarded by PoolMutex.
-  size_t FinishedWorkers = 0;                        ///< Guarded by PoolMutex.
-  bool PoolShutdown = false;                         ///< Guarded by PoolMutex.
+  /// Registered contexts in registration order.
+  mutable std::mutex RegistryMutex;
+  std::vector<AllocationContextBase *> Contexts; ///< Guarded by RegistryMutex.
 
   mutable std::mutex ThreadMutex;
   std::condition_variable StopCondition;

@@ -6,7 +6,6 @@
 
 #include "obs/LatencyHistogram.h"
 
-#include "support/Topology.h"
 
 #include <algorithm>
 #include <bit>
@@ -120,37 +119,6 @@ double HistogramSnapshot::quantile(double Q) const {
     }
   }
   return static_cast<double>(MaxNanos);
-}
-
-StripedHistogram::StripedHistogram(unsigned Stripes)
-    : NumStripes(Stripes ? Stripes : Topology::system().nodeCount()),
-      Lanes(std::make_unique<Stripe[]>(NumStripes)) {}
-
-void StripedHistogram::record(uint64_t Nanos, uint64_t N) {
-  Lanes[currentStripe(NumStripes)].Histogram.record(Nanos, N);
-}
-
-void StripedHistogram::recordOnStripe(unsigned Stripe, uint64_t Nanos,
-                                      uint64_t N) {
-  Lanes[Stripe % NumStripes].Histogram.record(Nanos, N);
-}
-
-HistogramSnapshot StripedHistogram::snapshot() const {
-  HistogramSnapshot Merged = Lanes[0].Histogram.snapshot();
-  for (unsigned S = 1; S != NumStripes; ++S)
-    Merged += Lanes[S].Histogram.snapshot();
-  return Merged;
-}
-
-bool StripedHistogram::empty() const {
-  for (unsigned S = 0; S != NumStripes; ++S)
-    if (!Lanes[S].Histogram.empty())
-      return false;
-  return true;
-}
-
-size_t StripedHistogram::memoryBytes() const {
-  return NumStripes * sizeof(Stripe);
 }
 
 LatencyStats HistogramSnapshot::stats() const {

@@ -33,7 +33,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
 namespace cswitch {
 namespace obs {
@@ -124,54 +123,6 @@ private:
   std::atomic<uint64_t> MinNanos{UINT64_MAX};
   std::atomic<uint64_t> MaxNanos{0};
   std::array<std::atomic<uint64_t>, HistogramLayout::NumBuckets> Buckets = {};
-};
-
-/// A NUMA-striped histogram: one LatencyHistogram per node, recorded
-/// into by the caller's node's stripe and merged bucket-wise at
-/// snapshot time (DESIGN.md §10). Because stripes share the bucket
-/// geometry, the merged snapshot is bit-identical to what a single
-/// histogram fed the same samples would produce — striping changes
-/// where the counters live, not what they count. Same record/snapshot/
-/// empty surface as LatencyHistogram, so call sites are agnostic.
-class StripedHistogram {
-public:
-  /// \p Stripes = 0 means one stripe per NUMA node of
-  /// Topology::system().
-  explicit StripedHistogram(unsigned Stripes = 0);
-
-  StripedHistogram(const StripedHistogram &) = delete;
-  StripedHistogram &operator=(const StripedHistogram &) = delete;
-
-  /// Records one sample on the calling thread's node's stripe.
-  void record(uint64_t Nanos) { record(Nanos, 1); }
-
-  /// Records \p N samples of the same latency. Wait-free.
-  void record(uint64_t Nanos, uint64_t N);
-
-  /// Test hook: records onto an explicit stripe (folded modulo the
-  /// stripe count), so merge equivalence is checkable regardless of
-  /// the machine's real topology.
-  void recordOnStripe(unsigned Stripe, uint64_t Nanos, uint64_t N = 1);
-
-  /// Merged copy of every stripe's state without stopping writers.
-  HistogramSnapshot snapshot() const;
-
-  /// True while no stripe has recorded a sample.
-  bool empty() const;
-
-  unsigned stripes() const { return NumStripes; }
-
-  /// Heap bytes owned by the stripe array (footprint accounting).
-  size_t memoryBytes() const;
-
-private:
-  /// Padded so adjacent stripes' hot counters never share a line.
-  struct alignas(64) Stripe {
-    LatencyHistogram Histogram;
-  };
-
-  unsigned NumStripes;
-  std::unique_ptr<Stripe[]> Lanes;
 };
 
 } // namespace obs

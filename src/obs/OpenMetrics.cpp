@@ -204,8 +204,8 @@ cswitch::obs::renderOpenMetrics(const TelemetrySnapshot &Snapshot,
   sectionFamilies(Out, "cswitch_fleet_", Snapshot.Fleet);
   sectionFamilies(Out, "cswitch_tuning_", Snapshot.Tuning);
   sectionFamilies(Out, "cswitch_model_", Snapshot.Model);
-  // Topology of the striped monitoring structures (DESIGN.md §10), so
-  // dashboards can relate per-node series to the machine layout.
+  // The host the process runs on, so dashboards can relate the series
+  // to the machine.
   sectionFamilies(Out, "cswitch_topology_", Snapshot.Topology);
 
   // Provenance of the applied tuned configuration. Emitted only once an
@@ -226,13 +226,6 @@ cswitch::obs::renderOpenMetrics(const TelemetrySnapshot &Snapshot,
   if (!Snapshot.Store.Path.empty())
     infoFamily(Out, "cswitch_store_info",
                "Identity of the attached selection store.", Snapshot.Store);
-
-  familyHeader(Out, "cswitch_node_events_dropped", "counter",
-               "Decision events lost to ring wrap-around, per node ring.");
-  for (size_t Node = 0; Node != Snapshot.Events.NodeDropped.size(); ++Node)
-    sample(Out, "cswitch_node_events_dropped_total",
-           "node=\"" + std::to_string(Node) + '"',
-           Snapshot.Events.NodeDropped[Node]);
 
   // Per-context monitoring counters, labelled by site.
   std::vector<std::pair<std::string_view, const ContextStats *>> SiteRows;

@@ -42,17 +42,12 @@
 namespace cswitch {
 namespace obs {
 
-/// The three instrumented paths of one allocation site. The histograms
-/// are NUMA-striped (DESIGN.md §10): threads of different nodes record
-/// onto different stripes, and latencies() / the registry sweeps merge
-/// the stripes bucket-wise, so concurrent monitored sites stop
-/// bouncing histogram cache lines across sockets while the distilled
-/// quantiles stay identical to the unstriped layout.
+/// The three instrumented paths of one allocation site.
 struct SiteProfile {
   std::string Name;
-  StripedHistogram Record;   ///< Slot claim + profile publication.
-  StripedHistogram Evaluate; ///< Window analysis rounds.
-  StripedHistogram Switch;   ///< Variant-transition execution.
+  LatencyHistogram Record;   ///< Slot claim + profile publication.
+  LatencyHistogram Evaluate; ///< Window analysis rounds.
+  LatencyHistogram Switch;   ///< Variant-transition execution.
 
   explicit SiteProfile(std::string SiteName) : Name(std::move(SiteName)) {}
 

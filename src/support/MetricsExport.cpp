@@ -189,8 +189,8 @@ std::string cswitch::toJson(const TelemetrySnapshot &Snapshot) {
   std::string Out;
   Out += "{\n  \"schema\": \"cswitch-telemetry-v1\",\n";
   appendSection(Out, "engine", Snapshot.Engine);
-  // Additive in cswitch-telemetry-v1: the node layout the striped
-  // monitoring structures were sized for (DESIGN.md §10).
+  // Additive in cswitch-telemetry-v1: the host the snapshot was taken
+  // on.
   appendSection(Out, "topology", Snapshot.Topology);
   Out += "  \"latency\": {";
   appendLatencyStats(Out, "record", Snapshot.Latency.Record);
@@ -201,15 +201,7 @@ std::string cswitch::toJson(const TelemetrySnapshot &Snapshot) {
   Out += ", ";
   appendLatencyStats(Out, "persist", Snapshot.Latency.Persist);
   Out += "},\n";
-  Out += "  \"events\": {";
-  appendFields(Out, Snapshot.Events);
-  Out += ", \"node_dropped\": [";
-  for (size_t I = 0; I != Snapshot.Events.NodeDropped.size(); ++I) {
-    if (I)
-      Out += ", ";
-    Out += std::to_string(Snapshot.Events.NodeDropped[I]);
-  }
-  Out += "]},\n";
+  appendSection(Out, "events", Snapshot.Events);
   appendSection(Out, "recorder", Snapshot.Recorder);
   appendSection(Out, "store", Snapshot.Store);
   appendSection(Out, "fleet", Snapshot.Fleet);

@@ -33,7 +33,7 @@ std::string jsonEscape(std::string_view Text);
 /// `latency`, `events`, `recorder`, `store`, `fleet`, `tuning`,
 /// `model`), then the `contexts` array. Each section's keys are the rows
 /// of its stats struct's field table in support/Telemetry.h, in row
-/// order; `latency` blocks, `events.node_dropped` and the per-context
+/// order; `latency` blocks and the per-context
 /// name/abstraction/variant/footprint/contention fields are written by
 /// hand. Engine totals always equal the per-context column sums of a
 /// SwitchEngine snapshot (the round-trip invariant the tests pin down).

@@ -6,23 +6,10 @@
 
 #include "support/Telemetry.h"
 
-#include <algorithm>
 #include <unordered_map>
 #include <utility>
 
 using namespace cswitch;
-
-EventLogStats cswitch::operator-(const EventLogStats &A,
-                                 const EventLogStats &B) {
-  // The generic delta for the scalar rows, then NodeDropped element-wise,
-  // sized by A (a baseline from before the per-node split subtracts
-  // nothing).
-  EventLogStats Out = cswitch::operator-<EventLogStats>(A, B);
-  for (size_t I = 0; I < Out.NodeDropped.size() && I < B.NodeDropped.size();
-       ++I)
-    Out.NodeDropped[I] -= std::min(Out.NodeDropped[I], B.NodeDropped[I]);
-  return Out;
-}
 
 ModelRegistry &ModelRegistry::global() {
   static ModelRegistry Instance;

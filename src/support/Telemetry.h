@@ -61,12 +61,12 @@ constexpr bool isAggregated(MetricKind K) {
   return K == MetricKind::Counter || K == MetricKind::Gauge;
 }
 
-/// True when the rows of \p S cover its whole layout (the row sizes plus
-/// \p Unrowed bytes of hand-handled members sum to sizeof(S)) and every
-/// aggregated row is an integer. Each described struct static_asserts
-/// it, so a field added without a row does not build.
-template <typename S> constexpr bool describesLayout(size_t Unrowed = 0) {
-  size_t Bytes = Unrowed;
+/// True when the rows of \p S cover its whole layout (the row sizes sum
+/// to sizeof(S)) and every aggregated row is an integer. Each described
+/// struct static_asserts it, so a field added without a row does not
+/// build.
+template <typename S> constexpr bool describesLayout() {
+  size_t Bytes = 0;
   bool Integral = true;
   S::fields([&](const char *, MetricKind K, auto Member, const char *) {
     Bytes += sizeof(FieldType<decltype(Member)>);
@@ -219,14 +219,10 @@ struct ContextSnapshot {
   double ContendedThreads = 0.0;
 };
 
-/// Counters of the event-log rings at snapshot time.
+/// Counters of the event-log ring at snapshot time.
 struct EventLogStats {
   uint64_t Recorded = 0;
   uint64_t Dropped = 0;
-  /// Wrap losses split per NUMA node ring (DESIGN.md §10); indexed by
-  /// node, sums to Dropped. Empty when the producer predates the
-  /// per-node split. Not a row: exported by hand, element-wise.
-  std::vector<uint64_t> NodeDropped;
 
   template <typename Row> static constexpr void fields(Row &&R) {
     using enum MetricKind;
@@ -239,16 +235,10 @@ struct EventLogStats {
 
   bool operator==(const EventLogStats &) const = default;
 };
-static_assert(
-    telemetry::describesLayout<EventLogStats>(sizeof(std::vector<uint64_t>)));
+static_assert(telemetry::describesLayout<EventLogStats>());
 
-/// The generic delta plus NodeDropped's element-wise saturating
-/// difference, sized by the newer snapshot.
-EventLogStats operator-(const EventLogStats &A, const EventLogStats &B);
-
-/// The machine topology the striped monitoring structures were sized
-/// for (detected once at process start; see support/Topology.h).
-/// Carried in the snapshot so exports can label per-node series.
+/// The host the process runs on (detected once at process start; see
+/// support/Topology.h), recorded next to every measurement.
 struct TopologyStats {
   uint32_t Nodes = 1;
   uint32_t Cpus = 1;
@@ -256,7 +246,7 @@ struct TopologyStats {
   template <typename Row> static constexpr void fields(Row &&R) {
     using enum MetricKind;
     using S = TopologyStats;
-    R("nodes", Gauge, &S::Nodes, "NUMA nodes monitoring is striped over.");
+    R("nodes", Gauge, &S::Nodes, "NUMA nodes detected.");
     R("cpus", Gauge, &S::Cpus, "CPUs seen by topology detection.");
   }
 

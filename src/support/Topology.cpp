@@ -9,11 +9,12 @@
 #include <algorithm>
 #include <bit>
 #include <cctype>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #if defined(__linux__)
 #include <sched.h>
@@ -61,15 +62,6 @@ std::vector<unsigned> parseCpuList(const std::string &Text) {
   return Cpus;
 }
 
-/// Process-wide ordinal assigned to each thread on first use; the
-/// synthetic-topology round-robin is `ordinal % nodes`.
-unsigned threadOrdinal() {
-  static std::atomic<unsigned> NextOrdinal{0};
-  thread_local unsigned Ordinal =
-      NextOrdinal.fetch_add(1, std::memory_order_relaxed);
-  return Ordinal;
-}
-
 } // namespace
 
 unsigned cswitch::detail::refreshCurrentCpu() {
@@ -87,20 +79,13 @@ unsigned cswitch::resolveCpuStripes(unsigned Requested) {
   return std::bit_ceil(std::clamp(Want, 1u, 64u));
 }
 
-Topology Topology::detect(const std::string &SysfsNodeDir,
-                          unsigned OverrideNodes) {
+Topology Topology::detect(const std::string &SysfsNodeDir) {
   Topology T;
-  unsigned HwCpus = std::max(1u, std::thread::hardware_concurrency());
-  if (OverrideNodes != 0) {
-    T.Nodes = std::min(OverrideNodes, 64u);
-    T.Cpus = HwCpus;
-    T.Synthetic = true;
-    return T;
-  }
-
-  // Enumerate node<id> directories; node ids may be sparse, so collect
-  // and renumber densely in ascending id order.
-  std::vector<std::pair<unsigned, std::vector<unsigned>>> Found;
+  T.Cpus = std::max(1u, std::thread::hardware_concurrency());
+  // One node<id> directory per node; ids may be sparse and nodes may
+  // have no cpus (memory-only), so count only the ones that run threads.
+  std::set<unsigned> Cpus;
+  unsigned Nodes = 0;
   std::error_code Ec;
   for (const auto &Entry :
        std::filesystem::directory_iterator(SysfsNodeDir, Ec)) {
@@ -118,69 +103,20 @@ Topology Topology::detect(const std::string &SysfsNodeDir,
       continue;
     std::string Text((std::istreambuf_iterator<char>(CpuList)),
                      std::istreambuf_iterator<char>());
-    std::vector<unsigned> Cpus = parseCpuList(Text);
-    if (Cpus.empty())
+    std::vector<unsigned> NodeCpus = parseCpuList(Text);
+    if (NodeCpus.empty())
       continue; // memory-only node (or unparsable): no threads run there
-    Found.emplace_back(static_cast<unsigned>(std::stoul(IdText)),
-                       std::move(Cpus));
+    ++Nodes;
+    Cpus.insert(NodeCpus.begin(), NodeCpus.end());
   }
-  if (Found.empty()) {
-    T.Cpus = HwCpus;
+  if (Nodes == 0)
     return T; // no sysfs (non-Linux, masked /sys): single node
-  }
-  std::sort(Found.begin(), Found.end(),
-            [](const auto &A, const auto &B) { return A.first < B.first; });
-
-  unsigned MaxCpu = 0;
-  for (const auto &[Id, Cpus] : Found)
-    for (unsigned Cpu : Cpus)
-      MaxCpu = std::max(MaxCpu, Cpu);
-  T.CpuToNode.assign(MaxCpu + 1, -1);
-  for (unsigned Dense = 0; Dense != Found.size(); ++Dense)
-    for (unsigned Cpu : Found[Dense].second)
-      T.CpuToNode[Cpu] = static_cast<int>(Dense);
-  T.Nodes = static_cast<unsigned>(Found.size());
-  T.Cpus = static_cast<unsigned>(std::count_if(
-      T.CpuToNode.begin(), T.CpuToNode.end(), [](int N) { return N >= 0; }));
+  T.Nodes = Nodes;
+  T.Cpus = static_cast<unsigned>(Cpus.size());
   return T;
 }
 
 const Topology &Topology::system() {
-  static const Topology Instance = [] {
-    unsigned Override = 0;
-    if (const char *Env = std::getenv("CSWITCH_NUMA_NODES")) {
-      char *End = nullptr;
-      unsigned long Value = std::strtoul(Env, &End, 10);
-      if (End && *End == '\0' && Value > 0 && Value <= 64)
-        Override = static_cast<unsigned>(Value);
-    }
-    return detect("/sys/devices/system/node", Override);
-  }();
+  static const Topology Instance = detect("/sys/devices/system/node");
   return Instance;
-}
-
-unsigned Topology::nodeOfCpu(unsigned Cpu) const {
-  if (Nodes <= 1)
-    return 0;
-  if (Synthetic)
-    return Cpu % Nodes;
-  if (Cpu < CpuToNode.size() && CpuToNode[Cpu] >= 0)
-    return static_cast<unsigned>(CpuToNode[Cpu]);
-  return 0;
-}
-
-std::vector<unsigned> Topology::cpusOfNode(unsigned Node) const {
-  std::vector<unsigned> Out;
-  for (unsigned Cpu = 0; Cpu != CpuToNode.size(); ++Cpu)
-    if (CpuToNode[Cpu] == static_cast<int>(Node))
-      Out.push_back(Cpu);
-  return Out;
-}
-
-unsigned Topology::currentNode() const {
-  if (Nodes <= 1)
-    return 0;
-  if (Synthetic)
-    return threadOrdinal() % Nodes;
-  return nodeOfCpu(cachedCurrentCpu());
 }

@@ -9,9 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
+#include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 using namespace cswitch;
 
@@ -136,6 +141,73 @@ TEST(SwitchEngine, ConcurrentCreationWhileEvaluating) {
   Engine.unregisterContext(&Ctx);
   EXPECT_GT(Ctx.instancesCreated(), 100u);
   EXPECT_GT(Ctx.evaluationCount(), 0u);
+}
+
+TEST(SwitchEngine, RegistryIsPerEngineAndOrdered) {
+  // One context registered with two engines (the replayer builds
+  // private engines, so this happens): unregistering it from one must
+  // leave the other still holding and evaluating it.
+  SwitchEngine First, Second;
+  ListContext<int64_t> Shared("e:shared", ListVariant::ArrayList,
+                              defaultModel(), SelectionRule::timeRule(),
+                              quietOptions());
+  First.registerContext(&Shared);
+  Second.registerContext(&Shared);
+  First.unregisterContext(&Shared);
+  EXPECT_EQ(First.contextCount(), 0u);
+  ASSERT_EQ(Second.contextCount(), 1u);
+  lookupHeavyWorkload(Shared, 10);
+  EXPECT_EQ(First.evaluateAll(), 0u);
+  EXPECT_EQ(Second.evaluateAll(), 1u);
+  EXPECT_EQ(Shared.switchCount(), 1u);
+  Second.unregisterContext(&Shared);
+  EXPECT_EQ(Second.contextCount(), 0u);
+
+  // evaluateAll() and telemetry() visit contexts in registration order,
+  // which is neither name nor address order here; unregistering one
+  // keeps the others' order.
+  SwitchEngine Engine;
+  ContextOptions Logged = quietOptions(1);
+  Logged.LogEvents = true;
+  std::vector<std::unique_ptr<ListContext<int64_t>>> Contexts;
+  for (int C = 0; C != 5; ++C)
+    Contexts.push_back(std::make_unique<ListContext<int64_t>>(
+        "e:order:" + std::to_string(C), ListVariant::ArrayList,
+        defaultModel(), SelectionRule::timeRule(), Logged));
+  for (int C : {3, 0, 4, 1, 2})
+    Engine.registerContext(Contexts[C].get());
+  Engine.unregisterContext(Contexts[4].get());
+  const std::vector<std::string> Expected = {"e:order:3", "e:order:0",
+                                             "e:order:1", "e:order:2"};
+
+  std::vector<std::string> Reported;
+  for (const ContextSnapshot &C : Engine.telemetry().Contexts)
+    Reported.push_back(C.Name);
+  EXPECT_EQ(Reported, Expected);
+
+  for (auto &Ctx : Contexts) {
+    List<int64_t> L = Ctx->createList(); // fills the one-slot window
+    L.add(1);
+  }
+  // The global log's Evaluation events of these sites, in ticket order.
+  auto Evaluations = [] {
+    std::vector<std::string> Names;
+    for (const Event &E :
+         EventLog::global().snapshotOfKind(EventKind::Evaluation))
+      if (E.Context.rfind("e:order:", 0) == 0)
+        Names.push_back(E.Context);
+    return Names;
+  };
+  size_t Before = Evaluations().size();
+  Engine.evaluateAll();
+  std::vector<std::string> Evaluated = Evaluations();
+  Evaluated.erase(Evaluated.begin(),
+                  Evaluated.begin() +
+                      static_cast<std::ptrdiff_t>(
+                          std::min(Before, Evaluated.size())));
+  EXPECT_EQ(Evaluated, Expected);
+  for (int C : {3, 0, 1, 2})
+    Engine.unregisterContext(Contexts[C].get());
 }
 
 TEST(SwitchApi, GlobalModelIsSharedAndReplaceable) {

@@ -87,7 +87,7 @@ public:
     Switch::stopMetricsServer();
     Switch::closeStore();
     Switch::configure(SwitchConfig{
-        EngineOptions{}, ContextOptions{},
+        ContextOptions{},
         FleetOptions{}.serveStore().maxPushBytes(MaxPushBytes),
         std::string()});
     static int Counter = 0;

@@ -227,68 +227,4 @@ TEST(LatencyHistogram, ConcurrentRecordAndSnapshotIsRaceFree) {
   EXPECT_EQ(BucketSum, S.Count);
 }
 
-//===----------------------------------------------------------------------===//
-// StripedHistogram (DESIGN.md §10): per-node stripes must merge to
-// exactly what one histogram fed the same samples would hold.
-//===----------------------------------------------------------------------===//
-
-TEST(StripedHistogram, MergedSnapshotMatchesUnstripedExactly) {
-  StripedHistogram Striped(4);
-  LatencyHistogram Reference;
-  ASSERT_EQ(Striped.stripes(), 4u);
-  std::mt19937_64 Rng(7);
-  for (int I = 0; I != 5000; ++I) {
-    uint64_t Nanos = Rng() % 2000000;
-    Striped.recordOnStripe(static_cast<unsigned>(Rng() % 4), Nanos);
-    Reference.record(Nanos);
-  }
-  HistogramSnapshot A = Striped.snapshot();
-  HistogramSnapshot B = Reference.snapshot();
-  EXPECT_EQ(A.Count, B.Count);
-  EXPECT_EQ(A.Saturated, B.Saturated);
-  EXPECT_EQ(A.SumNanos, B.SumNanos);
-  EXPECT_EQ(A.MinNanos, B.MinNanos);
-  EXPECT_EQ(A.MaxNanos, B.MaxNanos);
-  EXPECT_EQ(A.Buckets, B.Buckets); // bit-identical, not merely close
-  EXPECT_EQ(A.stats().P99, B.stats().P99);
-}
-
-TEST(StripedHistogram, EmptyUntilAnyStripeRecords) {
-  StripedHistogram H(3);
-  EXPECT_TRUE(H.empty());
-  H.recordOnStripe(2, 42);
-  EXPECT_FALSE(H.empty());
-  EXPECT_EQ(H.snapshot().Count, 1u);
-}
-
-TEST(StripedHistogram, DefaultStripeCountFollowsTopologyAndRecords) {
-  StripedHistogram H; // one stripe per node of the running machine
-  EXPECT_GE(H.stripes(), 1u);
-  H.record(100);
-  H.record(200, 3);
-  HistogramSnapshot S = H.snapshot();
-  EXPECT_EQ(S.Count, 4u);
-  EXPECT_EQ(S.SumNanos, 100u + 3 * 200u);
-}
-
-TEST(StripedHistogram, ConcurrentStripedWritersMergeAllSamples) {
-  constexpr int Writers = 4;
-  constexpr uint64_t PerWriter = 20000;
-  StripedHistogram H(4);
-  std::vector<std::thread> Threads;
-  for (int W = 0; W != Writers; ++W)
-    Threads.emplace_back([&H, W] {
-      for (uint64_t I = 0; I != PerWriter; ++I)
-        H.recordOnStripe(static_cast<unsigned>(W), I % 1024);
-    });
-  for (std::thread &T : Threads)
-    T.join();
-  HistogramSnapshot S = H.snapshot();
-  EXPECT_EQ(S.Count, static_cast<uint64_t>(Writers) * PerWriter);
-  uint64_t BucketSum = 0;
-  for (uint64_t B : S.Buckets)
-    BucketSum += B;
-  EXPECT_EQ(BucketSum, S.Count);
-}
-
 } // namespace

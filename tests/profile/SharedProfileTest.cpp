@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The concurrent tier's monitoring stripes per cpu: stripe counts follow
-/// the cpu count (and not a synthetic CSWITCH_NUMA_NODES layout), racing
+/// the cpu count, racing
 /// writers merge exactly, and the contention sketch's thread estimate
 /// keeps its tolerance however the writers spread over the stripes.
 ///

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -54,9 +53,7 @@ TEST(EventLog, ClearEmptiesLog) {
 }
 
 TEST(EventLog, BoundedRingDropsOldest) {
-  // Nodes pinned to 1: this test's drop arithmetic assumes one ring
-  // regardless of the machine (or CSWITCH_NUMA_NODES) it runs on.
-  EventLog Log(4, 1);
+  EventLog Log(4);
   for (int I = 0; I != 10; ++I)
     Log.record(EventKind::Evaluation, "s", std::to_string(I));
   std::vector<Event> Events = Log.snapshot();
@@ -157,7 +154,7 @@ TEST(EventLog, DrainAdvancesCursor) {
 }
 
 TEST(EventLog, DrainSkipsOverwrittenEvents) {
-  EventLog Log(4, 1); // one ring: single-ring overwrite arithmetic
+  EventLog Log(4);
   for (int I = 0; I != 10; ++I)
     Log.record(EventKind::Evaluation, "s", std::to_string(I));
   // Six of the ten were overwritten before the first drain.
@@ -215,10 +212,10 @@ TEST(EventLog, ConcurrentRecordingIsSafe) {
 }
 
 // The TSan stress of the ring protocol: many recorders hammering the
-// lock-free record path while one drainer concurrently consumes. No
-// ordering is asserted beyond per-event integrity (every drained event
-// resolves to a name that was actually recorded, sequence numbers are
-// unique) and conservation (drained + still-retained + dropped covers
+// lock-free record path while one drainer concurrently consumes.
+// Asserted: per-event integrity (every drained event resolves to a name
+// that was actually recorded, sequence numbers are unique and in ticket
+// order) and conservation (drained + still-retained + dropped covers
 // every record when the ring is large enough not to wrap).
 TEST(EventLog, ConcurrentRecordersAndDrainer) {
   constexpr size_t Recorders = 4;
@@ -264,6 +261,9 @@ TEST(EventLog, ConcurrentRecordersAndDrainer) {
     Sequences.insert(E.SequenceNumber);
   }
   EXPECT_EQ(Sequences.size(), Drained.size()); // tickets never collide
+  // Successive drains hand out every ticket once, in ticket order.
+  for (size_t I = 0; I != Drained.size(); ++I)
+    ASSERT_EQ(Drained[I].SequenceNumber, I);
 }
 
 // Recorders racing a drainer on a tiny ring: events are lost (by
@@ -307,166 +307,6 @@ TEST(EventLog, ConcurrentWrapNeverTearsEvents) {
   EXPECT_EQ(Log.totalRecorded(), Recorders * PerThread);
   EXPECT_LE(DrainedCount.load() + Log.drain().size(),
             Recorders * PerThread);
-}
-
-//===----------------------------------------------------------------------===//
-// Per-node rings (DESIGN.md §10) — multi-ring layout forced via the
-// explicit Nodes argument and recordOnNode, so these run identically on
-// any machine.
-//===----------------------------------------------------------------------===//
-
-TEST(EventLog, MultiRingCapacitySplitsEvenly) {
-  EventLog Log(64, 4);
-  EXPECT_EQ(Log.nodeCount(), 4u);
-  EXPECT_EQ(Log.capacity(), 64u); // 16 slots per ring, power of two
-  EXPECT_EQ(Log.nodeDroppedCounts().size(), 4u);
-}
-
-TEST(EventLog, MultiRingSequenceNumbersCarryTheNode) {
-  EventLog Log(64, 4);
-  uint32_t Id = Log.intern("ctx");
-  for (unsigned Node = 0; Node != 4; ++Node)
-    Log.recordOnNode(Node, EventKind::Evaluation, Id);
-  std::vector<Event> Events = Log.snapshot();
-  ASSERT_EQ(Events.size(), 4u);
-  std::set<uint32_t> Nodes;
-  std::set<uint64_t> Sequences;
-  for (const Event &E : Events) {
-    EXPECT_EQ(E.SequenceNumber >> 48, E.Node);
-    EXPECT_EQ(E.SequenceNumber & ((uint64_t(1) << 48) - 1), 0u)
-        << "first ticket of each ring is 0";
-    Nodes.insert(E.Node);
-    Sequences.insert(E.SequenceNumber);
-  }
-  EXPECT_EQ(Nodes.size(), 4u);     // one event per ring
-  EXPECT_EQ(Sequences.size(), 4u); // unique across rings
-}
-
-TEST(EventLog, MergePreservesPerRingTicketOrder) {
-  EventLog Log(256, 3);
-  uint32_t Id = Log.intern("ctx");
-  // Interleave records across rings; the merged stream must keep each
-  // ring's tickets ascending no matter how timestamps interleave.
-  for (int I = 0; I != 60; ++I)
-    Log.recordOnNode(static_cast<unsigned>(I) % 3, EventKind::Transition,
-                     Id);
-  std::vector<Event> Events = Log.snapshot();
-  ASSERT_EQ(Events.size(), 60u);
-  std::map<uint32_t, uint64_t> LastTicket;
-  uint64_t LastTs = 0;
-  for (const Event &E : Events) {
-    uint64_t Ticket = E.SequenceNumber & ((uint64_t(1) << 48) - 1);
-    auto It = LastTicket.find(E.Node);
-    if (It != LastTicket.end()) {
-      EXPECT_LT(It->second, Ticket)
-          << "ring order broken on node " << E.Node;
-    }
-    LastTicket[E.Node] = Ticket;
-    EXPECT_GE(E.TimestampNanos, LastTs) << "merge not timestamp-sorted";
-    LastTs = E.TimestampNanos;
-  }
-  EXPECT_EQ(LastTicket.size(), 3u);
-}
-
-TEST(EventLog, PerRingDropAccountingIsExact) {
-  // 4 rings x 4 slots. Overfill ring 0 by 10 and ring 2 by 3; the
-  // other rings stay within capacity.
-  EventLog Log(16, 4);
-  uint32_t Id = Log.intern("ctx");
-  for (int I = 0; I != 14; ++I)
-    Log.recordOnNode(0, EventKind::Evaluation, Id);
-  for (int I = 0; I != 7; ++I)
-    Log.recordOnNode(2, EventKind::Evaluation, Id);
-  for (int I = 0; I != 4; ++I)
-    Log.recordOnNode(3, EventKind::Evaluation, Id);
-  std::vector<uint64_t> PerNode = Log.nodeDroppedCounts();
-  ASSERT_EQ(PerNode.size(), 4u);
-  EXPECT_EQ(PerNode[0], 10u);
-  EXPECT_EQ(PerNode[1], 0u);
-  EXPECT_EQ(PerNode[2], 3u);
-  EXPECT_EQ(PerNode[3], 0u);
-  EXPECT_EQ(Log.droppedCount(), 13u);
-  EXPECT_EQ(Log.totalRecorded(), 25u);
-  // The survivors are the newest of each ring.
-  EXPECT_EQ(Log.snapshot().size(), 12u);
-}
-
-TEST(EventLog, RecordOnNodeFoldsOutOfRangeNodes) {
-  EventLog Log(64, 2);
-  uint32_t Id = Log.intern("ctx");
-  Log.recordOnNode(7, EventKind::Evaluation, Id); // 7 % 2 == ring 1
-  std::vector<Event> Events = Log.snapshot();
-  ASSERT_EQ(Events.size(), 1u);
-  EXPECT_EQ(Events[0].Node, 1u);
-}
-
-TEST(EventLog, ClearResetsEveryRing) {
-  EventLog Log(16, 4);
-  uint32_t Id = Log.intern("ctx");
-  for (unsigned Node = 0; Node != 4; ++Node)
-    for (int I = 0; I != 9; ++I)
-      Log.recordOnNode(Node, EventKind::Evaluation, Id);
-  EXPECT_GT(Log.droppedCount(), 0u);
-  Log.clear();
-  EXPECT_EQ(Log.snapshot().size(), 0u);
-  EXPECT_EQ(Log.droppedCount(), 0u);
-  for (uint64_t Dropped : Log.nodeDroppedCounts())
-    EXPECT_EQ(Dropped, 0u);
-  // Rings keep working after the reset.
-  Log.recordOnNode(1, EventKind::Transition, Id);
-  EXPECT_EQ(Log.snapshot().size(), 1u);
-}
-
-// Multi-ring stress: recorders spread over every ring race one
-// drainer. Exactly like ConcurrentRecordersAndDrainer but with the
-// per-node layout forced, so TSan sweeps the merge path too.
-TEST(EventLog, MultiRingConcurrentRecordersAndDrainer) {
-  constexpr size_t Recorders = 4;
-  constexpr size_t PerThread = 4000;
-  EventLog Log(1 << 16, 4);
-  uint32_t Ids[Recorders];
-  for (size_t T = 0; T != Recorders; ++T)
-    Ids[T] = Log.intern("node-worker-" + std::to_string(T));
-
-  std::atomic<bool> Stop{false};
-  std::vector<Event> Drained;
-  std::thread Drainer([&Log, &Stop, &Drained] {
-    while (!Stop.load(std::memory_order_relaxed)) {
-      std::vector<Event> Batch = Log.drain();
-      Drained.insert(Drained.end(), Batch.begin(), Batch.end());
-      std::this_thread::yield();
-    }
-  });
-  std::vector<std::thread> Writers;
-  for (size_t T = 0; T != Recorders; ++T)
-    Writers.emplace_back([&Log, &Ids, T] {
-      for (size_t I = 0; I != PerThread; ++I)
-        Log.recordOnNode(static_cast<unsigned>(T), EventKind::Evaluation,
-                         Ids[T]);
-    });
-  for (std::thread &W : Writers)
-    W.join();
-  Stop.store(true, std::memory_order_relaxed);
-  Drainer.join();
-  std::vector<Event> Tail = Log.drain();
-  Drained.insert(Drained.end(), Tail.begin(), Tail.end());
-
-  EXPECT_EQ(Log.totalRecorded(), Recorders * PerThread);
-  EXPECT_EQ(Log.droppedCount(), 0u);
-  EXPECT_EQ(Drained.size(), Recorders * PerThread);
-  // Per-ring: every ticket arrived exactly once, in order per node.
-  std::map<uint32_t, std::vector<uint64_t>> TicketsByNode;
-  for (const Event &E : Drained)
-    TicketsByNode[E.Node].push_back(E.SequenceNumber &
-                                    ((uint64_t(1) << 48) - 1));
-  ASSERT_EQ(TicketsByNode.size(), Recorders);
-  for (auto &[Node, Tickets] : TicketsByNode) {
-    EXPECT_EQ(Tickets.size(), PerThread) << "node " << Node;
-    // Each ring had a single writer, so drained ticket order must be
-    // exactly 0..PerThread-1.
-    for (size_t I = 0; I != Tickets.size(); ++I)
-      ASSERT_EQ(Tickets[I], I) << "node " << Node;
-  }
 }
 
 } // namespace

@@ -84,7 +84,6 @@ struct MetricsSample {
   std::string ModelSource, ModelFingerprint, ModelFitTimestamp;
   std::string TuningSource, TuningFingerprint;
   std::string StorePath;
-  std::map<unsigned, double> NodeDropped; // node index -> events dropped
   std::map<std::string, SiteRow> Sites;
 };
 
@@ -183,11 +182,6 @@ MetricsSample parseMetrics(const std::string &Text) {
       labelValue(Labels, "fingerprint", Sample.TuningFingerprint);
     } else if (Name == "cswitch_store_info") {
       labelValue(Labels, "path", Sample.StorePath);
-    } else if (Name == "cswitch_node_events_dropped_total") {
-      std::string Node;
-      if (labelValue(Labels, "node", Node))
-        Sample.NodeDropped[static_cast<unsigned>(std::atoi(Node.c_str()))] =
-            Value;
     } else if (labelValue(Labels, "site", Site)) {
       SiteRow &Row = Sample.Sites[Site];
       if (Name == "cswitch_instances_created_total")
@@ -233,18 +227,8 @@ void renderSample(const MetricsSample &Sample, const std::string &Url) {
               "switches %.0f   p99 record %.0f ns   p99 evaluate %.0f ns\n",
               Sample.Contexts, Sample.InstancesCreated, Sample.Evaluations,
               Sample.Switches, Sample.RecordP99, Sample.EvaluateP99);
-  std::printf("nodes %.0f   events dropped %.0f", Sample.TopologyNodes,
+  std::printf("nodes %.0f   events dropped %.0f\n\n", Sample.TopologyNodes,
               Sample.EventsDropped);
-  if (!Sample.NodeDropped.empty()) {
-    std::printf("   per-node [");
-    bool First = true;
-    for (const auto &[Node, Dropped] : Sample.NodeDropped) {
-      std::printf("%s%u:%.0f", First ? "" : " ", Node, Dropped);
-      First = false;
-    }
-    std::printf("]");
-  }
-  std::printf("\n\n");
   std::printf("%-32s %-20s %12s %9s %14s %14s\n", "SITE", "VARIANT",
               "INSTANCES", "SWITCHES", "REC P99(ns)", "EVAL P99(ns)");
   for (const auto &[Site, Row] : Sample.Sites)
