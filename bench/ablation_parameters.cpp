@@ -22,8 +22,8 @@
 //                                             traces (five DaCapo
 //                                             simulants + the
 //                                             sequential server shadow)
-//   ablation_parameters --check               tune in-process (tiny
-//                                             search) and gate: tuned
+//   ablation_parameters --check               tune in-process and
+//                                             gate: tuned
 //                                             beats paper defaults on
 //                                             >= 3 of 6 scenarios, no
 //                                             scenario's time cost
@@ -304,24 +304,9 @@ bool loadScenarios(const std::string &Dir, std::vector<Scenario> &Out) {
   return true;
 }
 
-/// Model-predicted trajectory cost of replaying one scenario under a
-/// genome (the tuner's fitness signal, scenario-resolved).
-struct ScenarioCost {
-  double Time = 0.0;
-  double Alloc = 0.0;
-};
-
-ScenarioCost replayCost(const Scenario &S, const tuner::Tuner &Search,
-                        const tuner::ParameterSet &Params) {
-  Replayer Replay(S.Trace, Search.replayOptionsFor(Params));
-  ReplayResult Result = Replay.run();
-  return {Result.TrajectoryTime, Result.TrajectoryAlloc};
-}
-
 int runCheck(const std::shared_ptr<const PerformanceModel> &Model,
              double Scale, const std::string &TracesDir,
-             const std::string &ArtifactPath, const std::string &JsonPath,
-             unsigned Population, unsigned Generations) {
+             const std::string &ArtifactPath, const std::string &JsonPath) {
   std::vector<Scenario> Scenarios;
   if (!TracesDir.empty()) {
     if (!loadScenarios(TracesDir, Scenarios))
@@ -333,12 +318,9 @@ int runCheck(const std::shared_ptr<const PerformanceModel> &Model,
   }
 
   tuner::TunerOptions Options;
-  Options.Population = Population;
-  Options.Generations = Generations;
-  Options.Threads = 2;
   tuner::Tuner Search(Model, Options);
-  for (const Scenario &S : Scenarios)
-    Search.addTrace(S.Trace);
+  for (Scenario &S : Scenarios)
+    Search.addTrace(std::move(S.Trace));
 
   tuner::ParameterSet Tuned;
   bool Deterministic = true;
@@ -360,8 +342,8 @@ int runCheck(const std::shared_ptr<const PerformanceModel> &Model,
     // artifacts.
     tuner::TunerResult Result = Search.run();
     tuner::Tuner Rerun(Model, Options);
-    for (const Scenario &S : Scenarios)
-      Rerun.addTrace(S.Trace);
+    for (const OpTrace &Trace : Search.corpus())
+      Rerun.addTrace(Trace);
     tuner::TunerResult Result2 = Rerun.run();
     std::string Bytes = encodeTuningArtifact(Search.makeArtifact(Result));
     std::string Bytes2 = encodeTuningArtifact(Rerun.makeArtifact(Result2));
@@ -375,9 +357,9 @@ int runCheck(const std::shared_ptr<const PerformanceModel> &Model,
                    Error.c_str());
       return 1;
     }
-    std::printf("[search: %u generation(s), %llu evaluation(s), fitness "
+    std::printf("[search: %u sweep(s), %llu evaluation(s), fitness "
                 "%.4f -> %.4f, %s]\n",
-                Result.GenerationsRun,
+                Result.Sweeps,
                 static_cast<unsigned long long>(Result.Evaluations),
                 Result.BaselineFitness, Result.BestFitness,
                 Deterministic ? "bit-deterministic" : "NON-DETERMINISTIC");
@@ -386,7 +368,10 @@ int runCheck(const std::shared_ptr<const PerformanceModel> &Model,
   // Per-scenario gate: scalarized tuned-vs-default trajectory-cost
   // ratio (the tuner's own objective, resolved per scenario).
   const double Wt = Options.TimeWeight, Wa = Options.AllocWeight;
-  tuner::ParameterSet Defaults;
+  std::vector<ReplayResult> Default = replayCorpus(
+      Search.corpus(), Search.replayOptionsFor(tuner::ParameterSet()));
+  std::vector<ReplayResult> Tuning =
+      replayCorpus(Search.corpus(), Search.replayOptionsFor(Tuned));
   size_t Wins = 0;
   double WorstTimeRatio = 0.0;
   std::ostringstream Rows;
@@ -394,26 +379,30 @@ int runCheck(const std::shared_ptr<const PerformanceModel> &Model,
               "tuned", "ratio", "time-ratio");
   for (size_t I = 0; I != Scenarios.size(); ++I) {
     const Scenario &S = Scenarios[I];
-    ScenarioCost Before = replayCost(S, Search, Defaults);
-    ScenarioCost After = replayCost(S, Search, Tuned);
-    double TimeRatio = Before.Time > 0.0 ? After.Time / Before.Time : 1.0;
-    double AllocRatio =
-        Before.Alloc > 0.0 ? After.Alloc / Before.Alloc : 1.0;
+    const ReplayResult &Before = Default[I], &After = Tuning[I];
+    double TimeRatio = Before.TrajectoryTime > 0.0
+                           ? After.TrajectoryTime / Before.TrajectoryTime
+                           : 1.0;
+    double AllocRatio = Before.TrajectoryAlloc > 0.0
+                            ? After.TrajectoryAlloc / Before.TrajectoryAlloc
+                            : 1.0;
     double Ratio = (Wt * TimeRatio + Wa * AllocRatio) / (Wt + Wa);
     if (Ratio < 0.999)
       ++Wins;
     if (TimeRatio > WorstTimeRatio)
       WorstTimeRatio = TimeRatio;
     std::printf("%-14s %12.4g %12.4g %10.4f %10.4f\n", S.Name.c_str(),
-                Before.Time, After.Time, Ratio, TimeRatio);
+                Before.TrajectoryTime, After.TrajectoryTime, Ratio,
+                TimeRatio);
     char Buf[256];
     std::snprintf(Buf, sizeof(Buf),
                   "    {\"scenario\": \"%s\", \"default_time\": %.6g, "
                   "\"tuned_time\": %.6g, \"default_alloc\": %.6g, "
                   "\"tuned_alloc\": %.6g, \"ratio\": %.6f, "
                   "\"time_ratio\": %.6f}%s\n",
-                  S.Name.c_str(), Before.Time, After.Time, Before.Alloc,
-                  After.Alloc, Ratio, TimeRatio,
+                  S.Name.c_str(), Before.TrajectoryTime,
+                  After.TrajectoryTime, Before.TrajectoryAlloc,
+                  After.TrajectoryAlloc, Ratio, TimeRatio,
                   I + 1 == Scenarios.size() ? "" : ",");
     Rows << Buf;
   }
@@ -456,12 +445,9 @@ int main(int Argc, char **Argv) {
   if (EmitDir[0])
     return emitTraces(Model, Scale, EmitDir);
   if (hasFlag(Argc, Argv, "--check"))
-    return runCheck(
-        Model, Scale, stringOption(Argc, Argv, "--traces", ""),
-        stringOption(Argc, Argv, "--tuning", ""),
-        stringOption(Argc, Argv, "--json", ""),
-        static_cast<unsigned>(intOption(Argc, Argv, "--population", 10)),
-        static_cast<unsigned>(intOption(Argc, Argv, "--generations", 6)));
+    return runCheck(Model, Scale, stringOption(Argc, Argv, "--traces", ""),
+                    stringOption(Argc, Argv, "--tuning", ""),
+                    stringOption(Argc, Argv, "--json", ""));
 
   std::printf("Ablation of framework parameters (paper defaults: window "
               "100, ratio 0.6, gate on)\n");

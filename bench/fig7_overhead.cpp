@@ -15,11 +15,13 @@
 // at destruction) on one contended context across the thread ladder
 // {1,2,4,8,16,32,64} clamped to this machine (BenchSupport's
 // threadSweep; --max-threads overrides the ceiling), with rounds
-// rotating continuously so slot claims never stop. This is the
-// workload the lock-free window rework and the NUMA striping
-// (DESIGN.md §10) target. --check-scaling turns the sweep into a smoke
-// gate: exit nonzero when the max-thread monitoring overhead exceeds
-// 2x the 1-thread value.
+// rotating every 256 instances. Reps alternate the thread counts and
+// the arms, and the table reports medians over reps.
+// A third arm, the bare cycle plus one shared-counter write, is the
+// reference of --check-scaling: exit nonzero when, at any thread count
+// from two up to the cpu count, the median per-rep ratio of the
+// monitored cycle to it exceeds 1.30 (a contended write added to the
+// fast path pushes it towards 2).
 //
 // Part 3 — the cost of the telemetry ring itself: contended
 // EventLog::record() (interned ids, no strings) across the same thread
@@ -49,6 +51,11 @@ using namespace cswitch;
 using namespace cswitch::bench;
 
 namespace {
+
+double median(std::vector<double> Values) {
+  std::sort(Values.begin(), Values.end());
+  return Values[Values.size() / 2];
+}
 
 double analysisNanosPerCollection(
     size_t WindowSize, const std::shared_ptr<const PerformanceModel> &M) {
@@ -80,21 +87,31 @@ struct ContendedResult {
   uint64_t Rounds = 0;
   double NanosPerInstance = 0.0;
   double BaselineNanos = 0.0; // same cycle, no context/monitoring at all
+  double SharedLineNanos = 0.0; // baseline + one shared-counter write
 };
 
 /// The same create/add/contains/destroy cycle against a bare collection,
 /// with no allocation context involved: the floor that isolates the
 /// monitoring overhead (ns/instance minus this) from plain list work.
-double unmonitoredCycleCost(size_t Threads, size_t PerThread) {
+/// With \p BumpSharedLine every cycle also increments one counter all
+/// threads share: the cost a shared context's creation counter alone
+/// puts on each create, and the reference of the scaling gate.
+double bareCycleCost(size_t Threads, size_t PerThread, bool BumpSharedLine) {
+  struct alignas(64) Line {
+    std::atomic<uint64_t> Value{0};
+  };
+  Line Shared;
   std::atomic<size_t> Ready{0};
   std::atomic<bool> Go{false};
   std::vector<std::thread> Workers;
   for (size_t T = 0; T != Threads; ++T) {
-    Workers.emplace_back([&Ready, &Go, PerThread] {
+    Workers.emplace_back([&Shared, &Ready, &Go, PerThread, BumpSharedLine] {
       Ready.fetch_add(1);
       while (!Go.load(std::memory_order_acquire)) {
       }
       for (size_t I = 0; I != PerThread; ++I) {
+        if (BumpSharedLine)
+          Shared.Value.fetch_add(1, std::memory_order_relaxed);
         List<int64_t> L(makeListImpl<int64_t>(ListVariant::ArrayList));
         L.add(static_cast<int64_t>(I));
         (void)L.contains(1);
@@ -112,9 +129,11 @@ double unmonitoredCycleCost(size_t Threads, size_t PerThread) {
 }
 
 /// Hammers one shared context with monitored create/destroy cycles from
-/// \p Threads threads while an evaluator keeps rotating rounds, so slot
-/// claims and profile publications never quiesce. Returns wall
-/// nanoseconds per create+destroy cycle.
+/// \p Threads threads, each rotating rounds every 256 instances. There
+/// is no dedicated evaluator thread: evaluating in a tight loop would
+/// contend for the context's lines like one more worker, which the
+/// paper's 50 ms monitoring rate never does. Returns wall nanoseconds
+/// per create+destroy cycle.
 ContendedResult contendedMonitoringCost(
     size_t Threads, size_t PerThread,
     const std::shared_ptr<const PerformanceModel> &M) {
@@ -125,7 +144,6 @@ ContendedResult contendedMonitoringCost(
   ListContext<int64_t> Ctx("fig7:contended", ListVariant::ArrayList, M,
                            SelectionRule::impossibleRule(), Options);
 
-  std::atomic<bool> Stop{false};
   std::atomic<size_t> Ready{0};
   std::atomic<bool> Go{false};
   std::vector<std::thread> Workers;
@@ -138,19 +156,11 @@ ContendedResult contendedMonitoringCost(
         List<int64_t> L = Ctx.createList();
         L.add(static_cast<int64_t>(I));
         (void)L.contains(1);
-        // Workers rotate rounds too: a dedicated evaluator alone can be
-        // starved on few cores, leaving the window permanently full.
         if (I % 256 == 255)
           Ctx.evaluate();
       }
     });
   }
-  std::thread Evaluator([&Ctx, &Stop] {
-    while (!Stop.load(std::memory_order_relaxed)) {
-      Ctx.evaluate();
-      std::this_thread::yield();
-    }
-  });
   while (Ready.load() != Threads) {
   }
   Timer Clock;
@@ -158,8 +168,6 @@ ContendedResult contendedMonitoringCost(
   for (std::thread &W : Workers)
     W.join();
   double Nanos = static_cast<double>(Clock.elapsedNanos());
-  Stop.store(true, std::memory_order_relaxed);
-  Evaluator.join();
 
   ContendedResult R;
   R.Threads = Threads;
@@ -271,31 +279,47 @@ int main(int Argc, char **Argv) {
   std::printf("\nContended monitoring fast path: ns per monitored "
               "create+destroy cycle\n");
   std::printf("(topology: %s)\n", topologyJson().c_str());
-  std::printf("%8s  %12s  %12s  %12s  %10s  %8s\n", "threads",
-              "ns/instance", "baseline", "overhead", "monitored",
-              "rounds");
+  std::printf("%8s  %12s  %12s  %12s  %12s  %10s  %8s\n", "threads",
+              "ns/instance", "baseline", "shared-line", "overhead",
+              "monitored", "rounds");
+  // Alternating repeats: every rep measures each thread count's
+  // monitored, bare and shared-line cycles back to back, so a host
+  // phase (steal, a noisy neighbour, a throttled cpu set) lands on every
+  // arm of that rep alike; medians over reps then drop the outliers.
+  // Per-thread counts shrink as threads go up so total work stays
+  // comparable.
+  constexpr int ContendedReps = 15;
+  std::vector<std::vector<ContendedResult>> Monitored(Sweep.size());
+  for (int R = 0; R != ContendedReps; ++R) {
+    for (size_t I = 0; I != Sweep.size(); ++I) {
+      size_t Threads = Sweep[I];
+      size_t Per = std::max<size_t>(PerThread / Threads, 64);
+      ContendedResult Rep = contendedMonitoringCost(Threads, Per, Model);
+      Rep.BaselineNanos = bareCycleCost(Threads, Per, false);
+      Rep.SharedLineNanos = bareCycleCost(Threads, Per, true);
+      Monitored[I].push_back(Rep);
+    }
+  }
+  auto MedianOf = [&](size_t I, double ContendedResult::*Field) {
+    std::vector<double> Values;
+    for (const ContendedResult &Rep : Monitored[I])
+      Values.push_back(Rep.*Field);
+    return median(std::move(Values));
+  };
   std::vector<ContendedResult> Contended;
-  for (size_t Threads : Sweep) {
-    // Median-of-9; scale the per-thread count down as threads go up so
-    // total work stays comparable. Oversubscribed runs are noisy, so a
-    // wide median beats averaging.
-    size_t Per = std::max<size_t>(PerThread / Threads, 64);
-    std::vector<ContendedResult> Reps;
-    for (int R = 0; R != 9; ++R)
-      Reps.push_back(contendedMonitoringCost(Threads, Per, Model));
-    std::sort(Reps.begin(), Reps.end(),
+  for (size_t I = 0; I != Sweep.size(); ++I) {
+    std::vector<ContendedResult> Sorted = Monitored[I];
+    std::sort(Sorted.begin(), Sorted.end(),
               [](const ContendedResult &A, const ContendedResult &B) {
                 return A.NanosPerInstance < B.NanosPerInstance;
               });
-    ContendedResult Median = Reps[4];
-    std::vector<double> Baselines;
-    for (int R = 0; R != 9; ++R)
-      Baselines.push_back(unmonitoredCycleCost(Threads, Per));
-    std::sort(Baselines.begin(), Baselines.end());
-    Median.BaselineNanos = Baselines[4];
+    ContendedResult Median = Sorted[ContendedReps / 2];
+    Median.BaselineNanos = MedianOf(I, &ContendedResult::BaselineNanos);
+    Median.SharedLineNanos = MedianOf(I, &ContendedResult::SharedLineNanos);
     Contended.push_back(Median);
-    std::printf("%8zu  %12.1f  %12.1f  %12.1f  %10llu  %8llu\n", Threads,
-                Median.NanosPerInstance, Median.BaselineNanos,
+    std::printf("%8zu  %12.1f  %12.1f  %12.1f  %12.1f  %10llu  %8llu\n",
+                Sweep[I], Median.NanosPerInstance, Median.BaselineNanos,
+                Median.SharedLineNanos,
                 Median.NanosPerInstance - Median.BaselineNanos,
                 static_cast<unsigned long long>(Median.Monitored),
                 static_cast<unsigned long long>(Median.Rounds));
@@ -341,12 +365,12 @@ int main(int Argc, char **Argv) {
       const ContendedResult &R = Contended[I];
       std::fprintf(F,
                    "    {\"threads\": %zu, \"ns_per_instance\": %.1f, "
-                   "\"baseline_ns\": %.1f, "
+                   "\"baseline_ns\": %.1f, \"shared_line_ns\": %.1f, "
                    "\"monitoring_overhead_ns\": %.1f, "
                    "\"instances\": %llu, \"monitored\": %llu, "
                    "\"rounds\": %llu}%s\n",
                    R.Threads, R.NanosPerInstance, R.BaselineNanos,
-                   R.NanosPerInstance - R.BaselineNanos,
+                   R.SharedLineNanos, R.NanosPerInstance - R.BaselineNanos,
                    static_cast<unsigned long long>(R.Instances),
                    static_cast<unsigned long long>(R.Monitored),
                    static_cast<unsigned long long>(R.Rounds),
@@ -383,25 +407,36 @@ int main(int Argc, char **Argv) {
   }
 
   if (hasFlag(Argc, Argv, "--check-scaling")) {
-    // CI smoke gate: monitoring overhead must stay roughly flat across
-    // the sweep — the max-thread overhead may not exceed 2x the
-    // 1-thread overhead. A few-ns floor keeps the ratio meaningful when
-    // the absolute overhead is down in timer-noise territory.
-    const ContendedResult &First = Contended.front();
-    const ContendedResult &Last = Contended.back();
-    double OverheadAt1 =
-        std::max(First.NanosPerInstance - First.BaselineNanos, 5.0);
-    double OverheadAtMax = Last.NanosPerInstance - Last.BaselineNanos;
-    std::printf("\n[check-scaling] overhead %zu threads: %.1f ns vs "
-                "1 thread: %.1f ns (limit %.1f ns)\n",
-                Last.Threads, OverheadAtMax, OverheadAt1,
-                2.0 * OverheadAt1);
-    if (OverheadAtMax > 2.0 * OverheadAt1) {
-      std::fprintf(stderr,
-                   "FAIL: contended monitoring overhead at %zu threads "
-                   "(%.1f ns) exceeds 2x the 1-thread overhead "
-                   "(%.1f ns)\n",
-                   Last.Threads, OverheadAtMax, OverheadAt1);
+    // CI smoke gate: sharing one context across threads may cost at
+    // most 1.30x a bare cycle that writes one shared cache line. The
+    // context's creation counter is the one write every creating thread
+    // must share, so the two scale alike; a change that adds a contended
+    // write to the fast path pushes the ratio towards 2. The ratio is
+    // taken per rep, between cycles measured back to back, and each
+    // thread count reads its median over reps; at the default
+    // --instances (200000) it holds within a few percent run to run.
+    // Thread counts above the cpu count are left out: there a worker
+    // preempted inside evaluate() stalls the others on its mutex, which
+    // measures the scheduler, not the fast path.
+    constexpr double Limit = 1.30;
+    const size_t Cpus = std::max(1u, std::thread::hardware_concurrency());
+    bool Failed = false;
+    for (size_t I = 0; I != Sweep.size(); ++I) {
+      if (Sweep[I] < 2 || Sweep[I] > Cpus)
+        continue;
+      std::vector<double> Ratios;
+      for (const ContendedResult &Rep : Monitored[I])
+        Ratios.push_back(Rep.NanosPerInstance / Rep.SharedLineNanos);
+      double Ratio = median(std::move(Ratios));
+      bool Over = Ratio > Limit;
+      Failed |= Over;
+      std::printf("[check-scaling] %zu threads: monitored cycle %.2fx the "
+                  "shared-line cycle (limit %.2fx)%s\n",
+                  Sweep[I], Ratio, Limit, Over ? "  FAIL" : "");
+    }
+    if (Failed) {
+      std::fprintf(stderr, "FAIL: the contended monitored cycle scales "
+                           "worse than one shared-counter write\n");
       return 1;
     }
   }

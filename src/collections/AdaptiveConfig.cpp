@@ -40,22 +40,6 @@ bool cswitch::validateThresholds(const AdaptiveThresholds &T,
   return Ok;
 }
 
-bool cswitch::validateContention(const ContentionPolicy &P,
-                                 std::string *Error) {
-  bool Ok = true;
-  if (!(P.Smoothing > 0.0) || P.Smoothing > 1.0)
-    Ok = failCheck(Error, "contention smoothing " +
-                              std::to_string(P.Smoothing) +
-                              " outside (0, 1]");
-  if (P.Shards > 4096)
-    Ok = failCheck(Error, "contention shards " + std::to_string(P.Shards) +
-                              " exceeds the maximum 4096");
-  if (P.MinOps > (uint64_t(1) << 30))
-    Ok = failCheck(Error, "contention min-ops " + std::to_string(P.MinOps) +
-                              " exceeds the maximum 2^30");
-  return Ok;
-}
-
 AdaptiveConfig &AdaptiveConfig::global() {
   static AdaptiveConfig Instance;
   return Instance;

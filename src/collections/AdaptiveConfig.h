@@ -45,13 +45,6 @@ inline constexpr size_t MaxAdaptiveThreshold = size_t(1) << 20;
 bool validateThresholds(const AdaptiveThresholds &T,
                         std::string *Error = nullptr);
 
-/// Validates a contention policy: Smoothing must be in (0, 1], Shards
-/// at most 4096 (the sharded variants clamp to [1, 64] anyway; bigger
-/// values signal a corrupt artifact), MinOps at most 2^30.
-struct ContentionPolicy;
-bool validateContention(const ContentionPolicy &P,
-                        std::string *Error = nullptr);
-
 /// Policy of the concurrent tier (DESIGN.md §11): how sharded variants
 /// size their stripe arrays and how the contention signal feeds the
 /// selection rules.
@@ -104,16 +97,6 @@ public:
 
   /// Installs a new concurrent-tier policy.
   void setContention(const ContentionPolicy &P) { Contention = P; }
-
-  /// Validated installation of a contention policy (see
-  /// validateContention). \returns true when installed.
-  bool setContentionChecked(const ContentionPolicy &P,
-                            std::string *Error = nullptr) {
-    if (!validateContention(P, Error))
-      return false;
-    Contention = P;
-    return true;
-  }
 
   /// Records one representation migration (instance-level transition).
   void recordMigration() {

@@ -76,29 +76,23 @@ bool applyTuningArtifact(const tuner::TuningArtifact &Artifact,
   std::string Reason;
   if (!tuner::paramsFromArtifact(Artifact, Params, &Reason))
     return Fail(Reason);
-  // Validate both threshold bundles before installing either, so a
-  // rejected artifact leaves the running configuration untouched.
+  // Validate before installing anything, so a rejected artifact leaves
+  // the running configuration untouched.
   if (!validateThresholds(Params.thresholds(), &Reason))
     return Fail(Reason);
-  if (!validateContention(Params.contention(), &Reason))
-    return Fail(Reason);
   AdaptiveConfig::global().setThresholdsChecked(Params.thresholds());
-  AdaptiveConfig::global().setContentionChecked(Params.contention());
   {
     std::lock_guard<std::mutex> Lock(configMutex());
     ContextOptions &Defaults = contextDefaultsSlot();
     Defaults.WindowSize = Params.windowSize();
     Defaults.FinishedRatio = Params.finishedRatio();
     Defaults.WideRangeFactor = Params.wideRangeFactor();
-    Defaults.WarmWindowFactor = Params.warmWindowFactor();
   }
   TuningStats Provenance;
   Provenance.Source = Source;
   Provenance.Fingerprint = Artifact.HostFingerprint;
   Provenance.CorpusDigest = Artifact.CorpusDigest;
-  Provenance.Seed = Artifact.Seed;
-  Provenance.Generations = Artifact.Generations;
-  Provenance.Population = Artifact.Population;
+  Provenance.Sweeps = Artifact.Sweeps;
   Provenance.Evaluations = Artifact.Evaluations;
   Provenance.Parameters = Artifact.Rows.size();
   Provenance.WinnerFitness = Artifact.WinnerFitness;

@@ -91,10 +91,10 @@ struct SwitchConfig {
   ContextOptions Context;
   /// Fleet store-sync exposure of the metrics endpoint (DESIGN.md §12).
   FleetOptions Fleet;
-  /// Optional path to a `cswitch-tuning-v1` artifact (produced by the
+  /// Optional path to a `cswitch-tuning-v2` artifact (produced by the
   /// offline autotuner, DESIGN.md §13) applied on top of the rest of
-  /// the configuration: tuned adaptive/contention thresholds install
-  /// into AdaptiveConfig, tuned window geometry overlays the context
+  /// the configuration: tuned adaptive thresholds install into
+  /// AdaptiveConfig, tuned window geometry overlays the context
   /// defaults. An unreadable or invalid artifact is counted in
   /// telemetry and warned about — it never wedges startup. Empty =
   /// none (the `CSWITCH_TUNING` environment variable, checked once per
@@ -138,15 +138,14 @@ public:
   /// built-in defaults until configure() installs others).
   static ContextOptions defaultContextOptions();
 
-  /// Applies the `cswitch-tuning-v1` artifact at \p Path process-wide:
-  /// adaptive and contention thresholds install into the global
-  /// AdaptiveConfig (validated — see setThresholdsChecked), window
-  /// geometry overlays the makeContext() context defaults, and the
-  /// artifact's provenance lands in telemetry (TelemetrySnapshot::
-  /// Tuning). Returns false — with \p Error describing why, and the
-  /// failure counted — when the file is unreadable or the decoder or
-  /// validators reject it; the running configuration is unchanged in
-  /// that case.
+  /// Applies the `cswitch-tuning-v2` artifact at \p Path process-wide:
+  /// adaptive thresholds install into the global AdaptiveConfig
+  /// (validated — see setThresholdsChecked), window geometry overlays
+  /// the makeContext() context defaults, and the artifact's provenance
+  /// lands in telemetry (TelemetrySnapshot::Tuning). Returns false —
+  /// with \p Error describing why, and the failure counted — when the
+  /// file is unreadable or the decoder or validators reject it; the
+  /// running configuration is unchanged in that case.
   static bool applyTuning(const std::string &Path,
                           std::string *Error = nullptr);
 

@@ -212,7 +212,7 @@ cswitch::obs::renderOpenMetrics(const TelemetrySnapshot &Snapshot,
   // artifact has been applied.
   if (Snapshot.Tuning.Loads > 0)
     infoFamily(Out, "cswitch_tuning_info",
-               "Provenance of the applied cswitch-tuning-v1 artifact.",
+               "Provenance of the applied cswitch-tuning-v2 artifact.",
                Snapshot.Tuning);
   // Provenance of the cost model driving selection (DESIGN.md §14):
   // which artifact the decisions trace back to. Emitted once any model

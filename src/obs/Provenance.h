@@ -260,7 +260,7 @@ struct ExplainProvenance {
   uint64_t ModelFitTimestamp = 0;    ///< Unix seconds; 0 = unknown.
   double ModelHoldoutResidual = 0.0; ///< cswitch-model-v2 gate residual.
   uint64_t ModelInstalls = 0;
-  std::string TuningSource; ///< cswitch-tuning-v1 path, or empty.
+  std::string TuningSource; ///< cswitch-tuning-v2 path, or empty.
   std::string TuningFingerprint;
   std::string TuningCorpusDigest;
   uint64_t TuningLoads = 0;

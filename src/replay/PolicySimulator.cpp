@@ -63,7 +63,7 @@ void PolicySimulator::addDefaultPolicies() {
   HalfThresholds.Name = "Rtime-adapt/2";
   HalfThresholds.Rule = SelectionRule::timeRule();
   HalfThresholds.Context.LogEvents = false;
-  HalfThresholds.Thresholds = AdaptiveThresholds{40, 20, 25};
+  HalfThresholds.Context.AdaptiveOverride = AdaptiveThresholds{40, 20, 25};
   Policies.push_back(std::move(HalfThresholds));
 }
 
@@ -80,20 +80,17 @@ SimulationReport PolicySimulator::run(uint64_t Seed, unsigned Threads) {
     PolicyOutcome Outcome;
     Outcome.Name = Policy.Name;
 
-    for (size_t T = 0, E = Corpus.size(); T != E; ++T) {
-      ReplayOptions Options;
-      Options.Mode = ReplayMode::Engine;
-      Options.Seed = Seed;
-      Options.Threads = Threads;
-      Options.EvalEveryOps = Policy.EvalEveryOps;
-      Options.Context = Policy.Context;
-      if (Policy.Thresholds)
-        Options.Context.AdaptiveOverride = *Policy.Thresholds;
-      Options.Rule = Policy.Rule;
-      Options.Model = Model;
-      Replayer Replay(Corpus[T], std::move(Options));
-      ReplayResult Result = Replay.run();
-
+    ReplayOptions Options;
+    Options.Mode = ReplayMode::Engine;
+    Options.Seed = Seed;
+    Options.Threads = Threads;
+    Options.EvalEveryOps = Policy.EvalEveryOps;
+    Options.Context = Policy.Context;
+    Options.Rule = Policy.Rule;
+    Options.Model = Model;
+    std::vector<ReplayResult> Results = replayCorpus(Corpus, Options);
+    for (size_t T = 0, E = Results.size(); T != E; ++T) {
+      const ReplayResult &Result = Results[T];
       Outcome.OpsExecuted += Result.OpsExecuted;
       Outcome.InstancesReplayed += Result.InstancesReplayed;
       Outcome.Evaluations += Result.Evaluations;

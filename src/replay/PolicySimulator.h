@@ -27,30 +27,23 @@
 #ifndef CSWITCH_REPLAY_POLICYSIMULATOR_H
 #define CSWITCH_REPLAY_POLICYSIMULATOR_H
 
-#include "collections/AdaptiveConfig.h"
 #include "replay/Replayer.h"
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 namespace cswitch {
 
 /// One selection policy to evaluate: a rule plus the context knobs it
-/// runs with. An unset Thresholds leaves the process-global adaptive
-/// thresholds untouched.
+/// runs with. Adaptive thresholds go in Context.AdaptiveOverride, which
+/// applies per context and never touches the process-global ones.
 struct PolicyCandidate {
   std::string Name;
   SelectionRule Rule = SelectionRule::timeRule();
   ContextOptions Context;
   /// Evaluation cadence handed to the Replayer.
   uint64_t EvalEveryOps = 256;
-  /// When set, this candidate's replay contexts run with these adaptive
-  /// thresholds (applied per-context via
-  /// ContextOptions::AdaptiveOverride — global state is never touched,
-  /// so candidates can be evaluated concurrently).
-  std::optional<AdaptiveThresholds> Thresholds;
 };
 
 /// Outcome of one policy over the whole corpus.

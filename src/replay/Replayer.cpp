@@ -62,13 +62,11 @@ size_t pickInsertIndex(OpClass Class, size_t Size, SplitMix64 &Rng) {
   }
 }
 
-} // namespace
-
 //===----------------------------------------------------------------------===//
 // Per-site replay state
 //===----------------------------------------------------------------------===//
 
-struct Replayer::SiteRun {
+struct SiteRun {
   /// One live replayed list: the facade under measurement plus a mirror
   /// of its contents so hit operands can be picked without reading the
   /// facade (which would perturb its workload profile).
@@ -504,14 +502,9 @@ struct Replayer::SiteRun {
   }
 };
 
-//===----------------------------------------------------------------------===//
-// Replayer
-//===----------------------------------------------------------------------===//
-
-Replayer::Replayer(OpTrace Trace, ReplayOptions Options)
-    : Trace(std::move(Trace)), Options(std::move(Options)) {}
-
-ReplayResult Replayer::run() {
+/// Replays \p Trace once under \p Options (Replayer::run and
+/// replayCorpus, without copying the trace).
+ReplayResult replayTrace(const OpTrace &Trace, const ReplayOptions &Options) {
   assert((Options.Mode != ReplayMode::Engine || Options.Model) &&
          "engine-mode replay requires a performance model");
 
@@ -617,6 +610,27 @@ ReplayResult Replayer::run() {
     Result.Sites.push_back(std::move(Run.Result));
   }
   return Result;
+}
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// Replayer
+//===----------------------------------------------------------------------===//
+
+Replayer::Replayer(OpTrace Trace, ReplayOptions Options)
+    : Trace(std::move(Trace)), Options(std::move(Options)) {}
+
+ReplayResult Replayer::run() { return replayTrace(Trace, Options); }
+
+std::vector<ReplayResult>
+cswitch::replayCorpus(const std::vector<OpTrace> &Corpus,
+                      const ReplayOptions &Options) {
+  std::vector<ReplayResult> Results;
+  Results.reserve(Corpus.size());
+  for (const OpTrace &Trace : Corpus)
+    Results.push_back(replayTrace(Trace, Options));
+  return Results;
 }
 
 //===----------------------------------------------------------------------===//

@@ -137,11 +137,15 @@ public:
   const ReplayOptions &options() const { return Options; }
 
 private:
-  struct SiteRun; // Per-site replay state (Replayer.cpp).
-
   OpTrace Trace;
   ReplayOptions Options;
 };
+
+/// Replays every trace of \p Corpus under \p Options, one result per
+/// trace in corpus order. The one corpus-replay loop behind the tuner's
+/// fitness, the policy simulator and the tuning acceptance gate.
+std::vector<ReplayResult> replayCorpus(const std::vector<OpTrace> &Corpus,
+                                       const ReplayOptions &Options);
 
 /// Aggregates the per-site workload profiles a trace implies (op counts
 /// bucketed by OperationKind, max size per instance merged per site).

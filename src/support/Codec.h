@@ -8,7 +8,7 @@
 /// The wire primitives and the install discipline shared by every binary
 /// document of the framework: `cswitch-store-v1` (store/StoreFormat.h),
 /// `cswitch-optrace-v1` (replay/TraceFormat.h), `cswitch-model-v2`
-/// (fleet/ModelArtifact.h) and `cswitch-tuning-v1`
+/// (fleet/ModelArtifact.h) and `cswitch-tuning-v2`
 /// (tuner/TuningArtifact.h). Each format keeps only its payload schema,
 /// its range checks and its canonical-order rule; everything below is
 /// defined once here (DESIGN.md §5.1).

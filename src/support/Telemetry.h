@@ -373,7 +373,7 @@ struct FleetStats {
 static_assert(telemetry::describesLayout<FleetStats>());
 
 /// Counters and provenance of the tuned-configuration loader (the
-/// `cswitch-tuning-v1` artifacts the offline autotuner emits), so which
+/// `cswitch-tuning-v2` artifacts the offline autotuner emits), so which
 /// tuned parameters a process runs under — and every rejected artifact —
 /// is observable, not silent. The provenance fields describe the most
 /// recently applied artifact (empty/zero when none).
@@ -383,9 +383,7 @@ struct TuningStats {
   std::string Source;
   std::string Fingerprint;
   std::string CorpusDigest;
-  uint64_t Seed = 0;
-  uint64_t Generations = 0;
-  uint64_t Population = 0;
+  uint64_t Sweeps = 0;
   uint64_t Evaluations = 0;
   uint64_t Parameters = 0;
   double WinnerFitness = 0.0;
@@ -400,12 +398,10 @@ struct TuningStats {
     R("source", Info, &S::Source, "Artifact origin (file path or <memory>).");
     R("fingerprint", Info, &S::Fingerprint, "Host fingerprint at tune time.");
     R("corpus_digest", Info, &S::CorpusDigest, "Digest of the tuning corpus.");
-    R("seed", Info, &S::Seed, "Search seed.");
-    R("generations", Info, &S::Generations, "Generations the search ran.");
-    R("population", Info, &S::Population, "Genomes per generation.");
+    R("sweeps", Info, &S::Sweeps, "Coordinate sweeps the search ran.");
     R("evaluations", State, &S::Evaluations, "Fitness evaluations run.");
     R("parameters", State, &S::Parameters, "Parameter rows applied.");
-    R("winner_fitness", State, &S::WinnerFitness, "Applied genome fitness.");
+    R("winner_fitness", State, &S::WinnerFitness, "Applied tuned fitness.");
     R("baseline_fitness", State, &S::BaselineFitness, "Paper-default fitness.");
   }
 

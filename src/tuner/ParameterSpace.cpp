@@ -29,18 +29,6 @@ const std::array<ParamInfo, NumTunableParams> &cswitch::tuner::parameterSpace() 
        false},
       {ParamId::ContextWideRangeFactor, "context.wide_range_factor", 1.0, 64.0,
        4.0, false},
-      {ParamId::ContextWarmWindowFactor, "context.warm_window_factor", 0.05,
-       1.0, 0.25, false},
-      {ParamId::RuleTimeThreshold, "rule.time_threshold", 0.5, 0.99, 0.8,
-       false},
-      {ParamId::EngineEvalEveryOps, "engine.eval_every_ops", 32.0, 8192.0,
-       256.0, true},
-      {ParamId::StoreDecay, "store.decay", 0.05, 0.95, 0.5, false},
-      {ParamId::ContentionMinOps, "contention.min_ops", 16.0, 65536.0, 256.0,
-       true},
-      {ParamId::ContentionSmoothing, "contention.smoothing", 0.05, 1.0, 0.5,
-       false},
-      {ParamId::ContentionShards, "contention.shards", 0.0, 64.0, 0.0, true},
   }};
   return Table;
 }
@@ -81,12 +69,4 @@ AdaptiveThresholds ParameterSet::thresholds() const {
   T.Set = static_cast<size_t>(get(ParamId::AdaptiveSetThreshold));
   T.Map = static_cast<size_t>(get(ParamId::AdaptiveMapThreshold));
   return T;
-}
-
-ContentionPolicy ParameterSet::contention() const {
-  ContentionPolicy P;
-  P.MinOps = static_cast<uint64_t>(get(ParamId::ContentionMinOps));
-  P.Smoothing = get(ParamId::ContentionSmoothing);
-  P.Shards = static_cast<size_t>(get(ParamId::ContentionShards));
-  return P;
 }

@@ -6,19 +6,16 @@
 ///
 /// \file
 /// The typed parameter space the offline tuner searches (DESIGN.md §13):
-/// every hand-tuned constant the paper's decision pipeline hides —
-/// adaptive-switch thresholds (§3.2 Table 1), monitoring window geometry
-/// (§4.3), selection-rule improvement thresholds (Table 4), evaluation
-/// cadence, selection-store decay, and the concurrent tier's contention
-/// knobs — described as a bounded, typed genome. This is the Darwinian
-/// Data Structure Selection idea (Basios et al.) applied to the
-/// *parameters* of the selection machinery rather than the collections.
+/// the paper's selection parameters — the adaptive-switch thresholds
+/// (§3.2 Table 1) and the monitoring window geometry (§3.3: window size,
+/// finished ratio, wide-range gate). Every row closes the loop: the
+/// tuner's fitness replay runs with it (Tuner::replayOptionsFor) and
+/// Switch::applyTuning installs it, so every value a process installs
+/// is one the tuner measured.
 ///
-/// A ParameterSet is one point of the space (a genome): a dense array of
-/// doubles indexed by ParamId, always clamped to the per-parameter
-/// bounds, with integer-typed parameters held at integral values. The
-/// conversion accessors (thresholds(), contention(), ...) hand the typed
-/// slices to the subsystems that consume them.
+/// A ParameterSet is one point of the space: a dense array of doubles
+/// indexed by ParamId, always clamped to the per-parameter bounds, with
+/// integer-typed parameters held at integral values.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,16 +26,14 @@
 
 #include <array>
 #include <cstddef>
-#include <cstdint>
 #include <string_view>
 
 namespace cswitch {
 namespace tuner {
 
 /// Identity of one tunable parameter. The enumerator order is the dense
-/// storage order of ParameterSet; artifacts are keyed by the stable
-/// string names in parameterSpace() instead, so this enum may be
-/// reordered/extended freely between releases.
+/// storage order of ParameterSet and the order the search visits;
+/// artifacts are keyed by the stable string names in parameterSpace().
 enum class ParamId : unsigned {
   AdaptiveListThreshold, ///< AdaptiveList array->hash size (paper: 80).
   AdaptiveSetThreshold,  ///< AdaptiveSet array->hash size (paper: 40).
@@ -46,23 +41,16 @@ enum class ParamId : unsigned {
   ContextWindow,         ///< Monitoring window size (paper: 100).
   ContextFinishedRatio,  ///< Finished ratio gating analysis (paper: 0.6).
   ContextWideRangeFactor, ///< Adaptive wide-range gate (§3.2).
-  ContextWarmWindowFactor, ///< Warm-start window shrink.
-  RuleTimeThreshold,     ///< Rtime improvement threshold (Table 4: 0.8).
-  EngineEvalEveryOps,    ///< Replay evaluation cadence, ops.
-  StoreDecay,            ///< Selection-store exponential decay.
-  ContentionMinOps,      ///< Ops before the thread estimate is trusted.
-  ContentionSmoothing,   ///< EWMA weight of the thread estimate.
-  ContentionShards,      ///< Stripe count of sharded variants (0 = auto).
 };
 
 /// Number of tunable parameters (one per ParamId enumerator).
-inline constexpr size_t NumTunableParams = 13;
+inline constexpr size_t NumTunableParams = 6;
 
 /// Static description of one parameter: stable artifact name, bounds,
 /// paper default, and whether values must be integral.
 struct ParamInfo {
   ParamId Id;
-  const char *Name; ///< Stable key used in `cswitch-tuning-v1` rows.
+  const char *Name; ///< Stable key used in `cswitch-tuning-v2` rows.
   double Min;
   double Max;
   double Default;
@@ -80,8 +68,8 @@ const ParamInfo *findParam(std::string_view Name);
 /// to the nearest integral value first.
 double clampParam(const ParamInfo &Info, double Value);
 
-/// One point of the parameter space (a tuner genome). Values are always
-/// within bounds: every write path clamps.
+/// One point of the parameter space. Values are always within bounds:
+/// every write path clamps.
 class ParameterSet {
 public:
   /// Initializes every parameter to its paper default.
@@ -98,24 +86,14 @@ public:
   bool operator==(const ParameterSet &Other) const {
     return Values == Other.Values;
   }
-  bool operator!=(const ParameterSet &Other) const {
-    return !(*this == Other);
-  }
 
-  /// Raw genome storage (for hashing/memoization).
+  /// Raw storage (for memoization).
   const std::array<double, NumTunableParams> &values() const {
     return Values;
   }
 
-  //===--------------------------------------------------------------===//
-  // Typed slices for the consuming subsystems
-  //===--------------------------------------------------------------===//
-
   /// Adaptive transition thresholds (collections/AdaptiveConfig).
   AdaptiveThresholds thresholds() const;
-
-  /// Concurrent-tier contention policy (collections/AdaptiveConfig).
-  ContentionPolicy contention() const;
 
   size_t windowSize() const {
     return static_cast<size_t>(get(ParamId::ContextWindow));
@@ -124,14 +102,6 @@ public:
   double wideRangeFactor() const {
     return get(ParamId::ContextWideRangeFactor);
   }
-  double warmWindowFactor() const {
-    return get(ParamId::ContextWarmWindowFactor);
-  }
-  double ruleTimeThreshold() const { return get(ParamId::RuleTimeThreshold); }
-  uint64_t evalEveryOps() const {
-    return static_cast<uint64_t>(get(ParamId::EngineEvalEveryOps));
-  }
-  double storeDecay() const { return get(ParamId::StoreDecay); }
 
 private:
   std::array<double, NumTunableParams> Values;

@@ -1,35 +1,32 @@
-//===- Tuner.h - Offline evolutionary parameter tuner -----------*- C++ -*-===//
+//===- Tuner.h - Offline coordinate-search parameter tuner ------*- C++ -*-===//
 //
 // Part of the CollectionSwitch C++ reproduction (CGO'18, Costa & Andrzejak).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The offline search-based autotuner (DESIGN.md §13): a seeded,
-/// deterministic evolutionary search — tournament selection, uniform
-/// crossover, bounded per-gene mutation, elitism, early stop — over the
-/// typed ParameterSpace, with the deterministic Replayer as its fitness
-/// function (Darwinian Data Structure Selection, Basios et al.; fitness
-/// through trace replay as in MapReplay, Schiavio et al.).
+/// The offline autotuner (DESIGN.md §13): a deterministic coordinate
+/// search over the typed ParameterSpace, with the deterministic Replayer
+/// as its fitness function (fitness through trace replay as in
+/// MapReplay, Schiavio et al.).
 ///
-/// Fitness of a genome is the *trajectory cost* of replaying the trace
-/// corpus under that genome's configuration: every replayed instance is
-/// costed (by the performance model) on the variant it was actually
-/// created with, so a configuration that converges to the right variant
-/// in one monitoring round genuinely beats one that takes five —
-/// window size, evaluation cadence and rule threshold all move the
-/// fitness, not just the final variant choice. Time and alloc costs are
-/// normalized against the paper-default genome per trace and
-/// scalarized with user weights; a regularization term keeps parameters
-/// the corpus exerts no pressure on (e.g. contention knobs under
-/// sequential traces) at their paper defaults instead of drifting.
+/// Fitness of a parameter set is the *trajectory cost* of replaying the
+/// trace corpus under it: every replayed instance is costed (by the
+/// performance model) on the variant it was actually created with, so
+/// a configuration that converges to the right variant in one
+/// monitoring round beats one that takes five. Time and alloc costs are
+/// normalized against the paper defaults per trace and scalarized with
+/// user weights, plus a penalty on the worst trace's time regression.
 ///
-/// Determinism (the property the whole pipeline leans on): the search
-/// is a pure function of (corpus bytes, TunerOptions). All random draws
-/// happen on the driving thread between generations; worker threads
-/// only evaluate genomes into result slots indexed by population
-/// position, and the fitness memo-cache is consulted before dispatch —
-/// so a Threads=8 run returns bit-identical results to Threads=1.
+/// The search starts at the paper defaults and visits the parameters in
+/// table order. For each it scores a fixed grid (searchGrid) and moves
+/// only on a strict improvement, so ties keep the incumbent and a
+/// parameter the corpus exerts no pressure on stays at its default. It
+/// sweeps until a whole sweep moves nothing, at most MaxSweeps times.
+/// There is no randomness: the result is a pure function of (corpus
+/// bytes, TunerOptions). Basios et al. ("Darwinian Data Structure
+/// Selection") argue a genetic search pays off only where the space is
+/// rugged; this one is not (EXPERIMENTS.md "Tuned vs. default").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,64 +44,50 @@
 namespace cswitch {
 namespace tuner {
 
-/// Search configuration. Defaults run a small-but-real search; CI smoke
-/// runs shrink Population/Generations further.
+/// Upper bound on coordinate sweeps; a search that still moves in its
+/// last sweep stops there.
+inline constexpr unsigned MaxSweeps = 8;
+
+/// The values the search scores for \p Info: 9 points across its bounds
+/// (log-spaced for integer parameters whose Max/Min >= 64, linear
+/// otherwise) plus the paper default, ascending, without duplicates.
+std::vector<double> searchGrid(const ParamInfo &Info);
+
+/// Fitness configuration.
 struct TunerOptions {
-  /// Root seed of every random draw (selection, crossover, mutation).
-  uint64_t Seed = 0x1905;
-  /// Genomes per generation (gen 0 = paper defaults + random rest).
-  unsigned Population = 24;
-  /// Maximum generations (early stop may end the search sooner).
-  unsigned Generations = 12;
-  /// Best genomes copied unchanged into the next generation.
-  unsigned Elites = 2;
-  /// Tournament size of parent selection.
-  unsigned TournamentSize = 3;
-  /// Probability of crossover (vs cloning the first parent).
-  double CrossoverRate = 0.9;
-  /// Per-gene mutation probability.
-  double MutationRate = 0.2;
-  /// Worker threads for population evaluation (1 = serial; any value
-  /// produces identical results — see the determinism note above).
-  unsigned Threads = 1;
   /// Scalarization weights of the multi-objective fitness.
   double TimeWeight = 1.0;
   double AllocWeight = 0.25;
   /// Penalty per variant switch per replayed instance (0 = off):
   /// discourages configurations that win by thrashing.
   double SwitchPenalty = 0.0;
-  /// Weight of the squared normalized distance from the paper defaults:
-  /// parameters the corpus gives no signal on stay put.
-  double Regularization = 0.01;
   /// Weight of the worst-trace time regression (ratios above 1 vs the
-  /// default genome): guards the "no scenario regresses" acceptance
+  /// paper defaults): guards the "no scenario regresses" acceptance
   /// criterion during the search itself.
   double RegressionPenalty = 2.0;
-  /// Seed handed to the fitness replays (independent of Seed so the
-  /// search seed does not change the workloads being scored).
+  /// Seed of the operand synthesis in the fitness replays.
   uint64_t ReplaySeed = 0x1905;
-  /// Early stop: generations without MinImprovement before giving up.
-  unsigned Patience = 4;
-  double MinImprovement = 1e-4;
 };
 
 /// Outcome of one search.
 struct TunerResult {
   ParameterSet Best;
-  /// Fitness of Best / of the paper-default genome (lower is better;
-  /// Best <= Baseline because gen 0 contains the default genome and
-  /// elitism never loses it).
+  /// Fitness of Best / of the paper defaults (lower is better; Best <=
+  /// Baseline because the search starts at the defaults and only moves
+  /// on a strict improvement).
   double BestFitness = 0.0;
   double BaselineFitness = 0.0;
-  unsigned GenerationsRun = 0;
-  /// Fitness evaluations actually performed (memo-cache misses).
+  /// Sweeps run, the last one included (it moved nothing unless the
+  /// search stopped at MaxSweeps).
+  unsigned Sweeps = 0;
+  /// Fitness evaluations performed by this Tuner so far (memo-cache
+  /// misses, the defaults included).
   uint64_t Evaluations = 0;
-  /// Best fitness after each generation (History.size() ==
-  /// GenerationsRun).
+  /// Best fitness after each sweep (History.size() == Sweeps).
   std::vector<double> History;
 };
 
-/// The evolutionary tuner. Reusable: run() is const apart from the
+/// The coordinate-search tuner. Reusable: run() is const apart from the
 /// fitness memo-cache, and repeated runs with equal options return
 /// identical results.
 class Tuner {
@@ -116,25 +99,28 @@ public:
 
   size_t traceCount() const { return Corpus.size(); }
 
+  /// The fitness corpus, in addTrace order.
+  const std::vector<OpTrace> &corpus() const { return Corpus; }
+
   /// Digest tying artifacts to this corpus ("crc32:XXXXXXXX" over the
   /// serialized traces, in addTrace order).
   std::string corpusDigest() const;
 
-  /// Fitness of one genome over the corpus (lower is better). Exposed
-  /// for tests and for scoring externally-supplied configurations;
-  /// memoized.
+  /// Fitness of one parameter set over the corpus (lower is better).
+  /// Exposed for tests and for scoring externally-supplied
+  /// configurations; memoized.
   double evaluate(const ParameterSet &Params);
 
-  /// Runs the search. Requires at least one trace.
+  /// Runs the search. With an empty corpus the defaults are the answer.
   TunerResult run();
 
-  /// Packages \p Result as a `cswitch-tuning-v1` artifact with full
-  /// provenance (fingerprint, seed, geometry, corpus digest, fitness).
+  /// Packages \p Result as a `cswitch-tuning-v2` artifact with full
+  /// provenance (fingerprint, sweeps, corpus digest, fitness).
   TuningArtifact makeArtifact(const TunerResult &Result) const;
 
-  /// The ReplayOptions a genome's fitness replay runs with — also the
-  /// exact configuration `ablation_parameters --check` and the CLI use
-  /// to score artifacts, so "fitness" means the same thing everywhere.
+  /// The ReplayOptions a parameter set's fitness replay runs with —
+  /// also the exact configuration `ablation_parameters --check` uses to
+  /// score artifacts, so "fitness" means the same thing everywhere.
   ReplayOptions replayOptionsFor(const ParameterSet &Params) const;
 
 private:
@@ -148,19 +134,16 @@ private:
   std::vector<TraceScore> score(const ParameterSet &Params) const;
 
   /// Scalarizes per-trace scores against the baseline.
-  double fitnessOf(const std::vector<TraceScore> &Scores,
-                   const ParameterSet &Params) const;
+  double fitnessOf(const std::vector<TraceScore> &Scores) const;
 
   std::shared_ptr<const PerformanceModel> Model;
   TunerOptions Options;
   std::vector<OpTrace> Corpus;
-  /// Per-trace scores of the paper-default genome (computed lazily on
-  /// first evaluate()).
+  /// Per-trace scores of the paper defaults (computed lazily on first
+  /// evaluate()).
   std::vector<TraceScore> Baseline;
   bool BaselineReady = false;
-  /// Fitness memo-cache keyed by the genome's raw bytes. std::map (not
-  /// unordered) so iteration order can never leak scheduling into
-  /// results.
+  /// Fitness memo-cache keyed by the parameter values.
   std::map<std::array<double, NumTunableParams>, double> Cache;
   uint64_t CacheMisses = 0;
 };

@@ -18,7 +18,7 @@ using codec::fail;
 
 namespace {
 
-constexpr codec::Format TuningDoc{"cswitch-tuning-v1", "cswitch-tuning", 1};
+constexpr codec::Format TuningDoc{"cswitch-tuning-v2", "cswitch-tuning", 2};
 
 /// Longest accepted fingerprint / corpus-digest string. Real values are
 /// tens of bytes; anything larger is a corrupt length field.
@@ -27,9 +27,7 @@ constexpr uint64_t MaxHeaderString = 1 << 12;
 std::string encodeHeaderPayload(const TuningArtifact &Artifact) {
   std::string Out;
   codec::putString(Out, Artifact.HostFingerprint);
-  codec::putVarint(Out, Artifact.Seed);
-  codec::putVarint(Out, Artifact.Generations);
-  codec::putVarint(Out, Artifact.Population);
+  codec::putVarint(Out, Artifact.Sweeps);
   codec::putVarint(Out, Artifact.Evaluations);
   codec::putString(Out, Artifact.CorpusDigest);
   codec::putF64(Out, Artifact.TimeWeight);
@@ -51,12 +49,8 @@ bool decodeHeaderPayload(std::string_view Payload, TuningArtifact &Out,
   codec::Reader In(Payload);
   if (!In.string(Out.HostFingerprint, MaxHeaderString))
     return fail(Error, "truncated host fingerprint");
-  if (!In.varint(Out.Seed))
-    return fail(Error, "truncated seed");
-  if (!In.varint(Out.Generations))
-    return fail(Error, "truncated generation count");
-  if (!In.varint(Out.Population))
-    return fail(Error, "truncated population size");
+  if (!In.varint(Out.Sweeps))
+    return fail(Error, "truncated sweep count");
   if (!In.varint(Out.Evaluations))
     return fail(Error, "truncated evaluation count");
   if (!In.string(Out.CorpusDigest, MaxHeaderString))

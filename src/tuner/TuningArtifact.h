@@ -5,20 +5,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The versioned `cswitch-tuning-v1` artifact: the winning parameter set
+/// The versioned `cswitch-tuning-v2` artifact: the winning parameter set
 /// of an offline tuner run, plus the provenance needed to trust it (host
-/// fingerprint, search seed/geometry, corpus digest, winner-vs-baseline
-/// fitness). Built on support/Codec.h like every other binary document:
-/// CRC-framed records, a total decoder that rejects every malformed
-/// input without crashing, and crash-safe installs.
+/// fingerprint, search sweeps and evaluations, corpus digest,
+/// winner-vs-baseline fitness). Built on support/Codec.h like every
+/// other binary document: CRC-framed records, a total decoder that
+/// rejects every malformed input without crashing, and crash-safe
+/// installs.
 ///
 /// Layout:
 ///
-///   "cswitch-tuning-v1"            17-byte magic
-///   varint   format version (1)
+///   "cswitch-tuning-v2"            17-byte magic
+///   varint   format version (2)
 ///   varint   header payload length
-///   header   fingerprint, seed, generations, population, evaluations,
-///            corpus digest, objective weights, winner/baseline fitness
+///   header   fingerprint, sweeps, evaluations, corpus digest,
+///            objective weights, winner/baseline fitness
 ///   u32      CRC-32 of the header payload
 ///   varint   row count (must equal NumTunableParams)
 ///   rows     { varint payload length | name, f64 value | u32 CRC }
@@ -57,13 +58,9 @@ struct TuningArtifact {
   /// (fleet::hostFingerprint). Informational: artifacts apply anywhere,
   /// but telemetry surfaces a foreign fingerprint.
   std::string HostFingerprint;
-  /// Root seed of the evolutionary search.
-  uint64_t Seed = 0;
-  /// Generations the search actually ran (after early stop).
-  uint64_t Generations = 0;
-  /// Population size per generation.
-  uint64_t Population = 0;
-  /// Fitness evaluations performed (cache misses, not genomes).
+  /// Coordinate sweeps the search ran.
+  uint64_t Sweeps = 0;
+  /// Fitness evaluations performed (cache misses, not grid points).
   uint64_t Evaluations = 0;
   /// Digest of the trace corpus the fitness replayed ("crc32:XXXXXXXX"
   /// over the serialized traces) — ties the artifact to its workload.
@@ -80,7 +77,7 @@ struct TuningArtifact {
   std::vector<Row> Rows;
 };
 
-/// Serializes \p Artifact into the canonical `cswitch-tuning-v1` byte
+/// Serializes \p Artifact into the canonical `cswitch-tuning-v2` byte
 /// string (rows name-sorted; byte-identical for equal artifacts).
 std::string encodeTuningArtifact(const TuningArtifact &Artifact);
 

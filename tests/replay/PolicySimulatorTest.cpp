@@ -123,7 +123,7 @@ TEST(PolicySimulator, RestoresGlobalAdaptiveThresholds) {
   PolicySimulator Sim(testModel());
   Sim.addTrace(smallTrace(10));
   PolicyCandidate Adaptive = quietPolicy("adapt", SelectionRule::timeRule());
-  Adaptive.Thresholds = AdaptiveThresholds{7, 7, 7};
+  Adaptive.Context.AdaptiveOverride = AdaptiveThresholds{7, 7, 7};
   Sim.addPolicy(Adaptive);
   (void)Sim.run();
   AdaptiveThresholds After = AdaptiveConfig::global().thresholds();

@@ -111,9 +111,7 @@ TuningStats tuningStats(uint64_t Base) {
   S.Source = hostile(Base * 103);
   S.Fingerprint = hostile(Base * 104);
   S.CorpusDigest = hostile(Base * 105);
-  S.Seed = Base * 106;
-  S.Generations = Base * 107;
-  S.Population = Base * 108;
+  S.Sweeps = Base * 107;
   S.Evaluations = Base * 109;
   S.Parameters = Base * 110;
   S.WinnerFitness = static_cast<double>(Base) * 111.25;
@@ -261,7 +259,7 @@ const char *const GoldenJson = R"golden({
   "recorder": {"recorders": 303, "ops_recorded": 306, "ops_dropped": 309, "instances_sampled": 312, "instances_skipped": 315},
   "store": {"loads": 404, "load_failures": 408, "sites_loaded": 412, "warm_starts": 416, "persists": 420, "persist_failures": 424, "path": "q\"b\\n\n428"},
   "fleet": {"pulls": 505, "pull_failures": 510, "pushes": 515, "push_failures": 520, "retries": 525, "store_gets": 530, "merges_applied": 535, "sites_merged": 540, "rejected_oversize": 545, "rejected_malformed": 550, "rejected_incompatible": 555, "recalibrations": 560, "promotions": 565, "promotions_rejected": 570},
-  "tuning": {"loads": 606, "load_failures": 612, "source": "q\"b\\n\n618", "fingerprint": "q\"b\\n\n624", "corpus_digest": "q\"b\\n\n630", "seed": 636, "generations": 642, "population": 648, "evaluations": 654, "parameters": 660, "winner_fitness": 667.5, "baseline_fitness": 675},
+  "tuning": {"loads": 606, "load_failures": 612, "source": "q\"b\\n\n618", "fingerprint": "q\"b\\n\n624", "corpus_digest": "q\"b\\n\n630", "sweeps": 642, "evaluations": 654, "parameters": 660, "winner_fitness": 667.5, "baseline_fitness": 675},
   "model": {"installs": 707, "source": "q\"b\\n\n714", "fingerprint": "q\"b\\n\n721", "fit_timestamp": 728, "holdout_residual": 735.875},
   "contexts": [
     {"name": "q\"b\\n\n1001", "abstraction": "list", "variant": "q\"b\\n\n1002", "instances_created": 1010, "instances_monitored": 1020, "profiles_published": 1030, "profiles_discarded": 1040, "evaluations": 1050, "switches": 1060, "rounds_skipped": 1080, "footprint_bytes": 1003, "contended_threads": 1004.75, "latency": {"record": {"count": 1101, "saturated": 1102, "sum_nanos": 1103, "min_nanos": 1104, "max_nanos": 1105, "p50": 1106.5, "p90": 1107.5, "p99": 1108.5, "p999": 1109.5}, "evaluate": {"count": 1201, "saturated": 1202, "sum_nanos": 1203, "min_nanos": 1204, "max_nanos": 1205, "p50": 1206.5, "p90": 1207.5, "p99": 1208.5, "p999": 1209.5}, "switch": {"count": 1301, "saturated": 1302, "sum_nanos": 1303, "min_nanos": 1304, "max_nanos": 1305, "p50": 1306.5, "p90": 1307.5, "p99": 1308.5, "p999": 1309.5}}},
@@ -375,7 +373,7 @@ cswitch_switches_total{site="q\"b\\n\n1001"} 1060
 cswitch_switches_total{site="q\"b\\n\n2001"} 2120
 cswitch_topology_cpus 802
 cswitch_topology_nodes 801
-cswitch_tuning_info{corpus_digest="q\"b\\n\n630",fingerprint="q\"b\\n\n624",generations="642",population="648",seed="636",source="q\"b\\n\n618"} 1
+cswitch_tuning_info{corpus_digest="q\"b\\n\n630",fingerprint="q\"b\\n\n624",source="q\"b\\n\n618",sweeps="642"} 1
 cswitch_tuning_load_failures_total 612
 cswitch_tuning_loads_total 606
 )golden";

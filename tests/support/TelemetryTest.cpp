@@ -220,8 +220,8 @@ TelemetrySnapshot sampleSnapshot() {
   S.Store.PersistFailures = 0;
   S.Tuning.Loads = 1;
   S.Tuning.Source = "tuned.cstune";
-  S.Tuning.Parameters = 13;
-  S.Tuning.Seed = 6405;
+  S.Tuning.Parameters = 6;
+  S.Tuning.Sweeps = 3;
   return S;
 }
 

@@ -4,13 +4,14 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Tests of the evolutionary tuner (DESIGN.md §13): determinism (same
-// seed + corpus gives a byte-identical artifact; parallel evaluation
-// equals serial), fitness sanity (the winner never loses to the paper
-// defaults it starts from), the parameter space's clamping, the
-// validated AdaptiveConfig setters, the per-context threshold override,
-// and the runtime artifact-application path (Switch::applyTuning +
-// telemetry provenance).
+// Tests of the coordinate-search tuner (DESIGN.md §13): determinism
+// (the same corpus gives a byte-identical artifact), search sanity (the
+// winner never loses to the paper defaults it starts from, the final
+// sweep is a fixed point, unpressured parameters stay put), the
+// parameter space's clamping and closed loop (every row is replayed and
+// applied), the validated AdaptiveConfig setter, the per-context
+// threshold override, and the runtime artifact-application path
+// (Switch::applyTuning + telemetry provenance).
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <limits>
 
@@ -68,13 +70,6 @@ OpTrace recordedTrace(size_t Instances, uint64_t Seed) {
   return Rec.trace();
 }
 
-TunerOptions smallSearch() {
-  TunerOptions Options;
-  Options.Population = 8;
-  Options.Generations = 4;
-  return Options;
-}
-
 TEST(ParameterSpace, ClampsOnEveryWritePath) {
   ParameterSet Params;
   // Defaults are the paper values.
@@ -89,15 +84,76 @@ TEST(ParameterSpace, ClampsOnEveryWritePath) {
   Params.set(ParamId::ContextWindow, 99.7);
   EXPECT_EQ(Params.get(ParamId::ContextWindow), 100.0);
   // Non-finite input falls back to the default, not garbage.
-  Params.set(ParamId::StoreDecay,
+  Params.set(ParamId::ContextFinishedRatio,
              std::numeric_limits<double>::quiet_NaN());
-  EXPECT_EQ(Params.get(ParamId::StoreDecay), 0.5);
+  EXPECT_EQ(Params.get(ParamId::ContextFinishedRatio), 0.6);
 
-  // The typed slices reflect the genome.
+  // The typed slices reflect the parameter set.
   Params.set(ParamId::AdaptiveMapThreshold, 200);
   EXPECT_EQ(Params.thresholds().Map, 200u);
-  Params.set(ParamId::ContentionShards, 32);
-  EXPECT_EQ(Params.contention().Shards, 32u);
+  Params.set(ParamId::ContextWideRangeFactor, 8.5);
+  EXPECT_EQ(Params.wideRangeFactor(), 8.5);
+}
+
+/// What a tuned parameter can reach: the fitness replay's options and
+/// the configuration a process runs with after Switch::applyTuning.
+struct Reach {
+  size_t Window;
+  double FinishedRatio;
+  double WideRangeFactor;
+  size_t List, Set, Map;
+  uint64_t EvalEveryOps;
+  std::vector<double> RuleThresholds;
+  bool operator==(const Reach &) const = default;
+};
+
+Reach replayed(const ParameterSet &Params) {
+  Tuner Search(testModel(), TunerOptions{});
+  ReplayOptions O = Search.replayOptionsFor(Params);
+  AdaptiveThresholds T = O.Context.AdaptiveOverride.value_or(
+      AdaptiveThresholds{});
+  Reach R{O.Context.WindowSize, O.Context.FinishedRatio,
+          O.Context.WideRangeFactor, T.List, T.Set, T.Map,
+          O.EvalEveryOps, {}};
+  for (const Criterion &C : O.Rule.Criteria)
+    R.RuleThresholds.push_back(C.Threshold);
+  return R;
+}
+
+Reach applied(const ParameterSet &Params) {
+  const char *Path = "tuner_reach_test.cstune";
+  std::string Error;
+  EXPECT_TRUE(
+      writeTuningArtifactToFile(Path, artifactFromParams(Params), &Error))
+      << Error;
+  EXPECT_TRUE(Switch::applyTuning(Path, &Error)) << Error;
+  std::remove(Path);
+  ContextOptions O = Switch::defaultContextOptions();
+  AdaptiveThresholds T = AdaptiveConfig::global().thresholds();
+  // The rule and the evaluation cadence are never installed.
+  Reach R{O.WindowSize, O.FinishedRatio, O.WideRangeFactor, T.List, T.Set,
+          T.Map, /*EvalEveryOps=*/0, /*RuleThresholds=*/{}};
+  // Restore the process defaults for other tests.
+  Switch::configure(SwitchConfig{});
+  AdaptiveConfig::global().setThresholds(AdaptiveThresholds{});
+  return R;
+}
+
+TEST(ParameterSpace, EveryParameterIsReplayedAndApplied) {
+  // A row that the fitness replay ignores is tuned blind; a row that
+  // applyTuning ignores is measured but never used. Every row must move
+  // both.
+  ParameterSet Defaults;
+  Reach ReplayedDefaults = replayed(Defaults);
+  Reach AppliedDefaults = applied(Defaults);
+  for (const ParamInfo &Info : parameterSpace()) {
+    ParameterSet Moved;
+    Moved.set(Info.Id, Info.Default == Info.Max ? Info.Min : Info.Max);
+    EXPECT_FALSE(replayed(Moved) == ReplayedDefaults)
+        << Info.Name << " is not replayed";
+    EXPECT_FALSE(applied(Moved) == AppliedDefaults)
+        << Info.Name << " is not applied";
+  }
 }
 
 TEST(AdaptiveConfigValidation, RejectsOutOfRangeThresholds) {
@@ -118,25 +174,10 @@ TEST(AdaptiveConfigValidation, RejectsOutOfRangeThresholds) {
   EXPECT_EQ(AdaptiveConfig::global().thresholds().List, Before.List);
 }
 
-TEST(AdaptiveConfigValidation, RejectsPathologicalContention) {
-  ContentionPolicy P;
-  std::string Error;
-  EXPECT_TRUE(validateContention(P, &Error)) << Error;
-
-  P.Smoothing = 0.0;
-  EXPECT_FALSE(validateContention(P, &Error));
-  P.Smoothing = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_FALSE(validateContention(P));
-  P.Smoothing = 0.5;
-  P.Shards = 1 << 20;
-  EXPECT_FALSE(validateContention(P, &Error));
-  EXPECT_NE(Error.find("shards"), std::string::npos);
-}
-
-TEST(Tuner, SameSeedAndCorpusGiveByteIdenticalArtifacts) {
+TEST(Tuner, SameCorpusGivesByteIdenticalArtifacts) {
   OpTrace Trace = recordedTrace(48, 7);
   auto RunOnce = [&] {
-    Tuner Search(testModel(), smallSearch());
+    Tuner Search(testModel(), TunerOptions{});
     Search.addTrace(Trace);
     TunerResult Result = Search.run();
     return encodeTuningArtifact(Search.makeArtifact(Result));
@@ -147,42 +188,79 @@ TEST(Tuner, SameSeedAndCorpusGiveByteIdenticalArtifacts) {
   EXPECT_FALSE(First.empty());
 }
 
-TEST(Tuner, ParallelEvaluationEqualsSerial) {
-  OpTrace Trace = recordedTrace(48, 7);
-  auto RunWith = [&](unsigned Threads) {
-    TunerOptions Options = smallSearch();
-    Options.Threads = Threads;
-    Tuner Search(testModel(), Options);
-    Search.addTrace(Trace);
-    TunerResult Result = Search.run();
-    return encodeTuningArtifact(Search.makeArtifact(Result));
-  };
-  EXPECT_EQ(RunWith(1), RunWith(4));
-}
-
 TEST(Tuner, WinnerNeverLosesToTheDefaults) {
   OpTrace Trace = recordedTrace(64, 11);
-  Tuner Search(testModel(), smallSearch());
+  Tuner Search(testModel(), TunerOptions{});
   Search.addTrace(Trace);
   TunerResult Result = Search.run();
-  // Generation 0 contains the default genome and elitism never drops
-  // the champion, so Best <= Baseline always holds.
-  EXPECT_LE(Result.BestFitness, Result.BaselineFitness + 1e-12);
-  EXPECT_GT(Result.GenerationsRun, 0u);
-  EXPECT_EQ(Result.History.size(), Result.GenerationsRun);
+  // The search starts at the defaults and moves only on a strict
+  // improvement, so Best <= Baseline always holds.
+  EXPECT_LE(Result.BestFitness, Result.BaselineFitness);
+  EXPECT_GT(Result.Sweeps, 0u);
+  EXPECT_EQ(Result.History.size(), Result.Sweeps);
   EXPECT_GT(Result.Evaluations, 0u);
+}
+
+TEST(Tuner, FinalSweepMovesNothing) {
+  OpTrace Trace = recordedTrace(64, 11);
+  Tuner Search(testModel(), TunerOptions{});
+  Search.addTrace(Trace);
+  TunerResult Result = Search.run();
+  // The search stopped because a whole sweep moved nothing (a move is
+  // a strict improvement), not at the sweep cap ...
+  ASSERT_FALSE(Result.History.empty());
+  double BeforeLast = Result.Sweeps > 1 ? Result.History[Result.Sweeps - 2]
+                                        : Result.BaselineFitness;
+  EXPECT_EQ(Result.History.back(), BeforeLast);
+  // ... so the winner is a fixed point: no single grid move beats it.
+  EXPECT_EQ(Search.evaluate(Result.Best), Result.BestFitness);
+  for (const ParamInfo &Info : parameterSpace()) {
+    for (double Value : searchGrid(Info)) {
+      ParameterSet Neighbour = Result.Best;
+      Neighbour.set(Info.Id, Value);
+      EXPECT_GE(Search.evaluate(Neighbour), Result.BestFitness)
+          << Info.Name << " = " << Value;
+    }
+  }
+}
+
+TEST(Tuner, UnpressuredParameterStaysAtItsDefault) {
+  // The corpus has list and set sites only: every map threshold scores
+  // the same, and ties keep the incumbent default.
+  OpTrace Trace = recordedTrace(64, 11);
+  for (const TraceSite &Site : Trace.Sites)
+    ASSERT_NE(Site.Kind, AbstractionKind::Map);
+  Tuner Search(testModel(), TunerOptions{});
+  Search.addTrace(Trace);
+  TunerResult Result = Search.run();
+  EXPECT_EQ(Result.Best.get(ParamId::AdaptiveMapThreshold), 50.0);
+}
+
+TEST(Tuner, SearchGridSpansTheBoundsAndHoldsTheDefault) {
+  const auto &Space = parameterSpace();
+  for (const ParamInfo &Info : Space) {
+    std::vector<double> Grid = searchGrid(Info);
+    EXPECT_EQ(Grid.front(), Info.Min) << Info.Name;
+    EXPECT_EQ(Grid.back(), Info.Max) << Info.Name;
+    EXPECT_TRUE(std::is_sorted(Grid.begin(), Grid.end())) << Info.Name;
+    EXPECT_NE(std::find(Grid.begin(), Grid.end(), Info.Default), Grid.end())
+        << Info.Name;
+    EXPECT_LE(Grid.size(), 10u) << Info.Name;
+  }
+  // Wide integer ranges are log-spaced: window 8..2048 doubles.
+  EXPECT_EQ(searchGrid(Space[static_cast<size_t>(ParamId::ContextWindow)]),
+            (std::vector<double>{8, 16, 32, 64, 100, 128, 256, 512, 1024,
+                                 2048}));
 }
 
 TEST(Tuner, ArtifactCarriesProvenance) {
   OpTrace Trace = recordedTrace(32, 3);
-  TunerOptions Options = smallSearch();
-  Options.Seed = 0xfeed;
-  Tuner Search(testModel(), Options);
+  Tuner Search(testModel(), TunerOptions{});
   Search.addTrace(Trace);
   TunerResult Result = Search.run();
   TuningArtifact Artifact = Search.makeArtifact(Result);
-  EXPECT_EQ(Artifact.Seed, 0xfeedu);
-  EXPECT_EQ(Artifact.Population, Options.Population);
+  EXPECT_EQ(Artifact.Sweeps, Result.Sweeps);
+  EXPECT_EQ(Artifact.Evaluations, Result.Evaluations);
   EXPECT_EQ(Artifact.CorpusDigest, Search.corpusDigest());
   EXPECT_FALSE(Artifact.HostFingerprint.empty());
   EXPECT_EQ(Artifact.Rows.size(), NumTunableParams);
@@ -200,12 +278,11 @@ TEST(Tuner, ArtifactCarriesProvenance) {
 
 TEST(Tuner, EvaluateIsMemoizedAndDeterministic) {
   OpTrace Trace = recordedTrace(24, 5);
-  Tuner Search(testModel(), smallSearch());
+  Tuner Search(testModel(), TunerOptions{});
   Search.addTrace(Trace);
   ParameterSet Defaults;
   double Baseline = Search.evaluate(Defaults);
-  // The default genome scores 1.0 against itself (up to the
-  // regularization term, which is zero at the defaults).
+  // The defaults score 1.0 against themselves.
   EXPECT_NEAR(Baseline, 1.0, 1e-9);
   EXPECT_EQ(Search.evaluate(Defaults), Baseline);
 
@@ -217,7 +294,7 @@ TEST(Tuner, EvaluateIsMemoizedAndDeterministic) {
 
 TEST(ContextOptionsOverride, AdaptiveThresholdsApplyPerContext) {
   // A context with an AdaptiveOverride consults it instead of the
-  // global AdaptiveConfig — the mechanism tuned genomes and simulated
+  // global AdaptiveConfig — the mechanism tuned replays and simulated
   // policies rely on for race-free parallel evaluation.
   AdaptiveThresholds Tuned;
   Tuned.List = 16;
@@ -249,7 +326,7 @@ TEST(SwitchApplyTuning, InstallsArtifactAndRecordsProvenance) {
   Params.set(ParamId::AdaptiveListThreshold, 96);
   TuningArtifact Artifact = artifactFromParams(Params);
   Artifact.HostFingerprint = "test/apply";
-  Artifact.Seed = 42;
+  Artifact.Sweeps = 3;
   Artifact.CorpusDigest = "crc32:00000000";
   const char *Path = "tuner_apply_test.cstune";
   std::string Error;
@@ -269,7 +346,7 @@ TEST(SwitchApplyTuning, InstallsArtifactAndRecordsProvenance) {
   // installed configuration.
   FILE *F = std::fopen(Path, "wb");
   ASSERT_NE(F, nullptr);
-  std::fputs("cswitch-tuning-v1 garbage", F);
+  std::fputs("cswitch-tuning-v2 garbage", F);
   std::fclose(F);
   EXPECT_FALSE(Switch::applyTuning(Path, &Error));
   EXPECT_FALSE(Error.empty());
@@ -282,7 +359,6 @@ TEST(SwitchApplyTuning, InstallsArtifactAndRecordsProvenance) {
   // Restore the process defaults for other tests.
   Switch::configure(SwitchConfig{});
   AdaptiveConfig::global().setThresholds(AdaptiveThresholds{});
-  AdaptiveConfig::global().setContention(ContentionPolicy{});
 }
 
 } // namespace

@@ -1,4 +1,4 @@
-//===- TuningArtifactTest.cpp - cswitch-tuning-v1 codec tests -------------===//
+//===- TuningArtifactTest.cpp - cswitch-tuning-v2 codec tests -------------===//
 //
 // Part of the CollectionSwitch C++ reproduction (CGO'18, Costa & Andrzejak).
 //
@@ -40,12 +40,10 @@ TuningArtifact sampleArtifact() {
   Params.set(ParamId::AdaptiveListThreshold, 128);
   Params.set(ParamId::ContextWindow, 64);
   Params.set(ParamId::ContextFinishedRatio, 0.45);
-  Params.set(ParamId::RuleTimeThreshold, 0.7);
+  Params.set(ParamId::ContextWideRangeFactor, 6.5);
   TuningArtifact Artifact = artifactFromParams(Params);
   Artifact.HostFingerprint = "testhost/x86_64/c8";
-  Artifact.Seed = 0x1905;
-  Artifact.Generations = 12;
-  Artifact.Population = 24;
+  Artifact.Sweeps = 3;
   Artifact.Evaluations = 173;
   Artifact.CorpusDigest = "crc32:0badf00d";
   Artifact.TimeWeight = 1.0;
@@ -75,7 +73,7 @@ TEST(TuningArtifact, EncodeDecodeRoundTrips) {
   ASSERT_TRUE(decodeTuningArtifact(Bytes, Decoded, &Error)) << Error;
   EXPECT_TRUE(sameArtifact(Decoded, Artifact));
   EXPECT_EQ(Decoded.HostFingerprint, Artifact.HostFingerprint);
-  EXPECT_EQ(Decoded.Seed, Artifact.Seed);
+  EXPECT_EQ(Decoded.Sweeps, Artifact.Sweeps);
   EXPECT_EQ(Decoded.CorpusDigest, Artifact.CorpusDigest);
   EXPECT_EQ(Decoded.Rows.size(), NumTunableParams);
   // Canonical: re-encoding reproduces the exact bytes.
@@ -89,19 +87,18 @@ TEST(TuningArtifact, EncodingIsCanonicalAcrossInputOrder) {
   EXPECT_EQ(encodeTuningArtifact(Shuffled), encodeTuningArtifact(Artifact));
 }
 
-// Pinned before the format moved onto support/Codec.h: the encoding
-// must stay byte-identical.
+// Pinned at v2: the encoding must stay byte-identical.
 TEST(TuningArtifact, EncodingMatchesPinnedDigest) {
   std::string Bytes = encodeTuningArtifact(sampleArtifact());
-  EXPECT_EQ(Bytes.size(), 538u);
-  EXPECT_EQ(codec::crc32(Bytes), 0x849913C1u);
+  EXPECT_EQ(Bytes.size(), 305u);
+  EXPECT_EQ(codec::crc32(Bytes), 0x8A149A4Au);
 }
 
 TEST(TuningArtifact, ParamsRoundTripThroughArtifact) {
   ParameterSet Params;
   Params.set(ParamId::AdaptiveSetThreshold, 512);
-  Params.set(ParamId::StoreDecay, 0.3);
-  Params.set(ParamId::ContentionShards, 16);
+  Params.set(ParamId::AdaptiveMapThreshold, 16);
+  Params.set(ParamId::ContextWindow, 8);
   ParameterSet Out;
   std::string Error;
   ASSERT_TRUE(paramsFromArtifact(artifactFromParams(Params), Out, &Error))
@@ -154,6 +151,10 @@ TEST(TuningArtifact, BadMagicAndVersionAreRejected) {
 
   // Other cswitch documents are not tuning artifacts.
   EXPECT_FALSE(decodeTuningArtifact("cswitch-store-v1\x01\x00", Out, &Error));
+  // Nor is a v1 tuning artifact.
+  std::string V1 = Bytes;
+  V1.replace(0, 17, "cswitch-tuning-v1");
+  EXPECT_FALSE(decodeTuningArtifact(V1, Out, &Error));
   EXPECT_FALSE(decodeTuningArtifact("cswitch-model-v2\0\x01"
                                     "xxxx",
                                     Out, &Error));
@@ -174,7 +175,7 @@ TEST(TuningArtifact, TrailingBytesAreRejected) {
 
 TEST(TuningArtifact, NonFiniteValuesAreRejected) {
   TuningArtifact Artifact = sampleArtifact();
-  setRow(Artifact, "store.decay",
+  setRow(Artifact, "context.wide_range_factor",
          std::numeric_limits<double>::quiet_NaN());
   TuningArtifact Out;
   std::string Error;
@@ -265,10 +266,10 @@ TEST(TuningArtifact, FileRoundTripIsAtomic) {
   ASSERT_TRUE(readTuningArtifactFromFile(Path, Read, &Error)) << Error;
   EXPECT_TRUE(sameArtifact(Read, Artifact));
   // Overwrite installs the new artifact completely (tmp+rename).
-  Artifact.Seed += 1;
+  Artifact.Sweeps += 1;
   ASSERT_TRUE(writeTuningArtifactToFile(Path, Artifact, &Error)) << Error;
   ASSERT_TRUE(readTuningArtifactFromFile(Path, Read, &Error)) << Error;
-  EXPECT_EQ(Read.Seed, Artifact.Seed);
+  EXPECT_EQ(Read.Sweeps, Artifact.Sweeps);
   std::remove(Path);
   EXPECT_FALSE(readTuningArtifactFromFile(Path, Read, &Error));
 }

@@ -6,11 +6,11 @@
 //
 // Front-end of the src/tuner/ subsystem (DESIGN.md §13): search tuned
 // selection-machinery parameters over a recorded trace corpus, inspect
-// the resulting `cswitch-tuning-v1` artifacts, and exercise the runtime
+// the resulting `cswitch-tuning-v2` artifacts, and exercise the runtime
 // load path.
 //
 //   cswitch_tune tune --out tuned.cstune trace1.optrace trace2.optrace
-//   cswitch_tune tune --population 8 --generations 4 --out t.cstune t.optrace
+//   cswitch_tune tune --model data/cswitch_model.txt --out t.cstune t.optrace
 //   cswitch_tune info tuned.cstune             # provenance + parameters
 //   cswitch_tune apply tuned.cstune            # validate the runtime path
 //   cswitch_tune diff tuned.cstune             # vs paper defaults
@@ -44,7 +44,7 @@ int usage() {
       "\n"
       "subcommands:\n"
       "  tune   search tuned parameters over a trace corpus\n"
-      "  info   describe a cswitch-tuning-v1 artifact\n"
+      "  info   describe a cswitch-tuning-v2 artifact\n"
       "  apply  load an artifact through the runtime path (exit 0 = ok)\n"
       "  diff   compare an artifact against the paper defaults (or a\n"
       "         second artifact)\n"
@@ -52,11 +52,6 @@ int usage() {
       "tune options:\n"
       "  --out <file>          artifact to write (required)\n"
       "  --model <file>        performance model (default: built-in)\n"
-      "  --seed <n>            search seed (default 0x1905)\n"
-      "  --population <n>      genomes per generation (default 24)\n"
-      "  --generations <n>     maximum generations (default 12)\n"
-      "  --threads <n>         evaluation workers; any value gives\n"
-      "                        bit-identical results (default 1)\n"
       "  --time-weight <w>     fitness weight of the time ratio (1.0)\n"
       "  --alloc-weight <w>    fitness weight of the alloc ratio (0.25)\n"
       "  --switch-penalty <w>  penalty per switch per instance (0)\n"
@@ -116,10 +111,8 @@ std::string tuneReportJson(const TunerResult &Result,
     std::snprintf(Buf, sizeof(Buf), "%.6g", V);
     return std::string(Buf);
   };
-  OS << "{\n  \"schema\": \"cswitch-tune-v1\",\n"
-     << "  \"seed\": " << Artifact.Seed
-     << ",\n  \"population\": " << Artifact.Population
-     << ",\n  \"generations_run\": " << Result.GenerationsRun
+  OS << "{\n  \"schema\": \"cswitch-tune-v2\",\n"
+     << "  \"sweeps\": " << Result.Sweeps
      << ",\n  \"evaluations\": " << Result.Evaluations
      << ",\n  \"corpus_digest\": \"" << Artifact.CorpusDigest
      << "\",\n  \"baseline_fitness\": " << Num(Result.BaselineFitness)
@@ -158,22 +151,6 @@ int runTune(const std::vector<std::string> &Args) {
       if (!(V = Next()))
         return usage();
       JsonPath = *V;
-    } else if (Arg == "--seed") {
-      if (!(V = Next()))
-        return usage();
-      Options.Seed = std::stoull(*V, nullptr, 0);
-    } else if (Arg == "--population") {
-      if (!(V = Next()))
-        return usage();
-      Options.Population = static_cast<unsigned>(std::stoul(*V));
-    } else if (Arg == "--generations") {
-      if (!(V = Next()))
-        return usage();
-      Options.Generations = static_cast<unsigned>(std::stoul(*V));
-    } else if (Arg == "--threads") {
-      if (!(V = Next()))
-        return usage();
-      Options.Threads = static_cast<unsigned>(std::stoul(*V));
     } else if (Arg == "--time-weight") {
       if (!(V = Next()))
         return usage();
@@ -217,8 +194,7 @@ int runTune(const std::vector<std::string> &Args) {
   TunerResult Result = Search.run();
   TuningArtifact Artifact = Search.makeArtifact(Result);
 
-  std::printf("search: %u generation(s), %llu evaluation(s)\n",
-              Result.GenerationsRun,
+  std::printf("search: %u sweep(s), %llu evaluation(s)\n", Result.Sweeps,
               static_cast<unsigned long long>(Result.Evaluations));
   std::printf("fitness: baseline %.6f -> best %.6f (%.2f%% better)\n",
               Result.BaselineFitness, Result.BestFitness,
@@ -255,14 +231,11 @@ int runInfo(const std::vector<std::string> &Args) {
   TuningArtifact Artifact;
   if (!loadArtifactArg(Args[0], Artifact))
     return 1;
-  std::printf("artifact: %s (cswitch-tuning-v1)\n", Args[0].c_str());
+  std::printf("artifact: %s (cswitch-tuning-v2)\n", Args[0].c_str());
   std::printf("  host: %s\n", Artifact.HostFingerprint.c_str());
   std::printf("  corpus: %s\n", Artifact.CorpusDigest.c_str());
-  std::printf("  search: seed 0x%llx, %llu generation(s), population "
-              "%llu, %llu evaluation(s)\n",
-              static_cast<unsigned long long>(Artifact.Seed),
-              static_cast<unsigned long long>(Artifact.Generations),
-              static_cast<unsigned long long>(Artifact.Population),
+  std::printf("  search: %llu sweep(s), %llu evaluation(s)\n",
+              static_cast<unsigned long long>(Artifact.Sweeps),
               static_cast<unsigned long long>(Artifact.Evaluations));
   std::printf("  objective: time %.3g, alloc %.3g\n", Artifact.TimeWeight,
               Artifact.AllocWeight);
@@ -287,9 +260,9 @@ int runApply(const std::vector<std::string> &Args) {
               static_cast<unsigned long long>(Stats.Parameters));
   ContextOptions Defaults = Switch::defaultContextOptions();
   std::printf("  context defaults: window %zu, finished ratio %.3g, "
-              "wide-range %.3g, warm-window %.3g\n",
+              "wide-range %.3g\n",
               Defaults.WindowSize, Defaults.FinishedRatio,
-              Defaults.WideRangeFactor, Defaults.WarmWindowFactor);
+              Defaults.WideRangeFactor);
   AdaptiveThresholds T = AdaptiveConfig::global().thresholds();
   std::printf("  adaptive thresholds: list %zu, set %zu, map %zu\n", T.List,
               T.Set, T.Map);
