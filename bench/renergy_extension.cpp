@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 //
 // Extension experiment (not a paper table): the paper's §7 future work
-// proposes expanding the model to energy. With the derived energy model
-// (EnergyModel.h), this harness compares the variant each rule selects
+// proposes expanding the model to energy. With energy derived from time
+// and alloc (CostModel.h), this harness compares the variant each rule selects
 // for the same set of workload profiles — showing where Renergy agrees
 // with Rtime (lookup-dominated work: energy tracks time) and where it
 // sides with Ralloc (allocation-churn-dominated work).
@@ -67,7 +67,8 @@ int main() {
   compareRules("churn-dominated (n=200)", Model, 4000, 50, 200);
   compareRules("balanced (n=300)", Model, 900, 900, 300);
   compareRules("tiny sets (n=12)", Model, 24, 60, 12);
-  std::printf("\nEnergy model: E = 3.5 nJ/ns * time + 0.02 nJ/B * alloc "
-              "(see EnergyModel.h)\n");
+  std::printf("\nEnergy model: E = %g nJ/ns * time + %g nJ/B * alloc "
+              "(derived in PerformanceModel::setCost)\n",
+              NanojoulesPerNanosecond, NanojoulesPerByte);
   return 0;
 }

@@ -128,10 +128,12 @@ void AllocationContextBase::applyWarmStart() {
   // The store decoder validated Decision against the variant count, so
   // the seed is always instantiable.
   Current.store(Hit->Decision, std::memory_order_relaxed);
-  double Factor = std::clamp(Options.WarmWindowFactor, 0.0, 1.0);
+  // The stored variant is almost certainly right, so a warm context
+  // only verifies it, over a quarter of the window.
+  constexpr double WarmWindowFactor = 0.25;
   Options.WindowSize = std::max<size_t>(
-      1, static_cast<size_t>(
-             std::ceil(Factor * static_cast<double>(Options.WindowSize))));
+      1, static_cast<size_t>(std::ceil(
+             WarmWindowFactor * static_cast<double>(Options.WindowSize))));
   WarmStarted = true;
   Store->noteWarmStart();
   if (Options.LogEvents)

@@ -113,14 +113,11 @@ struct ContextOptions {
   /// Seed the initial variant from the persistent selection store when
   /// the site has a stored decision (src/store/): the context starts on
   /// the converged variant of previous runs and shrinks its first
-  /// observation window by WarmWindowFactor. A miss (or a corrupt /
-  /// absent store) leaves the context exactly cold.
+  /// observation window to a quarter (never below one slot). Warm
+  /// contexts keep monitoring — the paper's continuous adaptation —
+  /// just with a cheaper ramp. A miss (or a corrupt / absent store)
+  /// leaves the context exactly cold.
   bool WarmStart = false;
-  /// Window-size multiplier applied on a warm start (clamped to [0, 1];
-  /// the result never shrinks below one slot). Warm contexts keep
-  /// monitoring — the paper's continuous adaptation — just with a
-  /// cheaper ramp.
-  double WarmWindowFactor = 0.25;
   /// Selection store consulted for warm starts. When null, the engine's
   /// installed store (SwitchEngine::loadStore) is used. Not owned; must
   /// outlive the context.
@@ -171,10 +168,6 @@ struct ContextOptions {
   }
   ContextOptions &warmStart(bool Value) {
     WarmStart = Value;
-    return *this;
-  }
-  ContextOptions &warmWindowFactor(double Value) {
-    WarmWindowFactor = Value;
     return *this;
   }
   ContextOptions &store(SelectionStore *Value) {

@@ -8,10 +8,12 @@
 
 #include "replay/Replayer.h"
 #include "support/Telemetry.h"
+#include "support/Topology.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <tuple>
@@ -162,10 +164,9 @@ RecalibrationResult Recalibrator::finish(uint64_t FitTimestamp) const {
   // incumbent's predictions p_i against the measurements m_i of the fit
   // cells give the multiplicative correction alpha = Σ m·p / Σ p².
   struct VariantFit {
-    double SumMPTime = 0.0, SumPPTime = 0.0, SumMMTime = 0.0;
-    double SumMPAlloc = 0.0, SumPPAlloc = 0.0, SumMMAlloc = 0.0;
+    double SumMPTime = 0.0, SumPPTime = 0.0;
+    double SumMPAlloc = 0.0, SumPPAlloc = 0.0;
     double AlphaTime = 1.0, AlphaAlloc = 1.0;
-    double ResidualTime = 0.0, ResidualAlloc = 0.0;
     bool Fitted = false;
   };
   std::map<std::pair<unsigned, unsigned>, VariantFit> Fits;
@@ -178,10 +179,8 @@ RecalibrationResult Recalibrator::finish(uint64_t FitTimestamp) const {
     double MAlloc = static_cast<double>(C.Measured.AllocatedBytes);
     Fit.SumMPTime += MTime * C.PredictedTime;
     Fit.SumPPTime += C.PredictedTime * C.PredictedTime;
-    Fit.SumMMTime += MTime * MTime;
     Fit.SumMPAlloc += MAlloc * C.PredictedAlloc;
     Fit.SumPPAlloc += C.PredictedAlloc * C.PredictedAlloc;
-    Fit.SumMMAlloc += MAlloc * MAlloc;
   }
   for (auto &[Key, Fit] : Fits) {
     if (Fit.SumPPTime <= 0.0 && Fit.SumPPAlloc <= 0.0)
@@ -199,46 +198,22 @@ RecalibrationResult Recalibrator::finish(uint64_t FitTimestamp) const {
     Fit.Fitted = true;
     ++Result.VariantsRecalibrated;
   }
-  // Post-fit relative RMS residual per (variant, dimension), attached to
-  // the rescaled artifact rows.
-  for (const Cell &C : Cells) {
-    if (!C.Done || C.Holdout)
-      continue;
-    auto It = Fits.find({static_cast<unsigned>(C.Kind), C.Variant});
-    if (It == Fits.end() || !It->second.Fitted)
-      continue;
-    VariantFit &Fit = It->second;
-    double ETime = static_cast<double>(C.Measured.ElapsedNanos) -
-                   Fit.AlphaTime * C.PredictedTime;
-    double EAlloc = static_cast<double>(C.Measured.AllocatedBytes) -
-                    Fit.AlphaAlloc * C.PredictedAlloc;
-    Fit.ResidualTime += ETime * ETime;
-    Fit.ResidualAlloc += EAlloc * EAlloc;
-  }
-  for (auto &[Key, Fit] : Fits) {
+  // Candidate model: the incumbent with the Time/Alloc polynomials of
+  // fitted variants rescaled. Cells exist only for sequential variants,
+  // so Contention and the concurrent tier carry over; setCost
+  // re-derives each rescaled cell's Energy.
+  Result.Candidate = *Incumbent;
+  for (const auto &[Key, Fit] : Fits) {
     if (!Fit.Fitted)
       continue;
-    Fit.ResidualTime = std::sqrt(Fit.ResidualTime /
-                                 std::max(Fit.SumMMTime, 1.0));
-    Fit.ResidualAlloc = std::sqrt(Fit.ResidualAlloc /
-                                  std::max(Fit.SumMMAlloc, 1.0));
-  }
-
-  // Candidate model: the incumbent with Time/Alloc rows of fitted
-  // sequential variants rescaled; Energy, Contention and everything
-  // unfitted carried over verbatim.
-  ModelArtifact Candidate = artifactFromModel(*Incumbent);
-  for (ModelArtifact::Row &Row : Candidate.Rows) {
-    auto It = Fits.find({static_cast<unsigned>(Row.Kind), Row.Variant});
-    if (It == Fits.end() || !It->second.Fitted ||
-        isConcurrentVariant(Row.Kind, Row.Variant))
-      continue;
-    if (Row.Dim == CostDimension::Time) {
-      Row.Cost = Row.Cost.scaled(It->second.AlphaTime);
-      Row.Residual = It->second.ResidualTime;
-    } else if (Row.Dim == CostDimension::Alloc) {
-      Row.Cost = Row.Cost.scaled(It->second.AlphaAlloc);
-      Row.Residual = It->second.ResidualAlloc;
+    VariantId Id{static_cast<AbstractionKind>(Key.first), Key.second};
+    auto Rescale = [&](OperationKind Op, CostDimension Dim, double Alpha) {
+      Result.Candidate.setCost(Id, Op, Dim,
+                               Result.Candidate.cost(Id, Op, Dim).scaled(Alpha));
+    };
+    for (OperationKind Op : AllOperationKinds) {
+      Rescale(Op, CostDimension::Time, Fit.AlphaTime);
+      Rescale(Op, CostDimension::Alloc, Fit.AlphaAlloc);
     }
   }
 
@@ -265,9 +240,8 @@ RecalibrationResult Recalibrator::finish(uint64_t FitTimestamp) const {
     HoldoutTerms += 2;
   }
 
-  Candidate.HostFingerprint = hostFingerprint();
-  Candidate.FitTimestamp = FitTimestamp;
-  Result.Artifact = std::move(Candidate);
+  Result.HostFingerprint = hostFingerprint();
+  Result.FitTimestamp = FitTimestamp;
 
   if (Result.VariantsRecalibrated == 0) {
     Result.Reason = "no variant had enough fit measurements";
@@ -279,7 +253,6 @@ RecalibrationResult Recalibrator::finish(uint64_t FitTimestamp) const {
   }
   Result.IncumbentResidual = IncumbentSum / HoldoutTerms;
   Result.CandidateResidual = CandidateSum / HoldoutTerms;
-  Result.Artifact.HoldoutResidual = Result.CandidateResidual;
   if (Result.CandidateResidual >
       Result.IncumbentResidual + Options.PromotionEpsilon) {
     Result.Reason = "held-out residual regressed past the incumbent";
@@ -301,6 +274,24 @@ void recordRecalibration(const RecalibrationResult &Result) {
   FleetRegistry::global().record(Delta);
 }
 
+/// Installs a promoted candidate at \p Path with its provenance in
+/// comment lines; on failure demotes \p Result and says why.
+void installCandidate(const std::string &Path, RecalibrationResult &Result) {
+  char Residual[32];
+  std::snprintf(Residual, sizeof(Residual), "%.17g",
+                Result.CandidateResidual);
+  std::string Why;
+  if (Result.Candidate.saveToFile(
+          Path,
+          {"host " + Result.HostFingerprint,
+           "fit_timestamp " + std::to_string(Result.FitTimestamp),
+           std::string("holdout_residual ") + Residual},
+          &Why))
+    return;
+  Result.Promoted = false;
+  Result.Reason = "cannot install model: " + Why;
+}
+
 uint64_t nowUnixSeconds() {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::seconds>(
                                    std::chrono::system_clock::now()
@@ -313,7 +304,7 @@ uint64_t nowUnixSeconds() {
 RecalibrationResult cswitch::fleet::recalibrateFromTraceFile(
     const std::string &TracePath,
     std::shared_ptr<const PerformanceModel> Incumbent,
-    const std::string &ArtifactPath, RecalibrationOptions Options,
+    const std::string &ModelPath, RecalibrationOptions Options,
     std::string *Error) {
   RecalibrationResult Result;
   OpTrace Trace;
@@ -324,20 +315,17 @@ RecalibrationResult cswitch::fleet::recalibrateFromTraceFile(
   Recalibrator Work(std::move(Trace), std::move(Incumbent),
                     std::move(Options));
   Result = Work.run(nowUnixSeconds());
-  if (Result.Promoted &&
-      !writeModelArtifactToFile(ArtifactPath, Result.Artifact, Error)) {
-    Result.Promoted = false;
-    Result.Reason = "cannot install artifact";
-  }
+  if (Result.Promoted)
+    installCandidate(ModelPath, Result);
   recordRecalibration(Result);
   return Result;
 }
 
 BackgroundRecalibrator::BackgroundRecalibrator(
     OpTrace Trace, std::shared_ptr<const PerformanceModel> Incumbent,
-    std::string ArtifactPath, RecalibrationOptions Options)
+    std::string ModelPath, RecalibrationOptions Options)
     : Work(std::move(Trace), std::move(Incumbent), std::move(Options)),
-      ArtifactPath(std::move(ArtifactPath)) {}
+      ModelPath(std::move(ModelPath)) {}
 
 std::function<void(const TelemetrySnapshot &)> BackgroundRecalibrator::sink(
     std::function<void(const TelemetrySnapshot &)> Inner) {
@@ -355,12 +343,8 @@ void BackgroundRecalibrator::tick() {
   if (Work.step())
     return; // One cell per tick: low-priority background progress.
   RecalibrationResult Result = Work.finish(nowUnixSeconds());
-  std::string Error;
-  if (Result.Promoted &&
-      !writeModelArtifactToFile(ArtifactPath, Result.Artifact, &Error)) {
-    Result.Promoted = false;
-    Result.Reason = "cannot install artifact: " + Error;
-  }
+  if (Result.Promoted)
+    installCandidate(ModelPath, Result);
   recordRecalibration(Result);
   Outcome = std::move(Result);
 }

@@ -26,14 +26,17 @@
 ///  3. Per (variant, dimension ∈ {Time, Alloc}) a multiplicative
 ///     correction alpha = Σ measured·predicted / Σ predicted² (least
 ///     squares through the origin) scales the incumbent's polynomials
-///     into the candidate model. Energy and Contention rows — derived
-///     and analytic-only (DESIGN.md §11) — are carried over verbatim,
-///     as are concurrent-tier variants.
+///     into the candidate model through PerformanceModel::setCost, so
+///     the derived Energy rows follow. Contention rows (analytic-only,
+///     DESIGN.md §11) and concurrent-tier variants are carried over
+///     verbatim.
 ///  4. The candidate is validated on the held-out slice: it is promoted
 ///     only when its mean relative prediction error does not regress
 ///     past the incumbent's by more than PromotionEpsilon. A promoted
-///     model is installed as a versioned `cswitch-model-v2` artifact
-///     (atomic replace), never silently swapped in-process.
+///     model is installed as a text model (PerformanceModel::saveToFile,
+///     atomic replace) with its host, fit time and held-out residual in
+///     leading `#` lines, so `--model`, `CSWITCH_MODEL` and every other
+///     loader read it. It is never silently swapped in-process.
 ///
 /// Measurement is injectable (RecalibrationOptions::Measure) so tests
 /// drive the promotion gate deterministically; the default measures by
@@ -47,7 +50,7 @@
 #define CSWITCH_FLEET_RECALIBRATOR_H
 
 #include "core/SwitchEngine.h"
-#include "fleet/ModelArtifact.h"
+#include "model/CostModel.h"
 #include "replay/TraceFormat.h"
 
 #include <functional>
@@ -119,14 +122,19 @@ struct RecalibrationResult {
   size_t VariantsRecalibrated = 0;
   /// Why the candidate was not promoted (empty when Promoted).
   std::string Reason;
-  /// The candidate artifact (header filled; promoted or not, so
-  /// rejected fits remain inspectable).
-  ModelArtifact Artifact;
+  /// The candidate model, promoted or not, so rejected fits remain
+  /// inspectable.
+  PerformanceModel Candidate;
+  /// Host the fit ran on (hostFingerprint()) and when (unix seconds, as
+  /// passed to finish()). With CandidateResidual they are the comment
+  /// lines of the installed model.
+  std::string HostFingerprint;
+  uint64_t FitTimestamp = 0;
 };
 
 /// Incremental recalibration of one trace corpus against an incumbent
 /// model. step() measures one cell at a time (the unit of background
-/// work); finish() fits, validates and builds the artifact. Not
+/// work); finish() fits, validates and builds the candidate. Not
 /// thread-safe — callers serialize (BackgroundRecalibrator runs on the
 /// single reporter thread).
 class Recalibrator {
@@ -153,10 +161,10 @@ public:
     }
   }
 
-  /// Fits the candidate, validates it on the held-out slice and builds
-  /// the artifact (FitTimestamp taken as \p FitTimestamp — pass unix
-  /// seconds; the library never reads the clock so runs stay
-  /// reproducible). Requires measured().
+  /// Fits the candidate and validates it on the held-out slice
+  /// (FitTimestamp taken as \p FitTimestamp — pass unix seconds; the
+  /// library never reads the clock so runs stay reproducible). Requires
+  /// measured().
   RecalibrationResult finish(uint64_t FitTimestamp) const;
 
   /// measureAll() + finish().
@@ -192,14 +200,14 @@ private:
 
 /// Loads the trace at \p TracePath, recalibrates against \p Incumbent
 /// and — only when the candidate passes the held-out gate — atomically
-/// installs the artifact at \p ArtifactPath (conventionally beside the
-/// selection store, e.g. `<store>.model`). Fleet telemetry counters
+/// installs the candidate model at \p ModelPath (conventionally beside
+/// the selection store, e.g. `<store>.model`). Fleet telemetry counters
 /// (Recalibrations, Promotions, PromotionsRejected) are recorded either
 /// way.
 RecalibrationResult
 recalibrateFromTraceFile(const std::string &TracePath,
                          std::shared_ptr<const PerformanceModel> Incumbent,
-                         const std::string &ArtifactPath,
+                         const std::string &ModelPath,
                          RecalibrationOptions Options = {},
                          std::string *Error = nullptr);
 
@@ -213,7 +221,7 @@ class BackgroundRecalibrator {
 public:
   BackgroundRecalibrator(OpTrace Trace,
                          std::shared_ptr<const PerformanceModel> Incumbent,
-                         std::string ArtifactPath,
+                         std::string ModelPath,
                          RecalibrationOptions Options = {});
 
   /// A reporter sink that chains to \p Inner (may be empty) and then
@@ -234,7 +242,7 @@ private:
 
   mutable std::mutex Mutex;
   Recalibrator Work;
-  std::string ArtifactPath;
+  std::string ModelPath;
   std::optional<RecalibrationResult> Outcome;
 };
 

@@ -6,6 +6,8 @@
 
 #include "model/CostModel.h"
 
+#include "support/Codec.h"
+
 #include <cassert>
 #include <cmath>
 #include <fstream>
@@ -62,8 +64,15 @@ size_t PerformanceModel::indexOf(VariantId Variant, OperationKind Op,
 
 void PerformanceModel::setCost(VariantId Variant, OperationKind Op,
                                CostDimension Dim, Polynomial Cost) {
+  assert(Dim != CostDimension::Energy &&
+         "energy is derived from time and alloc, never set");
   bool NonEmpty = !Cost.coefficients().empty();
   Costs[indexOf(Variant, Op, Dim)] = std::move(Cost);
+  if (Dim != CostDimension::Contention)
+    Costs[indexOf(Variant, Op, CostDimension::Energy)] =
+        cost(Variant, Op, CostDimension::Time)
+            .scaled(NanojoulesPerNanosecond) +
+        cost(Variant, Op, CostDimension::Alloc).scaled(NanojoulesPerByte);
   size_t A = static_cast<size_t>(Variant.Abstraction);
   uint32_t Bit = 1u << Variant.Index;
   if (NonEmpty) {
@@ -73,9 +82,9 @@ void PerformanceModel::setCost(VariantId Variant, OperationKind Op,
   if (!(Coverage[A] & Bit))
     return;
   // An installed polynomial was cleared: the bit survives only if some
-  // other (op, dimension) slot of this variant is still populated.
+  // other (op, stored dimension) slot of this variant is still populated.
   for (OperationKind O : AllOperationKinds)
-    for (CostDimension D : AllCostDimensions)
+    for (CostDimension D : StoredCostDimensions)
       if (!cost(Variant, O, D).coefficients().empty())
         return;
   Coverage[A] &= ~Bit;
@@ -133,15 +142,18 @@ bool PerformanceModel::hasVariant(VariantId Variant) const {
          1u;
 }
 
-void PerformanceModel::save(std::ostream &OS) const {
+void PerformanceModel::save(std::ostream &OS,
+                            const std::vector<std::string> &Comments) const {
   OS << "cswitch-performance-model v1\n";
+  for (const std::string &Comment : Comments)
+    OS << "# " << Comment << '\n';
   OS.precision(17);
   for (size_t A = 0; A != NumAbstractionKinds; ++A) {
     auto Kind = static_cast<AbstractionKind>(A);
     for (size_t V = 0, E = numVariantsOf(Kind); V != E; ++V) {
       VariantId Id{Kind, static_cast<unsigned>(V)};
       for (OperationKind Op : AllOperationKinds) {
-        for (CostDimension Dim : AllCostDimensions) {
+        for (CostDimension Dim : StoredCostDimensions) {
           const Polynomial &P = cost(Id, Op, Dim);
           if (P.coefficients().empty())
             continue;
@@ -174,6 +186,9 @@ bool PerformanceModel::load(std::istream &IS, std::string *Error) {
       Header != "cswitch-performance-model v1")
     return fail(Error, 1, "not a cswitch-performance-model v1 document");
 
+  // Rows go into a fresh model that replaces this one only once the
+  // whole document parsed, so a refused document changes nothing.
+  PerformanceModel Parsed;
   // A well-formed document carries at most one polynomial per
   // (variant, operation, dimension) cell; a duplicate means the file
   // was corrupted or concatenated, and silently keeping the last row
@@ -221,6 +236,10 @@ bool PerformanceModel::load(std::istream &IS, std::string *Error) {
     CostDimension Dim;
     if (!parseCostDimension(DimName, Dim))
       return fail(Error, LineNo, "unknown cost dimension '" + DimName + "'");
+    if (Dim == CostDimension::Energy)
+      return fail(Error, LineNo,
+                  "energy rows are not stored: energy is derived from "
+                  "time and alloc");
 
     if (!SeenCells.insert(indexOf(Id, Op, Dim)).second)
       return fail(Error, LineNo,
@@ -230,6 +249,11 @@ bool PerformanceModel::load(std::istream &IS, std::string *Error) {
     std::vector<double> Coeffs;
     double C;
     while (LS >> C) {
+      if (Coeffs.size() == MaxModelCoefficients)
+        return fail(Error, LineNo,
+                    "row has more than " +
+                        std::to_string(MaxModelCoefficients) +
+                        " coefficients");
       // operator>> accepts "nan"/"inf" spellings on common libstdc++
       // configurations; a non-finite coefficient would poison every
       // cost comparison downstream, so reject it here.
@@ -246,17 +270,18 @@ bool PerformanceModel::load(std::istream &IS, std::string *Error) {
       return fail(Error, LineNo,
                   "trailing garbage '" + Rest + "' after coefficients");
     }
-    setCost(Id, Op, Dim, Polynomial(std::move(Coeffs)));
+    Parsed.setCost(Id, Op, Dim, Polynomial(std::move(Coeffs)));
   }
+  *this = std::move(Parsed);
   return true;
 }
 
-bool PerformanceModel::saveToFile(const std::string &Path) const {
-  std::ofstream OS(Path);
-  if (!OS)
-    return false;
-  save(OS);
-  return static_cast<bool>(OS);
+bool PerformanceModel::saveToFile(const std::string &Path,
+                                  const std::vector<std::string> &Comments,
+                                  std::string *Error) const {
+  std::ostringstream OS;
+  save(OS, Comments);
+  return codec::installFile(Path, OS.str(), "model", Error);
 }
 
 bool PerformanceModel::loadFromFile(const std::string &Path,

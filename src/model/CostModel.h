@@ -33,12 +33,12 @@ namespace cswitch {
 
 /// Cost dimensions the framework optimizes (paper §3.1.1: "multiple cost
 /// dimensions such as execution time and memory overhead"; energy is the
-/// paper's §7 future-work dimension, realized here as a derived model —
-/// see EnergyModel.h).
+/// paper's §7 future-work dimension, derived from time and alloc — see
+/// NanojoulesPerNanosecond below).
 enum class CostDimension : unsigned {
   Time,   ///< Nanoseconds per operation.
   Alloc,  ///< Bytes allocated per operation.
-  Energy, ///< Nanojoules per operation (derived; EnergyModel.h).
+  Energy, ///< Nanojoules per operation (derived from Time and Alloc).
   /// Extra nanoseconds per operation as a polynomial of the *observed
   /// thread count* (not the collection size): the synchronization
   /// penalty of the concurrent tier. Empty for sequential variants; for
@@ -54,6 +54,31 @@ constexpr size_t NumCostDimensions = 4;
 constexpr std::array<CostDimension, NumCostDimensions> AllCostDimensions = {
     CostDimension::Time, CostDimension::Alloc, CostDimension::Energy,
     CostDimension::Contention};
+
+/// The dimensions a model stores, sets and serializes: every one but
+/// Energy, which PerformanceModel derives.
+constexpr std::array<CostDimension, NumCostDimensions - 1>
+    StoredCostDimensions = {CostDimension::Time, CostDimension::Alloc,
+                            CostDimension::Contention};
+
+/// The energy dimension is derived, never measured or stored (DESIGN.md
+/// §1: no RAPL or other energy counters). A linear power model
+///
+///   energy_op,V(s) = P · time_op,V(s) + E · alloc_op,V(s)
+///
+/// captures the first-order physics: active-core power burns joules in
+/// proportion to runtime, and memory traffic costs a roughly fixed
+/// energy per byte. P is a ~3.5 W active core, E ~20 pJ per allocated
+/// byte (DRAM write plus allocator bookkeeping), so energy mostly tracks
+/// time but penalizes allocation-heavy variants, which is where Renergy
+/// departs from Rtime.
+inline constexpr double NanojoulesPerNanosecond = 3.5; ///< P (watts).
+inline constexpr double NanojoulesPerByte = 0.02;      ///< E.
+
+/// Longest polynomial a model row may carry. The model builder fits
+/// cubics (4 coefficients); 16 leaves room while keeping a hostile model
+/// file from forcing large allocations.
+inline constexpr size_t MaxModelCoefficients = 16;
 
 /// Returns "time", "alloc", "energy" or "contention".
 const char *costDimensionName(CostDimension Dim);
@@ -86,7 +111,10 @@ class PerformanceModel {
 public:
   PerformanceModel();
 
-  /// Installs the cost polynomial for one triple.
+  /// Installs the cost polynomial for one triple. Setting Time or Alloc
+  /// also re-derives the cell's Energy polynomial as
+  /// P·time + E·alloc (empty when both are empty); \p Dim must not be
+  /// Energy, which nothing else writes.
   void setCost(VariantId Variant, OperationKind Op, CostDimension Dim,
                Polynomial Cost);
 
@@ -129,21 +157,31 @@ public:
     return Coverage[static_cast<size_t>(Kind)];
   }
 
-  /// Serializes the model as a line-oriented text document.
-  void save(std::ostream &OS) const;
+  /// Serializes the stored dimensions as a line-oriented text document
+  /// (no energy rows: load() re-derives them). Each of \p Comments
+  /// becomes a `# ` line after the header.
+  void save(std::ostream &OS,
+            const std::vector<std::string> &Comments = {}) const;
 
-  /// Parses a model produced by save(). \returns false (and leaves the
-  /// model partially updated) on malformed input: unknown names,
-  /// non-finite (NaN/Inf) coefficients, duplicate
-  /// (abstraction, variant, operation, dimension) rows, or trailing
-  /// garbage after the coefficients. When \p Error is non-null it
-  /// receives a line-numbered diagnostic on failure.
+  /// Parses a model produced by save(), replacing this model's contents.
+  /// All or nothing: \returns false and leaves the model unchanged on
+  /// malformed input: unknown names, energy rows, rows with no or more
+  /// than MaxModelCoefficients coefficients, non-finite (NaN/Inf)
+  /// coefficients, duplicate (abstraction, variant, operation,
+  /// dimension) rows, or trailing garbage after the coefficients. When
+  /// \p Error is non-null it receives a line-numbered diagnostic on
+  /// failure.
   bool load(std::istream &IS, std::string *Error = nullptr);
 
-  /// Convenience wrappers over save()/load() for files. Return false on
-  /// I/O or parse failure.
-  bool saveToFile(const std::string &Path) const;
+  /// Convenience wrappers over save()/load() for files. saveToFile
+  /// installs through codec::installFile, so a reader never sees a
+  /// partly written model. Both return false on I/O or parse failure.
+  bool saveToFile(const std::string &Path,
+                  const std::vector<std::string> &Comments = {},
+                  std::string *Error = nullptr) const;
   bool loadFromFile(const std::string &Path, std::string *Error = nullptr);
+
+  bool operator==(const PerformanceModel &Other) const = default;
 
 private:
   size_t indexOf(VariantId Variant, OperationKind Op,

@@ -20,8 +20,6 @@
 
 #include "model/DefaultModel.h"
 
-#include "model/EnergyModel.h"
-
 using namespace cswitch;
 
 namespace {
@@ -249,10 +247,6 @@ PerformanceModel cswitch::defaultPerformanceModel() {
            {OK::Remove, 19, 0, 0}});
   setContention(Model, VariantId::of(MapVariant::ShardedHashMap),
                 {OK::Populate, OK::Contains, OK::Iterate, OK::Remove}, 4);
-
-  // The energy dimension (paper §7 future work) is derived from time
-  // and allocation; see EnergyModel.h.
-  deriveEnergyModel(Model);
   return Model;
 }
 
@@ -266,7 +260,7 @@ void cswitch::augmentConcurrentCoverage(PerformanceModel &Model) {
       VariantId Id{Kind, V};
       bool CopyAll = !Model.hasVariant(Id);
       for (OperationKind Op : AllOperationKinds) {
-        for (CostDimension Dim : AllCostDimensions) {
+        for (CostDimension Dim : StoredCostDimensions) {
           // Contention cells are analytic, never measured; backfill them
           // even on variants the loaded model otherwise covers.
           if (!CopyAll && Dim != CostDimension::Contention)

@@ -6,7 +6,6 @@
 
 #include "model/ModelBuilder.h"
 
-#include "model/EnergyModel.h"
 
 #include "collections/Factory.h"
 #include "support/LeastSquares.h"
@@ -403,7 +402,5 @@ PerformanceModel ModelBuilder::build() {
   buildListModels(Model);
   buildSetModels(Model);
   buildMapModels(Model);
-  // Derive the energy dimension from the measured time/alloc models.
-  deriveEnergyModel(Model);
   return Model;
 }

@@ -302,9 +302,6 @@ ExplainProvenance
 cswitch::obs::makeExplainHeader(const TelemetrySnapshot &Snapshot) {
   ExplainProvenance Out;
   Out.ModelSource = Snapshot.Model.Source;
-  Out.ModelFingerprint = Snapshot.Model.Fingerprint;
-  Out.ModelFitTimestamp = Snapshot.Model.FitTimestamp;
-  Out.ModelHoldoutResidual = Snapshot.Model.HoldoutResidual;
   Out.ModelInstalls = Snapshot.Model.Installs;
   Out.TuningSource = Snapshot.Tuning.Source;
   Out.TuningFingerprint = Snapshot.Tuning.Fingerprint;
@@ -323,12 +320,8 @@ cswitch::obs::renderExplainJson(const ExplainProvenance &Provenance,
   std::string Out = "{\"schema\":\"cswitch-explain-v1\",\"enabled\":";
   Out += Enabled ? "true" : "false";
   Out += ",\"provenance\":{\"model\":{\"source\":\"" +
-         jsonEscape(Provenance.ModelSource) + "\",\"fingerprint\":\"" +
-         jsonEscape(Provenance.ModelFingerprint) + "\",\"fit_timestamp\":" +
-         std::to_string(Provenance.ModelFitTimestamp) +
-         ",\"holdout_residual\":";
-  appendDouble(Out, Provenance.ModelHoldoutResidual);
-  Out += ",\"installs\":" + std::to_string(Provenance.ModelInstalls);
+         jsonEscape(Provenance.ModelSource) +
+         "\",\"installs\":" + std::to_string(Provenance.ModelInstalls);
   Out += "},\"tuning\":{\"source\":\"" + jsonEscape(Provenance.TuningSource) +
          "\",\"fingerprint\":\"" + jsonEscape(Provenance.TuningFingerprint) +
          "\",\"corpus_digest\":\"" +
@@ -784,12 +777,6 @@ bool cswitch::obs::parseExplainDocument(std::string_view Json,
   if (const JsonValue *Provenance = Root.field("provenance")) {
     if (const JsonValue *Model = Provenance->field("model")) {
       Out.Provenance.ModelSource = stringOr(Model->field("source"), "");
-      Out.Provenance.ModelFingerprint =
-          stringOr(Model->field("fingerprint"), "");
-      Out.Provenance.ModelFitTimestamp =
-          u64Or(Model->field("fit_timestamp"), 0);
-      Out.Provenance.ModelHoldoutResidual =
-          numberOr(Model->field("holdout_residual"), 0.0);
       Out.Provenance.ModelInstalls = u64Or(Model->field("installs"), 0);
     }
     if (const JsonValue *Tuning = Provenance->field("tuning")) {

@@ -255,10 +255,7 @@ private:
 /// Artifact provenance rendered into the /explain.json header: which
 /// model / tuning / store drove the recorded decisions.
 struct ExplainProvenance {
-  std::string ModelSource;      ///< "<builtin>", a path, or an artifact.
-  std::string ModelFingerprint; ///< Artifact hash / host fingerprint.
-  uint64_t ModelFitTimestamp = 0;    ///< Unix seconds; 0 = unknown.
-  double ModelHoldoutResidual = 0.0; ///< cswitch-model-v2 gate residual.
+  std::string ModelSource; ///< "<builtin>" or the model file's path.
   uint64_t ModelInstalls = 0;
   std::string TuningSource; ///< cswitch-tuning-v2 path, or empty.
   std::string TuningFingerprint;

@@ -7,11 +7,11 @@
 /// \file
 /// The wire primitives and the install discipline shared by every binary
 /// document of the framework: `cswitch-store-v1` (store/StoreFormat.h),
-/// `cswitch-optrace-v1` (replay/TraceFormat.h), `cswitch-model-v2`
-/// (fleet/ModelArtifact.h) and `cswitch-tuning-v2`
+/// `cswitch-optrace-v1` (replay/TraceFormat.h) and `cswitch-tuning-v2`
 /// (tuner/TuningArtifact.h). Each format keeps only its payload schema,
 /// its range checks and its canonical-order rule; everything below is
-/// defined once here (DESIGN.md §5.1).
+/// defined once here (DESIGN.md §5.1). The text performance model
+/// (model/CostModel.h) uses only installFile.
 ///
 ///  - Integers are LEB128 varints (at most 10 bytes), signed deltas
 ///    zigzag-encoded; fixed-width fields are 8-byte little-endian u64 or

@@ -410,28 +410,17 @@ struct TuningStats {
 static_assert(telemetry::describesLayout<TuningStats>());
 
 /// Provenance of the performance model driving selection decisions:
-/// where the installed model came from and, for recalibrated
-/// cswitch-model-v2 artifacts, the fit metadata of the promotion gate.
+/// where the installed model came from.
 struct ModelStats {
   uint64_t Installs = 0;
   std::string Source;
-  std::string Fingerprint;
-  uint64_t FitTimestamp = 0;
-  double HoldoutResidual = 0.0;
 
   template <typename Row> static constexpr void fields(Row &&R) {
     using enum MetricKind;
     using S = ModelStats;
     R("installs", Counter, &S::Installs,
-      "Performance models installed (builtin, measured, or artifact).");
-    R("source", Info, &S::Source,
-      "<builtin>, a file path, or an artifact tag such as cswitch-model-v2.");
-    R("fingerprint", Info, &S::Fingerprint,
-      "Content hash / host fingerprint of the model.");
-    R("fit_timestamp", Info, &S::FitTimestamp,
-      "Unix seconds the model was fit (0 = not a recalibrated artifact).");
-    R("holdout_residual", Info, &S::HoldoutResidual,
-      "Held-out residual of the promotion gate (cswitch-model-v2 only).");
+      "Performance models installed (builtin or measured).");
+    R("source", Info, &S::Source, "<builtin> or the model file's path.");
   }
 
   bool operator==(const ModelStats &) const = default;

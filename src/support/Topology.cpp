@@ -19,6 +19,9 @@
 #if defined(__linux__)
 #include <sched.h>
 #endif
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/utsname.h>
+#endif
 
 using namespace cswitch;
 
@@ -119,4 +122,18 @@ Topology Topology::detect(const std::string &SysfsNodeDir) {
 const Topology &Topology::system() {
   static const Topology Instance = detect("/sys/devices/system/node");
   return Instance;
+}
+
+std::string cswitch::hostFingerprint() {
+  std::string Node = "unknown";
+  std::string Arch = "unknown";
+#if defined(__unix__) || defined(__APPLE__)
+  utsname Uts = {};
+  if (::uname(&Uts) == 0) {
+    Node = Uts.nodename;
+    Arch = Uts.machine;
+  }
+#endif
+  unsigned Cores = std::thread::hardware_concurrency();
+  return Node + "/" + Arch + "/c" + std::to_string(Cores ? Cores : 1);
 }

@@ -64,6 +64,12 @@ private:
   unsigned Cpus = 1;
 };
 
+/// Identity of this host for the provenance of fitted models and tuning
+/// artifacts: node name, machine architecture and hardware concurrency
+/// ("node/x86_64/c32"). Stable across runs on one machine; distinct
+/// machines (or core-count changes) produce distinct fingerprints.
+std::string hostFingerprint();
+
 namespace detail {
 
 /// The calling thread's last sched_getcpu() and the calls left until

@@ -6,8 +6,8 @@
 
 #include "tuner/Tuner.h"
 
-#include "fleet/ModelArtifact.h"
 #include "support/Codec.h"
+#include "support/Topology.h"
 
 #include <algorithm>
 #include <cmath>
@@ -171,7 +171,7 @@ TunerResult Tuner::run() {
 
 TuningArtifact Tuner::makeArtifact(const TunerResult &Result) const {
   TuningArtifact Artifact = artifactFromParams(Result.Best);
-  Artifact.HostFingerprint = fleet::hostFingerprint();
+  Artifact.HostFingerprint = hostFingerprint();
   Artifact.Sweeps = Result.Sweeps;
   Artifact.Evaluations = Result.Evaluations;
   Artifact.CorpusDigest = corpusDigest();

@@ -54,8 +54,8 @@ struct TuningArtifact {
     double Value = 0.0;
   };
 
-  /// "node/arch/cN" of the machine the tuner ran on
-  /// (fleet::hostFingerprint). Informational: artifacts apply anywhere,
+  /// "node/arch/cN" of the machine the tuner ran on (hostFingerprint()
+  /// in support/Topology.h). Informational: artifacts apply anywhere,
   /// but telemetry surfaces a foreign fingerprint.
   std::string HostFingerprint;
   /// Coordinate sweeps the search ran.

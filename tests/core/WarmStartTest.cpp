@@ -70,7 +70,7 @@ TEST(WarmStart, SeedsVariantAndShrinksWindow) {
                            Options);
   EXPECT_TRUE(Ctx.warmStarted());
   EXPECT_EQ(Ctx.currentVariantIndex(), 1u);
-  // WarmWindowFactor 0.25 shrinks the first observation ramp.
+  // A warm start shrinks the first observation ramp to a quarter.
   EXPECT_EQ(Ctx.options().WindowSize, 25u);
   EXPECT_EQ(Store.stats().WarmStarts, 1u);
   std::remove(Path.c_str());

@@ -16,10 +16,12 @@
 #include "model/DefaultModel.h"
 #include "replay/TraceFormat.h"
 #include "support/Telemetry.h"
+#include "support/Topology.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <memory>
 
 using namespace cswitch;
@@ -115,28 +117,53 @@ TEST(Recalibrator, PromotesWhenCandidateTracksHoldoutBetter) {
   EXPECT_GT(Result.VariantsRecalibrated, 0u);
   EXPECT_EQ(Result.CellsMeasured, Work.cellCount());
 
-  // Provenance header is filled for the consumer-side compatibility
-  // checks.
-  EXPECT_EQ(Result.Artifact.HostFingerprint, hostFingerprint());
-  EXPECT_EQ(Result.Artifact.FitTimestamp, 1754006400u);
-  EXPECT_EQ(Result.Artifact.HoldoutResidual, Result.CandidateResidual);
-  EXPECT_FALSE(Result.Artifact.Rows.empty());
+  // Provenance for the installed model's comment lines.
+  EXPECT_EQ(Result.HostFingerprint, hostFingerprint());
+  EXPECT_EQ(Result.FitTimestamp, 1754006400u);
 
   // The fitted sequential Time/Alloc rows were rescaled by the clamped
   // alpha (the injected measurements dwarf any prediction, so the
-  // correction saturates at exactly 64x); everything else is carried
-  // over verbatim.
-  for (const ModelArtifact::Row &Row : Result.Artifact.Rows) {
-    const Polynomial &Before = Model->cost({Row.Kind, Row.Variant}, Row.Op,
-                                           Row.Dim);
-    bool Fitted = Row.Kind == AbstractionKind::List &&
-                  !isConcurrentVariant(Row.Kind, Row.Variant) &&
-                  (Row.Dim == CostDimension::Time ||
-                   Row.Dim == CostDimension::Alloc);
-    if (Fitted)
-      EXPECT_EQ(Row.Cost, Before.scaled(64.0));
-    else
-      EXPECT_EQ(Row.Cost, Before);
+  // correction saturates at exactly 64x); every other stored row is
+  // carried over verbatim.
+  for (size_t A = 0; A != NumAbstractionKinds; ++A) {
+    auto Kind = static_cast<AbstractionKind>(A);
+    for (unsigned V = 0; V != numVariantsOf(Kind); ++V)
+      for (OperationKind Op : AllOperationKinds)
+        for (CostDimension Dim : StoredCostDimensions) {
+          VariantId Id{Kind, V};
+          const Polynomial &Before = Model->cost(Id, Op, Dim);
+          bool Fitted = Kind == AbstractionKind::List &&
+                        !isConcurrentVariant(Kind, V) &&
+                        (Dim == CostDimension::Time ||
+                         Dim == CostDimension::Alloc);
+          EXPECT_EQ(Result.Candidate.cost(Id, Op, Dim),
+                    Fitted ? Before.scaled(64.0) : Before)
+              << Id.name() << " " << operationKindName(Op) << " "
+              << costDimensionName(Dim);
+        }
+  }
+}
+
+TEST(Recalibrator, CandidateEnergyFollowsRescaledTime) {
+  auto Model = incumbent();
+  RecalibrationResult Result =
+      Recalibrator(sampleTrace(), Model, promoteOptions()).run(1);
+  ASSERT_TRUE(Result.Promoted) << Result.Reason;
+  const PerformanceModel &Candidate = Result.Candidate;
+  VariantId Fitted = VariantId::of(ListVariant::ArrayList);
+  for (OperationKind Op : AllOperationKinds) {
+    const Polynomial &Time = Candidate.cost(Fitted, Op, CostDimension::Time);
+    if (Time.coefficients().empty())
+      continue;
+    EXPECT_EQ(Candidate.cost(Fitted, Op, CostDimension::Energy),
+              Time.scaled(NanojoulesPerNanosecond) +
+                  Candidate.cost(Fitted, Op, CostDimension::Alloc)
+                      .scaled(NanojoulesPerByte))
+        << operationKindName(Op);
+    // The incumbent's energy was derived from the unscaled rows.
+    EXPECT_NE(Candidate.cost(Fitted, Op, CostDimension::Energy),
+              Model->cost(Fitted, Op, CostDimension::Energy))
+        << operationKindName(Op);
   }
 }
 
@@ -150,7 +177,12 @@ TEST(Recalibrator, RejectsWhenCandidateRegressesOnHoldout) {
   EXPECT_GT(Result.CandidateResidual,
             Result.IncumbentResidual + RecalibrationOptions().PromotionEpsilon);
   // The rejected fit stays inspectable.
-  EXPECT_FALSE(Result.Artifact.Rows.empty());
+  VariantId Fitted = VariantId::of(ListVariant::ArrayList);
+  EXPECT_EQ(Result.Candidate.cost(Fitted, OperationKind::Populate,
+                                  CostDimension::Time),
+            incumbent()
+                ->cost(Fitted, OperationKind::Populate, CostDimension::Time)
+                .scaled(64.0));
   EXPECT_GT(Result.VariantsRecalibrated, 0u);
 }
 
@@ -179,27 +211,26 @@ TEST(Recalibrator, DropsCellsBelowMinOps) {
 
 TEST(Recalibrator, FromTraceFileInstallsOnlyOnPromotion) {
   const char *TracePath = "recalibrator_test_trace.bin";
-  const char *ArtifactPath = "recalibrator_test_model.bin";
+  const char *ModelPath = "recalibrator_test.model";
   ASSERT_TRUE(writeTraceToFile(TracePath, sampleTrace()));
-  std::remove(ArtifactPath);
+  std::remove(ModelPath);
 
   FleetStats Before = FleetRegistry::global().stats();
 
   // Rejected fit: counters tick, nothing installed.
   std::string Error;
   RecalibrationResult Rejected = recalibrateFromTraceFile(
-      TracePath, incumbent(), ArtifactPath, rejectOptions(), &Error);
+      TracePath, incumbent(), ModelPath, rejectOptions(), &Error);
   EXPECT_FALSE(Rejected.Promoted);
-  ModelArtifact OnDisk;
-  EXPECT_FALSE(readModelArtifactFromFile(ArtifactPath, OnDisk));
+  PerformanceModel OnDisk;
+  EXPECT_FALSE(OnDisk.loadFromFile(ModelPath));
 
-  // Promoted fit: the artifact lands atomically at the requested path.
+  // Promoted fit: the candidate lands atomically at the requested path.
   RecalibrationResult Promoted = recalibrateFromTraceFile(
-      TracePath, incumbent(), ArtifactPath, promoteOptions(), &Error);
+      TracePath, incumbent(), ModelPath, promoteOptions(), &Error);
   EXPECT_TRUE(Promoted.Promoted) << Promoted.Reason << " " << Error;
-  ASSERT_TRUE(readModelArtifactFromFile(ArtifactPath, OnDisk, &Error))
-      << Error;
-  EXPECT_EQ(OnDisk, Promoted.Artifact);
+  ASSERT_TRUE(OnDisk.loadFromFile(ModelPath, &Error)) << Error;
+  EXPECT_TRUE(OnDisk == Promoted.Candidate);
 
   FleetStats Delta = FleetRegistry::global().stats() - Before;
   EXPECT_EQ(Delta.Recalibrations, 2u);
@@ -207,7 +238,40 @@ TEST(Recalibrator, FromTraceFileInstallsOnlyOnPromotion) {
   EXPECT_EQ(Delta.PromotionsRejected, 1u);
 
   std::remove(TracePath);
-  std::remove(ArtifactPath);
+  std::remove(ModelPath);
+}
+
+TEST(Recalibrator, PromotedModelLoadsWithTheTextLoader) {
+  const char *TracePath = "recalibrator_text_trace.bin";
+  const char *ModelPath = "recalibrator_text.model";
+  ASSERT_TRUE(writeTraceToFile(TracePath, sampleTrace()));
+  std::string Error;
+  RecalibrationResult Result = recalibrateFromTraceFile(
+      TracePath, incumbent(), ModelPath, promoteOptions(), &Error);
+  ASSERT_TRUE(Result.Promoted) << Result.Reason << " " << Error;
+
+  PerformanceModel Loaded;
+  ASSERT_TRUE(Loaded.loadFromFile(ModelPath, &Error)) << Error;
+  for (size_t A = 0; A != NumAbstractionKinds; ++A) {
+    auto Kind = static_cast<AbstractionKind>(A);
+    for (unsigned V = 0; V != numVariantsOf(Kind); ++V)
+      EXPECT_TRUE(Loaded.hasVariant({Kind, V})) << VariantId{Kind, V}.name();
+  }
+
+  // The provenance rides in comment lines right after the header.
+  std::ifstream IS(ModelPath);
+  std::string Header, Host, Fit, Residual;
+  std::getline(IS, Header);
+  std::getline(IS, Host);
+  std::getline(IS, Fit);
+  std::getline(IS, Residual);
+  EXPECT_EQ(Header, "cswitch-performance-model v1");
+  EXPECT_EQ(Host, "# host " + hostFingerprint());
+  EXPECT_EQ(Fit, "# fit_timestamp " + std::to_string(Result.FitTimestamp));
+  EXPECT_EQ(Residual.rfind("# holdout_residual ", 0), 0u) << Residual;
+
+  std::remove(TracePath);
+  std::remove(ModelPath);
 }
 
 TEST(Recalibrator, FromTraceFileFailsOnMissingTrace) {
@@ -221,9 +285,9 @@ TEST(Recalibrator, FromTraceFileFailsOnMissingTrace) {
 }
 
 TEST(BackgroundRecalibrator, SpreadsWorkAcrossTicksThenInstalls) {
-  const char *ArtifactPath = "background_recalibrator_model.bin";
-  std::remove(ArtifactPath);
-  BackgroundRecalibrator Background(sampleTrace(), incumbent(), ArtifactPath,
+  const char *ModelPath = "background_recalibrator.model";
+  std::remove(ModelPath);
+  BackgroundRecalibrator Background(sampleTrace(), incumbent(), ModelPath,
                                     promoteOptions());
 
   size_t InnerCalls = 0;
@@ -246,16 +310,15 @@ TEST(BackgroundRecalibrator, SpreadsWorkAcrossTicksThenInstalls) {
   ASSERT_TRUE(Background.result().has_value());
   EXPECT_TRUE(Background.result()->Promoted)
       << Background.result()->Reason;
-  ModelArtifact OnDisk;
+  PerformanceModel OnDisk;
   std::string Error;
-  ASSERT_TRUE(readModelArtifactFromFile(ArtifactPath, OnDisk, &Error))
-      << Error;
-  EXPECT_EQ(OnDisk, Background.result()->Artifact);
+  ASSERT_TRUE(OnDisk.loadFromFile(ModelPath, &Error)) << Error;
+  EXPECT_TRUE(OnDisk == Background.result()->Candidate);
 
   // Further ticks are no-ops once finished.
   Sink(Snapshot);
   EXPECT_EQ(InnerCalls, CellTicks + 2);
-  std::remove(ArtifactPath);
+  std::remove(ModelPath);
 }
 
 } // namespace

@@ -7,6 +7,8 @@
 #include "model/CostModel.h"
 #include "model/DefaultModel.h"
 
+#include "core/SelectionRule.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -237,6 +239,170 @@ TEST(PerformanceModel, FileRoundTrip) {
 TEST(PerformanceModel, LoadFromMissingFileFails) {
   PerformanceModel Model;
   EXPECT_FALSE(Model.loadFromFile("/nonexistent/path/model.txt"));
+}
+
+TEST(PerformanceModel, LoadRejectsOversizedPolynomial) {
+  std::string Row = "list ArrayList populate time";
+  for (size_t I = 0; I != MaxModelCoefficients; ++I)
+    Row += " 1";
+  PerformanceModel AtBound;
+  std::istringstream Fits("cswitch-performance-model v1\n" + Row + "\n");
+  EXPECT_TRUE(AtBound.load(Fits));
+
+  PerformanceModel Model;
+  std::istringstream IS("cswitch-performance-model v1\n" + Row + " 1\n");
+  std::string Error;
+  EXPECT_FALSE(Model.load(IS, &Error));
+  EXPECT_NE(Error.find("line 2"), std::string::npos) << Error;
+  EXPECT_NE(Error.find("16 coefficients"), std::string::npos) << Error;
+}
+
+TEST(PerformanceModel, FailedLoadLeavesModelUnchanged) {
+  // The first two rows are valid and would overwrite cells; the third is
+  // not, so the whole document is refused and nothing changes.
+  PerformanceModel Model = defaultPerformanceModel();
+  const PerformanceModel Before = Model;
+  std::istringstream IS("cswitch-performance-model v1\n"
+                        "list ArrayList populate time 1 2\n"
+                        "list LinkedList contains alloc 9\n"
+                        "set Bogus populate time 4\n");
+  std::string Error;
+  EXPECT_FALSE(Model.load(IS, &Error));
+  EXPECT_NE(Error.find("line 4"), std::string::npos) << Error;
+  EXPECT_TRUE(Model == Before);
+}
+
+TEST(PerformanceModel, LoadRejectsEnergyRows) {
+  PerformanceModel Model;
+  std::istringstream IS("cswitch-performance-model v1\n"
+                        "list ArrayList populate time 4\n"
+                        "list ArrayList populate energy 14\n");
+  std::string Error;
+  EXPECT_FALSE(Model.load(IS, &Error));
+  EXPECT_NE(Error.find("line 3"), std::string::npos) << Error;
+  EXPECT_NE(Error.find("derived"), std::string::npos) << Error;
+  EXPECT_FALSE(Model.hasVariant(VariantId::of(ListVariant::ArrayList)));
+}
+
+TEST(PerformanceModel, EnergyIsDerivedFromTimeAndAlloc) {
+  PerformanceModel Model;
+  VariantId Id = VariantId::of(ListVariant::ArrayList);
+  OperationKind Op = OperationKind::Populate;
+  auto Energy = [&] { return Model.cost(Id, Op, CostDimension::Energy); };
+  auto Expected = [](const Polynomial &Time, const Polynomial &Alloc) {
+    return Time.scaled(NanojoulesPerNanosecond) +
+           Alloc.scaled(NanojoulesPerByte);
+  };
+
+  Model.setCost(Id, Op, CostDimension::Time, Polynomial({10.0, 0.5}));
+  EXPECT_EQ(Energy(), Polynomial({35.0, 1.75}));
+  Model.setCost(Id, Op, CostDimension::Alloc, Polynomial({100.0}));
+  EXPECT_EQ(Energy(), Expected(Polynomial({10.0, 0.5}), Polynomial({100.0})));
+  // Re-setting Time moves Energy; Contention does not touch it.
+  Model.setCost(Id, Op, CostDimension::Time, Polynomial({20.0}));
+  Model.setCost(Id, Op, CostDimension::Contention, Polynomial({0.0, 9.0}));
+  EXPECT_EQ(Energy(), Expected(Polynomial({20.0}), Polynomial({100.0})));
+  // Clearing both clears Energy, and with it the variant's coverage once
+  // the contention cell goes too.
+  Model.setCost(Id, Op, CostDimension::Time, Polynomial());
+  Model.setCost(Id, Op, CostDimension::Alloc, Polynomial());
+  EXPECT_TRUE(Energy().coefficients().empty());
+  EXPECT_TRUE(Model.hasVariant(Id));
+  Model.setCost(Id, Op, CostDimension::Contention, Polynomial());
+  EXPECT_FALSE(Model.hasVariant(Id));
+}
+
+TEST(EnergyModel, LinearCombinationOfTimeAndAlloc) {
+  PerformanceModel Model;
+  VariantId Id = VariantId::of(SetVariant::OpenHashSet);
+  Model.setCost(Id, OperationKind::Populate, CostDimension::Time,
+                Polynomial({10.0, 0.5}));
+  Model.setCost(Id, OperationKind::Populate, CostDimension::Alloc,
+                Polynomial({100.0}));
+  // energy(s) = P*(10 + 0.5 s) + E*100.
+  EXPECT_DOUBLE_EQ(Model.operationCost(Id, OperationKind::Populate,
+                                       CostDimension::Energy, 0.0),
+                   NanojoulesPerNanosecond * 10.0 + NanojoulesPerByte * 100.0);
+  EXPECT_DOUBLE_EQ(Model.operationCost(Id, OperationKind::Populate,
+                                       CostDimension::Energy, 50.0),
+                   NanojoulesPerNanosecond * 35.0 + NanojoulesPerByte * 100.0);
+}
+
+TEST(EnergyModel, EmptyTriplesStayEmpty) {
+  // Energy exists only where time or alloc does: neither an untouched
+  // cell nor a contention-only cell gets one.
+  PerformanceModel Model;
+  VariantId Mutex = VariantId::of(MapVariant::MutexHashMap);
+  Model.setCost(Mutex, OperationKind::Contains, CostDimension::Contention,
+                Polynomial({0.0, 5.0}));
+  EXPECT_TRUE(Model
+                  .cost(VariantId::of(ListVariant::ArrayList),
+                        OperationKind::Contains, CostDimension::Energy)
+                  .coefficients()
+                  .empty());
+  EXPECT_TRUE(Model.cost(Mutex, OperationKind::Contains, CostDimension::Energy)
+                  .coefficients()
+                  .empty());
+}
+
+TEST(EnergyModel, DefaultModelHasEnergyForEveryModeledTriple) {
+  PerformanceModel Model = defaultPerformanceModel();
+  for (SetVariant V : AllSetVariants) {
+    for (OperationKind Op :
+         {OperationKind::Populate, OperationKind::Contains,
+          OperationKind::Iterate, OperationKind::Remove}) {
+      EXPECT_GT(Model.operationCost(VariantId::of(V), Op,
+                                    CostDimension::Energy, 100.0),
+                0.0)
+          << setVariantName(V) << " " << operationKindName(Op);
+    }
+  }
+}
+
+TEST(EnergyModel, EnergyTracksTimeButPenalizesAllocation) {
+  // Two variants with equal time: the one allocating more must cost
+  // more energy — the property that makes Renergy differ from Rtime.
+  PerformanceModel Model;
+  VariantId A = VariantId::of(SetVariant::OpenHashSet);
+  VariantId B = VariantId::of(SetVariant::CompactHashSet);
+  Model.setCost(A, OperationKind::Populate, CostDimension::Time,
+                Polynomial({20.0}));
+  Model.setCost(B, OperationKind::Populate, CostDimension::Time,
+                Polynomial({20.0}));
+  Model.setCost(A, OperationKind::Populate, CostDimension::Alloc,
+                Polynomial({100.0}));
+  Model.setCost(B, OperationKind::Populate, CostDimension::Alloc,
+                Polynomial({20.0}));
+  EXPECT_GT(Model.operationCost(A, OperationKind::Populate,
+                                CostDimension::Energy, 10.0),
+            Model.operationCost(B, OperationKind::Populate,
+                                CostDimension::Energy, 10.0));
+}
+
+TEST(EnergyModel, SerializationRoundTripsEnergy) {
+  // save() writes no energy rows; load() re-derives every one of them.
+  PerformanceModel Model = defaultPerformanceModel();
+  std::ostringstream OS;
+  Model.save(OS);
+  EXPECT_EQ(OS.str().find(" energy "), std::string::npos);
+  PerformanceModel Loaded;
+  std::istringstream IS(OS.str());
+  ASSERT_TRUE(Loaded.load(IS));
+  VariantId Id = VariantId::of(MapVariant::ChainedHashMap);
+  EXPECT_FALSE(Loaded.cost(Id, OperationKind::Populate, CostDimension::Energy)
+                   .coefficients()
+                   .empty());
+  EXPECT_TRUE(Loaded == Model);
+}
+
+TEST(EnergyRule, MatchesRallocShape) {
+  SelectionRule Rule = SelectionRule::energyRule();
+  EXPECT_EQ(Rule.Name, "Renergy");
+  ASSERT_EQ(Rule.Criteria.size(), 2u);
+  EXPECT_EQ(Rule.Criteria[0].Dimension, CostDimension::Energy);
+  EXPECT_DOUBLE_EQ(Rule.Criteria[0].Threshold, 0.8);
+  EXPECT_EQ(Rule.Criteria[1].Dimension, CostDimension::Time);
+  EXPECT_EQ(Rule.primaryDimension(), CostDimension::Energy);
 }
 
 } // namespace

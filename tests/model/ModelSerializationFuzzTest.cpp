@@ -23,14 +23,15 @@ using namespace cswitch;
 
 namespace {
 
-/// Builds a model with random sparse coverage and random coefficients.
+/// Builds a model with random sparse coverage and random coefficients in
+/// every stored dimension (energy is derived, never set).
 PerformanceModel randomModel(SplitMix64 &Rng) {
   PerformanceModel Model;
   for (size_t A = 0; A != NumAbstractionKinds; ++A) {
     auto Kind = static_cast<AbstractionKind>(A);
     for (size_t V = 0, E = numVariantsOf(Kind); V != E; ++V) {
       for (OperationKind Op : AllOperationKinds) {
-        for (CostDimension Dim : AllCostDimensions) {
+        for (CostDimension Dim : StoredCostDimensions) {
           if (Rng.nextBelow(3) == 0)
             continue; // leave some triples empty.
           size_t Degree = Rng.nextBelow(4);

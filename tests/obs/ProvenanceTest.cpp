@@ -352,10 +352,7 @@ namespace {
 
 ExplainProvenance sampleProvenance() {
   ExplainProvenance P;
-  P.ModelSource = "cswitch-model-v2:host42";
-  P.ModelFingerprint = "fp-abc123";
-  P.ModelFitTimestamp = 1754600000;
-  P.ModelHoldoutResidual = 0.042;
+  P.ModelSource = "/var/lib/cswitch/host42.model";
   P.ModelInstalls = 2;
   P.TuningSource = "tuned.cstune";
   P.TuningFingerprint = "fp-tune";
@@ -405,9 +402,7 @@ TEST(Provenance, RenderParseRoundTrip) {
   ASSERT_TRUE(parseExplainDocument(Json, Doc, &Error)) << Error;
   EXPECT_EQ(Doc.Schema, "cswitch-explain-v1");
   EXPECT_TRUE(Doc.Enabled);
-  EXPECT_EQ(Doc.Provenance.ModelSource, "cswitch-model-v2:host42");
-  EXPECT_EQ(Doc.Provenance.ModelFitTimestamp, 1754600000u);
-  EXPECT_DOUBLE_EQ(Doc.Provenance.ModelHoldoutResidual, 0.042);
+  EXPECT_EQ(Doc.Provenance.ModelSource, "/var/lib/cswitch/host42.model");
   EXPECT_EQ(Doc.Provenance.TuningCorpusDigest, "digest-7");
   EXPECT_EQ(Doc.Provenance.StoreWarmStarts, 5u);
 
@@ -480,9 +475,6 @@ TEST(Provenance, ExplainHeaderDistillsTelemetry) {
   TelemetrySnapshot Snapshot;
   Snapshot.Model.Installs = 3;
   Snapshot.Model.Source = "data/cswitch_model.txt";
-  Snapshot.Model.Fingerprint = "host-fp";
-  Snapshot.Model.FitTimestamp = 1754000000;
-  Snapshot.Model.HoldoutResidual = 0.17;
   Snapshot.Tuning.Loads = 2;
   Snapshot.Tuning.Source = "tuned.cstune";
   Snapshot.Tuning.Fingerprint = "tune-fp";
@@ -494,9 +486,6 @@ TEST(Provenance, ExplainHeaderDistillsTelemetry) {
   ExplainProvenance P = makeExplainHeader(Snapshot);
   EXPECT_EQ(P.ModelInstalls, 3u);
   EXPECT_EQ(P.ModelSource, "data/cswitch_model.txt");
-  EXPECT_EQ(P.ModelFingerprint, "host-fp");
-  EXPECT_EQ(P.ModelFitTimestamp, 1754000000u);
-  EXPECT_DOUBLE_EQ(P.ModelHoldoutResidual, 0.17);
   EXPECT_EQ(P.TuningLoads, 2u);
   EXPECT_EQ(P.TuningSource, "tuned.cstune");
   EXPECT_EQ(P.TuningFingerprint, "tune-fp");

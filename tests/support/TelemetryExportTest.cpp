@@ -123,9 +123,6 @@ ModelStats modelStats(uint64_t Base) {
   ModelStats S;
   S.Installs = Base * 101;
   S.Source = hostile(Base * 102);
-  S.Fingerprint = hostile(Base * 103);
-  S.FitTimestamp = Base * 104;
-  S.HoldoutResidual = static_cast<double>(Base) * 105.125;
   return S;
 }
 
@@ -260,7 +257,7 @@ const char *const GoldenJson = R"golden({
   "store": {"loads": 404, "load_failures": 408, "sites_loaded": 412, "warm_starts": 416, "persists": 420, "persist_failures": 424, "path": "q\"b\\n\n428"},
   "fleet": {"pulls": 505, "pull_failures": 510, "pushes": 515, "push_failures": 520, "retries": 525, "store_gets": 530, "merges_applied": 535, "sites_merged": 540, "rejected_oversize": 545, "rejected_malformed": 550, "rejected_incompatible": 555, "recalibrations": 560, "promotions": 565, "promotions_rejected": 570},
   "tuning": {"loads": 606, "load_failures": 612, "source": "q\"b\\n\n618", "fingerprint": "q\"b\\n\n624", "corpus_digest": "q\"b\\n\n630", "sweeps": 642, "evaluations": 654, "parameters": 660, "winner_fitness": 667.5, "baseline_fitness": 675},
-  "model": {"installs": 707, "source": "q\"b\\n\n714", "fingerprint": "q\"b\\n\n721", "fit_timestamp": 728, "holdout_residual": 735.875},
+  "model": {"installs": 707, "source": "q\"b\\n\n714"},
   "contexts": [
     {"name": "q\"b\\n\n1001", "abstraction": "list", "variant": "q\"b\\n\n1002", "instances_created": 1010, "instances_monitored": 1020, "profiles_published": 1030, "profiles_discarded": 1040, "evaluations": 1050, "switches": 1060, "rounds_skipped": 1080, "footprint_bytes": 1003, "contended_threads": 1004.75, "latency": {"record": {"count": 1101, "saturated": 1102, "sum_nanos": 1103, "min_nanos": 1104, "max_nanos": 1105, "p50": 1106.5, "p90": 1107.5, "p99": 1108.5, "p999": 1109.5}, "evaluate": {"count": 1201, "saturated": 1202, "sum_nanos": 1203, "min_nanos": 1204, "max_nanos": 1205, "p50": 1206.5, "p90": 1207.5, "p99": 1208.5, "p999": 1209.5}, "switch": {"count": 1301, "saturated": 1302, "sum_nanos": 1303, "min_nanos": 1304, "max_nanos": 1305, "p50": 1306.5, "p90": 1307.5, "p99": 1308.5, "p999": 1309.5}}},
     {"name": "q\"b\\n\n2001", "abstraction": "map", "variant": "q\"b\\n\n2002", "instances_created": 2020, "instances_monitored": 2040, "profiles_published": 2060, "profiles_discarded": 2080, "evaluations": 2100, "switches": 2120, "rounds_skipped": 2160, "footprint_bytes": 2003, "contended_threads": 2004.75, "latency": {"record": {"count": 2101, "saturated": 2102, "sum_nanos": 2103, "min_nanos": 2104, "max_nanos": 2105, "p50": 2106.5, "p90": 2107.5, "p99": 2108.5, "p999": 2109.5}, "evaluate": {"count": 2201, "saturated": 2202, "sum_nanos": 2203, "min_nanos": 2204, "max_nanos": 2205, "p50": 2206.5, "p90": 2207.5, "p99": 2208.5, "p999": 2209.5}, "switch": {"count": 2301, "saturated": 2302, "sum_nanos": 2303, "min_nanos": 2304, "max_nanos": 2305, "p50": 2306.5, "p90": 2307.5, "p99": 2308.5, "p999": 2309.5}}}
@@ -313,7 +310,7 @@ cswitch_instances_created_total{site="q\"b\\n\n1001"} 1010
 cswitch_instances_created_total{site="q\"b\\n\n2001"} 2020
 cswitch_instances_monitored_total{site="q\"b\\n\n1001"} 1020
 cswitch_instances_monitored_total{site="q\"b\\n\n2001"} 2040
-cswitch_model_info{fingerprint="q\"b\\n\n721",fit_timestamp="728",holdout_residual="735.875",source="q\"b\\n\n714"} 1
+cswitch_model_info{source="q\"b\\n\n714"} 1
 cswitch_model_installs_total 707
 cswitch_persist_latency_nanos_count 841
 cswitch_persist_latency_nanos_sum 843
@@ -493,7 +490,7 @@ TEST(Telemetry, EveryStatsDeltaSaturatesCountersAndKeepsState) {
   EXPECT_TRUE(Delta.Fleet == FleetStats{});
   EXPECT_EQ(Delta.Store.Path, Now.Store.Path);
   EXPECT_EQ(Delta.Tuning.Source, Now.Tuning.Source);
-  EXPECT_EQ(Delta.Model.HoldoutResidual, Now.Model.HoldoutResidual);
+  EXPECT_EQ(Delta.Model.Source, Now.Model.Source);
 }
 
 } // namespace

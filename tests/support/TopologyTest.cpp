@@ -118,4 +118,11 @@ TEST(Topology, SystemTopologyIsSane) {
   EXPECT_GE(T.cpuCount(), 1u);
 }
 
+TEST(Topology, HostFingerprintIsStableAndNonEmpty) {
+  std::string A = hostFingerprint();
+  EXPECT_FALSE(A.empty());
+  EXPECT_EQ(A, hostFingerprint());
+  EXPECT_NE(A.find('/'), std::string::npos);
+}
+
 } // namespace

@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 //
 // Fuzz-style totality tests of the tuned-configuration artifact codec,
-// mirroring ModelArtifactTest: truncation at every offset, single-byte
-// corruption, semantic validation (non-finite / out-of-range /
-// non-integral values, unknown names, wrong row counts), and crash-safe
-// file installs.
+// mirroring the store and trace codec tests: truncation at every
+// offset, single-byte corruption, semantic validation (non-finite /
+// out-of-range / non-integral values, unknown names, wrong row counts),
+// and crash-safe file installs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -155,7 +155,7 @@ TEST(TuningArtifact, BadMagicAndVersionAreRejected) {
   std::string V1 = Bytes;
   V1.replace(0, 17, "cswitch-tuning-v1");
   EXPECT_FALSE(decodeTuningArtifact(V1, Out, &Error));
-  EXPECT_FALSE(decodeTuningArtifact("cswitch-model-v2\0\x01"
+  EXPECT_FALSE(decodeTuningArtifact("cswitch-optrace-v1\0\x01"
                                     "xxxx",
                                     Out, &Error));
 

@@ -95,17 +95,8 @@ std::string variantName(const obs::SiteLedgerSnapshot &Site, int Index) {
 void printProvenance(const obs::ExplainDocument &Doc) {
   const obs::ExplainProvenance &P = Doc.Provenance;
   std::printf("ledger: %s\n", Doc.Enabled ? "enabled" : "disabled");
-  if (P.ModelInstalls > 0) {
-    std::printf("model:  %s", P.ModelSource.c_str());
-    if (!P.ModelFingerprint.empty())
-      std::printf(" [%s]", P.ModelFingerprint.c_str());
-    if (P.ModelFitTimestamp != 0)
-      std::printf(" fit@%llu",
-                  static_cast<unsigned long long>(P.ModelFitTimestamp));
-    if (P.ModelHoldoutResidual != 0.0)
-      std::printf(" holdout %.4g", P.ModelHoldoutResidual);
-    std::printf("\n");
-  }
+  if (P.ModelInstalls > 0)
+    std::printf("model:  %s\n", P.ModelSource.c_str());
   if (P.TuningLoads > 0) {
     std::printf("tuning: %s", P.TuningSource.c_str());
     if (!P.TuningFingerprint.empty())

@@ -7,7 +7,8 @@
 // Command-line front end of the fleet calibration service (DESIGN.md
 // §12): move selection stores between replicas, aggregate a fleet's
 // knowledge into one document, and recalibrate a performance model from
-// a recorded trace.
+// a recorded trace into a text model any `--model` or `CSWITCH_MODEL`
+// reader loads.
 //
 //   cswitch_fleet pull http://127.0.0.1:9100/store --out fleet.store
 //   cswitch_fleet push http://127.0.0.1:9100/store local.store
@@ -15,7 +16,6 @@
 //   cswitch_fleet distribute fleet.store URL...
 //   cswitch_fleet recalibrate trace.bin --model model.txt
 //       --out store.model [--holdout 4] [--epsilon 0.05]
-//   cswitch_fleet artifact-info store.model
 //
 // Exit status: 0 on success (for recalibrate: candidate promoted), 1 on
 // any failure (for recalibrate: candidate rejected by the held-out
@@ -24,7 +24,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "fleet/FleetSync.h"
-#include "fleet/ModelArtifact.h"
 #include "fleet/Recalibrator.h"
 #include "model/DefaultModel.h"
 #include "store/SelectionStore.h"
@@ -55,8 +54,6 @@ int usage() {
       "      [--model <file>]               incumbent (default: "
       "built-in)\n"
       "      [--holdout N] [--epsilon E]    gate knobs\n"
-      "  artifact-info <file>               describe a cswitch-model-v2 "
-      "artifact\n"
       "common: [--timeout MS] [--retries N]\n");
   return 2;
 }
@@ -247,26 +244,7 @@ int cmdRecalibrate(const Args &A) {
     return 1;
   }
   std::printf("promoted -> %s (fingerprint %s)\n", A.Out.c_str(),
-              Result.Artifact.HostFingerprint.c_str());
-  return 0;
-}
-
-int cmdArtifactInfo(const Args &A) {
-  if (A.Positional.size() != 1)
-    return usage();
-  fleet::ModelArtifact Artifact;
-  std::string Error;
-  if (!fleet::readModelArtifactFromFile(A.Positional[0], Artifact, &Error)) {
-    std::fprintf(stderr, "error: %s: %s\n", A.Positional[0].c_str(),
-                 Error.c_str());
-    return 1;
-  }
-  std::printf("cswitch-model-v2 artifact %s\n", A.Positional[0].c_str());
-  std::printf("  host fingerprint : %s\n", Artifact.HostFingerprint.c_str());
-  std::printf("  fit timestamp    : %llu\n",
-              static_cast<unsigned long long>(Artifact.FitTimestamp));
-  std::printf("  holdout residual : %.6f\n", Artifact.HoldoutResidual);
-  std::printf("  rows             : %zu\n", Artifact.Rows.size());
+              Result.HostFingerprint.c_str());
   return 0;
 }
 
@@ -289,8 +267,6 @@ int main(int Argc, char **Argv) {
     return cmdDistribute(A);
   if (Command == "recalibrate")
     return cmdRecalibrate(A);
-  if (Command == "artifact-info")
-    return cmdArtifactInfo(A);
   std::fprintf(stderr, "error: unknown command '%s'\n", Command.c_str());
   return usage();
 }

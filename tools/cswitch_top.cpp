@@ -81,7 +81,7 @@ struct MetricsSample {
   double EventsDropped = 0;
   // Provenance of the decision inputs (info-metric labels): which
   // model/tuning artifacts and store the decisions trace back to.
-  std::string ModelSource, ModelFingerprint, ModelFitTimestamp;
+  std::string ModelSource;
   std::string TuningSource, TuningFingerprint;
   std::string StorePath;
   std::map<std::string, SiteRow> Sites;
@@ -175,8 +175,6 @@ MetricsSample parseMetrics(const std::string &Text) {
       Sample.EventsDropped = Value;
     else if (Name == "cswitch_model_info") {
       labelValue(Labels, "source", Sample.ModelSource);
-      labelValue(Labels, "fingerprint", Sample.ModelFingerprint);
-      labelValue(Labels, "fit_timestamp", Sample.ModelFitTimestamp);
     } else if (Name == "cswitch_tuning_info") {
       labelValue(Labels, "source", Sample.TuningSource);
       labelValue(Labels, "fingerprint", Sample.TuningFingerprint);
@@ -206,14 +204,8 @@ void renderSample(const MetricsSample &Sample, const std::string &Url) {
   if (!Sample.ModelSource.empty() || !Sample.TuningSource.empty() ||
       !Sample.StorePath.empty()) {
     std::printf("provenance:");
-    if (!Sample.ModelSource.empty()) {
+    if (!Sample.ModelSource.empty())
       std::printf("   model %s", Sample.ModelSource.c_str());
-      if (!Sample.ModelFingerprint.empty())
-        std::printf(" [%s]", Sample.ModelFingerprint.c_str());
-      if (!Sample.ModelFitTimestamp.empty() &&
-          Sample.ModelFitTimestamp != "0")
-        std::printf(" fit@%s", Sample.ModelFitTimestamp.c_str());
-    }
     if (!Sample.TuningSource.empty()) {
       std::printf("   tuning %s", Sample.TuningSource.c_str());
       if (!Sample.TuningFingerprint.empty())
