@@ -58,37 +58,32 @@ inline bool modelCoversAllVariants(const PerformanceModel &Model) {
 /// env-var path when set, else `cswitch_model.txt`).
 inline std::shared_ptr<const PerformanceModel> loadModel() {
   const char *EnvPath = std::getenv("CSWITCH_MODEL");
-  // An explicit `CSWITCH_MODEL` that does not load is a configuration
-  // error, not a fallback case: silently continuing to
-  // `data/cswitch_model.txt` would benchmark a different model than the
-  // one the user pinned. Fail loudly with the resolved path.
-  if (EnvPath && EnvPath[0]) {
-    auto Pinned = std::make_shared<PerformanceModel>();
+  const char *Candidates[] = {EnvPath ? EnvPath : "", "cswitch_model.txt",
+                              "data/cswitch_model.txt"};
+  for (const char *Path : Candidates) {
+    if (!Path[0])
+      continue;
+    // loadModelFile backfills the concurrent tier, so model files
+    // predating it (or written by a sequential-only calibration) keep
+    // working instead of forcing a recalibration.
+    auto Model = std::make_shared<PerformanceModel>();
     std::string LoadError;
-    if (!Pinned->loadFromFile(EnvPath, &LoadError)) {
+    if (!loadModelFile(Path, *Model, &LoadError)) {
+      // An explicit `CSWITCH_MODEL` that does not load is a
+      // configuration error, not a fallback case: silently continuing
+      // to `data/cswitch_model.txt` would benchmark a different model
+      // than the one the user pinned. Fail loudly with the resolved
+      // path.
+      if (Path != EnvPath)
+        continue;
       char Resolved[PATH_MAX];
-      const char *Shown =
-          ::realpath(EnvPath, Resolved) ? Resolved : EnvPath;
+      const char *Shown = ::realpath(EnvPath, Resolved) ? Resolved : EnvPath;
       std::fprintf(stderr,
                    "error: CSWITCH_MODEL points at '%s' (resolved: %s) "
                    "but it cannot be loaded: %s\n",
                    EnvPath, Shown, LoadError.c_str());
       std::exit(2);
     }
-  }
-  const char *Candidates[] = {EnvPath ? EnvPath : "", "cswitch_model.txt",
-                              "data/cswitch_model.txt"};
-  for (const char *Path : Candidates) {
-    if (!Path[0])
-      continue;
-    auto Model = std::make_shared<PerformanceModel>();
-    if (!Model->loadFromFile(Path))
-      continue;
-    // Model files predating the concurrent tier (or written by a
-    // sequential-only calibration) lack the mutex/sharded rows and the
-    // contention dimension; backfill them from the analytical defaults
-    // so stale caches keep working instead of forcing a recalibration.
-    augmentConcurrentCoverage(*Model);
     if (modelCoversAllVariants(*Model)) {
       std::printf("[using measured model %s]\n", Path);
       ModelStats Provenance;

@@ -36,9 +36,15 @@
 // allocation outweighs the bucket regrowth. HashArrayList populates in
 // 0.3-0.7x the chained bag's time growing and 0.25-0.55x reserved.
 //
+// bm_model_load reads data/cswitch_model.txt the way every process that
+// runs with the measured model does at startup: loadFromFile, then
+// augmentConcurrentCoverage. Each iteration opens, reads, parses and
+// validates the file again; nothing is kept between iterations.
+//
 //===----------------------------------------------------------------------===//
 
 #include "collections/Factory.h"
+#include "model/DefaultModel.h"
 #include "support/Random.h"
 
 #include <benchmark/benchmark.h>
@@ -159,6 +165,20 @@ void bmMapGet(benchmark::State &State) {
   State.SetLabel(mapVariantName(Variant));
 }
 
+void bmModelLoad(benchmark::State &State) {
+  const std::string Path = CSWITCH_DATA_DIR "/cswitch_model.txt";
+  std::string Error;
+  for (auto _ : State) {
+    PerformanceModel Model;
+    if (!Model.loadFromFile(Path, &Error)) {
+      State.SkipWithError(("cannot load " + Path + ": " + Error).c_str());
+      break;
+    }
+    augmentConcurrentCoverage(Model);
+    benchmark::DoNotOptimize(Model);
+  }
+}
+
 void registerAll() {
   for (ListVariant V : AllListVariants) {
     for (int64_t N : {16, 256}) {
@@ -185,6 +205,9 @@ void registerAll() {
           ->Args({static_cast<int64_t>(V), N})->MinTime(0.02);
     }
   }
+  benchmark::RegisterBenchmark("bm_model_load", bmModelLoad)
+      ->Unit(benchmark::kMicrosecond)
+      ->MinTime(0.2);
   // Growing vs reserved populate: what presizing a new instance at its
   // site's capacity hint saves (DESIGN.md §4.2).
   for (int64_t N : {16, 256, 1000}) {

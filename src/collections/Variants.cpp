@@ -92,7 +92,7 @@ const char *cswitch::mapVariantName(MapVariant V) {
   return "unknown";
 }
 
-bool cswitch::parseListVariant(const std::string &Name, ListVariant &Out) {
+bool cswitch::parseListVariant(std::string_view Name, ListVariant &Out) {
   for (ListVariant V : AllListVariants) {
     if (Name == listVariantName(V)) {
       Out = V;
@@ -102,7 +102,7 @@ bool cswitch::parseListVariant(const std::string &Name, ListVariant &Out) {
   return false;
 }
 
-bool cswitch::parseSetVariant(const std::string &Name, SetVariant &Out) {
+bool cswitch::parseSetVariant(std::string_view Name, SetVariant &Out) {
   for (SetVariant V : AllSetVariants) {
     if (Name == setVariantName(V)) {
       Out = V;
@@ -112,7 +112,7 @@ bool cswitch::parseSetVariant(const std::string &Name, SetVariant &Out) {
   return false;
 }
 
-bool cswitch::parseMapVariant(const std::string &Name, MapVariant &Out) {
+bool cswitch::parseMapVariant(std::string_view Name, MapVariant &Out) {
   for (MapVariant V : AllMapVariants) {
     if (Name == mapVariantName(V)) {
       Out = V;

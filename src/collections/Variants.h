@@ -19,6 +19,7 @@
 #include <array>
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 namespace cswitch {
 
@@ -98,9 +99,9 @@ const char *setVariantName(SetVariant V);
 const char *mapVariantName(MapVariant V);
 
 /// Parses a variant name; returns false if unknown.
-bool parseListVariant(const std::string &Name, ListVariant &Out);
-bool parseSetVariant(const std::string &Name, SetVariant &Out);
-bool parseMapVariant(const std::string &Name, MapVariant &Out);
+bool parseListVariant(std::string_view Name, ListVariant &Out);
+bool parseSetVariant(std::string_view Name, SetVariant &Out);
+bool parseMapVariant(std::string_view Name, MapVariant &Out);
 
 /// An abstraction-tagged variant id, usable as a key across abstractions
 /// (the performance model and the transition log are indexed by these).

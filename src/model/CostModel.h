@@ -27,6 +27,7 @@
 #include <array>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cswitch {
@@ -84,7 +85,7 @@ inline constexpr size_t MaxModelCoefficients = 16;
 const char *costDimensionName(CostDimension Dim);
 
 /// Parses a cost dimension name; returns false if unknown.
-bool parseCostDimension(const std::string &Name, CostDimension &Out);
+bool parseCostDimension(std::string_view Name, CostDimension &Out);
 
 /// Per-dimension cost components of one (variant, workload) pair — the
 /// unfolded breakdown the decision provenance ledger records alongside
@@ -166,16 +167,22 @@ public:
   /// Parses a model produced by save(), replacing this model's contents.
   /// All or nothing: \returns false and leaves the model unchanged on
   /// malformed input: unknown names, energy rows, rows with no or more
-  /// than MaxModelCoefficients coefficients, non-finite (NaN/Inf)
-  /// coefficients, duplicate (abstraction, variant, operation,
-  /// dimension) rows, or trailing garbage after the coefficients. When
-  /// \p Error is non-null it receives a line-numbered diagnostic on
-  /// failure.
+  /// than MaxModelCoefficients coefficients, duplicate (abstraction,
+  /// variant, operation, dimension) rows, or a coefficient that does not
+  /// parse, or overflows a double, before the end of its row (there is
+  /// no NaN or Inf spelling). When \p Error is non-null it receives a
+  /// line-numbered diagnostic on failure. The accepted language is
+  /// spelled out in DESIGN.md §12.1.
   bool load(std::istream &IS, std::string *Error = nullptr);
 
-  /// Convenience wrappers over save()/load() for files. saveToFile
+  /// load() over a document already in memory: one pass over its lines,
+  /// no copy of any row.
+  bool loadText(std::string_view Document, std::string *Error = nullptr);
+
+  /// Convenience wrappers over save()/loadText() for files. saveToFile
   /// installs through codec::installFile, so a reader never sees a
-  /// partly written model. Both return false on I/O or parse failure.
+  /// partly written model; loadFromFile reads the file in one sized
+  /// read. Both return false on I/O or parse failure.
   bool saveToFile(const std::string &Path,
                   const std::vector<std::string> &Comments = {},
                   std::string *Error = nullptr) const;

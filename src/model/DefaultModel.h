@@ -21,6 +21,8 @@
 
 #include "model/CostModel.h"
 
+#include <string>
+
 namespace cswitch {
 
 /// Returns the built-in analytic performance model.
@@ -32,6 +34,15 @@ PerformanceModel defaultPerformanceModel();
 /// before the concurrent tier existed — or rebuilt by the single-thread
 /// ModelBuilder — drive concurrent selection.
 void augmentConcurrentCoverage(PerformanceModel &Model);
+
+/// The one way a tool reads a model file: loads the document at \p Path
+/// into \p Model (PerformanceModel::loadFromFile) and backfills its
+/// concurrent tier (augmentConcurrentCoverage), so a sequential-only
+/// measured model still drives concurrent selection. An empty \p Path
+/// selects defaultPerformanceModel(). On failure \returns false, leaves
+/// \p Model unchanged and, when \p Error is non-null, says why.
+bool loadModelFile(const std::string &Path, PerformanceModel &Model,
+                   std::string *Error = nullptr);
 
 } // namespace cswitch
 

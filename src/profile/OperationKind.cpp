@@ -6,8 +6,6 @@
 
 #include "profile/OperationKind.h"
 
-#include <cstring>
-
 using namespace cswitch;
 
 const char *cswitch::operationKindName(OperationKind Kind) {
@@ -28,9 +26,9 @@ const char *cswitch::operationKindName(OperationKind Kind) {
   return "unknown";
 }
 
-bool cswitch::parseOperationKind(const char *Name, OperationKind &Out) {
+bool cswitch::parseOperationKind(std::string_view Name, OperationKind &Out) {
   for (OperationKind Kind : AllOperationKinds) {
-    if (std::strcmp(Name, operationKindName(Kind)) == 0) {
+    if (Name == operationKindName(Kind)) {
       Out = Kind;
       return true;
     }

@@ -20,6 +20,7 @@
 
 #include <array>
 #include <cstddef>
+#include <string_view>
 
 namespace cswitch {
 
@@ -46,7 +47,7 @@ constexpr std::array<OperationKind, NumOperationKinds> AllOperationKinds = {
 const char *operationKindName(OperationKind Kind);
 
 /// Parses an operation kind name; returns false if \p Name is unknown.
-bool parseOperationKind(const char *Name, OperationKind &Out);
+bool parseOperationKind(std::string_view Name, OperationKind &Out);
 
 } // namespace cswitch
 

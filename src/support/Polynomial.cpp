@@ -6,6 +6,7 @@
 
 #include "support/Polynomial.h"
 
+#include <algorithm>
 #include <sstream>
 
 using namespace cswitch;
@@ -26,6 +27,20 @@ Polynomial Polynomial::scaled(double Factor) const {
   for (double &C : Coeffs)
     C *= Factor;
   return Polynomial(std::move(Coeffs));
+}
+
+void Polynomial::assignLinear(const Polynomial &A, double FactorA,
+                              const Polynomial &B, double FactorB) {
+  assert(&A != this && &B != this && "operands alias the result");
+  const auto &CA = A.Coefficients;
+  const auto &CB = B.Coefficients;
+  // Same operation order as scaled() + operator+: 0.0, plus the scaled
+  // A term, plus the scaled B term (so a -0.0 term sums to +0.0).
+  Coefficients.assign(std::max(CA.size(), CB.size()), 0.0);
+  for (size_t I = 0, E = CA.size(); I != E; ++I)
+    Coefficients[I] += CA[I] * FactorA;
+  for (size_t I = 0, E = CB.size(); I != E; ++I)
+    Coefficients[I] += CB[I] * FactorB;
 }
 
 std::string Polynomial::toString() const {

@@ -68,6 +68,12 @@ public:
   /// Scalar multiple.
   Polynomial scaled(double Factor) const;
 
+  /// Sets this polynomial to FactorA·A + FactorB·B in its own storage,
+  /// bit-identical to `A.scaled(FactorA) + B.scaled(FactorB)` but with
+  /// no temporaries. Neither \p A nor \p B may be this polynomial.
+  void assignLinear(const Polynomial &A, double FactorA, const Polynomial &B,
+                    double FactorB);
+
   /// Human-readable rendering, e.g. "3.5 + 0.25*x + 1e-3*x^2".
   std::string toString() const;
 

@@ -20,8 +20,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 
 using namespace cswitch;
@@ -165,6 +167,94 @@ TEST(Recalibrator, CandidateEnergyFollowsRescaledTime) {
               Model->cost(Fitted, Op, CostDimension::Energy))
         << operationKindName(Op);
   }
+}
+
+TEST(Recalibrator, RtimeAndRenergyRankingsMoveWithTheDerivedEnergy) {
+  // Each sequential list variant gets its own correction per dimension:
+  // huge measurements clamp alpha at 64, tiny ones at 1/64.
+  struct Alphas {
+    double Time, Alloc;
+  };
+  const Alphas Fit[] = {{64, 1.0 / 64},       // ArrayList
+                        {1.0 / 64, 64},       // LinkedList
+                        {64, 64},             // HashArrayList
+                        {1.0 / 64, 1.0 / 64}}; // AdaptiveList
+  ASSERT_EQ(std::size(Fit), firstConcurrentVariant(AbstractionKind::List));
+  RecalibrationOptions Options;
+  Options.Measure = [&](AbstractionKind, unsigned V, const OpTrace &) {
+    return CellMeasurement{Fit[V].Time > 1 ? 1'000'000'000'000ull : 1,
+                           Fit[V].Alloc > 1 ? 1'000'000'000ull : 1};
+  };
+  auto Incumbent = incumbent();
+  const PerformanceModel Candidate =
+      Recalibrator(sampleTrace(), Incumbent, Options).run(1).Candidate;
+
+  // A fixed profile set: the op mixes and sizes Table 1's rules see.
+  auto Profile = [](std::initializer_list<std::pair<OperationKind, uint64_t>>
+                        Ops,
+                    uint64_t Size) {
+    WorkloadProfile W;
+    for (auto [Op, N] : Ops)
+      W.record(Op, N);
+    W.recordSize(Size);
+    return W;
+  };
+  using OK = OperationKind;
+  const WorkloadProfile Profiles[] = {
+      Profile({{OK::Populate, 1000}}, 10),
+      Profile({{OK::Populate, 100}, {OK::Contains, 1000}}, 500),
+      Profile({{OK::Populate, 200}, {OK::Iterate, 50}}, 200),
+      Profile({{OK::Populate, 50}, {OK::IndexAccess, 400}, {OK::Middle, 40}},
+              1000),
+      Profile({{OK::Populate, 300}, {OK::Remove, 300}}, 64)};
+
+  const unsigned Sequential = firstConcurrentVariant(AbstractionKind::List);
+  auto Ranking = [&](const PerformanceModel &Model, const WorkloadProfile &W,
+                     CostDimension Dim) {
+    std::vector<unsigned> Order(Sequential);
+    for (unsigned V = 0; V != Sequential; ++V)
+      Order[V] = V;
+    std::stable_sort(Order.begin(), Order.end(), [&](unsigned L, unsigned R) {
+      return Model.totalCost({AbstractionKind::List, L}, W, Dim) <
+             Model.totalCost({AbstractionKind::List, R}, W, Dim);
+    });
+    return Order;
+  };
+
+  size_t RtimeMoves = 0, RenergyMoves = 0;
+  for (const WorkloadProfile &W : Profiles) {
+    std::vector<double> Derived(Sequential);
+    for (unsigned V = 0; V != Sequential; ++V) {
+      VariantId Id{AbstractionKind::List, V};
+      double Time = Incumbent->totalCost(Id, W, CostDimension::Time);
+      double Alloc = Incumbent->totalCost(Id, W, CostDimension::Alloc);
+      // The rescaled cost of every dimension, and the energy derived
+      // from the rescaled time and alloc (the default rows are
+      // non-negative, so no clamp separates the totals).
+      double NewTime = Fit[V].Time * Time, NewAlloc = Fit[V].Alloc * Alloc;
+      Derived[V] = NanojoulesPerNanosecond * NewTime +
+                   NanojoulesPerByte * NewAlloc;
+      EXPECT_NEAR(Candidate.totalCost(Id, W, CostDimension::Time), NewTime,
+                  1e-9 * NewTime);
+      EXPECT_NEAR(Candidate.totalCost(Id, W, CostDimension::Alloc), NewAlloc,
+                  1e-9 * NewAlloc + 1e-12);
+      EXPECT_NEAR(Candidate.totalCost(Id, W, CostDimension::Energy),
+                  Derived[V], 1e-9 * Derived[V])
+          << Id.name();
+    }
+    // Renergy ranks by exactly the derived energy.
+    std::vector<unsigned> Renergy =
+        Ranking(Candidate, W, CostDimension::Energy);
+    for (size_t I = 1; I != Renergy.size(); ++I)
+      EXPECT_LE(Derived[Renergy[I - 1]], Derived[Renergy[I]]);
+    RtimeMoves += Ranking(Candidate, W, CostDimension::Time) !=
+                  Ranking(*Incumbent, W, CostDimension::Time);
+    RenergyMoves += Renergy != Ranking(*Incumbent, W, CostDimension::Energy);
+  }
+  // The corrections reorder both rankings somewhere: an energy row
+  // carried over from the incumbent would have kept Renergy's order.
+  EXPECT_GT(RtimeMoves, 0u);
+  EXPECT_GT(RenergyMoves, 0u);
 }
 
 TEST(Recalibrator, RejectsWhenCandidateRegressesOnHoldout) {

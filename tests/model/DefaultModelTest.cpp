@@ -15,6 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+
 using namespace cswitch;
 
 namespace {
@@ -141,6 +144,89 @@ TEST_F(DefaultModelTest, LookupsAllocateNothing) {
   for (SetVariant V : AllSetVariants)
     EXPECT_DOUBLE_EQ(
         alloc(VariantId::of(V), OperationKind::Contains, 100), 0.0);
+}
+
+/// Every (variant, operation, stored dimension) cell of \p Kind.
+template <typename Fn> void forEachCell(AbstractionKind Kind, Fn &&Visit) {
+  for (unsigned V = 0; V != numVariantsOf(Kind); ++V)
+    for (OperationKind Op : AllOperationKinds)
+      for (CostDimension Dim : AllCostDimensions)
+        Visit(VariantId{Kind, V}, Op, Dim);
+}
+
+constexpr AbstractionKind AllKinds[] = {
+    AbstractionKind::List, AbstractionKind::Set, AbstractionKind::Map};
+
+TEST(AugmentConcurrentCoverage, CopiesTheDefaultConcurrentTier) {
+  // Backfilling an empty model yields exactly the default model's
+  // concurrent rows (every dimension, derived energy included) and
+  // nothing else.
+  PerformanceModel Model;
+  augmentConcurrentCoverage(Model);
+  PerformanceModel Defaults = defaultPerformanceModel();
+  for (AbstractionKind Kind : AllKinds)
+    forEachCell(Kind, [&](VariantId Id, OperationKind Op, CostDimension Dim) {
+      if (isConcurrentVariant(Kind, Id.Index))
+        EXPECT_EQ(Model.cost(Id, Op, Dim), Defaults.cost(Id, Op, Dim))
+            << Id.name() << " " << operationKindName(Op) << " "
+            << costDimensionName(Dim);
+      else
+        EXPECT_TRUE(Model.cost(Id, Op, Dim).coefficients().empty());
+    });
+}
+
+TEST(LoadModelFile, SequentialOnlyModelCoversEveryConcurrentVariant) {
+  // The checked-in measured model covers the sequential tier only.
+  const std::string Path = CSWITCH_DATA_DIR "/cswitch_model.txt";
+  PerformanceModel Raw;
+  ASSERT_TRUE(Raw.loadFromFile(Path));
+  for (AbstractionKind Kind : AllKinds)
+    for (unsigned V = firstConcurrentVariant(Kind); V != numVariantsOf(Kind);
+         ++V)
+      ASSERT_FALSE(Raw.hasVariant({Kind, V}));
+
+  PerformanceModel Model;
+  std::string Error;
+  ASSERT_TRUE(loadModelFile(Path, Model, &Error)) << Error;
+  PerformanceModel Defaults = defaultPerformanceModel();
+  for (AbstractionKind Kind : AllKinds) {
+    for (unsigned V = 0; V != numVariantsOf(Kind); ++V)
+      EXPECT_TRUE(Model.hasVariant({Kind, V})) << VariantId{Kind, V}.name();
+    // Measured rows stay as loaded; concurrent rows are the defaults'.
+    forEachCell(Kind, [&](VariantId Id, OperationKind Op, CostDimension Dim) {
+      const PerformanceModel &From =
+          isConcurrentVariant(Kind, Id.Index) ? Defaults : Raw;
+      EXPECT_EQ(Model.cost(Id, Op, Dim), From.cost(Id, Op, Dim))
+          << Id.name() << " " << operationKindName(Op) << " "
+          << costDimensionName(Dim);
+    });
+  }
+}
+
+TEST(LoadModelFile, EmptyPathSelectsTheDefaultModel) {
+  PerformanceModel Model;
+  ASSERT_TRUE(loadModelFile("", Model));
+  EXPECT_TRUE(Model == defaultPerformanceModel());
+}
+
+TEST(LoadModelFile, RefusedFileLeavesTheModelUnchanged) {
+  const std::string Path = ::testing::TempDir() + "/cswitch_bad_model.txt";
+  {
+    std::ofstream OS(Path);
+    OS << "cswitch-performance-model v1\nlist ArrayList populate time x\n";
+  }
+  PerformanceModel Model;
+  Model.setCost(VariantId::of(ListVariant::ArrayList), OperationKind::Populate,
+                CostDimension::Time, Polynomial({1.0}));
+  const PerformanceModel Before = Model;
+  std::string Error;
+  EXPECT_FALSE(loadModelFile(Path, Model, &Error));
+  EXPECT_EQ(Error.rfind("line 2:", 0), 0u) << Error;
+  EXPECT_TRUE(Model == Before);
+  EXPECT_FALSE(loadModelFile(Path + ".absent", Model, &Error));
+  EXPECT_NE(Error.find("cannot open"), std::string::npos) << Error;
+  EXPECT_TRUE(Model == Before);
+  std::remove(Path.c_str());
 }
 
 } // namespace

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 using namespace cswitch;
 
 namespace {
@@ -71,6 +73,26 @@ TEST(Polynomial, ScaledMultipliesAllCoefficients) {
   EXPECT_DOUBLE_EQ(S.coefficients()[0], 0.5);
   EXPECT_DOUBLE_EQ(S.coefficients()[1], -1.0);
   EXPECT_DOUBLE_EQ(S.coefficients()[2], 2.0);
+}
+
+TEST(Polynomial, AssignLinearMatchesScaledSumBitForBit) {
+  // Unequal lengths, signed zeros and an inexact product: every bit of
+  // A.scaled(a) + B.scaled(b), including 0.0 + -0.0 = +0.0.
+  const Polynomial Cases[] = {Polynomial(), Polynomial({-0.0}),
+                              Polynomial({0.1, -0.0, 3e-8}),
+                              Polynomial({-0.0, 7.25})};
+  for (const Polynomial &A : Cases)
+    for (const Polynomial &B : Cases) {
+      Polynomial Expected = A.scaled(3.5) + B.scaled(0.02);
+      Polynomial Got({9.0, 9.0, 9.0, 9.0, 9.0});
+      Got.assignLinear(A, 3.5, B, 0.02);
+      ASSERT_EQ(Got.coefficients().size(), Expected.coefficients().size());
+      for (size_t I = 0; I != Got.coefficients().size(); ++I)
+        EXPECT_EQ(std::memcmp(&Got.coefficients()[I],
+                              &Expected.coefficients()[I], sizeof(double)),
+                  0)
+            << A.toString() << " | " << B.toString() << " @" << I;
+    }
 }
 
 TEST(Polynomial, ToStringRendersTerms) {

@@ -104,15 +104,11 @@ int main(int Argc, char **Argv) {
       ModelPath = EnvPath;
   }
   PerformanceModel Model;
-  if (!ModelPath.empty()) {
-    std::string ModelError;
-    if (!Model.loadFromFile(ModelPath, &ModelError)) {
-      std::fprintf(stderr, "error: cannot load model %s (%s)\n",
-                   ModelPath.c_str(), ModelError.c_str());
-      return 1;
-    }
-  } else {
-    Model = defaultPerformanceModel();
+  std::string ModelError;
+  if (!loadModelFile(ModelPath, Model, &ModelError)) {
+    std::fprintf(stderr, "error: cannot load model %s (%s)\n",
+                 ModelPath.c_str(), ModelError.c_str());
+    return 1;
   }
 
   // `-` reads the trace from stdin so recorders can pipe straight in.

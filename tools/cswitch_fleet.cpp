@@ -216,18 +216,12 @@ int cmdRecalibrate(const Args &A) {
   if (A.Positional.size() != 1 || A.Out.empty())
     return usage();
   auto Incumbent = std::make_shared<PerformanceModel>();
-  if (!A.Model.empty()) {
-    std::string Error;
-    if (!Incumbent->loadFromFile(A.Model, &Error)) {
-      std::fprintf(stderr, "error: cannot load model %s: %s\n",
-                   A.Model.c_str(), Error.c_str());
-      return 1;
-    }
-    augmentConcurrentCoverage(*Incumbent);
-  } else {
-    *Incumbent = defaultPerformanceModel();
-  }
   std::string Error;
+  if (!loadModelFile(A.Model, *Incumbent, &Error)) {
+    std::fprintf(stderr, "error: cannot load model %s: %s\n",
+                 A.Model.c_str(), Error.c_str());
+    return 1;
+  }
   fleet::RecalibrationResult Result = fleet::recalibrateFromTraceFile(
       A.Positional[0], Incumbent, A.Out,
       fleet::RecalibrationOptions{}

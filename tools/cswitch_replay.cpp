@@ -234,14 +234,11 @@ int runReplay(const std::vector<std::string> &Args) {
 
   if (Options.Mode == ReplayMode::Engine) {
     auto Model = std::make_shared<PerformanceModel>();
-    if (!ModelPath.empty()) {
-      if (!Model->loadFromFile(ModelPath)) {
-        std::fprintf(stderr, "error: cannot load model %s\n",
-                     ModelPath.c_str());
-        return 1;
-      }
-    } else {
-      *Model = defaultPerformanceModel();
+    std::string ModelError;
+    if (!loadModelFile(ModelPath, *Model, &ModelError)) {
+      std::fprintf(stderr, "error: cannot load model %s: %s\n",
+                   ModelPath.c_str(), ModelError.c_str());
+      return 1;
     }
     Options.Model = std::move(Model);
   }
@@ -308,14 +305,11 @@ int runSimulate(const std::vector<std::string> &Args) {
     return usage();
 
   auto Model = std::make_shared<PerformanceModel>();
-  if (!ModelPath.empty()) {
-    if (!Model->loadFromFile(ModelPath)) {
-      std::fprintf(stderr, "error: cannot load model %s\n",
-                   ModelPath.c_str());
-      return 1;
-    }
-  } else {
-    *Model = defaultPerformanceModel();
+  std::string ModelError;
+  if (!loadModelFile(ModelPath, *Model, &ModelError)) {
+    std::fprintf(stderr, "error: cannot load model %s: %s\n",
+                 ModelPath.c_str(), ModelError.c_str());
+    return 1;
   }
 
   PolicySimulator Simulator(std::move(Model));

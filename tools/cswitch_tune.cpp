@@ -171,14 +171,11 @@ int runTune(const std::vector<std::string> &Args) {
     return usage();
 
   auto Model = std::make_shared<PerformanceModel>();
-  if (!ModelPath.empty()) {
-    if (!Model->loadFromFile(ModelPath)) {
-      std::fprintf(stderr, "error: cannot load model %s\n",
-                   ModelPath.c_str());
-      return 1;
-    }
-  } else {
-    *Model = defaultPerformanceModel();
+  std::string ModelError;
+  if (!loadModelFile(ModelPath, *Model, &ModelError)) {
+    std::fprintf(stderr, "error: cannot load model %s: %s\n",
+                 ModelPath.c_str(), ModelError.c_str());
+    return 1;
   }
 
   Tuner Search(std::move(Model), Options);
