@@ -17,12 +17,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <limits>
 #include <thread>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/stat.h>
+#include <unistd.h>
+#endif
 
 using namespace cswitch;
 
@@ -208,6 +214,62 @@ TEST(Codec, InstallFileReplacesAndLeavesNoTemporaries) {
   EXPECT_EQ(Error, "cannot open test file");
   fs::remove_all(Dir);
 }
+
+// readFile returns every byte of a regular file, whatever its bytes
+// (NUL, CR, 0xff) and whatever its length, the empty file included.
+TEST(Codec, ReadFileReturnsTheWholeFile) {
+  namespace fs = std::filesystem;
+  fs::path Dir = fs::path(::testing::TempDir()) / "cswitch_codec_read";
+  fs::remove_all(Dir);
+  fs::create_directories(Dir);
+  std::string Path = (Dir / "doc.bin").string();
+  for (size_t Size : {size_t(0), size_t(1), size_t(8191), size_t(8192),
+                      size_t(1) << 20}) {
+    std::string Bytes(Size, '\0');
+    for (size_t I = 0; I != Size; ++I)
+      Bytes[I] = static_cast<char>((I * 131 + I / 7) & 0xff);
+    std::string Error;
+    ASSERT_TRUE(codec::installFile(Path, Bytes, "test", &Error)) << Error;
+    std::string Read = "stale";
+    ASSERT_TRUE(codec::readFile(Path, Read, "test", &Error)) << Error;
+    EXPECT_EQ(Read, Bytes) << Size << " bytes";
+  }
+  fs::remove_all(Dir);
+}
+
+#if defined(__unix__) || defined(__APPLE__)
+// A pipe reports no length and its reads come back short, one writer's
+// chunk at a time; readFile still reads it to its end.
+TEST(Codec, ReadFileReadsAPipeToItsEnd) {
+  namespace fs = std::filesystem;
+  fs::path Dir = fs::path(::testing::TempDir()) / "cswitch_codec_fifo";
+  fs::remove_all(Dir);
+  fs::create_directories(Dir);
+  std::string Path = (Dir / "pipe").string();
+  ASSERT_EQ(::mkfifo(Path.c_str(), 0600), 0);
+
+  std::string Bytes;
+  for (size_t I = 0; I != 300000; ++I)
+    Bytes += static_cast<char>((I * 31) & 0xff);
+  std::thread Writer([&] {
+    FILE *F = std::fopen(Path.c_str(), "wb");
+    if (!F)
+      return;
+    for (size_t At = 0, Chunk = 1; At < Bytes.size(); At += Chunk, Chunk *= 3) {
+      std::fwrite(Bytes.data() + At, 1, std::min(Chunk, Bytes.size() - At),
+                  F);
+      std::fflush(F);
+    }
+    std::fclose(F);
+  });
+  std::string Read, Error;
+  bool Ok = codec::readFile(Path, Read, "test", &Error);
+  Writer.join();
+  ASSERT_TRUE(Ok) << Error;
+  EXPECT_EQ(Read, Bytes);
+  fs::remove_all(Dir);
+}
+#endif
 
 // Two writers installing different documents on one path must both
 // succeed, and a reader must always find one complete document: each
