@@ -21,6 +21,8 @@ static_assert(NumCostDimensions == obs::ExplainNumDimensions,
               "the provenance ledger's dimension layout mirrors "
               "CostDimension; update obs::ExplainNumDimensions and "
               "explainDimensionName together with the enum");
+static_assert(MaxReportedCriteria >= obs::ExplainMaxCriteria,
+              "the ledger copies its criterion ratios from the decision");
 
 namespace {
 
@@ -80,21 +82,14 @@ AllocationContextBase::AllocationContextBase(
                               std::memory_order_relaxed);
   for (const Criterion &C : this->Rule.Criteria)
     UsedDimensions[static_cast<size_t>(C.Dimension)] = true;
-  // The model is immutable for the lifetime of the context: precompute
-  // coverage and the adaptive-variant index so analysis rounds never
-  // re-scan polynomials (hasVariant is itself O(1), but the per-round
-  // loop disappears entirely).
-  size_t NumVariants = numVariantsOf(Kind);
-  for (unsigned V = 0; V != NumVariants; ++V) {
-    if (this->Model->hasVariant({Kind, V}))
-      CoverageMask |= 1u << V;
-    if (isAdaptiveVariant(Kind, V))
-      AdaptiveIndex = static_cast<int>(V);
-  }
+  // The model is immutable for the lifetime of the context: its
+  // coverage is read once here.
+  CoverageMask = this->Model->coverageMask(Kind);
   if (this->Options.LogEvents) {
     // Intern once here so every later record() on the evaluation path
     // is allocation-free: events carry these ids, never strings.
     EventLog &Log = EventLog::global();
+    size_t NumVariants = numVariantsOf(Kind);
     LogNameId = Log.intern(this->Name);
     VariantNameIds.reserve(NumVariants);
     for (unsigned V = 0; V != NumVariants; ++V)
@@ -259,35 +254,6 @@ void AllocationContextBase::onInstanceFinished(
     Prof->Record.record(obs::nowNanos() - Start, obs::RecordSampleEvery);
 }
 
-bool AllocationContextBase::isAdaptiveVariant(AbstractionKind Kind,
-                                              unsigned Index) {
-  switch (Kind) {
-  case AbstractionKind::List:
-    return static_cast<ListVariant>(Index) == ListVariant::AdaptiveList;
-  case AbstractionKind::Set:
-    return static_cast<SetVariant>(Index) == SetVariant::AdaptiveSet;
-  case AbstractionKind::Map:
-    return static_cast<MapVariant>(Index) == MapVariant::AdaptiveMap;
-  }
-  return false;
-}
-
-size_t
-AllocationContextBase::adaptiveThresholdFor(AbstractionKind Kind) const {
-  AdaptiveThresholds T = Options.AdaptiveOverride
-                             ? *Options.AdaptiveOverride
-                             : AdaptiveConfig::global().thresholds();
-  switch (Kind) {
-  case AbstractionKind::List:
-    return T.List;
-  case AbstractionKind::Set:
-    return T.Set;
-  case AbstractionKind::Map:
-    return T.Map;
-  }
-  return 0;
-}
-
 std::optional<unsigned> AllocationContextBase::analyzeRound(uint32_t Round,
                                                             size_t Assigned) {
   // Drain the retired buffer: consume published profiles, lock stale
@@ -339,7 +305,7 @@ std::optional<unsigned> AllocationContextBase::analyzeRound(uint32_t Round,
       Groups.emplace_back();
       Groups.back().MaxSize = Entry.MaxSize;
     }
-    MergedGroup &Group = Groups[It->second];
+    SizeGroup &Group = Groups[It->second];
     ++Group.Instances;
     for (size_t Op = 0; Op != NumOperationKinds; ++Op)
       Group.Counts[Op] += Entry.Counts[Op];
@@ -347,7 +313,7 @@ std::optional<unsigned> AllocationContextBase::analyzeRound(uint32_t Round,
   GroupIndex.clear();
   // Fold this round into the lifetime aggregate the selection store
   // persists (EvalMutex is held by evaluate()).
-  for (const MergedGroup &G : Groups) {
+  for (const SizeGroup &G : Groups) {
     for (size_t Op = 0; Op != NumOperationKinds; ++Op)
       Lifetime.Counts[Op] += G.Counts[Op];
     Lifetime.recordSize(G.MaxSize);
@@ -359,17 +325,15 @@ std::optional<unsigned> AllocationContextBase::analyzeRound(uint32_t Round,
   // Deterministic accumulation order regardless of instance finish
   // order (floating-point sums are order-sensitive).
   std::sort(Groups.begin(), Groups.end(),
-            [](const MergedGroup &A, const MergedGroup &B) {
+            [](const SizeGroup &A, const SizeGroup &B) {
               return A.MaxSize < B.MaxSize;
             });
-  uint64_t MinMaxSize = Groups.front().MaxSize;
-  uint64_t MaxMaxSize = Groups.back().MaxSize;
 
   // Capacity hint: the lower median of the consumed instances' maximum
   // sizes (DESIGN.md §4.2). Instances at or above it grow from there
   // as they would have anyway; only smaller ones are oversized.
   size_t MedianRank = (Consumed + 1) / 2;
-  for (const MergedGroup &G : Groups) {
+  for (const SizeGroup &G : Groups) {
     if (G.Instances >= MedianRank) {
       CapacityHint.store(G.MaxSize, std::memory_order_relaxed);
       break;
@@ -377,79 +341,42 @@ std::optional<unsigned> AllocationContextBase::analyzeRound(uint32_t Round,
     MedianRank -= G.Instances;
   }
 
-  // Memoized total costs: every cost_op,V(s) polynomial is evaluated
-  // once per (variant, op, dimension, distinct size) — not once per
-  // instance. Variants without model coverage are skipped outright:
-  // their total cost would read as zero and they must not compete.
-  size_t NumVariants = numVariantsOf(Kind);
-  // Contention penalty (DESIGN.md §11): the per-operation extra
-  // nanoseconds of each variant's contention polynomial evaluated at
-  // the estimated thread count, folded into the time dimension. ~0 at
-  // one thread (or before the sketch has a confident estimate).
-  double Threads = ContendedThreads.load(std::memory_order_relaxed);
-  bool Contended = Sketch != nullptr && Threads > 1.0;
-  std::vector<VariantCosts> Costs(NumVariants);
-  for (unsigned V = 0; V != NumVariants; ++V) {
-    if (!(CoverageMask & CandidateMask & (1u << V))) {
-      Costs[V].Eligible = false;
-      continue;
-    }
-    VariantId Id{Kind, V};
-    for (CostDimension Dim : AllCostDimensions) {
-      if (!UsedDimensions[static_cast<size_t>(Dim)])
-        continue;
-      double Total = 0.0;
-      for (const MergedGroup &G : Groups) {
-        double Size = static_cast<double>(G.MaxSize);
-        for (OperationKind Op : AllOperationKinds) {
-          uint64_t N = G.Counts[static_cast<size_t>(Op)];
-          if (N == 0)
-            continue;
-          double PerOp = Model->operationCost(Id, Op, Dim, Size);
-          if (Contended && Dim == CostDimension::Time)
-            PerOp += Model->operationCost(
-                Id, Op, CostDimension::Contention, Threads);
-          Total += static_cast<double>(N) * PerOp;
-        }
-      }
-      Costs[V].Total[static_cast<size_t>(Dim)] = Total;
-    }
-  }
-
-  // Adaptive-variant gate (§3.2): only a candidate when the observed
-  // maximum sizes ranged widely — straddling the adaptive threshold, or
-  // spread by at least the configured factor.
-  if (AdaptiveIndex >= 0 && Costs[AdaptiveIndex].Eligible) {
-    size_t Threshold = adaptiveThresholdFor(Kind);
-    bool Straddles = MinMaxSize <= Threshold && MaxMaxSize > Threshold;
-    bool WideSpread =
-        static_cast<double>(MaxMaxSize) >=
-        Options.WideRangeFactor *
-            std::max<double>(1.0, static_cast<double>(MinMaxSize));
-    Costs[AdaptiveIndex].Eligible = Straddles || WideSpread;
-  }
-
-  std::optional<unsigned> Choice = selectVariant(
-      Costs, Current.load(std::memory_order_relaxed), Rule);
+  // The rule's dimensions, or all of them when the ledger records the
+  // full breakdown: each dimension has its own accumulator, so the
+  // rule's totals and the choice are the same either way.
+  DecisionInputs In;
+  In.Kind = Kind;
+  In.Current = Current.load(std::memory_order_relaxed);
+  In.CandidateMask = CoverageMask & CandidateMask;
+  In.AdaptiveThreshold = adaptiveThresholdIn(
+      Options.AdaptiveOverride ? *Options.AdaptiveOverride
+                               : AdaptiveConfig::global().thresholds(),
+      Kind);
+  In.WideRangeFactor = Options.WideRangeFactor;
+  // Only a concurrent context's sketch ever moves the estimate off 0.
+  In.Threads = ContendedThreads.load(std::memory_order_relaxed);
   if (Ledger)
-    capturePendingDecision(Round, Costs, Choice, Threads, Contended,
-                           MinMaxSize, MaxMaxSize);
-  return Choice;
+    In.Dims.fill(true);
+  else
+    In.Dims = UsedDimensions;
+  SiteDecision Decision;
+  decideSite(Groups, *Model, Rule, In, Decision);
+  if (Ledger)
+    capturePendingDecision(Round, In, Decision);
+  return Decision.Choice;
 }
 
 void AllocationContextBase::capturePendingDecision(
-    uint32_t Round, const std::vector<VariantCosts> &Costs,
-    const std::optional<unsigned> &Choice, double Threads, bool Contended,
-    uint64_t MinMaxSize, uint64_t MaxMaxSize) {
+    uint32_t Round, const DecisionInputs &In, const SiteDecision &Decision) {
   obs::DecisionRecord &R = *PendingDecision;
   R = obs::DecisionRecord();
   R.TimestampNanos = obs::nowNanos();
   R.Round = Round;
-  unsigned Cur = Current.load(std::memory_order_relaxed);
-  R.CurrentVariant = static_cast<int16_t>(Cur);
-  R.ChosenVariant = Choice ? static_cast<int16_t>(*Choice) : int16_t(-1);
+  R.CurrentVariant = static_cast<int16_t>(In.Current);
+  R.ChosenVariant =
+      Decision.Choice ? static_cast<int16_t>(*Decision.Choice) : int16_t(-1);
   size_t NumCandidates =
-      std::min<size_t>(Costs.size(), obs::ExplainMaxCandidates);
+      std::min<size_t>(Decision.Candidates.size(), obs::ExplainMaxCandidates);
   R.NumCandidates = static_cast<uint8_t>(NumCandidates);
   size_t NumCriteria =
       std::min<size_t>(Rule.Criteria.size(), obs::ExplainMaxCriteria);
@@ -459,116 +386,30 @@ void AllocationContextBase::capturePendingDecision(
         static_cast<uint8_t>(Rule.Criteria[C].Dimension);
     R.Criteria[C].Threshold = Rule.Criteria[C].Threshold;
   }
-  R.ContendedThreads = Threads;
-  R.ContentionFolded = Contended;
-  R.AdaptiveIndex = static_cast<int16_t>(AdaptiveIndex);
-  size_t Threshold = adaptiveThresholdFor(Kind);
-  R.AdaptiveThreshold = static_cast<double>(Threshold);
-  R.WideRangeFactor = Options.WideRangeFactor;
-  R.MinMaxSize = static_cast<double>(MinMaxSize);
-  R.MaxMaxSize = static_cast<double>(MaxMaxSize);
-  R.AdaptiveStraddles = MinMaxSize <= Threshold && MaxMaxSize > Threshold;
-  R.AdaptiveWide =
-      static_cast<double>(MaxMaxSize) >=
-      Options.WideRangeFactor *
-          std::max<double>(1.0, static_cast<double>(MinMaxSize));
-
-  // Per-candidate breakdowns via a second model pass. Deliberately NOT
-  // threaded through the analysis accumulation above: that loop's
-  // floating-point order (and its skip of unused dimensions) must stay
-  // bit-identical whether or not the ledger is on, so selection
-  // decisions cannot shift when an operator flips CSWITCH_EXPLAIN.
-  const VariantCosts &CurrentCosts = Costs[Cur];
-  WorkloadProfile GroupProfile;
+  R.ContendedThreads = In.Threads;
+  R.ContentionFolded = Decision.ContentionFolded;
+  R.AdaptiveIndex = static_cast<int16_t>(adaptiveVariantOf(Kind));
+  R.AdaptiveThreshold = static_cast<double>(In.AdaptiveThreshold);
+  R.WideRangeFactor = In.WideRangeFactor;
+  R.MinMaxSize = static_cast<double>(Groups.front().MaxSize);
+  R.MaxMaxSize = static_cast<double>(Groups.back().MaxSize);
+  R.AdaptiveStraddles = Decision.Straddles;
+  R.AdaptiveWide = Decision.Wide;
+  R.Margin = Decision.Margin;
   for (size_t V = 0; V != NumCandidates; ++V) {
+    const VariantCosts &From = Decision.Candidates[V];
     obs::CandidateExplanation &Cand = R.Candidates[V];
     Cand.Covered = (CoverageMask >> V) & 1u;
-    Cand.Eligible = Costs[V].Eligible;
-    for (size_t D = 0; D != NumCostDimensions; ++D)
-      Cand.Total[D] = Costs[V].Total[D];
+    Cand.Eligible = From.Eligible;
+    Cand.Qualified = From.Qualified;
     Cand.Ratio.fill(-1.0);
-    if (!Cand.Covered)
+    // Variants outside the candidate mask were never priced.
+    if (!((In.CandidateMask >> V) & 1u))
       continue;
-    VariantId Id{Kind, static_cast<unsigned>(V)};
-    CostVector Sum;
-    for (const MergedGroup &G : Groups) {
-      GroupProfile.Counts = G.Counts;
-      GroupProfile.MaxSize = G.MaxSize;
-      CostVector GroupCosts =
-          Model->totalCostVector(Id, GroupProfile, Threads);
-      for (size_t D = 0; D != NumCostDimensions; ++D)
-        Sum.Components[D] += GroupCosts.Components[D];
-    }
-    for (size_t D = 0; D != NumCostDimensions; ++D)
-      Cand.PreFold[D] = Sum.Components[D];
-    // Dimensions the rule never accumulated read as zero in the
-    // analysis totals; backfill them from the breakdown pass (with the
-    // contention fold applied to time, matching the analysis folding)
-    // so the recorded totals are complete for every dimension.
-    for (size_t D = 0; D != NumCostDimensions; ++D) {
-      if (UsedDimensions[D])
-        continue;
-      double Total = Sum.Components[D];
-      if (Contended && D == static_cast<size_t>(CostDimension::Time))
-        Total += Sum.Components[
-            static_cast<size_t>(CostDimension::Contention)];
-      Cand.Total[D] = Total;
-    }
+    Cand.Total = From.Total;
+    Cand.PreFold = From.PreFold;
+    std::copy_n(From.Ratio.begin(), NumCriteria, Cand.Ratio.begin());
   }
-
-  // Criterion ratios, qualification, and the threshold margin: the
-  // same arithmetic selectVariant applied, replayed per candidate so
-  // the ledger can show *why* each one passed or failed.
-  double DecidedMargin = 0.0;
-  bool HaveDecidedMargin = false;
-  double ClosestKeptMargin = 0.0;
-  bool HaveKeptMargin = false;
-  for (size_t V = 0; V != NumCandidates; ++V) {
-    obs::CandidateExplanation &Cand = R.Candidates[V];
-    if (!Cand.Covered)
-      continue;
-    bool Satisfied = true;
-    double Margin = 0.0;
-    bool HaveMargin = false;
-    for (size_t C = 0; C != NumCriteria; ++C) {
-      const Criterion &Crit = Rule.Criteria[C];
-      double CurCost = CurrentCosts.of(Crit.Dimension);
-      double CandCost = Costs[V].of(Crit.Dimension);
-      if (CurCost <= 0.0) {
-        // selectVariant's zero-cost rule; no finite ratio exists, so
-        // the sentinel -1 stays in place.
-        if (Crit.Threshold < 1.0 || CandCost > 0.0)
-          Satisfied = false;
-        continue;
-      }
-      double Ratio = CandCost / CurCost;
-      Cand.Ratio[C] = Ratio;
-      double Slack = Crit.Threshold - Ratio;
-      if (!HaveMargin || Slack < Margin) {
-        Margin = Slack;
-        HaveMargin = true;
-      }
-      if (Ratio > Crit.Threshold)
-        Satisfied = false;
-    }
-    Cand.Qualified =
-        V != Cur && Cand.Eligible && Satisfied && NumCriteria != 0;
-    if (Choice && V == *Choice && HaveMargin) {
-      DecidedMargin = Margin;
-      HaveDecidedMargin = true;
-    }
-    if (!Choice && V != Cur && Cand.Eligible && HaveMargin &&
-        (!HaveKeptMargin || Margin > ClosestKeptMargin)) {
-      // Kept: report how close the nearest candidate came to
-      // displacing the current variant (negative = missed by that
-      // much on its worst criterion).
-      ClosestKeptMargin = Margin;
-      HaveKeptMargin = true;
-    }
-  }
-  R.Margin = HaveDecidedMargin
-                 ? DecidedMargin
-                 : (HaveKeptMargin ? ClosestKeptMargin : 0.0);
   PendingCaptured = true;
 }
 
@@ -737,6 +578,6 @@ size_t AllocationContextBase::memoryFootprint() const {
   std::lock_guard<std::mutex> Lock(EvalMutex);
   return sizeof(*this) + 2 * Options.WindowSize * sizeof(WindowSlot) +
          Name.capacity() +
-         Groups.capacity() * sizeof(MergedGroup) +
+         Groups.capacity() * sizeof(SizeGroup) +
          VariantNameIds.capacity() * sizeof(uint32_t) + spareBytes();
 }

@@ -471,18 +471,6 @@ private:
     uint32_t MaxSize = 0;
   };
 
-  /// A group of finished profiles sharing one maximum size; the unit of
-  /// memoized cost evaluation (each cost polynomial is evaluated once
-  /// per group instead of once per instance).
-  struct MergedGroup {
-    uint32_t MaxSize = 0;
-    uint32_t Instances = 0;
-    std::array<uint64_t, NumOperationKinds> Counts = {};
-  };
-
-  static bool isAdaptiveVariant(AbstractionKind Kind, unsigned Index);
-  size_t adaptiveThresholdFor(AbstractionKind Kind) const;
-
   /// First slot of the buffer used by \p Round.
   WindowSlot *bufferOf(uint32_t Round) {
     return Slots.get() + (Round & 1) * Options.WindowSize;
@@ -491,7 +479,7 @@ private:
   /// Analysis of the retired round \p Round with \p Assigned claimed
   /// slots; EvalMutex must be held. Consumes finished slots, closes
   /// unfinished ones, merges profiles per distinct maximum size and
-  /// evaluates the memoized total costs.
+  /// runs the site decision (decideSite) on the groups.
   std::optional<unsigned> analyzeRound(uint32_t Round, size_t Assigned);
 
   /// Seeds Current (and shrinks Options.WindowSize) from the selection
@@ -520,13 +508,10 @@ private:
 
   /// Fills PendingDecision with the full explanation of one analysis
   /// round — per-dimension breakdowns of every candidate, criterion
-  /// ratios, adaptive-gate evidence — via a separate model pass that
-  /// leaves the analysis accumulation untouched. EvalMutex held.
-  void capturePendingDecision(uint32_t Round,
-                              const std::vector<VariantCosts> &Costs,
-                              const std::optional<unsigned> &Choice,
-                              double Threads, bool Contended,
-                              uint64_t MinMaxSize, uint64_t MaxMaxSize);
+  /// ratios, adaptive-gate evidence — copied from the round's
+  /// decision. EvalMutex held.
+  void capturePendingDecision(uint32_t Round, const DecisionInputs &In,
+                              const SiteDecision &Decision);
 
   /// Finalizes the captured decision (outcome + the keep streak
   /// evaluate() already updated) and publishes it into the ledger.
@@ -540,9 +525,9 @@ private:
   /// Non-const only for the constructor-time warm-start window shrink;
   /// immutable afterwards.
   ContextOptions Options;
-  /// Dimensions referenced by the rule's criteria; analysis only
-  /// accumulates these (evaluating unused cost polynomials would only
-  /// inflate the §5.3 overhead).
+  /// Dimensions referenced by the rule's criteria; without a ledger,
+  /// analysis only prices these (evaluating unused cost polynomials
+  /// would only inflate the §5.3 overhead).
   std::array<bool, NumCostDimensions> UsedDimensions = {};
   /// Bit V set iff the model covers variant V of this abstraction;
   /// precomputed once (the model is immutable) so analysis never
@@ -552,8 +537,6 @@ private:
   /// is the explicitly requested initial variant); analysis only lets
   /// variants in CoverageMask & CandidateMask compete.
   uint32_t CandidateMask = 0;
-  /// Index of this abstraction's adaptive variant, or -1.
-  int AdaptiveIndex = -1;
   /// Interned EventLog id of Name, and of each variant's display name
   /// (index = variant index); populated only when Options.LogEvents so
   /// the evaluation-path record() calls pass ids instead of building
@@ -618,7 +601,7 @@ private:
   mutable std::mutex EvalMutex;
   /// Analysis scratch, guarded by EvalMutex; reused across rounds so
   /// steady-state analysis does not allocate.
-  std::vector<MergedGroup> Groups;
+  std::vector<SizeGroup> Groups;
   /// MaxSize -> index into Groups, cleared after every analysis.
   std::unordered_map<uint32_t, size_t> GroupIndex;
   /// Lifetime merge of every consumed window slot plus how many

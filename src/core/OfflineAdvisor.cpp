@@ -10,6 +10,7 @@
 #include "core/AllocationContext.h"
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 
 using namespace cswitch;
@@ -56,15 +57,14 @@ std::string SiteRecommendation::toString() const {
     return OS.str();
   }
   OS << " -> " << VariantId{Kind, *RecommendedVariantIndex}.name() << " (";
-  bool First = true;
-  for (CostDimension Dim : AllCostDimensions) {
-    if (!First)
-      OS << ", ";
-    OS << costDimensionName(Dim) << " x";
+  // No contention column: an offline profile has no thread estimate.
+  const char *Separator = "";
+  for (CostDimension Dim :
+       {CostDimension::Time, CostDimension::Alloc, CostDimension::Energy}) {
     char Buf[32];
     std::snprintf(Buf, sizeof(Buf), "%.2f", improvementRatio(Dim));
-    OS << Buf;
-    First = false;
+    OS << Separator << costDimensionName(Dim) << " x" << Buf;
+    Separator = ", ";
   }
   OS << "; " << InstancesProfiled << " instances)";
   return OS.str();
@@ -72,29 +72,25 @@ std::string SiteRecommendation::toString() const {
 
 namespace {
 
-bool isAdaptiveIndex(AbstractionKind Kind, unsigned Index) {
-  switch (Kind) {
-  case AbstractionKind::List:
-    return static_cast<ListVariant>(Index) == ListVariant::AdaptiveList;
-  case AbstractionKind::Set:
-    return static_cast<SetVariant>(Index) == SetVariant::AdaptiveSet;
-  case AbstractionKind::Map:
-    return static_cast<MapVariant>(Index) == MapVariant::AdaptiveMap;
+/// The site's profiles merged per maximum size, in ascending size order
+/// (sizes saturate at 32 bits, as in the online window slots).
+std::vector<SizeGroup>
+groupBySize(const std::vector<WorkloadProfile> &Profiles) {
+  std::map<uint32_t, SizeGroup> BySize;
+  for (const WorkloadProfile &Profile : Profiles) {
+    auto Size = static_cast<uint32_t>(
+        std::min<uint64_t>(Profile.MaxSize, UINT32_MAX));
+    SizeGroup &G = BySize[Size];
+    G.MaxSize = Size;
+    ++G.Instances;
+    for (size_t Op = 0; Op != NumOperationKinds; ++Op)
+      G.Counts[Op] += Profile.Counts[Op];
   }
-  return false;
-}
-
-size_t adaptiveThresholdOf(AbstractionKind Kind) {
-  AdaptiveThresholds T = AdaptiveConfig::global().thresholds();
-  switch (Kind) {
-  case AbstractionKind::List:
-    return T.List;
-  case AbstractionKind::Set:
-    return T.Set;
-  case AbstractionKind::Map:
-    return T.Map;
-  }
-  return 0;
+  std::vector<SizeGroup> Groups;
+  Groups.reserve(BySize.size());
+  for (const auto &Entry : BySize)
+    Groups.push_back(Entry.second);
+  return Groups;
 }
 
 } // namespace
@@ -102,11 +98,21 @@ size_t adaptiveThresholdOf(AbstractionKind Kind) {
 std::vector<SiteRecommendation>
 cswitch::adviseOffline(const std::vector<SiteProfile> &Sites,
                        const PerformanceModel &Model,
-                       const SelectionRule &Rule,
-                       double WideRangeFactor) {
+                       const SelectionRule &Rule) {
+  // The decision a ContextOptions{} context makes — the context the
+  // replayer builds: the sequential tier plus the declared variant, the
+  // process-wide adaptive thresholds, no thread estimate. Contention is
+  // not priced: an offline profile carries no thread count.
+  const ContextOptions Defaults;
+  const AdaptiveThresholds Thresholds = AdaptiveConfig::global().thresholds();
+  DecisionInputs In;
+  In.WideRangeFactor = Defaults.WideRangeFactor;
+  In.Dims.fill(true);
+  In.Dims[static_cast<size_t>(CostDimension::Contention)] = false;
+
   std::vector<SiteRecommendation> Report;
   Report.reserve(Sites.size());
-
+  SiteDecision Decision;
   for (const SiteProfile &Site : Sites) {
     SiteRecommendation Rec;
     Rec.Site = Site.Name;
@@ -114,49 +120,20 @@ cswitch::adviseOffline(const std::vector<SiteProfile> &Sites,
     Rec.DeclaredVariantIndex = Site.DeclaredVariantIndex;
     Rec.InstancesProfiled = Site.Profiles.size();
 
-    const std::vector<WorkloadProfile> &Profiles = Site.Profiles;
-    size_t NumVariants = numVariantsOf(Rec.Kind);
-    std::vector<VariantCosts> Costs(NumVariants);
-    uint64_t MinMaxSize = UINT64_MAX;
-    uint64_t MaxMaxSize = 0;
-    for (const WorkloadProfile &Profile : Profiles) {
-      MinMaxSize = std::min(MinMaxSize, Profile.MaxSize);
-      MaxMaxSize = std::max(MaxMaxSize, Profile.MaxSize);
-      for (unsigned V = 0; V != NumVariants; ++V) {
-        VariantId Id{Rec.Kind, V};
-        for (CostDimension Dim : AllCostDimensions)
-          Costs[V].Total[static_cast<size_t>(Dim)] +=
-              Model.totalCost(Id, Profile, Dim);
-      }
-    }
-    for (unsigned V = 0; V != NumVariants; ++V)
-      if (!Model.hasVariant({Rec.Kind, V}))
-        Costs[V].Eligible = false;
+    In.Kind = Site.Kind;
+    In.Current = Site.DeclaredVariantIndex;
+    In.CandidateMask =
+        Model.coverageMask(Site.Kind) &
+        (concurrencyCandidateMask(Site.Kind, Defaults.ConcurrencyMode) |
+         1u << Site.DeclaredVariantIndex);
+    In.AdaptiveThreshold = adaptiveThresholdIn(Thresholds, Site.Kind);
+    decideSite(groupBySize(Site.Profiles), Model, Rule, In, Decision);
 
-    // The same adaptive-variant gate the online contexts apply (§3.2).
-    if (!Profiles.empty()) {
-      size_t Threshold = adaptiveThresholdOf(Rec.Kind);
-      bool Straddles = MinMaxSize <= Threshold && MaxMaxSize > Threshold;
-      bool WideSpread =
-          static_cast<double>(MaxMaxSize) >=
-          WideRangeFactor *
-              std::max<double>(1.0, static_cast<double>(MinMaxSize));
-      if (!Straddles && !WideSpread)
-        for (unsigned V = 0; V != NumVariants; ++V)
-          if (isAdaptiveIndex(Rec.Kind, V))
-            Costs[V].Eligible = false;
-    }
-
-    Rec.DeclaredCost = Costs[Rec.DeclaredVariantIndex].Total;
-    Rec.RecommendedCost = Rec.DeclaredCost;
-    if (!Profiles.empty()) {
-      std::optional<unsigned> Choice =
-          selectVariant(Costs, Rec.DeclaredVariantIndex, Rule);
-      if (Choice) {
-        Rec.RecommendedVariantIndex = Choice;
-        Rec.RecommendedCost = Costs[*Choice].Total;
-      }
-    }
+    Rec.DeclaredCost = Decision.Candidates[Rec.DeclaredVariantIndex].Total;
+    Rec.RecommendedVariantIndex = Decision.Choice;
+    Rec.RecommendedCost =
+        Decision.Choice ? Decision.Candidates[*Decision.Choice].Total
+                        : Rec.DeclaredCost;
     Report.push_back(std::move(Rec));
   }
   return Report;

@@ -13,6 +13,12 @@
 /// it cannot follow phase changes, which is precisely the gap
 /// CollectionSwitch's runtime adaptation closes (§1).
 ///
+/// The recommendation is the online context's own decision
+/// (decideSite, core/VariantSelection.h) run once over the whole run's
+/// profiles, with the mask of a ContextOptions{} context: the
+/// sequential tier plus the declared variant. It is therefore always a
+/// choice the runtime could make.
+///
 /// Usage: record an operation trace (ContextOptions::recorder or
 /// `table5_dacapo --record`) and aggregate it with aggregateTrace()
 /// (replay/Replayer.h), or attach a ProfileAggregator as the sink of
@@ -83,7 +89,8 @@ struct SiteRecommendation {
   /// Recommended replacement; empty when the declared variant is already
   /// the rule-best choice (or no profile data was collected).
   std::optional<unsigned> RecommendedVariantIndex;
-  /// Predicted total cost of the declared variant, per dimension.
+  /// Predicted total cost of the declared variant, per dimension
+  /// (contention is not priced offline and reads 0).
   std::array<double, NumCostDimensions> DeclaredCost = {};
   /// Predicted total cost of the recommendation (== DeclaredCost when
   /// there is none).
@@ -93,19 +100,20 @@ struct SiteRecommendation {
   /// Predicted improvement ratio on \p Dim (1.0 when no recommendation).
   double improvementRatio(CostDimension Dim) const;
 
-  /// "Site: Declared -> Recommended (time x0.42)" style line.
+  /// "Site: Declared -> Recommended (time x0.42, alloc x1.00, energy
+  /// x0.45; 12 instances)" style line.
   std::string toString() const;
 };
 
-/// Computes per-site recommendations from recorded profiles, using the
-/// same total-cost machinery, selection rule and adaptive-variant gate
-/// the online framework uses (so offline and online agree whenever the
-/// workload is stable — the property the offline/online comparison
-/// rests on). \p WideRangeFactor matches ContextOptions::WideRangeFactor.
+/// Computes per-site recommendations from recorded profiles through the
+/// online context's decision (decideSite) with a ContextOptions{}
+/// context's inputs: the sequential tier mask, the process-wide adaptive
+/// thresholds and no thread estimate. Offline and online therefore
+/// agree whenever the workload is stable — the property the
+/// offline/online comparison rests on.
 std::vector<SiteRecommendation>
 adviseOffline(const std::vector<SiteProfile> &Sites,
-              const PerformanceModel &Model, const SelectionRule &Rule,
-              double WideRangeFactor = 4.0);
+              const PerformanceModel &Model, const SelectionRule &Rule);
 
 } // namespace cswitch
 

@@ -112,25 +112,6 @@ double PerformanceModel::totalCost(VariantId Variant,
   return Total;
 }
 
-CostVector
-PerformanceModel::totalCostVector(VariantId Variant,
-                                  const WorkloadProfile &Profile,
-                                  double ThreadCount) const {
-  double Size = static_cast<double>(Profile.MaxSize);
-  CostVector Out;
-  for (OperationKind Op : AllOperationKinds) {
-    uint64_t N = Profile.count(Op);
-    if (N == 0)
-      continue;
-    double Scale = static_cast<double>(N);
-    for (CostDimension Dim : AllCostDimensions) {
-      double Arg = Dim == CostDimension::Contention ? ThreadCount : Size;
-      Out.of(Dim) += Scale * operationCost(Variant, Op, Dim, Arg);
-    }
-  }
-  return Out;
-}
-
 bool PerformanceModel::hasVariant(VariantId Variant) const {
   assert(Variant.Index < numVariantsOf(Variant.Abstraction) &&
          "variant index out of range");

@@ -87,20 +87,6 @@ const char *costDimensionName(CostDimension Dim);
 /// Parses a cost dimension name; returns false if unknown.
 bool parseCostDimension(std::string_view Name, CostDimension &Out);
 
-/// Per-dimension cost components of one (variant, workload) pair — the
-/// unfolded breakdown the decision provenance ledger records alongside
-/// the folded scalar the selection rule consumes (DESIGN.md §14).
-struct CostVector {
-  std::array<double, NumCostDimensions> Components = {};
-
-  double of(CostDimension Dim) const {
-    return Components[static_cast<size_t>(Dim)];
-  }
-  double &of(CostDimension Dim) {
-    return Components[static_cast<size_t>(Dim)];
-  }
-};
-
 /// Hardware-specific cost polynomials for every (variant, operation,
 /// dimension) triple.
 ///
@@ -135,17 +121,6 @@ public:
   /// overestimate, §3.1.1).
   double totalCost(VariantId Variant, const WorkloadProfile &Profile,
                    CostDimension Dim) const;
-
-  /// Full per-dimension breakdown of tc_W(V): every dimension's total
-  /// over \p Profile, with the contention polynomials evaluated at
-  /// \p ThreadCount (their argument is the observed thread count, not
-  /// the collection size). Nothing is folded — the time component
-  /// excludes the contention penalty; callers that want the selection
-  /// rule's folded scalar add the two (exactly what the provenance
-  /// ledger records as pre-fold components).
-  CostVector totalCostVector(VariantId Variant,
-                             const WorkloadProfile &Profile,
-                             double ThreadCount) const;
 
   /// True if any polynomial is set for \p Variant. O(1): coverage is
   /// tracked as a per-abstraction bitmap maintained by setCost()/load()

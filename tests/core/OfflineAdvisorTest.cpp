@@ -19,6 +19,24 @@ PerformanceModel &model() {
   return Model;
 }
 
+/// The default model with MutexList's time rows a hundredth of
+/// ArrayList's: the cheapest list variant on every workload, and one a
+/// sequential context never considers.
+PerformanceModel cheapMutexListModel() {
+  PerformanceModel Model = defaultPerformanceModel();
+  for (OperationKind Op : AllOperationKinds) {
+    std::vector<double> Coeffs =
+        Model.cost(VariantId::of(ListVariant::ArrayList), Op,
+                   CostDimension::Time)
+            .coefficients();
+    for (double &C : Coeffs)
+      C *= 0.01;
+    Model.setCost(VariantId::of(ListVariant::MutexList), Op,
+                  CostDimension::Time, Polynomial(std::move(Coeffs)));
+  }
+  return Model;
+}
+
 WorkloadProfile lookupHeavyProfile() {
   WorkloadProfile P;
   P.record(OperationKind::Populate, 400);
@@ -78,35 +96,74 @@ TEST(OfflineAdvisor, NoProfilesMeansNoRecommendation) {
 TEST(OfflineAdvisor, AgreesWithOnlineContextOnStableWorkloads) {
   // The central consistency property: offline advice computed from the
   // same profiles the online context analyzed must name the same
-  // variant (the two differ only on *shifting* workloads).
-  auto SharedModel =
-      std::make_shared<const PerformanceModel>(defaultPerformanceModel());
-  ContextOptions Options;
-  Options.WindowSize = 10;
-  Options.LogEvents = false;
-  ListContext<int64_t> Ctx("site:e", ListVariant::ArrayList, SharedModel,
-                           SelectionRule::timeRule(), Options);
-  ProfileAggregator Agg("site:e", AbstractionKind::List,
-                        static_cast<unsigned>(ListVariant::ArrayList));
-  for (int I = 0; I != 10; ++I) {
-    List<int64_t> L = Ctx.createList();
-    for (int64_t V = 0; V != 400; ++V)
-      L.add(V);
-    for (int64_t V = 0; V != 3000; ++V)
-      (void)L.contains(V);
-    // Mirror the same workload into the offline aggregator.
-    WorkloadProfile P;
-    P.record(OperationKind::Populate, 400);
-    P.record(OperationKind::Contains, 3000);
-    P.recordSize(400);
-    Agg.onInstanceFinished(0, P);
+  // variant (the two differ only on *shifting* workloads). The second
+  // model makes a concurrent-tier variant the cheapest list; the
+  // sequential context never considers it, and neither may the advice.
+  for (const PerformanceModel &Base :
+       {defaultPerformanceModel(), cheapMutexListModel()}) {
+    auto SharedModel = std::make_shared<const PerformanceModel>(Base);
+    ContextOptions Options;
+    Options.WindowSize = 10;
+    Options.LogEvents = false;
+    ListContext<int64_t> Ctx("site:e", ListVariant::ArrayList, SharedModel,
+                             SelectionRule::timeRule(), Options);
+    ProfileAggregator Agg("site:e", AbstractionKind::List,
+                          static_cast<unsigned>(ListVariant::ArrayList));
+    for (int I = 0; I != 10; ++I) {
+      List<int64_t> L = Ctx.createList();
+      for (int64_t V = 0; V != 400; ++V)
+        L.add(V);
+      for (int64_t V = 0; V != 3000; ++V)
+        (void)L.contains(V);
+      // Mirror the same workload into the offline aggregator.
+      WorkloadProfile P;
+      P.record(OperationKind::Populate, 400);
+      P.record(OperationKind::Contains, 3000);
+      P.recordSize(400);
+      Agg.onInstanceFinished(0, P);
+    }
+    ASSERT_TRUE(Ctx.evaluate());
+    std::vector<SiteRecommendation> Report = adviseOffline(
+        {Agg.profile()}, *SharedModel, SelectionRule::timeRule());
+    ASSERT_TRUE(Report[0].RecommendedVariantIndex.has_value());
+    EXPECT_EQ(*Report[0].RecommendedVariantIndex,
+              Ctx.currentVariantIndex());
+    EXPECT_FALSE(isConcurrentVariant(AbstractionKind::List,
+                                     *Report[0].RecommendedVariantIndex));
   }
-  ASSERT_TRUE(Ctx.evaluate());
-  std::vector<SiteRecommendation> Report =
-      adviseOffline({Agg.profile()}, *SharedModel, SelectionRule::timeRule());
-  ASSERT_TRUE(Report[0].RecommendedVariantIndex.has_value());
-  EXPECT_EQ(*Report[0].RecommendedVariantIndex,
-            Ctx.currentVariantIndex());
+}
+
+TEST(OfflineAdvisor, SequentialSiteNeverGetsAConcurrentVariant) {
+  // Every concurrent-tier variant made nearly free: without the
+  // sequential tier mask each would win under every rule.
+  PerformanceModel Model = defaultPerformanceModel();
+  const AbstractionKind Kinds[] = {AbstractionKind::List,
+                                   AbstractionKind::Set,
+                                   AbstractionKind::Map};
+  for (AbstractionKind Kind : Kinds)
+    for (unsigned V = firstConcurrentVariant(Kind);
+         V != numVariantsOf(Kind); ++V)
+      for (OperationKind Op : AllOperationKinds)
+        for (CostDimension Dim : {CostDimension::Time, CostDimension::Alloc})
+          Model.setCost({Kind, V}, Op, Dim, Polynomial({1e-6}));
+
+  for (AbstractionKind Kind : Kinds)
+    for (const char *RuleName : {"rtime", "ralloc", "renergy", "impossible"}) {
+      SelectionRule Rule;
+      ASSERT_TRUE(SelectionRule::fromName(RuleName, Rule));
+      ProfileAggregator Agg("site:seq", Kind, 0);
+      for (int I = 0; I != 10; ++I)
+        Agg.onInstanceFinished(0, lookupHeavyProfile());
+      std::vector<SiteRecommendation> Report =
+          adviseOffline({Agg.profile()}, Model, Rule);
+      ASSERT_EQ(Report.size(), 1u);
+      if (Report[0].RecommendedVariantIndex) {
+        EXPECT_FALSE(
+            isConcurrentVariant(Kind, *Report[0].RecommendedVariantIndex))
+            << abstractionKindName(Kind) << " under " << RuleName << ": "
+            << Report[0].toString();
+      }
+    }
 }
 
 TEST(OfflineAdvisor, SingleStaticChoiceCannotFollowPhases) {

@@ -21,7 +21,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -342,6 +344,136 @@ TEST(Provenance, KeepStreakReachesConvergence) {
   EXPECT_EQ(Records[2].Outcome, DecisionOutcome::Converged);
   EXPECT_EQ(Records[3].Outcome, DecisionOutcome::Converged);
   EXPECT_EQ(Records[3].ConsecutiveKeeps, 4u);
+}
+
+namespace {
+
+/// The selection-visible history of one context: its variant after
+/// every evaluate() call, and its evaluation and switch counts.
+struct SelectionTrail {
+  std::vector<unsigned> Variants;
+  uint64_t Evaluations = 0;
+  uint64_t Switches = 0;
+};
+
+/// Evaluates \p Ctx with capture forced to \p Capture (a context keeps
+/// the ledger it resolved, so only the captured context ever gets one)
+/// and appends the outcome to \p Trail.
+void evaluateInto(AllocationContextBase &Ctx, bool Capture,
+                  SelectionTrail &Trail) {
+  ProvenanceRegistry::setEnabled(Capture);
+  Ctx.evaluate();
+  ProvenanceRegistry::setEnabled(false);
+  Trail.Variants.push_back(Ctx.currentVariantIndex());
+  Trail.Evaluations = Ctx.evaluationCount();
+  Trail.Switches = Ctx.switchCount();
+}
+
+void expectSameSelection(const SelectionTrail &Off,
+                         const SelectionTrail &On) {
+  EXPECT_EQ(Off.Variants, On.Variants);
+  EXPECT_EQ(Off.Evaluations, On.Evaluations);
+  EXPECT_EQ(Off.Switches, On.Switches);
+}
+
+} // namespace
+
+TEST(Provenance, LedgerDoesNotShiftSelection) {
+  // The ledger prices every dimension while the rule needs only its
+  // own; the decision keeps one accumulator per dimension, so turning
+  // capture on must not move a single choice. Each workload drives a
+  // capture-off and a capture-on context in lockstep.
+  CaptureGuard Guard(false);
+
+  // Sequential: a seeded two-phase list workload (lookups, then
+  // indexed reads) that switches away and back.
+  ListContext<int64_t> PlainList("t:steer-seq-off", ListVariant::ArrayList,
+                                 defaultModel(), SelectionRule::timeRule(),
+                                 quietOptions());
+  ListContext<int64_t> CapturedList("t:steer-seq-on", ListVariant::ArrayList,
+                                    defaultModel(),
+                                    SelectionRule::timeRule(),
+                                    quietOptions());
+  std::mt19937_64 Rng(7);
+  SelectionTrail SeqOff, SeqOn;
+  for (int Round = 0; Round != 12; ++Round) {
+    for (int I = 0; I != 10; ++I) {
+      auto Size = static_cast<int64_t>(100 + Rng() % 400);
+      List<int64_t> A = PlainList.createList();
+      List<int64_t> B = CapturedList.createList();
+      for (int64_t V = 0; V != Size; ++V) {
+        A.add(V);
+        B.add(V);
+      }
+      for (int64_t V = 0; V != 6 * Size; ++V) {
+        if (Round < 6) {
+          (void)A.contains(V);
+          (void)B.contains(V);
+        } else {
+          (void)A.get(static_cast<size_t>(V % Size));
+          (void)B.get(static_cast<size_t>(V % Size));
+        }
+      }
+    }
+    evaluateInto(PlainList, false, SeqOff);
+    evaluateInto(CapturedList, true, SeqOn);
+  }
+  expectSameSelection(SeqOff, SeqOn);
+  EXPECT_GE(SeqOn.Switches, 2u);
+
+  // Concurrent: an Auto map shared by four threads, then by one. Every
+  // worker operates on both maps, so both sketches see the same threads
+  // and the contention fold fires identically.
+  ContextOptions Concurrent = ContextOptions{}
+                                  .windowSize(2)
+                                  .finishedRatio(0.5)
+                                  .logEvents(false)
+                                  .concurrency(Concurrency::Auto);
+  MapContext<int64_t, int64_t> PlainMap("t:steer-auto-off",
+                                        MapVariant::ChainedHashMap,
+                                        defaultModel(),
+                                        SelectionRule::timeRule(), Concurrent);
+  MapContext<int64_t, int64_t> CapturedMap(
+      "t:steer-auto-on", MapVariant::ChainedHashMap, defaultModel(),
+      SelectionRule::timeRule(), Concurrent);
+  SelectionTrail AutoOff, AutoOn;
+  for (int Generation = 0; Generation != 8; ++Generation) {
+    {
+      Map<int64_t, int64_t> A = PlainMap.createMap();
+      Map<int64_t, int64_t> B = CapturedMap.createMap();
+      int Threads = Generation < 4 ? 4 : 1;
+      std::vector<std::thread> Workers;
+      for (int T = 0; T != Threads; ++T)
+        Workers.emplace_back([&A, &B, T] {
+          for (int64_t I = 0; I != 1000; ++I) {
+            int64_t Key = T * 1000 + I;
+            int64_t Out = 0;
+            A.put(Key, Key);
+            B.put(Key, Key);
+            A.lookup(Key, Out);
+            B.lookup(Key, Out);
+          }
+        });
+      for (std::thread &W : Workers)
+        W.join();
+    } // Retire the generation so its profiles publish.
+    evaluateInto(PlainMap, false, AutoOff);
+    evaluateInto(CapturedMap, true, AutoOn);
+  }
+  expectSameSelection(AutoOff, AutoOn);
+
+  // Only the captured contexts recorded, and the fold was exercised.
+  std::vector<SiteLedgerSnapshot> Sites =
+      ProvenanceRegistry::global().snapshotSites();
+  ASSERT_EQ(Sites.size(), 2u);
+  for (const SiteLedgerSnapshot &Site : Sites)
+    EXPECT_NE(Site.Name.find("-on"), std::string::npos) << Site.Name;
+  const SiteLedgerSnapshot &Auto =
+      Sites[0].Name == "t:steer-auto-on" ? Sites[0] : Sites[1];
+  EXPECT_TRUE(std::any_of(Auto.Records.begin(), Auto.Records.end(),
+                          [](const DecisionRecord &R) {
+                            return R.ContentionFolded;
+                          }));
 }
 
 //===----------------------------------------------------------------------===//

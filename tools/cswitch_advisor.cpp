@@ -68,6 +68,14 @@ std::string reportToJson(const SelectionRule &Rule,
   return Out;
 }
 
+int usage(const std::string &Problem) {
+  std::fprintf(stderr, "cswitch_advisor: %s\n", Problem.c_str());
+  std::fprintf(stderr, "usage: cswitch_advisor [--rule "
+                       "rtime|ralloc|renergy|impossible] [--model <file>] "
+                       "[--json <file>] <trace.optrace | ->\n");
+  return 2;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -75,22 +83,29 @@ int main(int Argc, char **Argv) {
   std::string ModelPath;
   std::string JsonPath;
   const char *TracePath = nullptr;
+  // A misspelled flag, a flag without its value or a second path is a
+  // usage error, never a trace path: silently running the default rule
+  // would look like a successful run.
   for (int I = 1; I != Argc; ++I) {
-    if (std::strcmp(Argv[I], "--rule") == 0 && I + 1 != Argc)
-      RuleName = Argv[++I];
-    else if (std::strcmp(Argv[I], "--model") == 0 && I + 1 != Argc)
-      ModelPath = Argv[++I];
-    else if (std::strcmp(Argv[I], "--json") == 0 && I + 1 != Argc)
-      JsonPath = Argv[++I];
-    else
-      TracePath = Argv[I];
+    const char *Arg = Argv[I];
+    std::string *Value = std::strcmp(Arg, "--rule") == 0    ? &RuleName
+                         : std::strcmp(Arg, "--model") == 0 ? &ModelPath
+                         : std::strcmp(Arg, "--json") == 0  ? &JsonPath
+                                                            : nullptr;
+    if (Value) {
+      if (I + 1 == Argc)
+        return usage(std::string("missing value for ") + Arg);
+      *Value = Argv[++I];
+    } else if (Arg[0] == '-' && Arg[1] != '\0') {
+      return usage(std::string("unknown flag ") + Arg);
+    } else if (TracePath) {
+      return usage(std::string("unexpected second trace path ") + Arg);
+    } else {
+      TracePath = Arg;
+    }
   }
-  if (!TracePath) {
-    std::fprintf(stderr, "usage: cswitch_advisor [--rule "
-                         "rtime|ralloc|renergy|impossible] [--model <file>] "
-                         "[--json <file>] <trace.optrace | ->\n");
-    return 2;
-  }
+  if (!TracePath)
+    return usage("missing trace path");
 
   SelectionRule Rule;
   if (!SelectionRule::fromName(RuleName, Rule)) {
