@@ -15,6 +15,9 @@
 // the evaluation path is where capture legitimately spends (~1 us/round
 // for the per-candidate breakdown pass), so it is reported as its own
 // per-round column instead of being smeared into the fast-path number.
+// Only the evaluate() calls that analyzed a round count towards it; the
+// rest are polls that return at once, and their count is printed beside
+// it.
 //
 // --check turns the run into a CI gate asserting the ledger's three
 // contractual guarantees:
@@ -65,7 +68,10 @@ namespace {
 /// legitimately spends its time).
 struct ContendedCost {
   double RecordNanosPerInstance = 0.0;
+  /// Mean time of the evaluate() calls that analyzed a round.
   double EvalNanosPerRound = 0.0;
+  /// evaluate() calls per phase that analyzed nothing.
+  double PollsPerPhase = 0.0;
 };
 
 /// Capture-off and capture-on costs of the contended workload.
@@ -81,7 +87,9 @@ struct AlternatingCosts {
 /// while one dedicated evaluator thread rotates the rounds, calling
 /// evaluate() every EvaluatePeriod like the engine's background thread
 /// at a fast monitoring rate. Workers time only their op loop and the
-/// evaluator its evaluate() calls. Were the workers to evaluate inline,
+/// evaluator its evaluate() calls, split by whether the context's
+/// evaluation count moved: analyzed rounds are timed, polls are counted.
+/// Were the workers to evaluate inline,
 /// a slower evaluation (capture on) would let the other worker run less
 /// contended and bias the record-path comparison; an evaluator that
 /// polled the creation counters would contend with the workers itself.
@@ -113,7 +121,7 @@ AlternatingCosts alternatingContendedCosts(
   std::atomic<size_t> Running{0};
   std::atomic<size_t> Done{0};
   std::vector<uint64_t> OpNanos(Threads, 0);
-  uint64_t EvalNanos = 0, EvalCalls = 0;
+  uint64_t EvalNanos = 0, EvalRounds = 0, EvalPolls = 0;
   auto awaitNext = [&Phase](size_t Seen) {
     size_t Now;
     while ((Now = Phase.load(std::memory_order_acquire)) == Seen)
@@ -140,17 +148,23 @@ AlternatingCosts alternatingContendedCosts(
   std::thread Evaluator([&] {
     for (size_t Seen = 0; (Seen = awaitNext(Seen)) <= Phases;) {
       while (Running.load(std::memory_order_acquire) != 0) {
+        uint64_t Analyzed = Ctx->evaluationCount();
         Timer EvalClock;
         Ctx->evaluate();
-        EvalNanos += EvalClock.elapsedNanos();
-        ++EvalCalls;
+        uint64_t Nanos = EvalClock.elapsedNanos();
+        if (Ctx->evaluationCount() != Analyzed) {
+          EvalNanos += Nanos;
+          ++EvalRounds;
+        } else {
+          ++EvalPolls;
+        }
         std::this_thread::sleep_for(EvaluatePeriod);
       }
       Done.fetch_add(1, std::memory_order_release);
     }
   });
 
-  std::vector<double> Record[2], Eval[2];
+  std::vector<double> Record[2], Eval[2], Polls[2];
   AlternatingCosts Out;
   for (size_t P = 0; P != Phases; ++P) {
     size_t Round = P / 2, Half = P % 2;
@@ -159,7 +173,7 @@ AlternatingCosts alternatingContendedCosts(
     Ctx.reset();
     Ctx.emplace("explain:contended", ListVariant::ArrayList, M,
                 SelectionRule::impossibleRule(), Options);
-    EvalNanos = EvalCalls = 0;
+    EvalNanos = EvalRounds = EvalPolls = 0;
     Running.store(Threads, std::memory_order_relaxed);
     Done.store(0, std::memory_order_relaxed);
     Phase.store(P + 1, std::memory_order_release);
@@ -169,10 +183,10 @@ AlternatingCosts alternatingContendedCosts(
     uint64_t WorstOp = *std::max_element(OpNanos.begin(), OpNanos.end());
     Record[Enabled].push_back(static_cast<double>(WorstOp) /
                               static_cast<double>(PerThread));
-    Eval[Enabled].push_back(
-        EvalCalls != 0
-            ? static_cast<double>(EvalNanos) / static_cast<double>(EvalCalls)
-            : 0.0);
+    if (EvalRounds != 0)
+      Eval[Enabled].push_back(static_cast<double>(EvalNanos) /
+                              static_cast<double>(EvalRounds));
+    Polls[Enabled].push_back(static_cast<double>(EvalPolls));
     if (P == 0)
       Out.AllocationsAfterFirstOff =
           obs::ProvenanceRegistry::global().allocationCount();
@@ -184,11 +198,13 @@ AlternatingCosts alternatingContendedCosts(
   Ctx.reset();
 
   auto median = [](std::vector<double> &V) {
+    if (V.empty())
+      return 0.0;
     std::sort(V.begin(), V.end());
     return V[V.size() / 2];
   };
-  Out.Off = {median(Record[0]), median(Eval[0])};
-  Out.On = {median(Record[1]), median(Eval[1])};
+  Out.Off = {median(Record[0]), median(Eval[0]), median(Polls[0])};
+  Out.On = {median(Record[1]), median(Eval[1]), median(Polls[1])};
   return Out;
 }
 
@@ -276,10 +292,12 @@ int main(int Argc, char **Argv) {
   double DeltaPct = OffNanos > 0.0
                         ? (OnNanos - OffNanos) / OffNanos * 100.0
                         : 0.0;
-  std::printf("%12s  %12s  %12s  %14s  %14s\n", "off ns/inst", "on ns/inst",
-              "delta", "off ns/round", "on ns/round");
-  std::printf("%12.1f  %12.1f  %11.2f%%  %14.0f  %14.0f\n", OffNanos, OnNanos,
-              DeltaPct, Off.EvalNanosPerRound, On.EvalNanosPerRound);
+  std::printf("%12s  %12s  %12s  %14s  %14s  %10s  %10s\n", "off ns/inst",
+              "on ns/inst", "delta", "off ns/round", "on ns/round",
+              "off polls", "on polls");
+  std::printf("%12.1f  %12.1f  %11.2f%%  %14.0f  %14.0f  %10.0f  %10.0f\n",
+              OffNanos, OnNanos, DeltaPct, Off.EvalNanosPerRound,
+              On.EvalNanosPerRound, Off.PollsPerPhase, On.PollsPerPhase);
   std::printf("allocations after the first capture-off phase: %llu\n",
               static_cast<unsigned long long>(AllocationsAfterOff));
 
@@ -348,6 +366,8 @@ int main(int Argc, char **Argv) {
     std::fprintf(F, "  \"delta_pct\": %.2f,\n", DeltaPct);
     std::fprintf(F, "  \"eval_round_ns_off\": %.0f,\n", Off.EvalNanosPerRound);
     std::fprintf(F, "  \"eval_round_ns_on\": %.0f,\n", On.EvalNanosPerRound);
+    std::fprintf(F, "  \"eval_polls_off\": %.0f,\n", Off.PollsPerPhase);
+    std::fprintf(F, "  \"eval_polls_on\": %.0f,\n", On.PollsPerPhase);
     std::fprintf(F, "  \"allocations_disabled\": %llu,\n",
                  static_cast<unsigned long long>(AllocationsAfterOff));
     std::fprintf(F, "  \"switched_records\": %zu,\n", SwitchedRecords);

@@ -98,6 +98,15 @@ public:
     Migrated = false;
   }
 
+  /// See AdaptiveSetImpl::clearForReuse().
+  void clearForReuse() override {
+    SmallKeys.clear();
+    SmallVals.clear();
+    Table.clearKeepingStorage();
+    PendingTable = 0;
+    Migrated = false;
+  }
+
   void forEach(FunctionRef<void(const K &, const V &)> Fn) const override {
     if (Migrated) {
       Table.forEach(Fn);
@@ -126,6 +135,12 @@ public:
   size_t memoryFootprint() const override {
     return sizeof(*this) + SmallKeys.capacity() * sizeof(K) +
            SmallVals.capacity() * sizeof(V) + Table.memoryFootprint();
+  }
+
+  /// See AdaptiveSetImpl::unreservedBytes().
+  size_t unreservedBytes(size_t N) const override {
+    return N > Threshold ? Table.bytesFor(std::max(N, (Threshold + 1) * 2))
+                         : 0;
   }
 
   MapVariant variant() const override { return MapVariant::AdaptiveMap; }

@@ -74,6 +74,15 @@ public:
     Migrated = false;
   }
 
+  /// Keeps the array's capacity and the table's storage, and returns to
+  /// the array with no table reservation pending, as a fresh set is.
+  void clearForReuse() override {
+    Small.clear();
+    Table.clearKeepingStorage();
+    PendingTable = 0;
+    Migrated = false;
+  }
+
   void forEach(FunctionRef<void(const T &)> Fn) const override {
     if (Migrated) {
       Table.forEach(Fn);
@@ -102,6 +111,12 @@ public:
   size_t memoryFootprint() const override {
     return sizeof(*this) + Small.capacity() * sizeof(T) +
            Table.memoryFootprint();
+  }
+
+  /// Past the threshold, the table that migration builds.
+  size_t unreservedBytes(size_t N) const override {
+    return N > Threshold ? Table.bytesFor(std::max(N, (Threshold + 1) * 2))
+                         : 0;
   }
 
   SetVariant variant() const override { return SetVariant::AdaptiveSet; }

@@ -17,6 +17,7 @@
 #define CSWITCH_COLLECTIONS_CHAINEDHASHMAP_H
 
 #include "collections/MapInterface.h"
+#include "collections/detail/NodeCache.h"
 #include "support/Hashing.h"
 #include "support/MemoryTracker.h"
 
@@ -54,7 +55,7 @@ public:
         return false;
       }
     }
-    Buckets[Index] = newCounted<Node>(Node{Key, Value, H, Buckets[Index]});
+    Buckets[Index] = Nodes.make(Node{Key, Value, H, Buckets[Index]});
     ++Count;
     if (Count * 4 > Buckets.size() * 3)
       rehash(Buckets.size() * 2);
@@ -109,6 +110,16 @@ public:
     }
     Buckets.clear();
     Buckets.shrink_to_fit();
+    Nodes.release();
+    Count = 0;
+  }
+
+  /// Parks every node and keeps the bucket array.
+  void clearForReuse() override {
+    for (Node *&Head : Buckets) {
+      Nodes.parkChain(Head, &Node::Next);
+      Head = nullptr;
+    }
     Count = 0;
   }
 
@@ -128,7 +139,11 @@ public:
 
   size_t memoryFootprint() const override {
     return sizeof(*this) + Buckets.capacity() * sizeof(Node *) +
-           Count * sizeof(Node);
+           Nodes.bytesFor(Count) + Nodes.bytes();
+  }
+
+  size_t unreservedBytes(size_t N) const override {
+    return Nodes.bytesFor(N);
   }
 
   MapVariant variant() const override { return MapVariant::ChainedHashMap; }
@@ -153,6 +168,7 @@ private:
   }
 
   std::vector<Node *, CountingAllocator<Node *>> Buckets;
+  detail::NodeCache<Node> Nodes;
   size_t Count = 0;
 };
 

@@ -18,6 +18,7 @@
 #define CSWITCH_COLLECTIONS_CHAINEDHASHSET_H
 
 #include "collections/SetInterface.h"
+#include "collections/detail/NodeCache.h"
 #include "support/Hashing.h"
 #include "support/MemoryTracker.h"
 
@@ -51,7 +52,7 @@ public:
     for (Node *N = Buckets[Index]; N; N = N->Next)
       if (N->HashValue == H && N->Value == Value)
         return false;
-    Buckets[Index] = newCounted<Node>(Node{Value, H, Buckets[Index]});
+    Buckets[Index] = Nodes.make(Node{Value, H, Buckets[Index]});
     ++Count;
     if (Count * 4 > Buckets.size() * 3)
       rehash(Buckets.size() * 2);
@@ -97,6 +98,16 @@ public:
     }
     Buckets.clear();
     Buckets.shrink_to_fit();
+    Nodes.release();
+    Count = 0;
+  }
+
+  /// Parks every node and keeps the bucket array.
+  void clearForReuse() override {
+    for (Node *&Head : Buckets) {
+      Nodes.parkChain(Head, &Node::Next);
+      Head = nullptr;
+    }
     Count = 0;
   }
 
@@ -116,7 +127,11 @@ public:
 
   size_t memoryFootprint() const override {
     return sizeof(*this) + Buckets.capacity() * sizeof(Node *) +
-           Count * sizeof(Node);
+           Nodes.bytesFor(Count) + Nodes.bytes();
+  }
+
+  size_t unreservedBytes(size_t N) const override {
+    return Nodes.bytesFor(N);
   }
 
   SetVariant variant() const override { return SetVariant::ChainedHashSet; }
@@ -141,6 +156,7 @@ private:
   }
 
   std::vector<Node *, CountingAllocator<Node *>> Buckets;
+  detail::NodeCache<Node> Nodes;
   size_t Count = 0;
 };
 

@@ -16,9 +16,11 @@
 #define CSWITCH_COLLECTIONS_LINKEDHASHMAP_H
 
 #include "collections/MapInterface.h"
+#include "collections/detail/NodeCache.h"
 #include "support/Hashing.h"
 #include "support/MemoryTracker.h"
 
+#include <algorithm>
 #include <cassert>
 #include <vector>
 
@@ -55,8 +57,7 @@ public:
         return false;
       }
     }
-    Node *N = newCounted<Node>(
-        Node{Key, Value, H, Buckets[Index], Tail, nullptr});
+    Node *N = Nodes.make(Node{Key, Value, H, Buckets[Index], Tail, nullptr});
     Buckets[Index] = N;
     if (Tail)
       Tail->After = N;
@@ -117,6 +118,15 @@ public:
     }
     Buckets.clear();
     Buckets.shrink_to_fit();
+    Nodes.release();
+    Head = Tail = nullptr;
+    Count = 0;
+  }
+
+  /// Parks every node and keeps the bucket array.
+  void clearForReuse() override {
+    Nodes.parkChain(Head, &Node::After);
+    std::fill(Buckets.begin(), Buckets.end(), nullptr);
     Head = Tail = nullptr;
     Count = 0;
   }
@@ -136,7 +146,11 @@ public:
 
   size_t memoryFootprint() const override {
     return sizeof(*this) + Buckets.capacity() * sizeof(Node *) +
-           Count * sizeof(Node);
+           Nodes.bytesFor(Count) + Nodes.bytes();
+  }
+
+  size_t unreservedBytes(size_t N) const override {
+    return Nodes.bytesFor(N);
   }
 
   MapVariant variant() const override { return MapVariant::LinkedHashMap; }
@@ -167,6 +181,7 @@ private:
   }
 
   std::vector<Node *, CountingAllocator<Node *>> Buckets;
+  detail::NodeCache<Node> Nodes;
   Node *Head = nullptr;
   Node *Tail = nullptr;
   size_t Count = 0;

@@ -18,9 +18,11 @@
 #define CSWITCH_COLLECTIONS_LINKEDHASHSET_H
 
 #include "collections/SetInterface.h"
+#include "collections/detail/NodeCache.h"
 #include "support/Hashing.h"
 #include "support/MemoryTracker.h"
 
+#include <algorithm>
 #include <cassert>
 #include <vector>
 
@@ -53,7 +55,7 @@ public:
     for (Node *N = Buckets[Index]; N; N = N->Next)
       if (N->HashValue == H && N->Value == Value)
         return false;
-    Node *N = newCounted<Node>(Node{Value, H, Buckets[Index], Tail, nullptr});
+    Node *N = Nodes.make(Node{Value, H, Buckets[Index], Tail, nullptr});
     Buckets[Index] = N;
     if (Tail)
       Tail->After = N;
@@ -105,6 +107,15 @@ public:
     }
     Buckets.clear();
     Buckets.shrink_to_fit();
+    Nodes.release();
+    Head = Tail = nullptr;
+    Count = 0;
+  }
+
+  /// Parks every node and keeps the bucket array.
+  void clearForReuse() override {
+    Nodes.parkChain(Head, &Node::After);
+    std::fill(Buckets.begin(), Buckets.end(), nullptr);
     Head = Tail = nullptr;
     Count = 0;
   }
@@ -124,7 +135,11 @@ public:
 
   size_t memoryFootprint() const override {
     return sizeof(*this) + Buckets.capacity() * sizeof(Node *) +
-           Count * sizeof(Node);
+           Nodes.bytesFor(Count) + Nodes.bytes();
+  }
+
+  size_t unreservedBytes(size_t N) const override {
+    return Nodes.bytesFor(N);
   }
 
   SetVariant variant() const override { return SetVariant::LinkedHashSet; }
@@ -157,6 +172,7 @@ private:
   }
 
   std::vector<Node *, CountingAllocator<Node *>> Buckets;
+  detail::NodeCache<Node> Nodes;
   Node *Head = nullptr;
   Node *Tail = nullptr;
   size_t Count = 0;

@@ -18,6 +18,7 @@
 #define CSWITCH_COLLECTIONS_LINKEDLIST_H
 
 #include "collections/ListInterface.h"
+#include "collections/detail/NodeCache.h"
 #include "support/MemoryTracker.h"
 
 #include <cassert>
@@ -41,7 +42,7 @@ public:
   ~LinkedListImpl() override { clear(); }
 
   void push_back(const T &Value) override {
-    Node *N = newCounted<Node>(Node{Value, Tail, nullptr});
+    Node *N = Nodes.make(Node{Value, Tail, nullptr});
     if (Tail)
       Tail->Next = N;
     else
@@ -57,7 +58,7 @@ public:
       return;
     }
     Node *At = nodeAt(Index);
-    Node *N = newCounted<Node>(Node{Value, At->Prev, At});
+    Node *N = Nodes.make(Node{Value, At->Prev, At});
     if (At->Prev)
       At->Prev->Next = N;
     else
@@ -107,6 +108,14 @@ public:
       deleteCounted(N);
       N = Next;
     }
+    Nodes.release();
+    Head = Tail = nullptr;
+    Count = 0;
+  }
+
+  /// Parks every node.
+  void clearForReuse() override {
+    Nodes.parkChain(Head, &Node::Next);
     Head = Tail = nullptr;
     Count = 0;
   }
@@ -117,7 +126,11 @@ public:
   }
 
   size_t memoryFootprint() const override {
-    return sizeof(*this) + Count * sizeof(Node);
+    return sizeof(*this) + Nodes.bytesFor(Count) + Nodes.bytes();
+  }
+
+  size_t unreservedBytes(size_t N) const override {
+    return Nodes.bytesFor(N);
   }
 
   ListVariant variant() const override { return ListVariant::LinkedList; }
@@ -151,6 +164,7 @@ private:
     --Count;
   }
 
+  detail::NodeCache<Node> Nodes;
   Node *Head = nullptr;
   Node *Tail = nullptr;
   size_t Count = 0;

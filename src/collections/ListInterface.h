@@ -67,6 +67,11 @@ public:
   virtual void forEach(FunctionRef<void(const T &)> Fn) const = 0;
   /// Capacity hint; variants without capacity ignore it.
   virtual void reserve(size_t) {}
+  /// Bytes that holding \p N elements owns beyond what reserve(N)
+  /// allocates: per-element nodes, or the table an adaptive variant
+  /// builds when it migrates. The spare ring's retention bound adds it
+  /// to a fresh reserved instance's footprint (DESIGN.md §4.4).
+  virtual size_t unreservedBytes(size_t) const { return 0; }
   /// Bytes of memory currently owned by this collection (including the
   /// object header itself) — the footprint dimension of the cost model.
   virtual size_t memoryFootprint() const = 0;

@@ -48,12 +48,18 @@ public:
 
   void clear() override { Tree.clear(); }
 
+  void clearForReuse() override { Tree.clearForReuse(); }
+
   void forEach(FunctionRef<void(const K &, const V &)> Fn) const override {
     Tree.inorder(Fn);
   }
 
   size_t memoryFootprint() const override {
     return sizeof(*this) + Tree.memoryFootprint();
+  }
+
+  size_t unreservedBytes(size_t N) const override {
+    return Tree.nodeBytes(N);
   }
 
   MapVariant variant() const override { return MapVariant::TreeMap; }

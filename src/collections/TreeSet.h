@@ -53,12 +53,18 @@ public:
 
   void clear() override { Tree.clear(); }
 
+  void clearForReuse() override { Tree.clearForReuse(); }
+
   void forEach(FunctionRef<void(const T &)> Fn) const override {
     Tree.inorder([Fn](const T &Value, const char &) { Fn(Value); });
   }
 
   size_t memoryFootprint() const override {
     return sizeof(*this) + Tree.memoryFootprint();
+  }
+
+  size_t unreservedBytes(size_t N) const override {
+    return Tree.nodeBytes(N);
   }
 
   SetVariant variant() const override { return SetVariant::TreeSet; }

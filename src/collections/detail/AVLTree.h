@@ -16,6 +16,7 @@
 #ifndef CSWITCH_COLLECTIONS_DETAIL_AVLTREE_H
 #define CSWITCH_COLLECTIONS_DETAIL_AVLTREE_H
 
+#include "collections/detail/NodeCache.h"
 #include "support/FunctionRef.h"
 #include "support/MemoryTracker.h"
 
@@ -88,6 +89,14 @@ public:
 
   void clear() {
     destroy(Root);
+    Nodes.release();
+    Root = nullptr;
+    Count = 0;
+  }
+
+  /// Removes every mapping and parks the nodes for later inserts.
+  void clearForReuse() {
+    park(Root);
     Root = nullptr;
     Count = 0;
   }
@@ -98,7 +107,14 @@ public:
   }
 
   /// Bytes owned by the tree, excluding sizeof(*this).
-  size_t memoryFootprint() const { return Count * sizeof(Node); }
+  size_t memoryFootprint() const {
+    return Nodes.bytesFor(Count) + Nodes.bytes();
+  }
+
+  /// Bytes of the nodes that hold \p N mappings.
+  static constexpr size_t nodeBytes(size_t N) {
+    return NodeCache<Node>::bytesFor(N);
+  }
 
   /// Verifies the AVL and BST invariants (test support; O(n)).
   bool verifyInvariants() const {
@@ -154,7 +170,7 @@ private:
   Node *insertImpl(Node *N, const K &Key, const V &Value, bool &Inserted) {
     if (!N) {
       Inserted = true;
-      return newCounted<Node>(Node{Key, Value, nullptr, nullptr, 1});
+      return Nodes.make(Node{Key, Value, nullptr, nullptr, 1});
     }
     if (Key < N->Key)
       N->Left = insertImpl(N->Left, Key, Value, Inserted);
@@ -201,6 +217,14 @@ private:
     deleteCounted(N);
   }
 
+  void park(Node *N) {
+    if (!N)
+      return;
+    park(N->Left);
+    park(N->Right);
+    Nodes.park(N);
+  }
+
   void inorderImpl(const Node *N,
                    FunctionRef<void(const K &, const V &)> Fn) const {
     if (!N)
@@ -232,6 +256,7 @@ private:
     return Height;
   }
 
+  NodeCache<Node> Nodes;
   Node *Root = nullptr;
   size_t Count = 0;
 };

@@ -193,6 +193,11 @@ public:
   /// Bytes owned by the table, excluding sizeof(*this).
   size_t memoryFootprint() const { return Cap ? allocationBytes(Cap) : 0; }
 
+  /// Bytes reserve(\p N) allocates on an empty table.
+  static size_t bytesFor(size_t N) {
+    return N ? allocationBytes(requiredCapacity(N)) : 0;
+  }
+
   bool erase(const K &Key) {
     size_t Index = findIndex(Key);
     if (Index == NotFound)

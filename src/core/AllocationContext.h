@@ -643,7 +643,9 @@ private:
 /// Map<K, V>): the create path and, on a sequential site, the spare ring
 /// its instances recycle through (DESIGN.md §4.4). The ring keeps
 /// spares of the current variant that own at most what a fresh instance
-/// reserved at twice the bound's hint owns. The bound is measured again,
+/// reserved at twice the bound's hint owns once it holds that many
+/// elements: its reserved storage plus its unreservedBytes(), the nodes
+/// or adaptive table a spare parks. The bound is measured again,
 /// and the ring emptied, only on a switch or when the capacity hint
 /// leaves [h/2, 2h] of the hint h it was measured at, so the measuring
 /// instance is rare and a spare never owns more than about four times
@@ -679,8 +681,10 @@ protected:
       return;
     auto Fresh = Traits::makeImpl(
         static_cast<typename Traits::Variant>(Index), adaptiveOverride());
-    Fresh->reserve(std::max<size_t>(2 * Hint, 1));
-    Spares.retain(Index, Fresh->memoryFootprint());
+    size_t Elements = std::max<size_t>(2 * Hint, 1);
+    Fresh->reserve(Elements);
+    Spares.retain(Index, Fresh->memoryFootprint() +
+                             Fresh->unreservedBytes(Elements));
     BoundVariant = Index;
     BoundHint = Hint;
   }

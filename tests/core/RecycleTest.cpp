@@ -10,10 +10,13 @@
 /// §4.4). A recycled instance must be indistinguishable from a fresh
 /// one: empty, with a zero profile, of the current variant, presized so
 /// that inserts up to the capacity hint allocate no more than on a fresh
-/// instance. The ring keeps only spares that own no more than a fresh
-/// instance reserved at twice the hint, measures that bound again only
-/// when the hint leaves [h/2, 2h], frees its spares with its context,
-/// and stays unused in the concurrent tier. Every test
+/// instance, and nothing at all for the nodes a node-based spare kept.
+/// The ring keeps only spares that own no more than a fresh instance
+/// reserved at twice the hint once it holds that many elements, measures
+/// that bound again only when the hint leaves [h/2, 2h], frees its
+/// spares with its context, and stays unused in the concurrent tier.
+/// Parked nodes hold no live element, and an instance that is never
+/// recycled allocates as it did before nodes were kept. Every test
 /// runs over List, Set and Map and every sequential variant, adaptive
 /// ones past their migration too.
 ///
@@ -25,8 +28,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -40,33 +45,70 @@ std::shared_ptr<const PerformanceModel> defaultModel() {
   return Model;
 }
 
+/// An element that counts its constructions and destructions.
+struct Tracked {
+  static inline int64_t Constructed = 0;
+  static inline int64_t Destroyed = 0;
+  static int64_t live() { return Constructed - Destroyed; }
+
+  Tracked() : Tracked(0) {}
+  explicit Tracked(int64_t V) : V(V) { ++Constructed; }
+  Tracked(const Tracked &Other) : V(Other.V) { ++Constructed; }
+  Tracked &operator=(const Tracked &) = default;
+  ~Tracked() { ++Destroyed; }
+
+  bool operator==(const Tracked &Other) const { return V == Other.V; }
+  bool operator<(const Tracked &Other) const { return V < Other.V; }
+
+  int64_t V;
+};
+
+} // namespace
+
+template <> struct std::hash<Tracked> {
+  size_t operator()(const Tracked &T) const {
+    return std::hash<int64_t>{}(T.V);
+  }
+};
+
+namespace {
+
 /// Per-kind operations and a variant whose lookups a hash variant beats.
 template <typename Facade> struct Kind;
 
-template <> struct Kind<List<int64_t>> {
+template <typename T> struct Kind<List<T>> {
   static constexpr ListVariant Linear = ListVariant::ArrayList;
   template <typename C> static void add(C &Coll, int64_t V) {
-    Coll.push_back(V);
+    Coll.push_back(T(V));
   }
-  static void add(List<int64_t> &L, int64_t V) { L.add(V); }
-  static bool has(const List<int64_t> &L, int64_t V) { return L.contains(V); }
+  static void add(List<T> &L, int64_t V) { L.add(T(V)); }
+  template <typename C> static void erase(C &Coll, int64_t V) {
+    (void)Coll.removeValue(T(V));
+  }
+  static bool has(const List<T> &L, int64_t V) { return L.contains(T(V)); }
 };
 
-template <> struct Kind<Set<int64_t>> {
+template <typename T> struct Kind<Set<T>> {
   static constexpr SetVariant Linear = SetVariant::ArraySet;
   template <typename C> static void add(C &Coll, int64_t V) {
-    (void)Coll.add(V);
+    (void)Coll.add(T(V));
   }
-  static bool has(const Set<int64_t> &S, int64_t V) { return S.contains(V); }
+  template <typename C> static void erase(C &Coll, int64_t V) {
+    (void)Coll.remove(T(V));
+  }
+  static bool has(const Set<T> &S, int64_t V) { return S.contains(T(V)); }
 };
 
-template <> struct Kind<Map<int64_t, int64_t>> {
+template <typename K, typename V> struct Kind<Map<K, V>> {
   static constexpr MapVariant Linear = MapVariant::ArrayMap;
-  template <typename C> static void add(C &Coll, int64_t V) {
-    (void)Coll.put(V, V);
+  template <typename C> static void add(C &Coll, int64_t I) {
+    (void)Coll.put(K(I), V(I));
   }
-  static bool has(const Map<int64_t, int64_t> &M, int64_t V) {
-    return M.containsKey(V);
+  template <typename C> static void erase(C &Coll, int64_t I) {
+    (void)Coll.remove(K(I));
+  }
+  static bool has(const Map<K, V> &M, int64_t I) {
+    return M.containsKey(K(I));
   }
 };
 
@@ -131,11 +173,41 @@ protected:
     return Impl->memoryFootprint();
   }
 
-  /// The retention bound at capacity hint \p Hint.
+  /// The retention bound at capacity hint \p Hint: what a fresh
+  /// instance reserved at max(2 * Hint, 1) owns once it holds that many
+  /// elements.
   static size_t retentionBound(Variant V, size_t Hint) {
+    size_t Elements = std::max<size_t>(2 * Hint, 1);
     auto Impl = Traits::makeImpl(V);
-    Impl->reserve(2 * Hint);
-    return Impl->memoryFootprint();
+    Impl->reserve(Elements);
+    return Impl->memoryFootprint() + Impl->unreservedBytes(Elements);
+  }
+
+  /// Bytes that inserts up to capacity hint \p AtHint allocate into a
+  /// recycled instance (first) and into a fresh one reserved at the hint
+  /// (second), after an instance of \p Died elements died into the ring.
+  static std::pair<uint64_t, uint64_t> refillBytes(Variant V, size_t AtHint,
+                                                   size_t Died) {
+    auto Ctx = hinted(V, AtHint);
+    {
+      Facade F = Traits::create(*Ctx);
+      fill(F, Died);
+    }
+    Facade R = Traits::create(*Ctx);
+    AllocationScope Recycled;
+    fill(R, AtHint);
+    uint64_t RecycledBytes = Recycled.allocatedInScope();
+
+    auto Fresh = Traits::makeImpl(V);
+    Fresh->reserve(AtHint);
+    AllocationScope FreshScope;
+    fill(*Fresh, AtHint);
+    return {RecycledBytes, FreshScope.allocatedInScope()};
+  }
+
+  /// True for the variants that own one node per element.
+  static bool nodeBased(Variant V) {
+    return Traits::makeImpl(V)->unreservedBytes(1) != 0;
   }
 
   /// What the ring holds after a spare owning \p Spare bytes came back
@@ -194,24 +266,81 @@ TYPED_TEST(Recycle, RecycledInstanceIsIndistinguishableFromFresh) {
   EXPECT_GE(Kept, 3u);
 }
 
+// The array and table variants: a reservation at the hint covers every
+// insert up to it, on a spare as on a fresh instance.
 TYPED_TEST(Recycle, InsertsUpToTheHintAllocateNoMoreThanFresh) {
+  size_t Checked = 0;
   for (auto V : TestFixture::sequentialVariants()) {
+    if (TestFixture::Traits::makeImpl(V)->unreservedBytes(Hint) != 0)
+      continue;
     SCOPED_TRACE(TestFixture::nameOf(V));
-    auto Ctx = TestFixture::hinted(V, Hint);
-    {
-      TypeParam F = TestFixture::Traits::create(*Ctx);
-      TestFixture::fill(F, Grown);
-    }
-    TypeParam R = TestFixture::Traits::create(*Ctx);
-    AllocationScope Recycled;
-    TestFixture::fill(R, Hint);
-    uint64_t RecycledBytes = Recycled.allocatedInScope();
+    auto [RecycledBytes, FreshBytes] =
+        TestFixture::refillBytes(V, Hint, Grown);
+    EXPECT_EQ(RecycledBytes, FreshBytes);
+    ++Checked;
+  }
+  // ArrayList, HashArrayList and AdaptiveList; the Open, Array, Compact
+  // and SortedArray sets and maps.
+  EXPECT_EQ(Checked, TestFixture::Traits::Kind == AbstractionKind::List ? 3u
+                                                                          : 4u);
+}
 
-    auto Fresh = TestFixture::Traits::makeImpl(V);
-    Fresh->reserve(Hint);
-    AllocationScope FreshScope;
-    TestFixture::fill(*Fresh, Hint);
-    EXPECT_EQ(RecycledBytes, FreshScope.allocatedInScope());
+// The node-based variants, and the adaptive set and map past their
+// migration: a fresh instance allocates a node per insert (or the table
+// it migrates to), a spare reuses the ones it kept.
+TYPED_TEST(Recycle, InsertsUpToTheKeptStorageAllocateNothing) {
+  size_t Checked = 0;
+  for (auto V : TestFixture::sequentialVariants()) {
+    auto Probe = TestFixture::Traits::makeImpl(V);
+    size_t Unreserved = Probe->unreservedBytes(Hint);
+    if (Unreserved == 0)
+      continue;
+    SCOPED_TRACE(TestFixture::nameOf(V));
+    auto [RecycledBytes, FreshBytes] =
+        TestFixture::refillBytes(V, Hint, Grown);
+    EXPECT_EQ(RecycledBytes, 0u);
+    EXPECT_EQ(FreshBytes, Unreserved);
+    if (TestFixture::nodeBased(V)) {
+      EXPECT_EQ(Unreserved, Hint * Probe->unreservedBytes(1));
+    }
+    ++Checked;
+  }
+  // LinkedList; Chained, Linked, Tree and Adaptive sets and maps.
+  EXPECT_EQ(Checked, TestFixture::Traits::Kind == AbstractionKind::List ? 1u
+                                                                          : 4u);
+}
+
+TYPED_TEST(Recycle, OutsideARingNodesAreFreedAsBefore) {
+  using K = typename TestFixture::K;
+  for (auto V : TestFixture::sequentialVariants()) {
+    if (!TestFixture::nodeBased(V))
+      continue;
+    SCOPED_TRACE(TestFixture::nameOf(V));
+    auto Impl = TestFixture::Traits::makeImpl(V);
+    int64_t Baseline = MemoryTracker::liveBytes();
+    size_t Empty = Impl->memoryFootprint();
+    AllocationScope First;
+    TestFixture::fill(*Impl, Grown);
+    uint64_t FirstBytes = First.allocatedInScope();
+
+    // A removal frees its node: refilling allocates every node again.
+    for (size_t I = 0; I != Grown; ++I)
+      K::erase(*Impl, static_cast<int64_t>(I));
+    AllocationScope Refill;
+    TestFixture::fill(*Impl, Grown);
+    EXPECT_EQ(Refill.allocatedInScope(), Impl->unreservedBytes(Grown));
+
+    // clear() frees every node and the buckets: the next fill allocates
+    // as the first one did.
+    Impl->clear();
+    EXPECT_EQ(MemoryTracker::liveBytes(), Baseline);
+    EXPECT_EQ(Impl->memoryFootprint(), Empty);
+    AllocationScope Second;
+    TestFixture::fill(*Impl, Grown);
+    EXPECT_EQ(Second.allocatedInScope(), FirstBytes);
+
+    Impl.reset();
+    EXPECT_EQ(MemoryTracker::liveBytes(), Baseline);
   }
 }
 
@@ -354,6 +483,52 @@ TYPED_TEST(Recycle, DestroyingTheContextFreesItsSpares) {
       }
       Alive.clear();
     }
+    EXPECT_EQ(MemoryTracker::liveBytes(), Baseline);
+  }
+}
+
+template <typename Facade> class RecycleLifetime : public Recycle<Facade> {};
+
+using TrackedFacades =
+    ::testing::Types<List<Tracked>, Set<Tracked>, Map<Tracked, Tracked>>;
+TYPED_TEST_SUITE(RecycleLifetime, TrackedFacades);
+
+TYPED_TEST(RecycleLifetime, ParkedNodesHoldNoLiveElement) {
+  for (auto V : TestFixture::sequentialVariants()) {
+    SCOPED_TRACE(TestFixture::nameOf(V));
+    int64_t Baseline = MemoryTracker::liveBytes();
+    int64_t Constructed = Tracked::Constructed;
+    int64_t Destroyed = Tracked::Destroyed;
+    int64_t FreshLive;
+    {
+      auto Fresh = TestFixture::Traits::makeImpl(V);
+      TestFixture::fill(*Fresh, Grown);
+      FreshLive = Tracked::live() - (Constructed - Destroyed);
+    }
+    {
+      auto Ctx = TestFixture::hinted(V, Hint);
+      ASSERT_EQ(Tracked::live(), Constructed - Destroyed);
+      size_t Empty = Ctx->memoryFootprint();
+      {
+        TypeParam F = TestFixture::Traits::create(*Ctx);
+        TestFixture::fill(F, Grown);
+      }
+      // The spare kept its nodes but none of its elements.
+      EXPECT_EQ(Tracked::live(), Constructed - Destroyed);
+      if (TestFixture::nodeBased(V)) {
+        EXPECT_GE(Ctx->memoryFootprint() - Empty,
+                  TestFixture::Traits::makeImpl(V)->unreservedBytes(Grown));
+      }
+      {
+        TypeParam R = TestFixture::Traits::create(*Ctx);
+        TestFixture::fill(R, Grown);
+        EXPECT_EQ(R.size(), Grown);
+        EXPECT_EQ(Tracked::live() - (Constructed - Destroyed), FreshLive);
+      }
+      EXPECT_EQ(Tracked::live(), Constructed - Destroyed);
+    }
+    EXPECT_EQ(Tracked::Constructed - Constructed,
+              Tracked::Destroyed - Destroyed);
     EXPECT_EQ(MemoryTracker::liveBytes(), Baseline);
   }
 }

@@ -54,13 +54,14 @@ std::string reportToJson(const SelectionRule &Rule,
              "\", ";
     else
       Out += "\"recommended\": null, ";
-    char Buf[96];
+    char Buf[192];
     std::snprintf(Buf, sizeof(Buf),
                   "\"instances\": %zu, \"time_ratio\": %.4f, "
-                  "\"alloc_ratio\": %.4f}",
+                  "\"alloc_ratio\": %.4f, \"energy_ratio\": %.4f}",
                   Rec.InstancesProfiled,
                   Rec.improvementRatio(CostDimension::Time),
-                  Rec.improvementRatio(CostDimension::Alloc));
+                  Rec.improvementRatio(CostDimension::Alloc),
+                  Rec.improvementRatio(CostDimension::Energy));
     Out += Buf;
     Out += I + 1 == Report.size() ? "\n" : ",\n";
   }
