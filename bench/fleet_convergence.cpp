@@ -115,8 +115,7 @@ bool aggregateOverHttp(const std::vector<std::string> &DonorPaths,
                        std::vector<StoreSite> &Merged) {
   wipe(AggregatorPath);
   Switch::configure(
-      SwitchConfig{ContextOptions{}, FleetOptions{}.serveStore(),
-                   std::string()});
+      SwitchConfig{ContextOptions{}, FleetOptions{}.serveStore()});
   Switch::loadStore(AggregatorPath);
   uint16_t Port = Switch::serveMetrics(0);
   bool Ok = Port != 0;

@@ -19,7 +19,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace cswitch {
 
@@ -29,21 +28,6 @@ struct AdaptiveThresholds {
   size_t Set = 40;  ///< AdaptiveSet: array -> open hash.
   size_t Map = 50;  ///< AdaptiveMap: array -> open hash.
 };
-
-/// Largest transition threshold validateThresholds accepts. Above this
-/// the array representation would scan megabytes per lookup — a value
-/// this size in a tuning artifact is a bug, not a configuration.
-inline constexpr size_t MaxAdaptiveThreshold = size_t(1) << 20;
-
-/// Validates \p T for installation: every threshold must be in
-/// [1, MaxAdaptiveThreshold]. A zero threshold would make the adaptive
-/// variants migrate on construction and never use their array form —
-/// rejecting it here keeps a corrupt or hand-edited tuning artifact
-/// from wedging the adaptive tier. On failure returns false and, when
-/// \p Error is non-null, appends a diagnostic naming the offending
-/// field and value.
-bool validateThresholds(const AdaptiveThresholds &T,
-                        std::string *Error = nullptr);
 
 /// Policy of the concurrent tier (DESIGN.md §11): how sharded variants
 /// size their stripe arrays and how the contention signal feeds the
@@ -78,17 +62,6 @@ public:
 
   /// Installs new thresholds (e.g. computed by ThresholdAnalyzer).
   void setThresholds(const AdaptiveThresholds &T) { Current = T; }
-
-  /// Validated installation (the path tuning artifacts go through):
-  /// rejects out-of-range thresholds via validateThresholds, leaving
-  /// the current configuration untouched. \returns true when installed.
-  bool setThresholdsChecked(const AdaptiveThresholds &T,
-                            std::string *Error = nullptr) {
-    if (!validateThresholds(T, Error))
-      return false;
-    Current = T;
-    return true;
-  }
 
   /// Current concurrent-tier policy (same update semantics as
   /// thresholds(): changes affect instances and analysis rounds that

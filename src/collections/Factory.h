@@ -46,7 +46,7 @@ namespace cswitch {
 
 /// Creates an empty list implementation of variant \p V. \p Adaptive,
 /// when non-null, overrides the process-wide AdaptiveConfig thresholds
-/// for the adaptive variant (per-context tuning; see
+/// for the adaptive variant (per-context thresholds; see
 /// ContextOptions::AdaptiveOverride).
 template <typename T>
 std::unique_ptr<ListImpl<T>>

@@ -132,9 +132,9 @@ struct ContextOptions {
   /// thresholds (paper §3.2, Table 1). When set, adaptive variants
   /// created by this context — and the context's own wide-range /
   /// straddle analysis — use these thresholds instead of the
-  /// process-wide AdaptiveConfig. This is how tuned configurations and
-  /// the offline tuner's candidate genomes apply thresholds without
-  /// touching global state (race-free under parallel evaluation).
+  /// process-wide AdaptiveConfig. This is how simulated policies apply
+  /// thresholds without touching global state (race-free under parallel
+  /// evaluation).
   std::optional<AdaptiveThresholds> AdaptiveOverride;
   /// Synchronization tier of the site (DESIGN.md §11). None (default)
   /// selects among the sequential variants only — collections must stay

@@ -6,7 +6,6 @@
 
 #include "core/Switch.h"
 
-#include "collections/AdaptiveConfig.h"
 #include "model/DefaultModel.h"
 #include "obs/MetricsHttp.h"
 #include "obs/OpenMetrics.h"
@@ -14,11 +13,7 @@
 #include "obs/Provenance.h"
 #include "support/MetricsExport.h"
 #include "support/Telemetry.h"
-#include "tuner/ParameterSpace.h"
-#include "tuner/TuningArtifact.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <mutex>
 
 using namespace cswitch;
@@ -60,73 +55,6 @@ std::unique_ptr<obs::MetricsServer> &serverSlot() {
   return Slot;
 }
 
-// Applies a decoded tuning artifact process-wide. Takes configMutex()
-// itself for the context-defaults overlay — callers must not hold it.
-bool applyTuningArtifact(const tuner::TuningArtifact &Artifact,
-                         const std::string &Source, std::string *Error) {
-  auto Fail = [&](const std::string &Reason) {
-    TuningRegistry::global().recordFailure();
-    std::fprintf(stderr, "cswitch: tuning artifact %s rejected: %s\n",
-                 Source.c_str(), Reason.c_str());
-    if (Error)
-      *Error = Reason;
-    return false;
-  };
-  tuner::ParameterSet Params;
-  std::string Reason;
-  if (!tuner::paramsFromArtifact(Artifact, Params, &Reason))
-    return Fail(Reason);
-  // Validate before installing anything, so a rejected artifact leaves
-  // the running configuration untouched.
-  if (!validateThresholds(Params.thresholds(), &Reason))
-    return Fail(Reason);
-  AdaptiveConfig::global().setThresholdsChecked(Params.thresholds());
-  {
-    std::lock_guard<std::mutex> Lock(configMutex());
-    ContextOptions &Defaults = contextDefaultsSlot();
-    Defaults.WindowSize = Params.windowSize();
-    Defaults.FinishedRatio = Params.finishedRatio();
-    Defaults.WideRangeFactor = Params.wideRangeFactor();
-  }
-  TuningStats Provenance;
-  Provenance.Source = Source;
-  Provenance.Fingerprint = Artifact.HostFingerprint;
-  Provenance.CorpusDigest = Artifact.CorpusDigest;
-  Provenance.Sweeps = Artifact.Sweeps;
-  Provenance.Evaluations = Artifact.Evaluations;
-  Provenance.Parameters = Artifact.Rows.size();
-  Provenance.WinnerFitness = Artifact.WinnerFitness;
-  Provenance.BaselineFitness = Artifact.BaselineFitness;
-  TuningRegistry::global().recordLoad(Provenance);
-  return true;
-}
-
-bool applyTuningFile(const std::string &Path, std::string *Error) {
-  tuner::TuningArtifact Artifact;
-  std::string Reason;
-  if (!tuner::readTuningArtifactFromFile(Path, Artifact, &Reason)) {
-    TuningRegistry::global().recordFailure();
-    std::fprintf(stderr, "cswitch: tuning artifact %s rejected: %s\n",
-                 Path.c_str(), Reason.c_str());
-    if (Error)
-      *Error = Reason;
-    return false;
-  }
-  return applyTuningArtifact(Artifact, Path, Error);
-}
-
-// CSWITCH_TUNING: the zero-code-change path to a tuned configuration,
-// mirroring how fleet hosts pick up pushed artifacts. Checked once per
-// process, before any explicit SwitchConfig::Tuning application.
-void maybeApplyEnvTuning() {
-  static std::once_flag Once;
-  std::call_once(Once, [] {
-    const char *Path = std::getenv("CSWITCH_TUNING");
-    if (Path && *Path)
-      applyTuningFile(Path, nullptr);
-  });
-}
-
 } // namespace
 
 std::shared_ptr<const PerformanceModel> Switch::model() {
@@ -155,21 +83,11 @@ void Switch::configure(const SwitchConfig &Config) {
     contextDefaultsSlot() = Config.Context;
     fleetOptionsSlot() = Config.Fleet;
   }
-  // Environment-provided tuning first, then the explicit artifact (the
-  // configuration the caller named wins over ambient state).
-  maybeApplyEnvTuning();
-  if (!Config.Tuning.empty())
-    applyTuningFile(Config.Tuning, nullptr);
 }
 
 ContextOptions Switch::defaultContextOptions() {
-  maybeApplyEnvTuning();
   std::lock_guard<std::mutex> Lock(configMutex());
   return contextDefaultsSlot();
-}
-
-bool Switch::applyTuning(const std::string &Path, std::string *Error) {
-  return applyTuningFile(Path, Error);
 }
 
 uint16_t Switch::serveMetrics(uint16_t Port) {

@@ -27,8 +27,8 @@
 /// Process-wide configuration flows through one call: configure() takes
 /// a SwitchConfig bundling the ContextOptions every subsequent
 /// makeContext() defaults to — including the monitoring rate
-/// startEngine() paces the background thread at — with the fleet and
-/// tuning options. There is no second configuration path.
+/// startEngine() paces the background thread at — with the fleet
+/// options. There is no second configuration path.
 ///
 /// Contexts created here share the process-wide performance model (the
 /// built-in default until setModel() installs a measured one), default to
@@ -82,8 +82,8 @@ struct FleetOptions {
 
 /// The one process-wide configuration bundle: the context defaults
 /// every makeContext() call falls back to when no explicit
-/// ContextOptions is passed (see Switch::configure), plus the fleet and
-/// tuning options.
+/// ContextOptions is passed (see Switch::configure), plus the fleet
+/// options.
 struct SwitchConfig {
   /// Defaults for contexts created without explicit options — window
   /// geometry, concurrency mode, and the monitoring rate startEngine()
@@ -91,15 +91,6 @@ struct SwitchConfig {
   ContextOptions Context;
   /// Fleet store-sync exposure of the metrics endpoint (DESIGN.md §12).
   FleetOptions Fleet;
-  /// Optional path to a `cswitch-tuning-v2` artifact (produced by the
-  /// offline autotuner, DESIGN.md §13) applied on top of the rest of
-  /// the configuration: tuned adaptive thresholds install into
-  /// AdaptiveConfig, tuned window geometry overlays the context
-  /// defaults. An unreadable or invalid artifact is counted in
-  /// telemetry and warned about — it never wedges startup. Empty =
-  /// none (the `CSWITCH_TUNING` environment variable, checked once per
-  /// process, fills the same role for unmodified binaries).
-  std::string Tuning;
 };
 
 /// Deleter that unregisters a context from the global engine before
@@ -137,17 +128,6 @@ public:
   /// The ContextOptions makeContext() currently defaults to (the
   /// built-in defaults until configure() installs others).
   static ContextOptions defaultContextOptions();
-
-  /// Applies the `cswitch-tuning-v2` artifact at \p Path process-wide:
-  /// adaptive thresholds install into the global AdaptiveConfig
-  /// (validated — see setThresholdsChecked), window geometry overlays
-  /// the makeContext() context defaults, and the artifact's provenance
-  /// lands in telemetry (TelemetrySnapshot::Tuning). Returns false —
-  /// with \p Error describing why, and the failure counted — when the
-  /// file is unreadable or the decoder or validators reject it; the
-  /// running configuration is unchanged in that case.
-  static bool applyTuning(const std::string &Path,
-                          std::string *Error = nullptr);
 
   /// Starts the global engine's background evaluation/reporter thread
   /// at \p MonitoringRate (paper §4.3). No-op when already running.

@@ -307,7 +307,6 @@ TelemetrySnapshot SwitchEngine::telemetry() const {
   Snapshot.Events.Dropped = Log.droppedCount();
   Snapshot.Recorder = RecorderRegistry::global().stats();
   Snapshot.Fleet = FleetRegistry::global().stats();
-  Snapshot.Tuning = TuningRegistry::global().stats();
   Snapshot.Model = ModelRegistry::global().stats();
   if (std::shared_ptr<SelectionStore> St = store()) {
     Snapshot.Store = St->stats();

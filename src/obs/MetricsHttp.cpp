@@ -25,6 +25,10 @@ using namespace cswitch::obs;
 
 namespace {
 
+/// Time a client has, from accept, to deliver its whole request (header
+/// block and body) to the single server thread.
+constexpr std::chrono::seconds RequestDeadline{2};
+
 /// Writes all of \p Data to \p Fd, tolerating short writes. Returns
 /// false on error (peer gone — nothing useful to do about it).
 bool writeAll(int Fd, const char *Data, size_t Len) {
@@ -123,16 +127,29 @@ void MetricsServer::serveLoop() {
         continue;
       return; // Listen socket shut down: server stopping.
     }
-    // Bound the time a stalled client can pin the (single) server
-    // thread: a scraper that connects but never sends times out.
-    timeval Timeout = {/*tv_sec=*/2, /*tv_usec=*/0};
-    ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout, sizeof(Timeout));
     serveConnection(Fd);
     ::close(Fd);
   }
 }
 
 namespace {
+
+/// recv() that gives up at \p Deadline: the socket's receive timeout is
+/// shrunk to the time left before each call. Returns what recv returns,
+/// or -1 once the deadline has passed.
+ssize_t recvBefore(int Fd, char *Buf, size_t Size,
+                   std::chrono::steady_clock::time_point Deadline) {
+  auto Left = std::chrono::duration_cast<std::chrono::microseconds>(
+      Deadline - std::chrono::steady_clock::now());
+  // A zero timeval would mean "wait forever".
+  if (Left.count() <= 0)
+    return -1;
+  timeval Timeout = {/*tv_sec=*/static_cast<time_t>(Left.count() / 1000000),
+                     /*tv_usec=*/static_cast<suseconds_t>(Left.count() %
+                                                           1000000)};
+  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout, sizeof(Timeout));
+  return ::recv(Fd, Buf, Size, 0);
+}
 
 /// Maps the status codes the POST handlers use to reason phrases.
 const char *statusLine(int Status) {
@@ -198,6 +215,11 @@ bool contentLengthOf(std::string_view Headers, size_t &Out) {
 } // namespace
 
 void MetricsServer::serveConnection(int Fd) {
+  // Bound the time any client can pin the (single) server thread: the
+  // whole request must arrive within RequestDeadline of the accept, so
+  // neither a silent client nor one that drips a byte at a time holds it
+  // longer.
+  auto Deadline = std::chrono::steady_clock::now() + RequestDeadline;
   // Read until the end of the header block ("\r\n\r\n" or "\n\n"); GET
   // routing only needs the request line, POST additionally needs the
   // Content-Length header. The header block itself is capped at 8 KiB.
@@ -216,7 +238,7 @@ void MetricsServer::serveConnection(int Fd) {
       BodyStart = P + 2;
       break;
     }
-    ssize_t N = ::recv(Fd, Buf, sizeof(Buf), 0);
+    ssize_t N = recvBefore(Fd, Buf, sizeof(Buf), Deadline);
     if (N <= 0)
       return;
     Request.append(Buf, static_cast<size_t>(N));
@@ -315,9 +337,9 @@ void MetricsServer::serveConnection(int Fd) {
   if (Body.size() > ContentLength)
     Body.resize(ContentLength);
   while (Body.size() < ContentLength) {
-    ssize_t N = ::recv(Fd, Buf, sizeof(Buf), 0);
+    ssize_t N = recvBefore(Fd, Buf, sizeof(Buf), Deadline);
     if (N <= 0)
-      return; // Peer died (or stalled past the rcv timeout) mid-body.
+      return; // Peer died (or ran out of the request deadline) mid-body.
     size_t Want = ContentLength - Body.size();
     Body.append(Buf, std::min(static_cast<size_t>(N), Want));
   }

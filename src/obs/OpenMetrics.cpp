@@ -133,16 +133,11 @@ void sectionFamilies(std::string &Out, std::string_view Prefix,
   scalarFamilies<S>(Out, Prefix, {{std::string_view(), &Stats}});
 }
 
-/// An info label's value: strings escaped, doubles round-trippable.
+/// An info label's value: strings escaped, integers in decimal.
 std::string labelValue(const std::string &Value) {
   return openMetricsEscape(Value);
 }
 std::string labelValue(uint64_t Value) { return std::to_string(Value); }
-std::string labelValue(double Value) {
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%.17g", Value);
-  return Buf;
-}
 
 /// Prometheus info-metric style: `Name{...} 1`, one label per Info row
 /// of \p Stats, in row order.
@@ -202,18 +197,11 @@ cswitch::obs::renderOpenMetrics(const TelemetrySnapshot &Snapshot,
   sectionFamilies(Out, "cswitch_recorder_", Snapshot.Recorder);
   sectionFamilies(Out, "cswitch_store_", Snapshot.Store);
   sectionFamilies(Out, "cswitch_fleet_", Snapshot.Fleet);
-  sectionFamilies(Out, "cswitch_tuning_", Snapshot.Tuning);
   sectionFamilies(Out, "cswitch_model_", Snapshot.Model);
   // The host the process runs on, so dashboards can relate the series
   // to the machine.
   sectionFamilies(Out, "cswitch_topology_", Snapshot.Topology);
 
-  // Provenance of the applied tuned configuration. Emitted only once an
-  // artifact has been applied.
-  if (Snapshot.Tuning.Loads > 0)
-    infoFamily(Out, "cswitch_tuning_info",
-               "Provenance of the applied cswitch-tuning-v2 artifact.",
-               Snapshot.Tuning);
   // Provenance of the cost model driving selection (DESIGN.md §14):
   // which artifact the decisions trace back to. Emitted once any model
   // has been installed — including the shipped default ("<builtin>").

@@ -303,10 +303,6 @@ cswitch::obs::makeExplainHeader(const TelemetrySnapshot &Snapshot) {
   ExplainProvenance Out;
   Out.ModelSource = Snapshot.Model.Source;
   Out.ModelInstalls = Snapshot.Model.Installs;
-  Out.TuningSource = Snapshot.Tuning.Source;
-  Out.TuningFingerprint = Snapshot.Tuning.Fingerprint;
-  Out.TuningCorpusDigest = Snapshot.Tuning.CorpusDigest;
-  Out.TuningLoads = Snapshot.Tuning.Loads;
   Out.StorePath = Snapshot.Store.Path;
   Out.StoreLoads = Snapshot.Store.Loads;
   Out.StoreWarmStarts = Snapshot.Store.WarmStarts;
@@ -322,11 +318,6 @@ cswitch::obs::renderExplainJson(const ExplainProvenance &Provenance,
   Out += ",\"provenance\":{\"model\":{\"source\":\"" +
          jsonEscape(Provenance.ModelSource) +
          "\",\"installs\":" + std::to_string(Provenance.ModelInstalls);
-  Out += "},\"tuning\":{\"source\":\"" + jsonEscape(Provenance.TuningSource) +
-         "\",\"fingerprint\":\"" + jsonEscape(Provenance.TuningFingerprint) +
-         "\",\"corpus_digest\":\"" +
-         jsonEscape(Provenance.TuningCorpusDigest) +
-         "\",\"loads\":" + std::to_string(Provenance.TuningLoads);
   Out += "},\"store\":{\"path\":\"" + jsonEscape(Provenance.StorePath) +
          "\",\"loads\":" + std::to_string(Provenance.StoreLoads) +
          ",\"warm_starts\":" + std::to_string(Provenance.StoreWarmStarts);
@@ -778,14 +769,6 @@ bool cswitch::obs::parseExplainDocument(std::string_view Json,
     if (const JsonValue *Model = Provenance->field("model")) {
       Out.Provenance.ModelSource = stringOr(Model->field("source"), "");
       Out.Provenance.ModelInstalls = u64Or(Model->field("installs"), 0);
-    }
-    if (const JsonValue *Tuning = Provenance->field("tuning")) {
-      Out.Provenance.TuningSource = stringOr(Tuning->field("source"), "");
-      Out.Provenance.TuningFingerprint =
-          stringOr(Tuning->field("fingerprint"), "");
-      Out.Provenance.TuningCorpusDigest =
-          stringOr(Tuning->field("corpus_digest"), "");
-      Out.Provenance.TuningLoads = u64Or(Tuning->field("loads"), 0);
     }
     if (const JsonValue *Store = Provenance->field("store")) {
       Out.Provenance.StorePath = stringOr(Store->field("path"), "");

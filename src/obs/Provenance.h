@@ -253,21 +253,17 @@ private:
 };
 
 /// Artifact provenance rendered into the /explain.json header: which
-/// model / tuning / store drove the recorded decisions.
+/// model and store drove the recorded decisions.
 struct ExplainProvenance {
   std::string ModelSource; ///< "<builtin>" or the model file's path.
   uint64_t ModelInstalls = 0;
-  std::string TuningSource; ///< cswitch-tuning-v2 path, or empty.
-  std::string TuningFingerprint;
-  std::string TuningCorpusDigest;
-  uint64_t TuningLoads = 0;
   std::string StorePath; ///< Warm-start store path, or empty.
   uint64_t StoreLoads = 0;
   uint64_t StoreWarmStarts = 0;
 };
 
-/// Distills the artifact provenance of \p Snapshot (model / tuning /
-/// store registries) into the explain header.
+/// Distills the artifact provenance of \p Snapshot (model and store
+/// registries) into the explain header.
 ExplainProvenance makeExplainHeader(const TelemetrySnapshot &Snapshot);
 
 /// Renders the "cswitch-explain-v1" document: provenance header plus

@@ -83,8 +83,8 @@ struct SimulationReport {
   std::string render() const;
 
   /// Renders the full ranked report as JSON (schema
-  /// "cswitch-simulate-v2") for programmatic consumers — the tuner, CI
-  /// asserts, and `cswitch_replay simulate --json`. Includes per-policy
+  /// "cswitch-simulate-v2") for programmatic consumers — CI asserts and
+  /// `cswitch_replay simulate --json`. Includes per-policy
   /// counters, predicted and trajectory costs, and final variant
   /// choices.
   std::string toJson() const;

@@ -93,7 +93,7 @@ struct SiteReplayResult {
   /// with, over the workload it actually executed. Unlike a final-variant
   /// prediction this rewards converging early — instances created before
   /// the context switched still pay the pre-switch variant's cost — so
-  /// it is the deterministic fitness signal of the offline tuner.
+  /// the policy simulator ranks candidate policies by it.
   /// Computed only when ReplayOptions::Model is set; 0 otherwise.
   double TrajectoryTime = 0.0;
   double TrajectoryAlloc = 0.0;
@@ -142,8 +142,8 @@ private:
 };
 
 /// Replays every trace of \p Corpus under \p Options, one result per
-/// trace in corpus order. The one corpus-replay loop behind the tuner's
-/// fitness, the policy simulator and the tuning acceptance gate.
+/// trace in corpus order. The one corpus-replay loop behind the policy
+/// simulator.
 std::vector<ReplayResult> replayCorpus(const std::vector<OpTrace> &Corpus,
                                        const ReplayOptions &Options);
 

@@ -205,7 +205,6 @@ std::string cswitch::toJson(const TelemetrySnapshot &Snapshot) {
   appendSection(Out, "recorder", Snapshot.Recorder);
   appendSection(Out, "store", Snapshot.Store);
   appendSection(Out, "fleet", Snapshot.Fleet);
-  appendSection(Out, "tuning", Snapshot.Tuning);
   appendSection(Out, "model", Snapshot.Model);
   Out += "  \"contexts\": [";
   for (size_t I = 0; I != Snapshot.Contexts.size(); ++I) {

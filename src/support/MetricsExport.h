@@ -30,8 +30,8 @@ std::string jsonEscape(std::string_view Text);
 
 /// Serializes \p Snapshot as a `cswitch-telemetry-v1` JSON document:
 /// `schema`, then one object per section (`engine`, `topology`,
-/// `latency`, `events`, `recorder`, `store`, `fleet`, `tuning`,
-/// `model`), then the `contexts` array. Each section's keys are the rows
+/// `latency`, `events`, `recorder`, `store`, `fleet`, `model`), then
+/// the `contexts` array. Each section's keys are the rows
 /// of its stats struct's field table in support/Telemetry.h, in row
 /// order; `latency` blocks and the per-context
 /// name/abstraction/variant/footprint/contention fields are written by

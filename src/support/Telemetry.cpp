@@ -28,30 +28,6 @@ ModelStats ModelRegistry::stats() const {
   return Counters;
 }
 
-TuningRegistry &TuningRegistry::global() {
-  static TuningRegistry Instance;
-  return Instance;
-}
-
-void TuningRegistry::recordLoad(const TuningStats &Provenance) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  uint64_t Loads = Counters.Loads + 1;
-  uint64_t Failures = Counters.LoadFailures;
-  Counters = Provenance;
-  Counters.Loads = Loads;
-  Counters.LoadFailures = Failures;
-}
-
-void TuningRegistry::recordFailure() {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  ++Counters.LoadFailures;
-}
-
-TuningStats TuningRegistry::stats() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Counters;
-}
-
 FleetRegistry &FleetRegistry::global() {
   static FleetRegistry Instance;
   return Instance;
@@ -106,7 +82,6 @@ TelemetrySnapshot cswitch::operator-(const TelemetrySnapshot &Now,
   Out.Recorder = Now.Recorder - Before.Recorder;
   Out.Store = Now.Store - Before.Store;
   Out.Fleet = Now.Fleet - Before.Fleet;
-  Out.Tuning = Now.Tuning - Before.Tuning;
   Out.Model = Now.Model - Before.Model;
   // Lifetime-distribution quantiles do not subtract; carry the newer
   // snapshot's distillation verbatim (same convention as Variant).

@@ -372,43 +372,6 @@ struct FleetStats {
 };
 static_assert(telemetry::describesLayout<FleetStats>());
 
-/// Counters and provenance of the tuned-configuration loader (the
-/// `cswitch-tuning-v2` artifacts the offline autotuner emits), so which
-/// tuned parameters a process runs under — and every rejected artifact —
-/// is observable, not silent. The provenance fields describe the most
-/// recently applied artifact (empty/zero when none).
-struct TuningStats {
-  uint64_t Loads = 0;
-  uint64_t LoadFailures = 0;
-  std::string Source;
-  std::string Fingerprint;
-  std::string CorpusDigest;
-  uint64_t Sweeps = 0;
-  uint64_t Evaluations = 0;
-  uint64_t Parameters = 0;
-  double WinnerFitness = 0.0;
-  double BaselineFitness = 0.0;
-
-  template <typename Row> static constexpr void fields(Row &&R) {
-    using enum MetricKind;
-    using S = TuningStats;
-    R("loads", Counter, &S::Loads, "Tuned-configuration artifacts applied.");
-    R("load_failures", Counter, &S::LoadFailures,
-      "Tuned-configuration artifacts the loader rejected.");
-    R("source", Info, &S::Source, "Artifact origin (file path or <memory>).");
-    R("fingerprint", Info, &S::Fingerprint, "Host fingerprint at tune time.");
-    R("corpus_digest", Info, &S::CorpusDigest, "Digest of the tuning corpus.");
-    R("sweeps", Info, &S::Sweeps, "Coordinate sweeps the search ran.");
-    R("evaluations", State, &S::Evaluations, "Fitness evaluations run.");
-    R("parameters", State, &S::Parameters, "Parameter rows applied.");
-    R("winner_fitness", State, &S::WinnerFitness, "Applied tuned fitness.");
-    R("baseline_fitness", State, &S::BaselineFitness, "Paper-default fitness.");
-  }
-
-  bool operator==(const TuningStats &) const = default;
-};
-static_assert(telemetry::describesLayout<TuningStats>());
-
 /// Provenance of the performance model driving selection decisions:
 /// where the installed model came from.
 struct ModelStats {
@@ -430,7 +393,7 @@ static_assert(telemetry::describesLayout<ModelStats>());
 /// Process-wide accumulator model installers report through, so the
 /// engine's telemetry snapshot (and the /explain.json provenance
 /// header) can say which model drives decisions without the support
-/// layer depending on the model library — the TuningRegistry pattern.
+/// layer depending on the model library — the FleetRegistry pattern.
 class ModelRegistry {
 public:
   /// The process-wide registry instance.
@@ -446,30 +409,6 @@ public:
 private:
   mutable std::mutex Mutex;
   ModelStats Counters; ///< Guarded by Mutex.
-};
-
-/// Process-wide accumulator the tuned-configuration loader reports
-/// through, so the engine's telemetry snapshot can include tuning
-/// provenance without the support layer depending on the tuning library
-/// — the same decoupling FleetRegistry provides for the fleet.
-class TuningRegistry {
-public:
-  /// The process-wide registry instance.
-  static TuningRegistry &global();
-
-  /// Records a successfully applied artifact: increments Loads and
-  /// installs \p Provenance (its counter fields are ignored).
-  void recordLoad(const TuningStats &Provenance);
-
-  /// Records an artifact the loader rejected.
-  void recordFailure();
-
-  /// Cumulative counters plus latest provenance since process start.
-  TuningStats stats() const;
-
-private:
-  mutable std::mutex Mutex;
-  TuningStats Counters; ///< Guarded by Mutex.
 };
 
 /// Process-wide accumulator the fleet layer reports through, so the
@@ -533,7 +472,6 @@ struct TelemetrySnapshot {
   RecorderStats Recorder;
   StoreStats Store;
   FleetStats Fleet;
-  TuningStats Tuning;
   ModelStats Model;
   EngineLatencies Latency;
   TopologyStats Topology;

@@ -64,8 +64,8 @@ private:
   unsigned Cpus = 1;
 };
 
-/// Identity of this host for the provenance of fitted models and tuning
-/// artifacts: node name, machine architecture and hardware concurrency
+/// Identity of this host for the provenance of fitted models: node
+/// name, machine architecture and hardware concurrency
 /// ("node/x86_64/c32"). Stable across runs on one machine; distinct
 /// machines (or core-count changes) produce distinct fingerprints.
 std::string hostFingerprint();

@@ -520,4 +520,32 @@ TEST(AllocationContext, CapacityHintUnderConcurrentCreatorsAndEvaluate) {
   EXPECT_LE(Hint, 64u);
 }
 
+TEST(ContextOptionsOverride, AdaptiveThresholdsApplyPerContext) {
+  // A context with an AdaptiveOverride consults it instead of the
+  // global AdaptiveConfig — the mechanism simulated policies rely on
+  // for race-free parallel evaluation.
+  AdaptiveThresholds Override;
+  Override.List = 16;
+  ContextOptions Options;
+  Options.LogEvents = false;
+  Options.AdaptiveOverride = Override;
+  ListContext<int64_t> Ctx("override-test:override", ListVariant::AdaptiveList,
+                           defaultModel(), SelectionRule::timeRule(), Options);
+  List<int64_t> L = Ctx.createList();
+  for (int64_t V = 0; V != 32; ++V)
+    L.add(V);
+  // With the global default threshold (80) this stays an array; the
+  // override (16) makes the adaptive impl transition to a hash at 32
+  // elements, observable through the footprint jump.
+  ListContext<int64_t> Global("override-test:noshadow",
+                              ListVariant::AdaptiveList, defaultModel(),
+                              SelectionRule::timeRule(),
+                              ContextOptions{}.logEvents(false));
+  List<int64_t> G = Global.createList();
+  for (int64_t V = 0; V != 32; ++V)
+    G.add(V);
+  EXPECT_EQ(L.size(), G.size());
+  EXPECT_GT(L.memoryFootprint(), G.memoryFootprint());
+}
+
 } // namespace

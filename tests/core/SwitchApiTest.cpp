@@ -104,7 +104,7 @@ TEST(SwitchApi, ConfigureInstallsContextDefaults) {
       SelectionRule::timeRule(), ContextOptions{}.windowSize(75));
   EXPECT_EQ(Explicit->options().WindowSize, 75u);
   EXPECT_EQ(Explicit->concurrencyMode(), Concurrency::None);
-  Switch::configure(SwitchConfig{Before, FleetOptions{}, std::string()});
+  Switch::configure(SwitchConfig{Before, FleetOptions{}});
 }
 
 TEST(SwitchApi, FluentOptionsConfigureTheAggregate) {

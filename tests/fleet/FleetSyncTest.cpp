@@ -88,8 +88,7 @@ public:
     Switch::closeStore();
     Switch::configure(SwitchConfig{
         ContextOptions{},
-        FleetOptions{}.serveStore().maxPushBytes(MaxPushBytes),
-        std::string()});
+        FleetOptions{}.serveStore().maxPushBytes(MaxPushBytes)});
     static int Counter = 0;
     StorePath = (std::filesystem::temp_directory_path() /
                  ("cswitch_fleet_sync_" + std::to_string(::getpid()) + "_" +

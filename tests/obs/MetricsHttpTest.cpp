@@ -7,8 +7,9 @@
 // The introspection endpoint over a real loopback socket: ephemeral
 // port binding, route dispatch with fresh render calls per request,
 // content types, 404 for unknown paths, 405 for non-GET methods, and
-// clean stop/restart. The client half is held to its timeout budget
-// against a peer that never answers.
+// clean stop/restart. The server holds each request to one deadline
+// against a client that drips bytes, and the client half is held to its
+// timeout budget against a peer that never answers.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +26,7 @@
 #include <chrono>
 #include <cstring>
 #include <string>
+#include <thread>
 
 using namespace cswitch;
 using namespace cswitch::obs;
@@ -228,6 +230,55 @@ TEST(MetricsHttp, ClientGivesUpOnAPeerThatNeverAnswers) {
   EXPECT_GE(Elapsed, Options.RequestTimeout * (Options.MaxRetries + 1));
   // Scheduling slack on a loaded host, far below a hang.
   EXPECT_LT(Elapsed, Budget + std::chrono::milliseconds(250));
+}
+
+TEST(MetricsHttp, SlowDripClientCannotHoldTheServer) {
+  MetricsServer Server;
+  Server.handle("/metrics", "application/openmetrics-text",
+                [] { return std::string("up 1\n# EOF\n"); });
+  ASSERT_TRUE(Server.start(0));
+
+  // A client that sends one byte of a request line every 0.5 s — well
+  // inside any per-recv timeout — for at most 6 s, or until the server
+  // hangs up on it.
+  std::atomic<bool> ClosedByServer{false};
+  std::thread Drip([&] {
+    int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (Fd < 0)
+      return;
+    sockaddr_in Addr = {};
+    Addr.sin_family = AF_INET;
+    Addr.sin_port = htons(Server.port());
+    Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) ==
+        0) {
+      const std::string Request = "GET /metrics HTTP/1.0\r\n\r\n";
+      for (size_t I = 0; I != 12; ++I) {
+        char Probe;
+        if (::recv(Fd, &Probe, 1, MSG_DONTWAIT) == 0 ||
+            ::send(Fd, &Request[I], 1, MSG_NOSIGNAL) != 1) {
+          ClosedByServer = true;
+          break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(500));
+      }
+    }
+    ::close(Fd);
+  });
+
+  // Let the drip connection take the server thread first.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  auto Start = std::chrono::steady_clock::now();
+  std::string Response = get(Server.port(), "/metrics");
+  auto Elapsed = std::chrono::steady_clock::now() - Start;
+  Drip.join();
+  Server.stop();
+
+  EXPECT_NE(Response.find("up 1"), std::string::npos) << Response;
+  // The drip loses the server at its 2 s request deadline; without one
+  // it would hold it for the whole 6 s.
+  EXPECT_LT(Elapsed, std::chrono::seconds(4));
+  EXPECT_TRUE(ClosedByServer);
 }
 
 TEST(MetricsHttp, StopWithoutStartIsANoOp) {

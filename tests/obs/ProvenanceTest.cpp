@@ -486,10 +486,6 @@ ExplainProvenance sampleProvenance() {
   ExplainProvenance P;
   P.ModelSource = "/var/lib/cswitch/host42.model";
   P.ModelInstalls = 2;
-  P.TuningSource = "tuned.cstune";
-  P.TuningFingerprint = "fp-tune";
-  P.TuningCorpusDigest = "digest-7";
-  P.TuningLoads = 1;
   P.StorePath = "/var/lib/cswitch/store";
   P.StoreLoads = 3;
   P.StoreWarmStarts = 5;
@@ -535,7 +531,6 @@ TEST(Provenance, RenderParseRoundTrip) {
   EXPECT_EQ(Doc.Schema, "cswitch-explain-v1");
   EXPECT_TRUE(Doc.Enabled);
   EXPECT_EQ(Doc.Provenance.ModelSource, "/var/lib/cswitch/host42.model");
-  EXPECT_EQ(Doc.Provenance.TuningCorpusDigest, "digest-7");
   EXPECT_EQ(Doc.Provenance.StoreWarmStarts, 5u);
 
   ASSERT_EQ(Doc.Sites.size(), 1u);
@@ -588,6 +583,30 @@ TEST(Provenance, HostileSiteNamesSurviveRoundTrip) {
   EXPECT_EQ(Doc.Sites[0].Variants[1], "Tab\there");
 }
 
+TEST(Provenance, ParsesHeaderWithRetiredTuningSection) {
+  // Documents written while the header still carried a "tuning" block
+  // (between "model" and "store") stay readable: the parser skips the
+  // section and reads the rest of the header.
+  const std::string Json =
+      "{\"schema\":\"cswitch-explain-v1\",\"enabled\":true,"
+      "\"provenance\":{\"model\":{\"source\":\"host.model\","
+      "\"installs\":2},\"tuning\":{\"source\":\"tuned.cstune\","
+      "\"fingerprint\":\"fp-tune\",\"corpus_digest\":\"digest-7\","
+      "\"loads\":1},\"store\":{\"path\":\"/var/lib/cswitch/store\","
+      "\"loads\":3,\"warm_starts\":5}},\"sites\":[]}\n";
+  ExplainDocument Doc;
+  std::string Error;
+  ASSERT_TRUE(parseExplainDocument(Json, Doc, &Error)) << Error;
+  EXPECT_EQ(Doc.Schema, "cswitch-explain-v1");
+  EXPECT_TRUE(Doc.Enabled);
+  EXPECT_EQ(Doc.Provenance.ModelSource, "host.model");
+  EXPECT_EQ(Doc.Provenance.ModelInstalls, 2u);
+  EXPECT_EQ(Doc.Provenance.StorePath, "/var/lib/cswitch/store");
+  EXPECT_EQ(Doc.Provenance.StoreLoads, 3u);
+  EXPECT_EQ(Doc.Provenance.StoreWarmStarts, 5u);
+  EXPECT_TRUE(Doc.Sites.empty());
+}
+
 TEST(Provenance, ParserRejectsWrongSchemaAndGarbage) {
   ExplainDocument Doc;
   std::string Error;
@@ -607,10 +626,6 @@ TEST(Provenance, ExplainHeaderDistillsTelemetry) {
   TelemetrySnapshot Snapshot;
   Snapshot.Model.Installs = 3;
   Snapshot.Model.Source = "data/cswitch_model.txt";
-  Snapshot.Tuning.Loads = 2;
-  Snapshot.Tuning.Source = "tuned.cstune";
-  Snapshot.Tuning.Fingerprint = "tune-fp";
-  Snapshot.Tuning.CorpusDigest = "corpus-9";
   Snapshot.Store.Path = "/tmp/store";
   Snapshot.Store.Loads = 4;
   Snapshot.Store.WarmStarts = 9;
@@ -618,10 +633,6 @@ TEST(Provenance, ExplainHeaderDistillsTelemetry) {
   ExplainProvenance P = makeExplainHeader(Snapshot);
   EXPECT_EQ(P.ModelInstalls, 3u);
   EXPECT_EQ(P.ModelSource, "data/cswitch_model.txt");
-  EXPECT_EQ(P.TuningLoads, 2u);
-  EXPECT_EQ(P.TuningSource, "tuned.cstune");
-  EXPECT_EQ(P.TuningFingerprint, "tune-fp");
-  EXPECT_EQ(P.TuningCorpusDigest, "corpus-9");
   EXPECT_EQ(P.StorePath, "/tmp/store");
   EXPECT_EQ(P.StoreLoads, 4u);
   EXPECT_EQ(P.StoreWarmStarts, 9u);

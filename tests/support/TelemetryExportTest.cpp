@@ -104,21 +104,6 @@ FleetStats fleetStats(uint64_t Base) {
   return S;
 }
 
-TuningStats tuningStats(uint64_t Base) {
-  TuningStats S;
-  S.Loads = Base * 101;
-  S.LoadFailures = Base * 102;
-  S.Source = hostile(Base * 103);
-  S.Fingerprint = hostile(Base * 104);
-  S.CorpusDigest = hostile(Base * 105);
-  S.Sweeps = Base * 107;
-  S.Evaluations = Base * 109;
-  S.Parameters = Base * 110;
-  S.WinnerFitness = static_cast<double>(Base) * 111.25;
-  S.BaselineFitness = static_cast<double>(Base) * 112.5;
-  return S;
-}
-
 ModelStats modelStats(uint64_t Base) {
   ModelStats S;
   S.Installs = Base * 101;
@@ -169,7 +154,6 @@ TelemetrySnapshot fullSnapshot() {
   S.Recorder = recorderStats(3);
   S.Store = storeStats(4);
   S.Fleet = fleetStats(5);
-  S.Tuning = tuningStats(6);
   S.Model = modelStats(7);
   S.Topology.Nodes = 801;
   S.Topology.Cpus = 802;
@@ -256,7 +240,6 @@ const char *const GoldenJson = R"golden({
   "recorder": {"recorders": 303, "ops_recorded": 306, "ops_dropped": 309, "instances_sampled": 312, "instances_skipped": 315},
   "store": {"loads": 404, "load_failures": 408, "sites_loaded": 412, "warm_starts": 416, "persists": 420, "persist_failures": 424, "path": "q\"b\\n\n428"},
   "fleet": {"pulls": 505, "pull_failures": 510, "pushes": 515, "push_failures": 520, "retries": 525, "store_gets": 530, "merges_applied": 535, "sites_merged": 540, "rejected_oversize": 545, "rejected_malformed": 550, "rejected_incompatible": 555, "recalibrations": 560, "promotions": 565, "promotions_rejected": 570},
-  "tuning": {"loads": 606, "load_failures": 612, "source": "q\"b\\n\n618", "fingerprint": "q\"b\\n\n624", "corpus_digest": "q\"b\\n\n630", "sweeps": 642, "evaluations": 654, "parameters": 660, "winner_fitness": 667.5, "baseline_fitness": 675},
   "model": {"installs": 707, "source": "q\"b\\n\n714"},
   "contexts": [
     {"name": "q\"b\\n\n1001", "abstraction": "list", "variant": "q\"b\\n\n1002", "instances_created": 1010, "instances_monitored": 1020, "profiles_published": 1030, "profiles_discarded": 1040, "evaluations": 1050, "switches": 1060, "rounds_skipped": 1080, "footprint_bytes": 1003, "contended_threads": 1004.75, "latency": {"record": {"count": 1101, "saturated": 1102, "sum_nanos": 1103, "min_nanos": 1104, "max_nanos": 1105, "p50": 1106.5, "p90": 1107.5, "p99": 1108.5, "p999": 1109.5}, "evaluate": {"count": 1201, "saturated": 1202, "sum_nanos": 1203, "min_nanos": 1204, "max_nanos": 1205, "p50": 1206.5, "p90": 1207.5, "p99": 1208.5, "p999": 1209.5}, "switch": {"count": 1301, "saturated": 1302, "sum_nanos": 1303, "min_nanos": 1304, "max_nanos": 1305, "p50": 1306.5, "p90": 1307.5, "p99": 1308.5, "p999": 1309.5}}},
@@ -370,9 +353,6 @@ cswitch_switches_total{site="q\"b\\n\n1001"} 1060
 cswitch_switches_total{site="q\"b\\n\n2001"} 2120
 cswitch_topology_cpus 802
 cswitch_topology_nodes 801
-cswitch_tuning_info{corpus_digest="q\"b\\n\n630",fingerprint="q\"b\\n\n624",source="q\"b\\n\n618",sweeps="642"} 1
-cswitch_tuning_load_failures_total 612
-cswitch_tuning_loads_total 606
 )golden";
 
 TEST(Telemetry, JsonExportMatchesGolden) {
@@ -424,7 +404,6 @@ TEST(Telemetry, EveryTableRowIsExported) {
   expectRowsExported<RecorderStats>("cswitch_recorder_", Json, Samples);
   expectRowsExported<StoreStats>("cswitch_store_", Json, Samples);
   expectRowsExported<FleetStats>("cswitch_fleet_", Json, Samples);
-  expectRowsExported<TuningStats>("cswitch_tuning_", Json, Samples);
   expectRowsExported<ModelStats>("cswitch_model_", Json, Samples);
 }
 
@@ -458,14 +437,6 @@ TEST(Telemetry, EveryStatsDeltaSaturatesCountersAndKeepsState) {
   StoreFloor.Path = storeStats(10).Path;
   EXPECT_TRUE(storeStats(10) - storeStats(1000) == StoreFloor);
 
-  TuningStats Tuning = tuningStats(1000);
-  Tuning.Loads = tuningStats(990).Loads;
-  Tuning.LoadFailures = tuningStats(990).LoadFailures;
-  EXPECT_TRUE(tuningStats(1000) - tuningStats(10) == Tuning);
-  TuningStats TuningFloor = tuningStats(10);
-  TuningFloor.Loads = TuningFloor.LoadFailures = 0;
-  EXPECT_TRUE(tuningStats(10) - tuningStats(1000) == TuningFloor);
-
   ModelStats Model = modelStats(1000);
   Model.Installs = modelStats(990).Installs;
   EXPECT_TRUE(modelStats(1000) - modelStats(10) == Model);
@@ -489,7 +460,6 @@ TEST(Telemetry, EveryStatsDeltaSaturatesCountersAndKeepsState) {
   EXPECT_TRUE(Delta.Recorder == RecorderStats{});
   EXPECT_TRUE(Delta.Fleet == FleetStats{});
   EXPECT_EQ(Delta.Store.Path, Now.Store.Path);
-  EXPECT_EQ(Delta.Tuning.Source, Now.Tuning.Source);
   EXPECT_EQ(Delta.Model.Source, Now.Model.Source);
 }
 

@@ -218,10 +218,6 @@ TelemetrySnapshot sampleSnapshot() {
   S.Store.WarmStarts = 4;
   S.Store.Persists = 5;
   S.Store.PersistFailures = 0;
-  S.Tuning.Loads = 1;
-  S.Tuning.Source = "tuned.cstune";
-  S.Tuning.Parameters = 6;
-  S.Tuning.Sweeps = 3;
   return S;
 }
 

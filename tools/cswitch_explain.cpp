@@ -97,14 +97,6 @@ void printProvenance(const obs::ExplainDocument &Doc) {
   std::printf("ledger: %s\n", Doc.Enabled ? "enabled" : "disabled");
   if (P.ModelInstalls > 0)
     std::printf("model:  %s\n", P.ModelSource.c_str());
-  if (P.TuningLoads > 0) {
-    std::printf("tuning: %s", P.TuningSource.c_str());
-    if (!P.TuningFingerprint.empty())
-      std::printf(" [%s]", P.TuningFingerprint.c_str());
-    if (!P.TuningCorpusDigest.empty())
-      std::printf(" corpus %s", P.TuningCorpusDigest.c_str());
-    std::printf("\n");
-  }
   if (!P.StorePath.empty())
     std::printf("store:  %s (loads %llu, warm starts %llu)\n",
                 P.StorePath.c_str(),

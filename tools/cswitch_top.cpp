@@ -10,8 +10,10 @@
 //                      [--once]
 //       Polls /metrics and renders a top-style table: one row per
 //       allocation site with its monitoring counters and record/evaluate
-//       p99 latencies, plus the engine totals. --once prints a single
-//       sample and exits (what the CI smoke test drives).
+//       p99 latencies, plus the engine totals. --interval takes seconds
+//       in [0.1, 86400] (smaller values poll every 0.1 s; a value that
+//       is not a finite number, or is larger, exits 2). --once prints a
+//       single sample and exits (what the CI smoke test drives).
 //
 //   cswitch_top export --perfetto [--url ...] [--out trace.json]
 //       Fetches /trace.json (the Perfetto decision timeline: EventLog
@@ -27,6 +29,7 @@
 #include "obs/MetricsHttp.h"
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -37,6 +40,9 @@
 using namespace cswitch;
 
 namespace {
+
+/// Longest --interval accepted, in seconds (one day).
+constexpr double MaxIntervalSec = 86400;
 
 /// GETs \p Path from the endpoint at \p Url through the obs client
 /// (timeouts, bounded retries, a response cap far above any real
@@ -80,9 +86,8 @@ struct MetricsSample {
   double TopologyNodes = 1;
   double EventsDropped = 0;
   // Provenance of the decision inputs (info-metric labels): which
-  // model/tuning artifacts and store the decisions trace back to.
+  // model and store the decisions trace back to.
   std::string ModelSource;
-  std::string TuningSource, TuningFingerprint;
   std::string StorePath;
   std::map<std::string, SiteRow> Sites;
 };
@@ -175,9 +180,6 @@ MetricsSample parseMetrics(const std::string &Text) {
       Sample.EventsDropped = Value;
     else if (Name == "cswitch_model_info") {
       labelValue(Labels, "source", Sample.ModelSource);
-    } else if (Name == "cswitch_tuning_info") {
-      labelValue(Labels, "source", Sample.TuningSource);
-      labelValue(Labels, "fingerprint", Sample.TuningFingerprint);
     } else if (Name == "cswitch_store_info") {
       labelValue(Labels, "path", Sample.StorePath);
     } else if (labelValue(Labels, "site", Site)) {
@@ -201,16 +203,10 @@ void renderSample(const MetricsSample &Sample, const std::string &Url) {
   std::printf("cswitch_top — %s\n", Url.c_str());
   // Provenance line: which artifacts the selection decisions trace back
   // to (absent sections mean the target has not loaded that input).
-  if (!Sample.ModelSource.empty() || !Sample.TuningSource.empty() ||
-      !Sample.StorePath.empty()) {
+  if (!Sample.ModelSource.empty() || !Sample.StorePath.empty()) {
     std::printf("provenance:");
     if (!Sample.ModelSource.empty())
       std::printf("   model %s", Sample.ModelSource.c_str());
-    if (!Sample.TuningSource.empty()) {
-      std::printf("   tuning %s", Sample.TuningSource.c_str());
-      if (!Sample.TuningFingerprint.empty())
-        std::printf(" [%s]", Sample.TuningFingerprint.c_str());
-    }
     if (!Sample.StorePath.empty())
       std::printf("   store %s", Sample.StorePath.c_str());
     std::printf("\n");
@@ -269,6 +265,19 @@ int runExport(const std::string &Url, const std::string &OutPath) {
   return 0;
 }
 
+/// Reads a --interval value: the whole argument must be a finite number
+/// of seconds no larger than a day, so the millisecond cast in runWatch
+/// is defined and a typo such as `5x` is refused, not read as 5.
+bool parseInterval(const char *Text, double &Out) {
+  char *End = nullptr;
+  double Value = std::strtod(Text, &End);
+  if (End == Text || *End != '\0' || !std::isfinite(Value) ||
+      Value > MaxIntervalSec)
+    return false;
+  Out = Value;
+  return true;
+}
+
 int usage() {
   std::fprintf(
       stderr,
@@ -295,9 +304,10 @@ int main(int Argc, char **Argv) {
     std::string Arg = Argv[I];
     if (Arg == "--url" && I + 1 < Argc)
       Url = Argv[++I];
-    else if (Arg == "--interval" && I + 1 < Argc)
-      IntervalSec = std::atof(Argv[++I]);
-    else if (Arg == "--out" && I + 1 < Argc)
+    else if (Arg == "--interval" && I + 1 < Argc) {
+      if (!parseInterval(Argv[++I], IntervalSec))
+        return usage();
+    } else if (Arg == "--out" && I + 1 < Argc)
       OutPath = Argv[++I];
     else if (Arg == "--once")
       Once = true;
