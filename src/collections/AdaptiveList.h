@@ -20,6 +20,7 @@
 
 #include "collections/AdaptiveConfig.h"
 #include "collections/ListInterface.h"
+#include "collections/detail/GrowthTarget.h"
 #include "collections/detail/HashBag.h"
 #include "support/MemoryTracker.h"
 
@@ -39,8 +40,7 @@ public:
   explicit AdaptiveListImpl(size_t Threshold) : Threshold(Threshold) {}
 
   void push_back(const T &Value) override {
-    if (Data.capacity() == 0)
-      Data.reserve(InitialCapacity);
+    detail::growForOne(Data, GrowTo, InitialCapacity);
     Data.push_back(Value);
     if (Indexed)
       Index.addOne(Value);
@@ -50,6 +50,7 @@ public:
 
   void insertAt(size_t Pos, const T &Value) override {
     assert(Pos <= Data.size() && "insert index out of range");
+    detail::growForOne(Data, GrowTo, 0);
     Data.insert(Data.begin() + static_cast<ptrdiff_t>(Pos), Value);
     if (Indexed)
       Index.addOne(Value);
@@ -98,19 +99,15 @@ public:
 
   size_t size() const override { return Data.size(); }
 
+  /// Also forgets the index reservation and the growth target, which
+  /// the next reserve() sets again, as it does on a fresh list.
   void clear() override {
     Data.clear();
     if (Indexed) {
       Index.clear();
       Indexed = false;
     }
-  }
-
-  /// Also forgets the index reservation, which the next reserve() sets
-  /// again, as it does on a fresh list.
-  void clearForReuse() override {
-    clear();
-    PendingIndex = 0;
+    PendingIndex = GrowTo = 0;
   }
 
   void forEach(FunctionRef<void(const T &)> Fn) const override {
@@ -119,15 +116,16 @@ public:
   }
 
   /// The array takes \p N now; the hash index takes it now once built,
-  /// else when migration builds it.
-  void reserve(size_t N) override {
-    if (N == 0)
-      return;
-    Data.reserve(std::max(N, InitialCapacity));
+  /// else when migration builds it, sized for at least \p Target then.
+  /// The array's own growth honours \p Target too.
+  void reserve(size_t N, size_t Target = 0) override {
+    if (N)
+      Data.reserve(std::max(N, InitialCapacity));
+    GrowTo = Target;
     if (Indexed)
-      Index.reserve(N);
+      Index.reserve(N, Target);
     else
-      PendingIndex = std::max(PendingIndex, N);
+      PendingIndex = std::max({PendingIndex, N, Target});
   }
 
   size_t memoryFootprint() const override {
@@ -161,8 +159,10 @@ private:
   std::vector<T, CountingAllocator<T>> Data;
   detail::HashBag<T> Index;
   size_t Threshold;
-  /// Largest reservation made before migration; sizes the index then.
+  /// Largest reservation or growth target made before migration; sizes
+  /// the index then.
   size_t PendingIndex = 0;
+  size_t GrowTo = 0; ///< The array's one-shot growth target.
   bool Indexed = false;
 };
 

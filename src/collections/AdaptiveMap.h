@@ -95,6 +95,7 @@ public:
     SmallVals.clear();
     SmallVals.shrink_to_fit();
     Table.clear();
+    PendingTable = 0;
     Migrated = false;
   }
 
@@ -117,30 +118,24 @@ public:
   }
 
   /// See AdaptiveSetImpl::reserve().
-  void reserve(size_t N) override {
-    if (N == 0)
-      return;
+  void reserve(size_t N, size_t GrowTo = 0) override {
     if (Migrated) {
-      Table.reserve(N);
-    } else if (N <= Threshold) {
+      Table.reserve(N, GrowTo);
+      return;
+    }
+    PendingTable = std::max(PendingTable, GrowTo);
+    if (N > Threshold) {
+      PendingTable = std::max(PendingTable, N);
+      migrate();
+    } else if (N) {
       SmallKeys.reserve(std::max(N, InitialCapacity));
       SmallVals.reserve(std::max(N, InitialCapacity));
-    } else {
-      SmallKeys.reserve(Threshold + 1);
-      SmallVals.reserve(Threshold + 1);
-      PendingTable = std::max(PendingTable, N);
     }
   }
 
   size_t memoryFootprint() const override {
     return sizeof(*this) + SmallKeys.capacity() * sizeof(K) +
            SmallVals.capacity() * sizeof(V) + Table.memoryFootprint();
-  }
-
-  /// See AdaptiveSetImpl::unreservedBytes().
-  size_t unreservedBytes(size_t N) const override {
-    return N > Threshold ? Table.bytesFor(std::max(N, (Threshold + 1) * 2))
-                         : 0;
   }
 
   MapVariant variant() const override { return MapVariant::AdaptiveMap; }
@@ -170,7 +165,8 @@ private:
   std::vector<V, CountingAllocator<V>> SmallVals;
   detail::OpenHashMapTable<K, V, 1, 2> Table;
   size_t Threshold;
-  /// Largest reservation made before migration; sizes the table then.
+  /// Largest reservation or growth target made before migration; sizes
+  /// the table then.
   size_t PendingTable = 0;
   bool Migrated = false;
 };

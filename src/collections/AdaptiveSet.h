@@ -71,6 +71,7 @@ public:
     Small.clear();
     Small.shrink_to_fit();
     Table.clear();
+    PendingTable = 0;
     Migrated = false;
   }
 
@@ -92,31 +93,27 @@ public:
       Fn(V);
   }
 
-  /// A reservation above the threshold would migrate early if applied
-  /// to the table now: the array takes up to the migration point and
-  /// the table the rest when migration builds it.
-  void reserve(size_t N) override {
-    if (N == 0)
-      return;
+  /// A reservation past the threshold starts the set migrated, its
+  /// table sized for max(\p N, \p GrowTo), so the small array is never
+  /// allocated. Below it, the array takes \p N and migration, the set's
+  /// growth step, sizes the table for at least \p GrowTo.
+  void reserve(size_t N, size_t GrowTo = 0) override {
     if (Migrated) {
-      Table.reserve(N);
-    } else if (N <= Threshold) {
-      Small.reserve(std::max(N, InitialCapacity));
-    } else {
-      Small.reserve(Threshold + 1);
+      Table.reserve(N, GrowTo);
+      return;
+    }
+    PendingTable = std::max(PendingTable, GrowTo);
+    if (N > Threshold) {
       PendingTable = std::max(PendingTable, N);
+      migrate();
+    } else if (N) {
+      Small.reserve(std::max(N, InitialCapacity));
     }
   }
 
   size_t memoryFootprint() const override {
     return sizeof(*this) + Small.capacity() * sizeof(T) +
            Table.memoryFootprint();
-  }
-
-  /// Past the threshold, the table that migration builds.
-  size_t unreservedBytes(size_t N) const override {
-    return N > Threshold ? Table.bytesFor(std::max(N, (Threshold + 1) * 2))
-                         : 0;
   }
 
   SetVariant variant() const override { return SetVariant::AdaptiveSet; }
@@ -143,7 +140,8 @@ private:
   std::vector<T, CountingAllocator<T>> Small;
   detail::OpenHashSetTable<T, 1, 2> Table;
   size_t Threshold;
-  /// Largest reservation made before migration; sizes the table then.
+  /// Largest reservation or growth target made before migration; sizes
+  /// the table then.
   size_t PendingTable = 0;
   bool Migrated = false;
 };

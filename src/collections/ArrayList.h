@@ -16,6 +16,7 @@
 #define CSWITCH_COLLECTIONS_ARRAYLIST_H
 
 #include "collections/ListInterface.h"
+#include "collections/detail/GrowthTarget.h"
 #include "support/MemoryTracker.h"
 
 #include <algorithm>
@@ -32,13 +33,13 @@ public:
   void push_back(const T &Value) override {
     // Like JDK ArrayList's default capacity of 10: avoid the 1-2-4-8
     // growth churn every tiny list would otherwise pay.
-    if (Data.capacity() == 0)
-      Data.reserve(InitialCapacity);
+    detail::growForOne(Data, GrowTo, InitialCapacity);
     Data.push_back(Value);
   }
 
   void insertAt(size_t Index, const T &Value) override {
     assert(Index <= Data.size() && "insert index out of range");
+    detail::growForOne(Data, GrowTo, 0);
     Data.insert(Data.begin() + static_cast<ptrdiff_t>(Index), Value);
   }
 
@@ -71,16 +72,20 @@ public:
 
   size_t size() const override { return Data.size(); }
 
-  void clear() override { Data.clear(); }
+  void clear() override {
+    Data.clear();
+    GrowTo = 0;
+  }
 
   void forEach(FunctionRef<void(const T &)> Fn) const override {
     for (const T &V : Data)
       Fn(V);
   }
 
-  void reserve(size_t N) override {
+  void reserve(size_t N, size_t Target = 0) override {
     if (N)
       Data.reserve(std::max(N, InitialCapacity));
+    GrowTo = Target;
   }
 
   size_t memoryFootprint() const override {
@@ -93,6 +98,7 @@ private:
   static constexpr size_t InitialCapacity = 8;
 
   std::vector<T, CountingAllocator<T>> Data;
+  size_t GrowTo = 0; ///< One-shot growth target (DESIGN.md §4.2).
 };
 
 } // namespace cswitch

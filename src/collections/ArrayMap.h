@@ -17,6 +17,7 @@
 #define CSWITCH_COLLECTIONS_ARRAYMAP_H
 
 #include "collections/MapInterface.h"
+#include "collections/detail/GrowthTarget.h"
 #include "support/MemoryTracker.h"
 
 #include <cassert>
@@ -38,9 +39,10 @@ public:
       }
     }
     // Like the Java array maps' default capacity: avoid tiny-growth churn.
-    if (Keys.capacity() == 0) {
-      Keys.reserve(InitialCapacity);
-      Vals.reserve(InitialCapacity);
+    if (size_t Room = detail::arrayGrowth(Keys.size(), Keys.capacity(),
+                                          GrowTo, InitialCapacity)) {
+      Keys.reserve(Room);
+      Vals.reserve(Room);
     }
     Keys.push_back(Key);
     Vals.push_back(Value);
@@ -79,6 +81,7 @@ public:
   void clear() override {
     Keys.clear();
     Vals.clear();
+    GrowTo = 0;
   }
 
   void forEach(FunctionRef<void(const K &, const V &)> Fn) const override {
@@ -86,7 +89,8 @@ public:
       Fn(Keys[I], Vals[I]);
   }
 
-  void reserve(size_t N) override {
+  void reserve(size_t N, size_t Target = 0) override {
+    GrowTo = Target;
     if (N == 0)
       return;
     Keys.reserve(std::max(N, InitialCapacity));
@@ -105,6 +109,7 @@ private:
 
   std::vector<K, CountingAllocator<K>> Keys;
   std::vector<V, CountingAllocator<V>> Vals;
+  size_t GrowTo = 0; ///< One-shot growth target (DESIGN.md §4.2).
 };
 
 } // namespace cswitch

@@ -18,6 +18,7 @@
 #define CSWITCH_COLLECTIONS_ARRAYSET_H
 
 #include "collections/SetInterface.h"
+#include "collections/detail/GrowthTarget.h"
 #include "support/MemoryTracker.h"
 
 #include <algorithm>
@@ -34,8 +35,7 @@ public:
     if (contains(Value))
       return false;
     // Like the Java array sets' default capacity: avoid tiny-growth churn.
-    if (Data.capacity() == 0)
-      Data.reserve(InitialCapacity);
+    detail::growForOne(Data, GrowTo, InitialCapacity);
     Data.push_back(Value);
     return true;
   }
@@ -54,16 +54,20 @@ public:
 
   size_t size() const override { return Data.size(); }
 
-  void clear() override { Data.clear(); }
+  void clear() override {
+    Data.clear();
+    GrowTo = 0;
+  }
 
   void forEach(FunctionRef<void(const T &)> Fn) const override {
     for (const T &V : Data)
       Fn(V);
   }
 
-  void reserve(size_t N) override {
+  void reserve(size_t N, size_t Target = 0) override {
     if (N)
       Data.reserve(std::max(N, InitialCapacity));
+    GrowTo = Target;
   }
 
   size_t memoryFootprint() const override {
@@ -76,6 +80,7 @@ private:
   static constexpr size_t InitialCapacity = 8;
 
   std::vector<T, CountingAllocator<T>> Data;
+  size_t GrowTo = 0; ///< One-shot growth target (DESIGN.md §4.2).
 };
 
 } // namespace cswitch

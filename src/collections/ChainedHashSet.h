@@ -117,7 +117,7 @@ public:
         Fn(N->Value);
   }
 
-  void reserve(size_t N) override {
+  void reserve(size_t N, size_t = 0) override {
     if (N == 0)
       return;
     size_t Needed = chainedBucketCount(N, InitialBuckets);

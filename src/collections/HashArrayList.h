@@ -21,6 +21,7 @@
 #define CSWITCH_COLLECTIONS_HASHARRAYLIST_H
 
 #include "collections/ListInterface.h"
+#include "collections/detail/GrowthTarget.h"
 #include "collections/detail/HashBag.h"
 #include "support/MemoryTracker.h"
 
@@ -36,14 +37,14 @@ public:
   HashArrayListImpl() = default;
 
   void push_back(const T &Value) override {
-    if (Data.capacity() == 0)
-      Data.reserve(InitialCapacity);
+    detail::growForOne(Data, GrowTo, InitialCapacity);
     Data.push_back(Value);
     Index.addOne(Value);
   }
 
   void insertAt(size_t Pos, const T &Value) override {
     assert(Pos <= Data.size() && "insert index out of range");
+    detail::growForOne(Data, GrowTo, 0);
     Data.insert(Data.begin() + static_cast<ptrdiff_t>(Pos), Value);
     Index.addOne(Value);
   }
@@ -87,11 +88,13 @@ public:
   void clear() override {
     Data.clear();
     Index.clear();
+    GrowTo = 0;
   }
 
   void clearForReuse() override {
     Data.clear();
     Index.clearKeepingStorage();
+    GrowTo = 0;
   }
 
   void forEach(FunctionRef<void(const T &)> Fn) const override {
@@ -99,11 +102,11 @@ public:
       Fn(V);
   }
 
-  void reserve(size_t N) override {
-    if (N == 0)
-      return;
-    Data.reserve(std::max(N, InitialCapacity));
-    Index.reserve(N);
+  void reserve(size_t N, size_t Target = 0) override {
+    if (N)
+      Data.reserve(std::max(N, InitialCapacity));
+    Index.reserve(N, Target);
+    GrowTo = Target;
   }
 
   size_t memoryFootprint() const override {
@@ -120,6 +123,7 @@ private:
 
   std::vector<T, CountingAllocator<T>> Data;
   detail::HashBag<T> Index;
+  size_t GrowTo = 0; ///< The array's one-shot growth target.
 };
 
 } // namespace cswitch

@@ -51,7 +51,9 @@ public:
     Table.forEach(Fn);
   }
 
-  void reserve(size_t N) override { Table.reserve(N); }
+  void reserve(size_t N, size_t GrowTo = 0) override {
+    Table.reserve(N, GrowTo);
+  }
 
   size_t memoryFootprint() const override {
     return sizeof(*this) + Table.memoryFootprint();

@@ -46,12 +46,17 @@ public:
   virtual void clearForReuse() { clear(); }
   /// Calls \p Fn on each element (order is variant-specific).
   virtual void forEach(FunctionRef<void(const T &)> Fn) const = 0;
-  /// Capacity hint; variants without capacity ignore it.
-  virtual void reserve(size_t) {}
+  /// Capacity hint: room for \p N elements. A nonzero \p GrowTo is a
+  /// one-shot growth target (DESIGN.md §4.2): the first growth past the
+  /// reservation makes room for max(GrowTo, what the insert needs) at
+  /// once, and later growth doubles as before; clear() and
+  /// clearForReuse() forget it. Variants without capacity ignore \p N;
+  /// the node-based and concurrent-tier variants ignore \p GrowTo.
+  virtual void reserve(size_t /*N*/, size_t /*GrowTo*/ = 0) {}
   /// Bytes that holding \p N elements owns beyond what reserve(N)
-  /// allocates: per-element nodes, or the table an adaptive variant
-  /// builds when it migrates. The spare ring's retention bound adds it
-  /// to a fresh reserved instance's footprint (DESIGN.md §4.4).
+  /// allocates: the per-element nodes of node-based variants. The spare
+  /// ring's retention bound adds it to a fresh reserved instance's
+  /// footprint (DESIGN.md §4.4).
   virtual size_t unreservedBytes(size_t) const { return 0; }
   /// Bytes of memory currently owned by this collection.
   virtual size_t memoryFootprint() const = 0;

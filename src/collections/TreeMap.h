@@ -17,6 +17,7 @@
 
 #include "collections/MapInterface.h"
 #include "collections/detail/AVLTree.h"
+#include "collections/detail/GrowthTarget.h"
 #include "support/MemoryTracker.h"
 
 #include <algorithm>
@@ -80,9 +81,10 @@ public:
       Vals[Index] = Value;
       return false;
     }
-    if (Keys.capacity() == 0) {
-      Keys.reserve(InitialCapacity);
-      Vals.reserve(InitialCapacity);
+    if (size_t Room = detail::arrayGrowth(Keys.size(), Keys.capacity(),
+                                          GrowTo, InitialCapacity)) {
+      Keys.reserve(Room);
+      Vals.reserve(Room);
     }
     Keys.insert(Keys.begin() + static_cast<ptrdiff_t>(Index), Key);
     Vals.insert(Vals.begin() + static_cast<ptrdiff_t>(Index), Value);
@@ -119,6 +121,7 @@ public:
   void clear() override {
     Keys.clear();
     Vals.clear();
+    GrowTo = 0;
   }
 
   void forEach(FunctionRef<void(const K &, const V &)> Fn) const override {
@@ -126,7 +129,8 @@ public:
       Fn(Keys[I], Vals[I]);
   }
 
-  void reserve(size_t N) override {
+  void reserve(size_t N, size_t Target = 0) override {
+    GrowTo = Target;
     if (N == 0)
       return;
     Keys.reserve(std::max(N, InitialCapacity));
@@ -152,6 +156,7 @@ private:
 
   std::vector<K, CountingAllocator<K>> Keys;
   std::vector<V, CountingAllocator<V>> Vals;
+  size_t GrowTo = 0; ///< One-shot growth target (DESIGN.md §4.2).
 };
 
 } // namespace cswitch

@@ -27,6 +27,7 @@
 
 #include "collections/SetInterface.h"
 #include "collections/detail/AVLTree.h"
+#include "collections/detail/GrowthTarget.h"
 #include "support/MemoryTracker.h"
 
 #include <algorithm>
@@ -84,8 +85,7 @@ public:
       return false;
     // reserve() invalidates It; carry the position as an index.
     size_t Index = static_cast<size_t>(It - Data.begin());
-    if (Data.capacity() == 0)
-      Data.reserve(InitialCapacity);
+    detail::growForOne(Data, GrowTo, InitialCapacity);
     Data.insert(Data.begin() + static_cast<ptrdiff_t>(Index), Value);
     return true;
   }
@@ -105,16 +105,20 @@ public:
 
   size_t size() const override { return Data.size(); }
 
-  void clear() override { Data.clear(); }
+  void clear() override {
+    Data.clear();
+    GrowTo = 0;
+  }
 
   void forEach(FunctionRef<void(const T &)> Fn) const override {
     for (const T &V : Data)
       Fn(V);
   }
 
-  void reserve(size_t N) override {
+  void reserve(size_t N, size_t Target = 0) override {
     if (N)
       Data.reserve(std::max(N, InitialCapacity));
+    GrowTo = Target;
   }
 
   size_t memoryFootprint() const override {
@@ -129,6 +133,7 @@ private:
   static constexpr size_t InitialCapacity = 8;
 
   std::vector<T, CountingAllocator<T>> Data;
+  size_t GrowTo = 0; ///< One-shot growth target (DESIGN.md §4.2).
 };
 
 } // namespace cswitch

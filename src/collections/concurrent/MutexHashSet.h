@@ -62,7 +62,7 @@ public:
     Table.forEach(Fn);
   }
 
-  void reserve(size_t N) override {
+  void reserve(size_t N, size_t = 0) override {
     std::lock_guard<std::mutex> Lock(Mutex);
     Table.reserve(N);
   }

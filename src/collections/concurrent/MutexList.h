@@ -94,7 +94,7 @@ public:
       Fn(Value);
   }
 
-  void reserve(size_t N) override {
+  void reserve(size_t N, size_t = 0) override {
     std::lock_guard<std::mutex> Lock(Mutex);
     Data.reserve(N);
   }

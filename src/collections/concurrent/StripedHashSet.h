@@ -83,7 +83,7 @@ public:
   /// that share reaches the in-shard table's first allocation: a
   /// smaller share would allocate shards no key reaches, for no growth
   /// saved in the rest.
-  void reserve(size_t N) override {
+  void reserve(size_t N, size_t = 0) override {
     size_t PerShard = (N + NumShards - 1) / NumShards;
     if (PerShard < ShardTable::InitialCapacity)
       return;

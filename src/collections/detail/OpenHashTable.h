@@ -40,6 +40,7 @@
 #include "support/Hashing.h"
 #include "support/MemoryTracker.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstdint>
@@ -171,8 +172,9 @@ public:
   void clear() { release(); }
 
   /// Removes every element and keeps the storage: capacity() stays, and
-  /// the tombstones go with the elements.
+  /// the tombstones and the growth target go with the elements.
   void clearKeepingStorage() {
+    GrowTo = 0;
     if (!Slots)
       return;
     destroyElements();
@@ -181,13 +183,14 @@ public:
     Count = Occupied = 0;
   }
 
-  /// Presizes for \p N elements; reserve(0) allocates nothing.
-  void reserve(size_t N) {
-    if (N == 0)
-      return;
-    size_t Needed = requiredCapacity(N);
+  /// Presizes for \p N elements; reserve(0) allocates nothing. The
+  /// first growth past that makes room for max(\p Target, what the
+  /// insert needs) at once (a one-shot growth target, DESIGN.md §4.2).
+  void reserve(size_t N, size_t Target = 0) {
+    size_t Needed = N ? requiredCapacity(N) : 0;
     if (Needed > Cap)
       rehash(Needed);
+    GrowTo = Target;
   }
 
   /// Bytes owned by the table, excluding sizeof(*this).
@@ -297,17 +300,17 @@ private:
   }
 
   void growIfNeeded(size_t Additional) {
-    if (Cap == 0) {
-      rehash(InitialCapacity);
-      return;
-    }
-    if ((Occupied + Additional) * LoadDen <= Cap * LoadNum)
+    if (Cap != 0 && (Occupied + Additional) * LoadDen <= Cap * LoadNum)
       return;
     // Double only while the live count needs it; a same-size rehash
-    // purges tombstones without inflating the footprint.
-    size_t NewCapacity = Cap;
+    // purges tombstones without inflating the footprint and leaves the
+    // growth target for a real growth.
+    size_t NewCapacity = Cap ? Cap : InitialCapacity;
     while ((Count + Additional) * LoadDen > NewCapacity * LoadNum)
       NewCapacity *= 2;
+    if (GrowTo && NewCapacity > Cap)
+      NewCapacity = std::max(NewCapacity,
+                             requiredCapacity(std::exchange(GrowTo, 0)));
     rehash(NewCapacity);
   }
 
@@ -358,6 +361,7 @@ private:
     Cap = std::exchange(Other.Cap, 0);
     Count = std::exchange(Other.Count, 0);
     Occupied = std::exchange(Other.Occupied, 0);
+    GrowTo = std::exchange(Other.GrowTo, 0);
   }
 
   void destroyElements() {
@@ -367,6 +371,7 @@ private:
   }
 
   void release() {
+    GrowTo = 0;
     if (!Slots)
       return;
     destroyElements();
@@ -381,6 +386,7 @@ private:
   size_t Cap = 0;
   size_t Count = 0;    ///< Full slots.
   size_t Occupied = 0; ///< Full + tombstone slots.
+  size_t GrowTo = 0;   ///< One-shot growth target, in elements.
 };
 
 /// Open-addressing set of T.

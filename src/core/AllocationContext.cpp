@@ -330,16 +330,21 @@ std::optional<unsigned> AllocationContextBase::analyzeRound(uint32_t Round,
             });
 
   // Capacity hint: the lower median of the consumed instances' maximum
-  // sizes (DESIGN.md §4.2). Instances at or above it grow from there
-  // as they would have anyway; only smaller ones are oversized.
-  size_t MedianRank = (Consumed + 1) / 2;
-  for (const SizeGroup &G : Groups) {
-    if (G.Instances >= MedianRank) {
-      CapacityHint.store(G.MaxSize, std::memory_order_relaxed);
-      break;
+  // sizes; growth hint: their upper decile (DESIGN.md §4.2). Instances
+  // at or below the first are reserved for, those up to the second grow
+  // once, to it, and only the top decile doubles on from there.
+  auto SizeAtRank = [this](size_t Rank) {
+    for (const SizeGroup &G : Groups) {
+      if (G.Instances >= Rank)
+        return G.MaxSize;
+      Rank -= G.Instances;
     }
-    MedianRank -= G.Instances;
-  }
+    return Groups.back().MaxSize;
+  };
+  CapacityHint.store(SizeAtRank((Consumed + 1) / 2),
+                     std::memory_order_relaxed);
+  GrowthHint.store(SizeAtRank((Consumed * 9 + 9) / 10),
+                   std::memory_order_relaxed);
 
   // The rule's dimensions, or all of them when the ledger records the
   // full breakdown: each dimension has its own accumulator, so the

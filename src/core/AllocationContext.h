@@ -276,6 +276,16 @@ public:
     return CapacityHint.load(std::memory_order_relaxed);
   }
 
+  /// One-shot growth target new instances get when it exceeds
+  /// capacityHint() (0 = none): the upper decile of the same maximum
+  /// sizes, weighted the same way and set by the same rounds. An
+  /// instance's first growth past its reservation goes straight to it
+  /// (DESIGN.md §4.2). Unlike the capacity hint, it neither re-arms
+  /// back-off nor moves the spare ring's byte bound.
+  size_t growthHint() const {
+    return GrowthHint.load(std::memory_order_relaxed);
+  }
+
   /// Variant transitions performed.
   uint64_t switchCount() const {
     return Switches.load(std::memory_order_relaxed);
@@ -367,7 +377,8 @@ public:
 protected:
   /// The one create body behind createList/createSet/createMap (paper
   /// Fig. 4): an instance of the current variant, monitored when it
-  /// claims a window slot, reserved at capacityHint(). In a concurrent
+  /// claims a window slot, reserved at capacityHint() with growthHint()
+  /// as its one-shot growth target when larger. In a concurrent
   /// tier (ContextOptions::concurrency) the instance profiles through
   /// the thread-safe SharedProfile and may be operated on from multiple
   /// threads; otherwise it reuses a spare of \p Spares when one is held,
@@ -385,10 +396,13 @@ protected:
     if (!Impl)
       Impl = Traits::makeImpl(static_cast<typename Traits::Variant>(Index),
                               adaptiveOverride());
+    // The growth hint is at least the capacity hint, so 0 means no hint.
+    if (size_t Growth = growthHint()) {
+      size_t Hint = capacityHint();
+      Impl->reserve(Hint, Growth > Hint ? Growth : 0);
+    }
     Facade Out = Slot == NoSlot ? Facade(std::move(Impl))
                                 : Facade(std::move(Impl), this, Slot);
-    if (size_t Hint = capacityHint())
-      Out.reserve(Hint);
     if (!Spares) {
       Out.enableSharedProfiling(contentionSketch());
       return Out;
@@ -552,8 +566,10 @@ private:
   obs::SiteProfile *Prof = nullptr;
 
   std::atomic<unsigned> Current;
-  /// See capacityHint(); written by analyzeRound under EvalMutex.
+  /// See capacityHint() and growthHint(); written by analyzeRound under
+  /// EvalMutex.
   std::atomic<uint32_t> CapacityHint{0};
+  std::atomic<uint32_t> GrowthHint{0};
   /// Thread-cardinality sketch feeding the contention dimension; created
   /// only for concurrent contexts (see contentionSketch()).
   std::unique_ptr<ContentionSketch> Sketch;

@@ -131,9 +131,11 @@ SimulationReport PolicySimulator::run(uint64_t Seed, unsigned Threads) {
     Report.Ranked.push_back(std::move(Outcome));
   }
 
+  // The trajectory cost is deterministic; one wall-clock sample of a
+  // replay this short is mostly noise, so it is reported, not ranked on.
   std::stable_sort(Report.Ranked.begin(), Report.Ranked.end(),
                    [](const PolicyOutcome &L, const PolicyOutcome &R) {
-                     return L.ElapsedNanos < R.ElapsedNanos;
+                     return L.TrajectoryTime < R.TrajectoryTime;
                    });
   if (!Report.Ranked.empty())
     Report.Best = Report.Ranked.front().Name;
@@ -144,15 +146,16 @@ std::string SimulationReport::render() const {
   std::string Out;
   Out += "what-if policy sweep (";
   Out += std::to_string(Ranked.size());
-  Out += " policies, ranked by replayed time)\n";
-  Out += "rank  policy          elapsed_ms   alloc_mb  switches  evals  "
-         "pred_time_ms  mismatches\n";
-  char Line[160];
+  Out += " policies, ranked by trajectory time)\n";
+  Out += "rank  policy        traj_time_ms  elapsed_ms   alloc_mb  switches  "
+         "evals  pred_time_ms  mismatches\n";
+  char Line[192];
   for (size_t I = 0, E = Ranked.size(); I != E; ++I) {
     const PolicyOutcome &O = Ranked[I];
     std::snprintf(Line, sizeof(Line),
-                  "%4zu  %-14s %10.3f %10.3f %9llu %6llu %13.3f %11llu\n",
-                  I + 1, O.Name.c_str(),
+                  "%4zu  %-14s %12.3f %10.3f %10.3f %9llu %6llu %13.3f "
+                  "%11llu\n",
+                  I + 1, O.Name.c_str(), O.TrajectoryTime / 1e6,
                   static_cast<double>(O.ElapsedNanos) / 1e6,
                   static_cast<double>(O.AllocatedBytes) / (1024.0 * 1024.0),
                   static_cast<unsigned long long>(O.Switches),

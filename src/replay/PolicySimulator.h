@@ -7,7 +7,7 @@
 /// \file
 /// The offline what-if simulator: replays a corpus of recorded operation
 /// traces under a set of candidate selection policies and ranks them by
-/// measured cost. This answers the question the live framework cannot —
+/// the model-predicted cost of their replay trajectory. This answers the question the live framework cannot —
 /// "what would this workload have cost under rule R / window W /
 /// adaptive thresholds T?" — without re-running the application
 /// (paper §6 positions exactly this as the advantage of trace-based
@@ -74,9 +74,11 @@ struct PolicyOutcome {
 
 /// Ranked what-if report.
 struct SimulationReport {
-  /// Outcomes sorted by measured elapsed time, best first.
+  /// Outcomes sorted by TrajectoryTime, best first (ties keep the order
+  /// the policies were added in), so the ranking is deterministic.
   std::vector<PolicyOutcome> Ranked;
-  /// Name of the fastest policy (empty if nothing ran).
+  /// Name of the policy with the lowest trajectory time (empty if
+  /// nothing ran).
   std::string Best;
 
   /// Renders the ranked table as human-readable text.

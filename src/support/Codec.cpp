@@ -10,7 +10,6 @@
 #include <array>
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -52,18 +51,6 @@ void codec::putVarint(std::string &Out, uint64_t Value) {
 void codec::putString(std::string &Out, std::string_view Bytes) {
   putVarint(Out, Bytes.size());
   Out += Bytes;
-}
-
-void codec::putU64(std::string &Out, uint64_t Value) {
-  for (int Byte = 0; Byte != 8; ++Byte)
-    Out += static_cast<char>((Value >> (8 * Byte)) & 0xFFu);
-}
-
-void codec::putF64(std::string &Out, double Value) {
-  uint64_t Bits = 0;
-  static_assert(sizeof(Bits) == sizeof(Value));
-  std::memcpy(&Bits, &Value, sizeof(Bits));
-  putU64(Out, Bits);
 }
 
 void codec::putHeader(std::string &Out, const Format &Doc) {
@@ -112,25 +99,6 @@ bool Reader::string(std::string &Out, uint64_t MaxLen) {
   if (!varint(Len) || Len > MaxLen || !view(Len, View))
     return false;
   Out.assign(View);
-  return true;
-}
-
-bool Reader::u64(uint64_t &Out) {
-  if (remaining() < 8)
-    return false;
-  Out = 0;
-  for (int Byte = 0; Byte != 8; ++Byte)
-    Out |= static_cast<uint64_t>(static_cast<uint8_t>(Cur[Byte]))
-           << (8 * Byte);
-  Cur += 8;
-  return true;
-}
-
-bool Reader::f64(double &Out) {
-  uint64_t Bits = 0;
-  if (!u64(Bits))
-    return false;
-  std::memcpy(&Out, &Bits, sizeof(Out));
   return true;
 }
 

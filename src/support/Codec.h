@@ -14,8 +14,7 @@
 /// readFile.
 ///
 ///  - Integers are LEB128 varints (at most 10 bytes), signed deltas
-///    zigzag-encoded; fixed-width fields are 8-byte little-endian u64 or
-///    IEEE 754 f64 bit patterns.
+///    zigzag-encoded.
 ///  - A document opens with its magic bytes and a varint version.
 ///  - A CRC-framed section is `varint length | payload | CRC32 (4 bytes
 ///    LE)` with the IEEE CRC32 of the payload, so a torn or flipped
@@ -64,8 +63,6 @@ constexpr int64_t unzigzag(uint64_t Value) {
 void putVarint(std::string &Out, uint64_t Value);
 /// Varint length followed by the bytes of \p Bytes.
 void putString(std::string &Out, std::string_view Bytes);
-void putU64(std::string &Out, uint64_t Value);
-void putF64(std::string &Out, double Value);
 /// Appends `magic | varint version`.
 void putHeader(std::string &Out, const Format &Doc);
 /// Appends `varint length | Payload | crc32(Payload) LE`.
@@ -84,8 +81,6 @@ public:
   bool view(size_t N, std::string_view &Out);
   /// Varint length (at most \p MaxLen) followed by that many bytes.
   bool string(std::string &Out, uint64_t MaxLen = UINT64_MAX);
-  bool u64(uint64_t &Out);
-  bool f64(double &Out);
 
   bool atEnd() const { return Cur == End; }
 

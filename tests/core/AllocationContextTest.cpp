@@ -13,6 +13,7 @@
 
 #include "core/AllocationContext.h"
 #include "model/DefaultModel.h"
+#include "support/MemoryTracker.h"
 
 #include <gtest/gtest.h>
 
@@ -482,6 +483,85 @@ TEST(AllocationContext, CreatedInstancesAreReservedAtHint) {
   }
   EXPECT_TRUE(HeldLists.front().isMonitored());
   EXPECT_FALSE(HeldLists.back().isMonitored());
+}
+
+/// Finishes \p Count monitored instances of \p Size elements each.
+void finishSets(SetContext<int64_t> &Ctx, size_t Count, int64_t Size) {
+  finishSets(Ctx, std::vector<int64_t>(Count, Size));
+}
+
+TEST(AllocationContext, GrowthHintIsZeroBeforeFirstAnalysis) {
+  SetContext<int64_t> Ctx("t:growth0", SetVariant::CompactHashSet,
+                          defaultModel(), SelectionRule::impossibleRule(),
+                          quietOptions(5));
+  finishSets(Ctx, {4, 40, 400, 400});
+  EXPECT_EQ(Ctx.growthHint(), 0u);
+  // No hint: a new instance grows exactly as an unreserved one.
+  Set<int64_t> S = Ctx.createSet();
+  AllocationScope Created;
+  for (int64_t K = 0; K != 400; ++K)
+    (void)S.add(K);
+  uint64_t CreatedBytes = Created.allocatedInScope();
+  auto Fresh = makeSetImpl<int64_t>(SetVariant::CompactHashSet);
+  AllocationScope Plain;
+  for (int64_t K = 0; K != 400; ++K)
+    (void)Fresh->add(K);
+  EXPECT_EQ(CreatedBytes, Plain.allocatedInScope());
+}
+
+TEST(AllocationContext, GrowthHintIsWeightedUpperDecile) {
+  // Twenty instances: ten at 4, eight at 30, two at 200. The lower
+  // median is the tenth size, the upper decile the eighteenth.
+  SetContext<int64_t> Ctx("t:growthdecile", SetVariant::CompactHashSet,
+                          defaultModel(), SelectionRule::impossibleRule(),
+                          quietOptions(20, 1.0));
+  finishSets(Ctx, 10, 4);
+  finishSets(Ctx, 8, 30);
+  finishSets(Ctx, 2, 200);
+  ASSERT_FALSE(Ctx.evaluate());
+  EXPECT_EQ(Ctx.capacityHint(), 4u);
+  EXPECT_EQ(Ctx.growthHint(), 30u);
+  // One more instance at 200 in place of one at 30 reaches the rank.
+  finishSets(Ctx, 10, 4);
+  finishSets(Ctx, 7, 30);
+  finishSets(Ctx, 3, 200);
+  ASSERT_FALSE(Ctx.evaluate());
+  EXPECT_EQ(Ctx.capacityHint(), 4u);
+  EXPECT_EQ(Ctx.growthHint(), 200u);
+
+  // A new instance is reserved at 4 and grows once, to 200: as much as
+  // a reservation at 4 and one at 200 allocate, and less than doubling.
+  Set<int64_t> S = Ctx.createSet();
+  AllocationScope Created;
+  for (int64_t K = 0; K != 200; ++K)
+    (void)S.add(K);
+  uint64_t CreatedBytes = Created.allocatedInScope();
+  auto Reserved = [](size_t N, size_t GrowTo, size_t Inserts) {
+    auto Impl = makeSetImpl<int64_t>(SetVariant::CompactHashSet);
+    AllocationScope Scope;
+    Impl->reserve(N, GrowTo);
+    for (size_t K = 0; K != Inserts; ++K)
+      (void)Impl->add(static_cast<int64_t>(K));
+    return Scope.allocatedInScope();
+  };
+  EXPECT_EQ(CreatedBytes, Reserved(200, 0, 200));
+  EXPECT_EQ(CreatedBytes, Reserved(4, 200, 200) - Reserved(4, 0, 0));
+  EXPECT_LT(CreatedBytes, Reserved(4, 0, 200) - Reserved(4, 0, 0));
+}
+
+TEST(AllocationContext, GrowthHintIgnoresOneOutlier) {
+  SetContext<int64_t> Ctx("t:growthoutlier", SetVariant::CompactHashSet,
+                          defaultModel(), SelectionRule::impossibleRule(),
+                          quietOptions(100, 1.0));
+  finishSets(Ctx, 100, 20);
+  ASSERT_FALSE(Ctx.evaluate());
+  ASSERT_EQ(Ctx.growthHint(), 20u);
+  finishSets(Ctx, 99, 20);
+  finishSets(Ctx, 1, 5000);
+  ASSERT_FALSE(Ctx.evaluate());
+  EXPECT_EQ(Ctx.evaluationCount(), 2u);
+  EXPECT_EQ(Ctx.capacityHint(), 20u);
+  EXPECT_EQ(Ctx.growthHint(), 20u);
 }
 
 TEST(AllocationContext, CapacityHintUnderConcurrentCreatorsAndEvaluate) {

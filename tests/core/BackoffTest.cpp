@@ -232,6 +232,27 @@ TEST(Backoff, CapacityHintMoveRearmsToLevelZero) {
   EXPECT_EQ(Ctx.evaluationCount(), Evaluations + 1);
 }
 
+TEST(Backoff, GrowthHintMoveKeepsTheStreak) {
+  ListContext<int64_t> Ctx("t:backoff-growth", ListVariant::ArrayList,
+                           defaultModel(), SelectionRule::timeRule(),
+                           quietOptions());
+  convergeTo(Ctx, AllocationContextBase::MaxBackoffLevel);
+  ASSERT_EQ(Ctx.growthHint(), 200u);
+  // Two instances in ten now reach 5000: the capacity hint stays at
+  // 200, the growth hint follows them, and back-off stays at the cap.
+  int Instance = 0;
+  auto Skewed = [&Instance](List<int64_t> &L) {
+    appendIterate(L, Instance++ % 10 < 8 ? 200 : 5000);
+  };
+  uint64_t Evaluations = Ctx.evaluationCount();
+  for (int I = 0; I != 64 && Ctx.evaluationCount() == Evaluations; ++I)
+    EXPECT_FALSE(tick(Ctx, 10, Skewed));
+  EXPECT_EQ(Ctx.capacityHint(), 200u);
+  EXPECT_EQ(Ctx.growthHint(), 5000u);
+  EXPECT_TRUE(Ctx.roundDormant());
+  EXPECT_EQ(Ctx.backoffLevel(), AllocationContextBase::MaxBackoffLevel);
+}
+
 TEST(Backoff, PhaseChangeAfterConvergenceSwitchesWithinCap) {
   // The Fig. 6 list scenario in miniature: contains-heavy, converged
   // on HashArrayList and backed off to the cap, then a search-and-

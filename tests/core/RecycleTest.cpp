@@ -279,15 +279,15 @@ TYPED_TEST(Recycle, InsertsUpToTheHintAllocateNoMoreThanFresh) {
     EXPECT_EQ(RecycledBytes, FreshBytes);
     ++Checked;
   }
-  // ArrayList, HashArrayList and AdaptiveList; the Open, Array, Compact
-  // and SortedArray sets and maps.
+  // ArrayList, HashArrayList and AdaptiveList; the Open, Array, Compact,
+  // SortedArray and Adaptive sets and maps (reserved past their
+  // threshold, these start migrated).
   EXPECT_EQ(Checked, TestFixture::Traits::Kind == AbstractionKind::List ? 3u
-                                                                          : 4u);
+                                                                          : 5u);
 }
 
-// The node-based variants, and the adaptive set and map past their
-// migration: a fresh instance allocates a node per insert (or the table
-// it migrates to), a spare reuses the ones it kept.
+// The node-based variants: a fresh instance allocates a node per insert,
+// a spare reuses the ones it kept.
 TYPED_TEST(Recycle, InsertsUpToTheKeptStorageAllocateNothing) {
   size_t Checked = 0;
   for (auto V : TestFixture::sequentialVariants()) {
@@ -305,9 +305,30 @@ TYPED_TEST(Recycle, InsertsUpToTheKeptStorageAllocateNothing) {
     }
     ++Checked;
   }
-  // LinkedList; Chained, Linked, Tree and Adaptive sets and maps.
+  // LinkedList; Chained, Linked and Tree sets and maps.
   EXPECT_EQ(Checked, TestFixture::Traits::Kind == AbstractionKind::List ? 1u
-                                                                          : 4u);
+                                                                          : 3u);
+}
+
+// A spare forgets the growth target of its previous life: refilled
+// past its kept storage without a new one, it grows exactly as a spare
+// that never had one.
+TYPED_TEST(Recycle, RecycledInstanceForgetsItsGrowthTarget) {
+  constexpr size_t SmallHint = 20;
+  constexpr size_t Target = 8 * SmallHint;
+  for (auto V : TestFixture::sequentialVariants()) {
+    SCOPED_TRACE(TestFixture::nameOf(V));
+    auto RefillBytes = [V](size_t GrowTo) {
+      auto Impl = TestFixture::Traits::makeImpl(V);
+      Impl->reserve(SmallHint, GrowTo);
+      TestFixture::fill(*Impl, SmallHint / 2);
+      Impl->clearForReuse();
+      AllocationScope Refill;
+      TestFixture::fill(*Impl, Grown);
+      return Refill.allocatedInScope();
+    };
+    EXPECT_EQ(RefillBytes(Target), RefillBytes(0));
+  }
 }
 
 TYPED_TEST(Recycle, OutsideARingNodesAreFreedAsBefore) {
@@ -485,6 +506,43 @@ TYPED_TEST(Recycle, DestroyingTheContextFreesItsSpares) {
     }
     EXPECT_EQ(MemoryTracker::liveBytes(), Baseline);
   }
+}
+
+// An adaptive set reserved past its threshold starts migrated, so a
+// spare keeps the one table it uses and never allocates its small
+// array again.
+TEST(RecycleAdaptive, SteadyStateCreatesAllocateNothing) {
+  ContextOptions Options;
+  Options.WindowSize = 4;
+  Options.FinishedRatio = 1.0;
+  Options.LogEvents = false;
+  SetContext<int64_t> Ctx("recycle:adaptive-steady", SetVariant::AdaptiveSet,
+                          defaultModel(), SelectionRule::impossibleRule(),
+                          Options);
+  auto Fill = [](Set<int64_t> &S) {
+    for (int64_t K = 0; K != static_cast<int64_t>(Hint); ++K)
+      (void)S.add(K);
+  };
+  for (size_t I = 0; I != Options.WindowSize; ++I) {
+    Set<int64_t> S = Ctx.createSet();
+    Fill(S);
+  }
+  ASSERT_FALSE(Ctx.evaluate());
+  ASSERT_EQ(Ctx.capacityHint(), Hint);
+  ASSERT_GT(Hint, AdaptiveConfig::global().thresholds().Set);
+  // The first create after the analysis may allocate the spare.
+  for (int I = 0; I != 2; ++I) {
+    Set<int64_t> S = Ctx.createSet();
+    Fill(S);
+  }
+  uint64_t CreateBytes = 0;
+  for (int I = 0; I != 16; ++I) {
+    AllocationScope Create;
+    Set<int64_t> S = Ctx.createSet();
+    CreateBytes += Create.allocatedInScope();
+    Fill(S);
+  }
+  EXPECT_EQ(CreateBytes, 0u);
 }
 
 template <typename Facade> class RecycleLifetime : public Recycle<Facade> {};

@@ -75,8 +75,8 @@ TEST(PolicySimulator, RanksPoliciesAndReportsOutcomes) {
   ASSERT_EQ(Report.Ranked.size(), 2u);
   EXPECT_FALSE(Report.Best.empty());
   EXPECT_EQ(Report.Best, Report.Ranked.front().Name);
-  // Ranked by measured elapsed time, best first.
-  EXPECT_LE(Report.Ranked[0].ElapsedNanos, Report.Ranked[1].ElapsedNanos);
+  // Ranked by the deterministic trajectory time, best first.
+  EXPECT_LE(Report.Ranked[0].TrajectoryTime, Report.Ranked[1].TrajectoryTime);
 
   auto Static = std::find_if(
       Report.Ranked.begin(), Report.Ranked.end(),
@@ -103,8 +103,8 @@ TEST(PolicySimulator, DecisionsAreDeterministicAcrossRuns) {
   SimulationReport First = Sim.run(123);
   SimulationReport Second = Sim.run(123);
 
-  // Wall-clock (and thus ranking order) may vary between runs; the
-  // decisions behind it must not.
+  // Wall-clock may vary between runs; the decisions behind it, and the
+  // ranking built on them, must not.
   for (const PolicyOutcome &A : First.Ranked) {
     auto B = std::find_if(
         Second.Ranked.begin(), Second.Ranked.end(),
@@ -115,6 +115,24 @@ TEST(PolicySimulator, DecisionsAreDeterministicAcrossRuns) {
     EXPECT_EQ(A.Switches, B->Switches);
     EXPECT_EQ(A.FinalVariants, B->FinalVariants);
     EXPECT_DOUBLE_EQ(A.PredictedTime, B->PredictedTime);
+  }
+}
+
+TEST(PolicySimulator, SameCorpusNamesTheSameBest) {
+  PolicySimulator Sim(testModel());
+  Sim.addTrace(smallTrace(30));
+  Sim.addDefaultPolicies();
+  SimulationReport First = Sim.run();
+  SimulationReport Second = Sim.run();
+  ASSERT_FALSE(First.Best.empty());
+  EXPECT_EQ(First.Best, Second.Best);
+  ASSERT_EQ(First.Ranked.size(), Second.Ranked.size());
+  for (size_t I = 0, E = First.Ranked.size(); I != E; ++I) {
+    EXPECT_EQ(First.Ranked[I].Name, Second.Ranked[I].Name);
+    if (I) {
+      EXPECT_LE(First.Ranked[I - 1].TrajectoryTime,
+                First.Ranked[I].TrajectoryTime);
+    }
   }
 }
 

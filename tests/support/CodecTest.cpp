@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 //
 // The wire primitives every binary document is built on: varint and
-// zigzag boundaries, f64 bit-exactness, the CRC32 check vectors,
-// CRC-framed sections, the header check, and crash-safe installs that
-// stay correct when several writers race on one path.
+// zigzag boundaries, the CRC32 check vectors, CRC-framed sections, the
+// header check, and crash-safe installs that stay correct when several
+// writers race on one path.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,9 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <thread>
@@ -104,35 +102,6 @@ TEST(Codec, ZigzagCoversTheSignedRange) {
 TEST(Codec, Crc32MatchesKnownVectors) {
   EXPECT_EQ(codec::crc32(""), 0u);
   EXPECT_EQ(codec::crc32("123456789"), 0xCBF43926u); // The IEEE check value.
-}
-
-TEST(Codec, F64IsBitExact) {
-  double NegZero = -0.0;
-  double Nan = 0;
-  uint64_t NanBits = 0x7ff80000deadbeefull; // Quiet NaN with a payload.
-  std::memcpy(&Nan, &NanBits, sizeof(Nan));
-
-  std::string Bytes;
-  codec::putF64(Bytes, NegZero);
-  codec::putF64(Bytes, Nan);
-  codec::putU64(Bytes, 0x0102030405060708ull);
-  ASSERT_EQ(Bytes.size(), 24u);
-  EXPECT_EQ(Bytes[0], '\0');
-  EXPECT_EQ(static_cast<uint8_t>(Bytes[7]), 0x80u); // Sign bit, LE.
-  EXPECT_EQ(Bytes[16], '\x08');                      // Low byte first.
-
-  codec::Reader In(Bytes);
-  double A = 1, B = 0;
-  uint64_t C = 0;
-  ASSERT_TRUE(In.f64(A) && In.f64(B) && In.u64(C));
-  EXPECT_TRUE(In.atEnd());
-  EXPECT_EQ(A, 0.0);
-  EXPECT_TRUE(std::signbit(A));
-  uint64_t BBits = 0;
-  std::memcpy(&BBits, &B, sizeof(B));
-  EXPECT_EQ(BBits, NanBits);
-  EXPECT_EQ(C, 0x0102030405060708ull);
-  EXPECT_FALSE(In.f64(A)); // Nothing left.
 }
 
 TEST(Codec, SectionRoundTripsAndRejectsAFlippedCrcBit) {
